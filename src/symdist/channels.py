@@ -174,11 +174,10 @@ def pgm(rho0: Array, rho1: Array) -> Array:
 
 # --- distillation channels ----------------------------------------------------
 
-def distill_channel_cptpA(b: QuantumBox) -> CpMap:
+def distill_channel_cptpA(b: QuantumBox, lam: Array) -> CpMap:
     """Measure-and-prepare channel mapping b to its best golden unit
-    (prior unchanged); the measurement is the Q_min minimizer."""
-    from .divergences import q_min
-    lam = q_min(b.rho0, b.rho1).minimizer
+    (prior unchanged); the measurement ``lam`` is the Q_min minimizer,
+    ``q_min(b.rho0, b.rho1).minimizer``."""
     eye = np.eye(b.dim)
     return measure_prepare([eye - lam, lam], [KET0, KET1])
 

@@ -282,10 +282,10 @@ def scaled_trace_distance_sdp(rho: "QuantumBox", sigma: "QuantumBox",
     p2 = m.psd_var("p2", d)
     m.eq(p1 + p2, times(t, 2.0 * np.eye(d)))
     # t - Tr[(P1 - tI) weight] = Tr[(L0 - I) diff0] + Tr[(L1 - I) diff1]
-    lhs = (t.expr() - inner(weight, p1) + times(t, [[float(np.trace(weight).real)]])
+    lhs = (t - inner(weight, p1) + times(t, [[float(np.trace(weight).real)]])
            - inner(diff0, l0) - inner(diff1, l1))
     m.eq(lhs, -float(np.trace(diff0 + diff1).real))
-    m.maximize(t.expr())
+    m.maximize(t)
     primal = model.require_optimal(m.solve(), "D' primal").value
 
     if not return_pair:

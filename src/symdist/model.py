@@ -10,6 +10,7 @@ expanded over an orthonormal Hermitian basis of the constraint space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,159 +46,24 @@ def hermitian_basis(d: int, include_imag: bool = True) -> Array:
     return np.stack(mats)
 
 
-# --- linear operators (variable space -> expression space) -----------------
-
-class LinOp:
-    in_dim: int
-    out_dim: int
-
-    def adjoint_stack(self, e: Array) -> Array:
-        """Apply the adjoint to a stack (r, out_dim, out_dim) of Hermitians."""
-        raise NotImplementedError
-
-
-@dataclass
-class Scale(LinOp):
-    alpha: float
-    dim: int
-
-    def __post_init__(self):
-        self.in_dim = self.out_dim = self.dim
-
-    def adjoint_stack(self, e):
-        return self.alpha * e
-
-
-@dataclass
-class Inner(LinOp):
-    """X -> [[<H, X>]] (scalar-valued)."""
-    h: Array
-
-    def __post_init__(self):
-        self.in_dim = self.h.shape[0]
-        self.out_dim = 1
-
-    def adjoint_stack(self, e):
-        return np.einsum("r,ij->rij", e[:, 0, 0], self.h)
-
-
-@dataclass
-class TimesMatrix(LinOp):
-    """scalar t -> t * H."""
-    h: Array
-
-    def __post_init__(self):
-        self.in_dim = 1
-        self.out_dim = self.h.shape[0]
-
-    def adjoint_stack(self, e):
-        coef = np.einsum("ij,rij->r", self.h.conj(), e)
-        return coef.reshape(-1, 1, 1)
-
-
-@dataclass
-class KronLeft(LinOp):
-    """X -> K (x) X."""
-    k: Array
-    var_dim: int
-
-    def __post_init__(self):
-        self.in_dim = self.var_dim
-        self.out_dim = self.k.shape[0] * self.var_dim
-
-    def adjoint_stack(self, e):
-        dk, dx = self.k.shape[0], self.var_dim
-        e4 = e.reshape(-1, dk, dx, dk, dx)
-        return np.einsum("ij,riajb->rab", self.k.conj(), e4)
-
-
-@dataclass
-class KronRight(LinOp):
-    """X -> X (x) K."""
-    k: Array
-    var_dim: int
-
-    def __post_init__(self):
-        self.in_dim = self.var_dim
-        self.out_dim = self.k.shape[0] * self.var_dim
-
-    def adjoint_stack(self, e):
-        dk, dx = self.k.shape[0], self.var_dim
-        e4 = e.reshape(-1, dx, dk, dx, dk)
-        return np.einsum("ij,raibj->rab", self.k.conj(), e4)
-
-
-@dataclass
-class ContractLeft(LinOp):
-    """Omega on d1 (x) d2  ->  Tr_1[(K^T (x) I) Omega]  (a channel output)."""
-    k: Array
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        self.in_dim = self.dims[0] * self.dims[1]
-        self.out_dim = self.dims[1]
-
-    def adjoint_stack(self, e):
-        d1, d2 = self.dims
-        out = np.einsum("rab,ki->rkaib", e, self.k.conj())
-        return out.reshape(-1, d1 * d2, d1 * d2)
-
-
-@dataclass
-class PTrace(LinOp):
-    """Omega on d1 (x) d2 -> partial trace over the given axis."""
-    dims: tuple[int, int]
-    axis: int
-
-    def __post_init__(self):
-        self.in_dim = self.dims[0] * self.dims[1]
-        self.out_dim = self.dims[1] if self.axis == 0 else self.dims[0]
-
-    def adjoint_stack(self, e):
-        d1, d2 = self.dims
-        if self.axis == 0:
-            out = np.einsum("rab,ij->riajb", e, np.eye(d1))
-        else:
-            out = np.einsum("rab,ij->raibj", e, np.eye(d2))
-        return out.reshape(-1, d1 * d2, d1 * d2)
-
-
 # --- expressions ------------------------------------------------------------
+#
+# A linear term is ``(variable name, coefficient, adjoint, payload)``: it maps
+# the variable X to ``coefficient * L(X)``.  ``adjoint`` applies L* to a stack
+# (r, out_dim, out_dim) of Hermitians; ``payload`` is the data matrix of L
+# (None for a data-free map), which decides whether a program is real.
 
-@dataclass
-class Var:
-    name: str
-    dim: int
-    kind: str  # "psd" | "free"
+Term = tuple[str, float, Callable[[Array], Array], Array | None]
 
-    def expr(self) -> "Expr":
-        return Expr(self.dim, [(self.name, Scale(1.0, self.dim))])
 
-    def __add__(self, other):
-        return self.expr() + other
-
-    def __radd__(self, other):
-        return self.expr() + other
-
-    def __sub__(self, other):
-        return self.expr() - other
-
-    def __rsub__(self, other):
-        return (-self.expr()) + other
-
-    def __neg__(self):
-        return -self.expr()
-
-    def __mul__(self, a):
-        return self.expr() * a
-
-    __rmul__ = __mul__
+def _identity(e: Array) -> Array:
+    return e
 
 
 @dataclass
 class Expr:
     dim: int
-    terms: list[tuple[str, LinOp]]
+    terms: list[Term]
     const: Array | None = None
 
     def _const(self) -> Array:
@@ -209,8 +75,6 @@ class Expr:
     def wrap(x, dim=None) -> "Expr":
         if isinstance(x, Expr):
             return x
-        if isinstance(x, Var):
-            return x.expr()
         if np.isscalar(x):
             d = dim or 1
             return Expr(d, [], complex(x) * np.eye(d))
@@ -236,48 +100,28 @@ class Expr:
 
     def __mul__(self, a):
         a = float(a)
-        terms = [(n, _scaled(op, a)) for n, op in self.terms]
+        terms = [(n, a * c, adj, h) for n, c, adj, h in self.terms]
         return Expr(self.dim, terms, a * self._const())
 
     __rmul__ = __mul__
 
 
-def _scaled(op: LinOp, a: float) -> LinOp:
-    if isinstance(op, _Chain):
-        return _Chain(op.op, op.alpha * a)
-    if isinstance(op, Scale):
-        return Scale(op.alpha * a, op.dim)
-    if isinstance(op, Inner):
-        return Inner(a * op.h)
-    if isinstance(op, TimesMatrix):
-        return TimesMatrix(a * op.h)
-    if isinstance(op, KronLeft):
-        return KronLeft(a * op.k, op.var_dim)
-    if isinstance(op, KronRight):
-        return KronRight(a * op.k, op.var_dim)
-    if isinstance(op, ContractLeft):
-        return ContractLeft(a * op.k, op.dims)
-    if isinstance(op, PTrace):
-        return _Chain(op, a)
-    raise TypeError(op)
+class Var(Expr):
+    """A model variable; as an expression it is the identity map on itself."""
 
-
-@dataclass
-class _Chain(LinOp):
-    """alpha * PTrace (partial traces have no natural data to scale)."""
-    op: PTrace
-    alpha: float
-
-    def __post_init__(self):
-        self.in_dim = self.op.in_dim
-        self.out_dim = self.op.out_dim
-
-    def adjoint_stack(self, e):
-        return self.alpha * self.op.adjoint_stack(e)
+    def __init__(self, name: str, dim: int):
+        super().__init__(dim, [(name, 1.0, _identity, None)])
+        self.name = name
 
 
 def inner(h, var: Var) -> Expr:
-    return Expr(1, [(var.name, Inner(np.asarray(h, dtype=complex)))])
+    """X -> [[<H, X>]] (scalar-valued)."""
+    h = np.asarray(h, dtype=complex)
+
+    def adjoint(e):
+        return np.einsum("r,ij->rij", e[:, 0, 0], h)
+
+    return Expr(1, [(var.name, 1.0, adjoint, h)])
 
 
 def trace(var: Var) -> Expr:
@@ -285,30 +129,58 @@ def trace(var: Var) -> Expr:
 
 
 def times(var: Var, h) -> Expr:
-    """Scalar variable times a fixed matrix."""
+    """Scalar variable times a fixed matrix: t -> t * H."""
     h = np.asarray(h, dtype=complex)
-    return Expr(h.shape[0], [(var.name, TimesMatrix(h))])
+
+    def adjoint(e):
+        return np.einsum("ij,rij->r", h.conj(), e).reshape(-1, 1, 1)
+
+    return Expr(h.shape[0], [(var.name, 1.0, adjoint, h)])
 
 
 def kron_left(k, var: Var) -> Expr:
+    """X -> K (x) X."""
     k = np.asarray(k, dtype=complex)
-    return Expr(k.shape[0] * var.dim, [(var.name, KronLeft(k, var.dim))])
+    dk, dx = k.shape[0], var.dim
+
+    def adjoint(e):
+        return np.einsum("ij,riajb->rab", k.conj(), e.reshape(-1, dk, dx, dk, dx))
+
+    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
 
 
 def kron_right(var: Var, k) -> Expr:
+    """X -> X (x) K."""
     k = np.asarray(k, dtype=complex)
-    return Expr(k.shape[0] * var.dim, [(var.name, KronRight(k, var.dim))])
+    dk, dx = k.shape[0], var.dim
+
+    def adjoint(e):
+        return np.einsum("ij,raibj->rab", k.conj(), e.reshape(-1, dx, dk, dx, dk))
+
+    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
 
 
 def channel_output(k, choi_var: Var, dims: tuple[int, int]) -> Expr:
     """Tr_in[(K^T (x) I) Omega] for a Choi-matrix variable on in (x) out."""
     k = np.asarray(k, dtype=complex)
-    return Expr(dims[1], [(choi_var.name, ContractLeft(k, dims))])
+    d1, d2 = dims
+
+    def adjoint(e):
+        out = np.einsum("rab,ki->rkaib", e, k.conj())
+        return out.reshape(-1, d1 * d2, d1 * d2)
+
+    return Expr(d2, [(choi_var.name, 1.0, adjoint, k)])
 
 
 def ptrace_out(choi_var: Var, dims: tuple[int, int]) -> Expr:
     """Trace out the output factor (axis 1) of a Choi-matrix variable."""
-    return Expr(dims[0], [(choi_var.name, PTrace(dims, 1))])
+    d1, d2 = dims
+
+    def adjoint(e):  # E -> E (x) I
+        out = np.einsum("rab,ij->raibj", e, np.eye(d2))
+        return out.reshape(-1, d1 * d2, d1 * d2)
+
+    return Expr(d1, [(choi_var.name, 1.0, adjoint, None)])
 
 
 # --- model ------------------------------------------------------------------
@@ -334,7 +206,7 @@ class Model:
 
     # variables ---------------------------------------------------------
     def psd_var(self, name: str, dim: int) -> Var:
-        v = Var(name, dim, "psd")
+        v = Var(name, dim)
         self._psd.append(v)
         return v
 
@@ -343,12 +215,9 @@ class Model:
         return self.psd_var(name, 1)
 
     def free_herm(self, name: str, dim: int) -> Var:
-        v = Var(name, dim, "free")
+        v = Var(name, dim)
         self._free.append(v)
         return v
-
-    def free_scalar(self, name: str) -> Var:
-        return self.free_herm(name, 1)
 
     # constraints ---------------------------------------------------------
     def eq(self, a, b):
@@ -363,7 +232,7 @@ class Model:
         eb = Expr.wrap(b, ea.dim)
         z = self.psd_var(f"_slack{self._slack_count}", ea.dim)
         self._slack_count += 1
-        self.eq(eb - ea - z.expr(), np.zeros((ea.dim, ea.dim)))
+        self.eq(eb - ea - z, np.zeros((ea.dim, ea.dim)))
         return z
 
     def ge(self, a, b):
@@ -378,22 +247,10 @@ class Model:
         self._sense = -1.0
 
     def _data_is_real(self) -> bool:
-        def op_real(op: LinOp) -> bool:
-            payload = getattr(op, "h", None)
-            if payload is None:
-                payload = getattr(op, "k", None)
-            if isinstance(op, _Chain):
-                return True
-            return payload is None or np.abs(np.imag(payload)).max(initial=0.0) < 1e-14
-
         exprs = [e for e, _ in self._cons] + [self._obj]
-        consts = [c for _, c in self._cons]
-        for e in exprs:
-            if np.abs(np.imag(e._const())).max(initial=0.0) >= 1e-14:
-                return False
-            if not all(op_real(op) for _, op in e.terms):
-                return False
-        return all(np.abs(np.imag(c)).max(initial=0.0) < 1e-14 for c in consts)
+        mats = [c for _, c in self._cons] + [e._const() for e in exprs]
+        mats += [h for e in exprs for *_, h in e.terms if h is not None]
+        return all(np.abs(np.imag(m)).max(initial=0.0) < 1e-14 for m in mats)
 
     # compile and solve -----------------------------------------------------
     def compile(self) -> tuple[sdp.SdpProblem, float]:
@@ -412,8 +269,8 @@ class Model:
         blocks = [v.dim for v in self._psd]
 
         def accumulate(expr: Expr, e_stack: Array, rows_psd, rows_free):
-            for name, op in expr.terms:
-                coef = op.adjoint_stack(e_stack)
+            for name, c, adjoint, _ in expr.terms:
+                coef = c * adjoint(e_stack)
                 coef = (coef + np.conj(np.transpose(coef, (0, 2, 1)))) / 2
                 if name in psd_index:
                     rows_psd[psd_index[name]] += coef

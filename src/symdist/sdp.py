@@ -45,7 +45,6 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     step_fraction: float = 0.98     # fraction-to-boundary
-    init_scale: float | None = None
 
 
 @dataclass(eq=False)
@@ -177,15 +176,11 @@ class _Workspace:
 
     # linear maps ---------------------------------------------------------
     def apply_a(self, xs: list[Array]) -> Array:
-        out = np.zeros(self.m)
-        for stack, x in zip(self.A, xs):
-            out += np.einsum("mij,ij->m", stack, x, optimize=True)
-        if self.k:
-            return out
-        return out
+        return sum(a.reshape(self.m, -1) @ x.reshape(-1) for a, x in zip(self.A, xs))
 
     def apply_at(self, y: Array) -> list[Array]:
-        return [np.einsum("m,mij->ij", y, stack, optimize=True) for stack in self.A]
+        return [(y @ a.reshape(self.m, -1)).reshape(d, d)
+                for a, d in zip(self.A, self.dims)]
 
     def inner_c(self, xs: list[Array]) -> float:
         return float(sum(np.vdot(c, x).real for c, x in zip(self.C, xs)))
@@ -209,7 +204,7 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
     m, k = ws.m, ws.k
     dims = ws.dims
 
-    eta = opts.init_scale or max(1.0, np.sqrt(ws.norm_b), np.sqrt(ws.norm_c))
+    eta = max(1.0, np.sqrt(ws.norm_b), np.sqrt(ws.norm_c))
     X = [eta * np.eye(d) for d in dims]
     S = [eta * np.eye(d) for d in dims]
     y = np.zeros(m)

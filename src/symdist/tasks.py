@@ -18,8 +18,9 @@ from . import channels, linalg, model
 from .boxes import KET0, KET1, QuantumBox, golden_box
 from .channels import CdsMap, CpMap, measure_prepare
 from .config import TOLS
-from .divergences import (chernoff, p_err, q_max, q_max_star, q_min, sd,
-                          thompson, xi_max, xi_max_star, xi_min)
+from .divergences import (_orthogonal_supports, chernoff, p_err, q_max,
+                          q_max_star, q_min, sd, thompson, xi_max, xi_max_star,
+                          xi_min)
 from .exceptions import ParameterRangeError, SolverError
 from .model import (Model, channel_output, inner, kron_left, kron_right,
                     ptrace_out, times, trace)
@@ -45,11 +46,6 @@ class TaskResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _orthogonal_states(rho0: Array, rho1: Array) -> bool:
-    proj = linalg.support_projector(rho0)
-    return float(np.trace(proj @ rho1).real) <= TOLS.support
-
-
 # --- exact distillation -------------------------------------------------------
 
 def distill_exact(b: QuantumBox, regime: str) -> TaskResult:
@@ -58,11 +54,11 @@ def distill_exact(b: QuantumBox, regime: str) -> TaskResult:
         if b.p <= 0.0 or b.p >= 1.0:
             return TaskResult(INF, None, {"reason": "singular prior"})
         qm = q_min(b.rho0, b.rho1)
-        if _orthogonal_states(b.rho0, b.rho1) or qm.value <= 0.0:
+        if _orthogonal_supports(b.rho0, b.rho1) or qm.value <= 0.0:
             value = INF
         else:
             value = max(-math.log2(qm.value), 0.0)
-        witness = channels.distill_channel_cptpA(b)
+        witness = channels.distill_channel_cptpA(b, qm.minimizer)
         return TaskResult(value, witness, {"q_min": qm.value})
     value = sd(b)
     if math.isinf(value):
@@ -93,14 +89,9 @@ def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
 
 # --- minimum conversion error ---------------------------------------------------
 
-def _psd_floor(m: Array) -> Array:
-    w, v = np.linalg.eigh(linalg.hermitian(m))
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
 def _normalized_chois(chois: list[Array], d_in: int, d_out: int) -> list[Array]:
     """Rescale branch Chois so their sum is exactly trace preserving."""
-    chois = [_psd_floor(c) for c in chois]
+    chois = [linalg.positive_part(c) for c in chois]
     total = linalg.ptrace(sum(chois), (d_in, d_out), axis=1)
     g = linalg.pseudo_inverse_sqrt(total)
     corr = np.kron(g, np.eye(d_out))
@@ -115,7 +106,7 @@ def _exact_cptpA_conversion(source: QuantumBox, target: QuantumBox) -> CpMap | N
         return measure_prepare([np.eye(source.dim)], [target.rho1])
     if target.p >= 1.0 - TOLS.infinite_perr:
         return measure_prepare([np.eye(source.dim)], [target.rho0])
-    if not _orthogonal_states(source.rho0, source.rho1):
+    if not _orthogonal_supports(source.rho0, source.rho1):
         return None
     proj = linalg.support_projector(source.rho0)
     return measure_prepare([proj, np.eye(source.dim) - proj],
@@ -252,7 +243,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         raise ParameterRangeError("eps must be nonnegative")
     if regime == CPTPA and not 0.0 < b.p < 1.0:
         return TaskResult(INF, None, {"reason": "singular prior"})
-    if regime == CPTPA and _orthogonal_states(b.rho0, b.rho1):
+    if regime == CPTPA and _orthogonal_supports(b.rho0, b.rho1):
         return TaskResult(INF, None, {"reason": "orthogonal supports"})
     if regime == CDS and p_err(b) <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"reason": "infinite resource"})
@@ -307,7 +298,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
             m.ge(expr, rhs)
         if eps > 0.0:
             m.le(2.0 * (cs[0] + cs[1] + cs[2] + cs[3]) - eps * r, 0.0)
-    m.minimize(r.expr())
+    m.minimize(r)
     res = model.require_optimal(m.solve(), "approximate distillation program")
     r_star = max(res.value, 0.0)
     if r_star <= TOLS.infinite_perr:
@@ -359,7 +350,7 @@ def _cost_feasible(b: QuantumBox, eps: float, regime: str, big_m: float,
     total_bc = trace(bs[0]) + trace(bs[1]) + trace(cs[0]) + trace(cs[1])
     m.le(total_bc - lam0, eps - 1.0)
     m.le(trace(dvar) + trace(evar) - s_extra - lam0, -1.0)
-    m.minimize(lam0.expr())
+    m.minimize(lam0)
     res = m.solve(_PHASE1_OPTIONS)
     if res.status is not SdpStatus.OPTIMAL:
         # a feasibility decision only needs ~1e-6 accuracy on lambda

@@ -100,20 +100,20 @@ def test_pgm(rng):
 
 def test_distill_cptpA_fixed_point():
     g = golden_box(3, 0.4)
-    ch = distill_channel_cptpA(g)
+    ch = distill_channel_cptpA(g, q_min(g.rho0, g.rho1).minimizer)
     out = apply_cptp(ch, g)
     assert box_distance(out, g) <= 1e-7
 
 
 def test_distill_cptpA_orthogonal_and_equal(rng):
     orth = QuantumBox(0.5, np.diag([1.0, 0]), np.diag([0, 1.0]))
-    ch = distill_channel_cptpA(orth)
+    ch = distill_channel_cptpA(orth, q_min(orth.rho0, orth.rho1).minimizer)
     out = apply_cptp(ch, orth)
     assert box_distance(out, golden_box(math.inf, 0.5)) <= 1e-7
     rho = random_density(2, rng)
     eq = QuantumBox(0.3, rho, rho)
     assert q_min(rho, rho).value == pytest.approx(1.0, abs=1e-7)
-    out = apply_cptp(distill_channel_cptpA(eq), eq)
+    out = apply_cptp(distill_channel_cptpA(eq, q_min(rho, rho).minimizer), eq)
     assert box_distance(out, golden_box(1.0, 0.3)) <= 1e-6
 
 
@@ -230,7 +230,8 @@ def test_random_channels_valid(rng):
 
 def test_constructed_channels_pass_validity(rng):
     b = random_box(2, rng)
-    distill_channel_cptpA(b)       # constructors validate CP/TP internally
+    # constructors validate CP/TP internally
+    distill_channel_cptpA(b, q_min(b.rho0, b.rho1).minimizer)
     distill_channel_cds(b)
     dilute_channel_cptpA(b, q_max(b.rho0, b.rho1) + 0.1)
     dilute_channel_cds(b, q_max_star(b) + 0.1)

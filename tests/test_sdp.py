@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from symdist import sdp
-from symdist.model import (ContractLeft, Inner, KronLeft, KronRight, Model,
-                           PTrace, Scale, TimesMatrix, hermitian_basis, inner,
-                           kron_right, trace)
+from symdist.boxes import random_box
+from symdist.model import (Model, channel_output, hermitian_basis, inner,
+                           kron_left, kron_right, ptrace_out, times, trace)
 from symdist.sdp import SdpStatus, SolverOptions
 
 from conftest import random_hermitian
@@ -126,49 +128,80 @@ def test_realify_identity_objective_exact():
     assert res.value == pytest.approx(1.0, abs=1e-7)
 
 
+def _ptrace_out(x):
+    return np.einsum("aibi->ab", x.reshape(2, 3, 2, 3))
+
+
+# Each factory draws the payload and returns (builder on a variable, forward
+# map of the payload and X); the builder's term carries its own payload.
 @pytest.mark.parametrize("op_factory,din", [
-    (lambda rng: Scale(0.7, 3), 3),
-    (lambda rng: Inner(random_hermitian(3, rng)), 3),
-    (lambda rng: TimesMatrix(random_hermitian(3, rng)), 1),
-    (lambda rng: KronLeft(random_hermitian(2, rng), 3), 3),
-    (lambda rng: KronRight(random_hermitian(2, rng), 3), 3),
-    (lambda rng: ContractLeft(random_hermitian(2, rng), (2, 3)), 6),
-    (lambda rng: PTrace((2, 3), 1), 6),
-    (lambda rng: PTrace((2, 3), 0), 6),
+    (lambda rng: (lambda v: 0.7 * v, lambda h, x: 0.7 * x), 3),
+    (lambda rng: (partial(inner, random_hermitian(3, rng)),
+                  lambda h, x: np.array([[np.vdot(h, x)]])), 3),
+    (lambda rng: (partial(times, h=random_hermitian(3, rng)),
+                  lambda h, x: complex(x[0, 0]) * h), 1),
+    (lambda rng: (partial(kron_left, random_hermitian(2, rng)),
+                  lambda h, x: np.kron(h, x)), 3),
+    (lambda rng: (partial(kron_right, k=random_hermitian(2, rng)),
+                  lambda h, x: np.kron(x, h)), 3),
+    (lambda rng: (partial(channel_output, random_hermitian(2, rng), dims=(2, 3)),
+                  lambda h, x: np.einsum("ki,kaib->ab", h, x.reshape(2, 3, 2, 3))), 6),
+    (lambda rng: (partial(ptrace_out, dims=(2, 3)), lambda h, x: _ptrace_out(x)), 6),
+    (lambda rng: (lambda v: -2.5 * ptrace_out(v, (2, 3)),
+                  lambda h, x: -2.5 * _ptrace_out(x)), 6),
 ])
 def test_linop_adjoints(op_factory, din):
-    """<E, L(X)> == <adjoint(E), X> on random Hermitian pairs."""
+    """<E, c L(X)> == <c L*(E), X> on random Hermitian pairs, for the term
+    each public builder makes (coefficient c included)."""
     rng = np.random.default_rng(9)
-    op = op_factory(rng)
-    x = random_hermitian(op.in_dim, rng)
-    e = random_hermitian(op.out_dim, rng)
+    build, forward = op_factory(rng)
+    expr = build(Model().psd_var("x", din))
+    (_, coef, adjoint, payload), = expr.terms
+    x = random_hermitian(din, rng)
+    e = random_hermitian(expr.dim, rng)
 
-    def apply_forward(op, x):
-        if isinstance(op, Scale):
-            return op.alpha * x
-        if isinstance(op, Inner):
-            return np.array([[np.vdot(op.h, x)]])
-        if isinstance(op, TimesMatrix):
-            return complex(x[0, 0]) * op.h
-        if isinstance(op, KronLeft):
-            return np.kron(op.k, x)
-        if isinstance(op, KronRight):
-            return np.kron(x, op.k)
-        if isinstance(op, ContractLeft):
-            d1, d2 = op.dims
-            x4 = x.reshape(d1, d2, d1, d2)
-            return np.einsum("ki,kaib->ab", op.k, x4)
-        if isinstance(op, PTrace):
-            d1, d2 = op.dims
-            x4 = x.reshape(d1, d2, d1, d2)
-            return (np.einsum("iaib->ab", x4) if op.axis == 0
-                    else np.einsum("aibi->ab", x4))
-        raise TypeError(op)
-
-    lhs = np.vdot(e, apply_forward(op, x))
-    adj = op.adjoint_stack(e[None])[0]
-    rhs = np.vdot(adj, x)
+    lhs = np.vdot(e, forward(payload, x))
+    rhs = np.vdot(coef * adjoint(e[None])[0], x)
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("real,rows,free", [(True, 6, 3), (False, 8, 4)])
+def test_realness_decision(real, rows, free):
+    """Programs compile real exactly when their data is real, whether the
+    data sit in constants or in term payloads."""
+    w0, w1 = random_box(2, np.random.default_rng(5), real=real).weighted()
+    m = Model()
+    y = m.free_herm("y", 2)
+    m.maximize(trace(y))
+    m.le(y, w0)
+    m.le(y, w1)
+    prob, _ = m.compile()
+    assert len(prob.constraints) == rows
+    assert prob.free_size == free
+    assert prob.is_complex() is not real
+
+    # the same data entering only as a term payload: max t : t w0 <= I
+    m = Model()
+    t = m.scalar("t")
+    m.maximize(t)
+    m.le(times(t, w0), np.eye(2))
+    prob, _ = m.compile()
+    assert len(prob.constraints) == rows // 2
+    res = m.solve()
+    assert res.status is SdpStatus.OPTIMAL
+    assert res.value == pytest.approx(1 / np.linalg.eigvalsh(w0).max(), abs=1e-7)
+
+
+def test_scaled_partial_trace_compiles_real():
+    m = Model()
+    om = m.psd_var("om", 4)
+    m.eq(-2.5 * ptrace_out(om, (2, 2)), -2.5 * np.eye(2))
+    m.minimize(trace(om))
+    prob, _ = m.compile()
+    assert prob.is_complex() is False
+    res = m.solve()
+    assert res.status is SdpStatus.OPTIMAL
+    assert res.value == pytest.approx(2.0, abs=1e-7)
 
 
 def test_hermitian_basis_orthonormal():
