@@ -53,7 +53,7 @@ class CpMap:
             raise DimensionMismatchError(
                 f"input dim {rho.shape[0]} != channel dim {self.d_in}")
         c4 = self.choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-        return np.einsum("ki,kaib->ab", rho, c4, optimize=True)
+        return np.einsum("ki,kaib->ab", rho, c4)
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
         tol = TOLS.tp_sum if tol is None else tol
@@ -87,7 +87,7 @@ class CdsMap:
 def kraus_to_choi(kraus: list[Array]) -> Array:
     ks = np.stack([np.asarray(k, dtype=complex) for k in kraus])
     d_out, d_in = ks.shape[1], ks.shape[2]
-    c = np.einsum("jai,jbk->iakb", ks, ks.conj(), optimize=True)
+    c = np.einsum("jai,jbk->iakb", ks, ks.conj())
     return c.reshape(d_in * d_out, d_in * d_out)
 
 
@@ -256,15 +256,13 @@ def dilute_channel_cds(target: QuantumBox, M: float) -> CdsMap:
 
 def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     """Exact CDS conversion from an infinite-resource box to any box."""
-    from .divergences import p_err
+    from .divergences import _orthogonal_supports, p_err
     if p_err(source) > TOLS.infinite_perr:
         raise NotInfiniteResourceError("source box has positive p_err")
     q = target.p
     s0, s1 = target.rho0, target.rho1
-    proj0 = linalg.support_projector(source.rho0)
-    orthogonal = float(np.trace(proj0 @ source.rho1).real) <= TOLS.support
-    if orthogonal:
-        lam = proj0
+    if _orthogonal_supports(source.rho0, source.rho1):
+        lam = linalg.support_projector(source.rho0)
         eye = np.eye(source.dim)
         e0 = measure_prepare([lam, eye - lam], [q * s0, (1 - q) * s1])
         e1 = measure_prepare([eye - lam, lam], [q * s0, (1 - q) * s1])

@@ -9,6 +9,7 @@ error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -59,6 +60,11 @@ def _add_box_arg(p: argparse.ArgumentParser, name: str = "box",
                    help="golden-unit shorthand instead of a JSON file")
 
 
+# the sweep's fixed family parameters (N ... q_target) have float defaults
+_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(sweep_mod.SweepSpec)}
+_SPEC_PARAMETERS = [n for n, v in _SPEC_DEFAULTS.items() if isinstance(v, float)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symdist",
@@ -100,18 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--stop", type=float, default=None,
                    help="default 1 for gad-gamma, pi/2 for the phi families")
-    p.add_argument("--steps", type=int, default=41)
+    p.add_argument("--steps", type=int, default=_SPEC_DEFAULTS["steps"])
     p.add_argument("--quantities", default=None,
                    help="comma-separated subset of " + ",".join(sweep_mod.QUANTITIES))
-    p.add_argument("--N", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.25)
-    p.add_argument("--q", type=float, default=1 / 3)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--gamma1", type=float, default=0.5)
-    p.add_argument("--N1", type=float, default=0.3)
-    p.add_argument("--gamma2", type=float, default=0.25)
-    p.add_argument("--N2", type=float, default=0.1)
-    p.add_argument("--q-target", type=float, default=0.25)
+    for name in _SPEC_PARAMETERS:
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=_SPEC_DEFAULTS[name])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG output path")
@@ -161,9 +161,8 @@ def _run(args) -> int:
             else ("xi_min", "xi_max", "sd", "xi_max_star"))
         spec = sweep_mod.SweepSpec(
             family=args.family, start=args.start, stop=stop, steps=args.steps,
-            quantities=quantities, N=args.N, gamma=args.gamma, q=args.q,
-            eps=args.eps, gamma1=args.gamma1, N1=args.N1, gamma2=args.gamma2,
-            N2=args.N2, q_target=args.q_target)
+            quantities=quantities,
+            **{name: getattr(args, name) for name in _SPEC_PARAMETERS})
         result = sweep_mod.run_sweep(spec, jobs=args.jobs)
         Path(args.out).write_text(result.to_csv())
         if result.failures:

@@ -72,18 +72,31 @@ class QMinResult(NamedTuple):
 
 
 def q_min(rho0: Array, rho1: Array) -> QMinResult:
-    """2 min{Tr(L rho0) : Tr(L(rho0+rho1)) = 1, 0 <= L <= 1} and a minimizer."""
-    d = rho0.shape[0]
-    m = Model()
-    lam = m.psd_var("lam", d)
-    slack = m.psd_var("slack", d)
-    m.minimize(inner(2.0 * rho0, lam))
-    m.eq(lam + slack, np.eye(d))
-    m.eq(inner(rho0 + rho1, lam), 1.0)
-    res = model.require_optimal(m.solve(), "Q_min program")
-    w, v = np.linalg.eigh(res.primal["lam"])
-    effect = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T  # back into the POVM interval
-    return QMinResult(_nonneg(res.value), linalg.hermitian(effect))
+    """2 min{Tr(L rho0) : Tr(L sigma) = 1, 0 <= L <= 1}, sigma = rho0 + rho1,
+    and a minimizer, by bisection on the slope 1 - Tr(P_mu sigma) of the dual
+    2 max_{mu in [0, 1]} [mu - Tr(rho0 - mu sigma)_-], P_mu the projector onto
+    the negative eigenspace of rho0 - mu sigma.  The slope never increases: it
+    is 1 at mu = 0 (P_0 = 0) and 1 - Tr sigma <= 0 at mu = 1 (P_1 = I, as
+    rho0 - sigma = -rho1).  L = (1 - t) P_lo + t P_hi on the final 1e-15
+    bracket, with Tr(L sigma) = 1, lies in the POVM interval exactly.  The
+    program is ``tasks.distill_approx(b, 0, "cptpA")`` with states swapped."""
+    rho0 = linalg.hermitian(rho0)
+    sigma = rho0 + linalg.hermitian(rho1)
+    lo, p_lo, s_lo = 0.0, np.zeros_like(sigma), 0.0
+    hi, p_hi, s_hi = 1.0, np.eye(len(sigma)), float(np.trace(sigma).real)
+    while hi - lo > 1e-15:
+        mu = 0.5 * (lo + hi)
+        w, v = np.linalg.eigh(rho0 - mu * sigma)
+        neg = v[:, w < 0.0]
+        proj = neg @ neg.conj().T
+        s = float(np.vdot(proj, sigma).real)
+        if s < 1.0:
+            lo, p_lo, s_lo = mu, proj, s
+        else:
+            hi, p_hi, s_hi = mu, proj, s
+    t = (1.0 - s_lo) / (s_hi - s_lo)  # s_lo < 1 <= s_hi
+    effect = (1.0 - t) * p_lo + t * p_hi
+    return QMinResult(_nonneg(2.0 * float(np.vdot(effect, rho0).real)), effect)
 
 
 def _orthogonal_supports(rho0: Array, rho1: Array) -> bool:

@@ -77,7 +77,6 @@ class SdpSolution:
     value: float
     x_blocks: list[Array]
     y: Array
-    s_blocks: list[Array]
     free: Array
     gap: float
     iterations: int
@@ -193,9 +192,8 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         real_prob = realify(prob)
         sol = _solve_real(real_prob, opts)
         x_blocks = [_unembed(x, d) for x, d in zip(sol.x_blocks, prob.blocks)]
-        s_blocks = [2 * _unembed(s, d) for s, d in zip(sol.s_blocks, prob.blocks)]
-        return SdpSolution(sol.status, sol.value, x_blocks, sol.y, s_blocks,
-                           sol.free, sol.gap, sol.iterations, sol.residuals)
+        return SdpSolution(sol.status, sol.value, x_blocks, sol.y, sol.free,
+                           sol.gap, sol.iterations, sol.residuals)
     return _solve_real(prob, opts)
 
 
@@ -386,20 +384,18 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
     if status is SdpStatus.PRIMAL_INFEASIBLE:
         scale = float(ws.b @ y)
         return SdpSolution(status, np.inf, [x / max(tau, 1e-300) for x in X],
-                           y / scale, S, u, np.inf, it,
+                           y / scale, u, np.inf, it,
                            {"certificate": "b.y = 1, A*(y) <= 0"})
     if status is SdpStatus.DUAL_INFEASIBLE:
         cx = ws.inner_c(X) + (float(ws.f @ u) if k else 0.0)
-        return SdpSolution(status, -np.inf, [x / (-cx) for x in X], y, S, u,
+        return SdpSolution(status, -np.inf, [x / (-cx) for x in X], y, u,
                            -np.inf, it, {"certificate": "C.X = -1, A(X) = 0, X >= 0"})
 
     xs = [x / tau for x in X]
-    ss = [s / tau for s in S]
     ys = y / tau
     us = u / tau
     pobj_f = ws.inner_c(xs) + (float(ws.f @ us) if k else 0.0)
     dobj_f = float(ws.b @ ys)
     res = {"rel_primal": rel_p, "rel_dual": rel_d, "rel_gap": rel_g,
            "primal_objective": pobj_f, "dual_objective": dobj_f}
-    return SdpSolution(status, pobj_f, xs, ys, ss, us,
-                       pobj_f - dobj_f, it, res)
+    return SdpSolution(status, pobj_f, xs, ys, us, pobj_f - dobj_f, it, res)

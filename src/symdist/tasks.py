@@ -113,6 +113,20 @@ def _exact_cptpA_conversion(source: QuantumBox, target: QuantumBox) -> CpMap | N
                            [target.rho0, target.rho1])
 
 
+def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
+                      regime: str) -> tuple[model.Expr, model.Expr, model.Expr]:
+    """Free-map Choi variables om0 (and om1 under CDS) on in (x) out, as
+    (tau0, tau1, Tr_out): the images of the weighted branches w0, w1."""
+    om0 = m.psd_var("om0", dims[0] * dims[1])
+    if regime == CDS:
+        om1 = m.psd_var("om1", dims[0] * dims[1])
+        tau0 = channel_output(w0, om0, dims) + channel_output(w1, om1, dims)
+        tau1 = channel_output(w0, om1, dims) + channel_output(w1, om0, dims)
+        return tau0, tau1, ptrace_out(om0, dims) + ptrace_out(om1, dims)
+    return (channel_output(w0, om0, dims), channel_output(w1, om0, dims),
+            ptrace_out(om0, dims))
+
+
 def min_conversion_error(source: QuantumBox, target: QuantumBox,
                          regime: str) -> TaskResult:
     """Smallest scaled-trace-distance error reachable under free operations."""
@@ -149,17 +163,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     dv = m.psd_var("dv", d_out)
     ev = m.psd_var("ev", d_out)
     s_extra = m.scalar("s0")  # s = 1 + s_extra
-    om0 = m.psd_var("om0", d_in * d_out)
-    dims = (d_in, d_out)
-    if regime == CDS:
-        om1 = m.psd_var("om1", d_in * d_out)
-        tau0 = channel_output(w0, om0, dims) + channel_output(w1, om1, dims)
-        tau1 = channel_output(w0, om1, dims) + channel_output(w1, om0, dims)
-        tp = ptrace_out(om0, dims) + ptrace_out(om1, dims)
-    else:
-        tau0 = channel_output(w0, om0, dims)
-        tau1 = channel_output(w1, om0, dims)
-        tp = ptrace_out(om0, dims)
+    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
     m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
     m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
     m.eq(dv - ev - times(s_extra, weight), weight)
@@ -197,17 +201,7 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
     m = Model()
     y0 = m.psd_var("y0", d_out)
     y1 = m.psd_var("y1", d_out)
-    g0 = m.psd_var("g0", d_in * d_out)
-    dims = (d_in, d_out)
-    if regime == CDS:
-        g1 = m.psd_var("g1", d_in * d_out)
-        tau0 = channel_output(w0, g0, dims) + channel_output(w1, g1, dims)
-        tau1 = channel_output(w0, g1, dims) + channel_output(w1, g0, dims)
-        tp = ptrace_out(g0, dims) + ptrace_out(g1, dims)
-    else:
-        tau0 = channel_output(w0, g0, dims)
-        tau1 = channel_output(w1, g0, dims)
-        tp = ptrace_out(g0, dims)
+    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
     m.eq(tp, np.eye(d_in))
     m.ge(y0, tau0 - t0)
     m.ge(y1, tau1 - t1)
@@ -256,7 +250,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     if regime == CPTPA:
         lam = m.psd_var("lam", d)
         m.le(lam, np.eye(d))
-        if eps == 0.0:
+        if eps == 0.0:  # the Q_min program (states swapped): its cross-check
             m.eq(inner(b.rho0, lam) + 0.5 * r, 1.0)
             m.eq(inner(b.rho1, lam) - 0.5 * r, 0.0)
         else:

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from symdist import divergences as dv
-from symdist import linalg
+from symdist import linalg, tasks
 from symdist.boxes import QuantumBox, golden_box, random_box, random_density
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
 
@@ -89,7 +89,24 @@ def test_q_min_minimizer_is_feasible(rng):
     res = dv.q_min(r0, r1)
     w = np.linalg.eigvalsh(res.minimizer)
     assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12
-    assert np.trace(res.minimizer @ (r0 + r1)).real == pytest.approx(1.0, abs=1e-6)
+    assert np.trace(res.minimizer @ (r0 + r1)).real == pytest.approx(1.0, abs=1e-12)
+    assert 2 * np.trace(res.minimizer @ r0).real == pytest.approx(res.value, abs=1e-12)
+    again = dv.q_min(r0, r1)  # deterministic: bit-equal on a rerun
+    assert again.value == res.value and np.array_equal(again.minimizer, res.minimizer)
+
+
+def test_q_min_matches_distill_program(rng):
+    """Q_min against its program, the eps = 0 CPTP_A distillation program
+    (states swapped): q_min = 2^(-distill_approx)."""
+    boxes = [random_box(d, rng, real=real, p=p) for d in (2, 3, 4)
+             for real in (True, False) for p in (0.05, 0.5, 0.93)]
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    boxes.append(QuantumBox(0.5, np.outer(v, v.conj()), random_density(3, rng)))
+    boxes.append(QuantumBox(0.3, np.diag([0.7, 0.3, 0.0]), np.diag([0.0, 0.4, 0.6])))
+    for b in boxes:
+        r = tasks.distill_approx(b, 0.0, tasks.CPTPA).value
+        assert dv.q_min(b.rho0, b.rho1).value == pytest.approx(2.0 ** -r, abs=1e-6)
 
 
 # --- D_max / Thompson -----------------------------------------------------------

@@ -129,6 +129,18 @@ def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_cli_sweep_defaults_match_spec(tmp_path, capsys):
+    """With no parameter flags the CLI sweep runs SweepSpec's defaults."""
+    out = tmp_path / "f.csv"
+    rc = cli.main(["sweep", "--family", "gad-phi", "--steps", "3",
+                   "--quantities", "sd,xi_max", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    spec = SweepSpec("gad-phi", 0.0, math.pi / 2, steps=3,
+                     quantities=("sd", "xi_max"))
+    assert out.read_text() == run_sweep(spec).to_csv()
+
+
 def test_serialization_of_inf_and_nan():
     row = sweep._serialize
     assert row(math.inf) == "inf"
