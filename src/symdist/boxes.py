@@ -26,6 +26,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _validated_state(a, tol: float) -> Array:
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("state has a non-finite entry")
     h = linalg.hermitian(a)
     w = np.linalg.eigvalsh(h)
     if w.min(initial=0.0) < -tol:

@@ -79,7 +79,8 @@ def q_min(rho0: Array, rho1: Array) -> QMinResult:
     is 1 at mu = 0 (P_0 = 0) and 1 - Tr sigma <= 0 at mu = 1 (P_1 = I, as
     rho0 - sigma = -rho1).  L = (1 - t) P_lo + t P_hi on the final 1e-15
     bracket, with Tr(L sigma) = 1, lies in the POVM interval exactly.  The
-    program is ``tasks.distill_approx(b, 0, "cptpA")`` with states swapped."""
+    program is ``distill_approx_program(b, 0, "cptpA")`` in ``tests/oracles.py``
+    with states swapped."""
     rho0 = linalg.hermitian(rho0)
     sigma = rho0 + linalg.hermitian(rho1)
     lo, p_lo, s_lo = 0.0, np.zeros_like(sigma), 0.0
@@ -97,6 +98,63 @@ def q_min(rho0: Array, rho1: Array) -> QMinResult:
     t = (1.0 - s_lo) / (s_hi - s_lo)  # s_lo < 1 <= s_hi
     effect = (1.0 - t) * p_lo + t * p_hi
     return QMinResult(_nonneg(2.0 * float(np.vdot(effect, rho0).real)), effect)
+
+
+def q_min_eps(b: "QuantumBox", eps: float) -> float:
+    """Least r of the eps-approximate CPTP_A distillation program (0 < p < 1),
+    so distill_approx = -log2 r; at eps = 0, Q_min with the states swapped.
+
+    The program sees its test 0 <= L <= 1 only through (Tr rho0 L, Tr rho1 L),
+    a region with support function Tr(u rho0 + v rho1)_+.  Eliminating its
+    scalars, r is feasible iff g(r) <= eps min(r/2, p, 1-p), where g(r) is
+    the max over |u| <= p, |v| <= 1-p of u(1-r/2) + v r/2 - Tr(u rho0 + v rho1)_+.
+    Only u >= 0 >= v binds: elsewhere Tr X_+ >= max(0, Tr X) and r <= 1 make
+    the objective nonpositive.  With v -> -v it is G = a - (u+v) r/2, where
+    a = u - Tr(u rho0 - v rho1)_+; G is positively homogeneous, so where it
+    is positive it peaks on the box edge (u, v) = t(cos th, sin th),
+    t = min(p/cos th, (1-p)/sin th).  At fixed th, G falls and the bound rises
+    with r, so the least r passing there is r_th = 2s below: every r_th is a
+    lower bound and r = max_th r_th.  G is concave, so each {G > c}, c >= 0,
+    is convex and closed under scaling up; the ray at any th between two of
+    its edge points meets their chord inside the box, so {th : r_th > c'} is
+    an interval.  r_th is thus quasi-concave, and a golden-section search on
+    th in [0, pi/2] finds its maximum, one ``eigvalsh`` per step.  The
+    program is ``distill_approx_program`` in ``tests/oracles.py``."""
+    p = b.p
+    m = min(p, 1.0 - p)
+
+    def neg_r(th: float) -> float:
+        t = 1.0 / max(math.cos(th) / p, math.sin(th) / (1.0 - p))
+        u, v = t * math.cos(th), t * math.sin(th)
+        w = np.linalg.eigvalsh(u * b.rho0 - v * b.rho1)
+        a = u - float(w[w > 0.0].sum())
+        if a <= 0.0:
+            return 0.0
+        s = a / (u + v + eps)
+        if s > m:
+            s = (a - eps * m) / (u + v)
+        return -2.0 * s
+
+    return -_golden_min(neg_r, 0.5 * math.pi)
+
+
+def _golden_min(f, hi: float) -> float:
+    """min of a unimodal f on [0, hi]: golden-section search down to a 1e-9
+    bracket, then the least of the last pair and both endpoints."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-9:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return min(f(0.0), f(hi), fc, fd)
 
 
 def _orthogonal_supports(rho0: Array, rho1: Array) -> bool:
@@ -194,8 +252,7 @@ def _chernoff_objective(rho0: Array, rho1: Array):
     return f
 
 
-def chernoff(rho0: Array, rho1: Array, s_tol: float = 1e-9,
-             max_iter: int = 200) -> float:
+def chernoff(rho0: Array, rho1: Array) -> float:
     """-log2 min_{s in [0,1]} Tr[rho0^s rho1^(1-s)] by golden-section search.
 
     The objective is convex in s; the search includes both endpoints.
@@ -206,22 +263,7 @@ def chernoff(rho0: Array, rho1: Array, s_tol: float = 1e-9,
     f = _chernoff_objective(rho0, rho1)
     if f is None:
         return INF
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= s_tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    q = min(f(0.0), f(1.0), fc, fd)
+    q = _golden_min(f, 1.0)
     if q <= TOLS.infinite_perr:
         return INF
     return _nonneg(-math.log2(q))

@@ -168,6 +168,9 @@ class _Workspace:
         else:
             self.F = np.zeros((self.m, 0))
             self.f = np.zeros(0)
+        if not all(np.all(np.isfinite(x)) for x in [*self.C, self.b, *self.A,
+                                                    self.F, self.f]):
+            raise SolverError("problem data has a non-finite entry")
         self.n_tot = sum(self.dims)
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
         self.norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in self.C),

@@ -69,8 +69,8 @@ class SweepSpec:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} = {v} outside (0, 1)")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

@@ -4,6 +4,8 @@ Every one-shot task returns a :class:`TaskResult` carrying the value in
 SD-bits (base-2), a channel witness where the protocol is constructive,
 and solver diagnostics.  Regimes: ``"cptpA"`` restricts to channels on the
 quantum register (prior fixed), ``"cds"`` allows classical label flips.
+Approximate distillation is solver-free in both regimes; its program is the
+cross-check oracle ``distill_approx_program`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .boxes import KET0, KET1, QuantumBox, golden_box
 from .channels import CdsMap, CpMap, measure_prepare
 from .config import TOLS
 from .divergences import (_orthogonal_supports, chernoff, p_err, q_max,
-                          q_max_star, q_min, sd, thompson, xi_max, xi_max_star,
-                          xi_min)
+                          q_max_star, q_min, q_min_eps, sd, thompson, xi_max,
+                          xi_max_star)
 from .exceptions import ParameterRangeError, SolverError
 from .model import (Model, channel_output, inner, kron_left, kron_right,
                     ptrace_out, times, trace)
@@ -231,73 +233,22 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
 # --- approximate distillation ---------------------------------------------------
 
 def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
-    """Largest golden unit reachable within scaled-trace-distance eps."""
+    """Largest golden unit reachable within scaled-trace-distance eps, as
+    -log2 r*.  The CDS program is label-swap invariant, so r* = 2 p_err/(1+eps);
+    the CPTP_A r* is the spectral search ``q_min_eps``."""
     _check_regime(regime)
-    if eps < 0:
-        raise ParameterRangeError("eps must be nonnegative")
-    if regime == CPTPA and not 0.0 < b.p < 1.0:
+    if not 0.0 <= eps < INF:
+        raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
+    if regime == CDS:
+        return TaskResult(sd(b) + math.log2(1.0 + eps))
+    if not 0.0 < b.p < 1.0:
         return TaskResult(INF, None, {"reason": "singular prior"})
-    if regime == CPTPA and _orthogonal_supports(b.rho0, b.rho1):
+    if _orthogonal_supports(b.rho0, b.rho1):
         return TaskResult(INF, None, {"reason": "orthogonal supports"})
-    if regime == CDS and p_err(b) <= TOLS.infinite_perr:
-        return TaskResult(INF, None, {"reason": "infinite resource"})
-
-    d = b.dim
-    p = b.p
-    m = Model()
-    r = m.scalar("r")
-    m.le(r, 1.0)
-    if regime == CPTPA:
-        lam = m.psd_var("lam", d)
-        m.le(lam, np.eye(d))
-        if eps == 0.0:  # the Q_min program (states swapped): its cross-check
-            m.eq(inner(b.rho0, lam) + 0.5 * r, 1.0)
-            m.eq(inner(b.rho1, lam) - 0.5 * r, 0.0)
-        else:
-            cs = [m.scalar(f"c{i}") for i in range(4)]
-            e0 = m.scalar("e0")
-            e1 = m.scalar("e1")
-            m.ge(cs[0] + inner(p * b.rho0, lam) + times(r, [[0.5 * p]]), p)
-            m.ge(cs[1] - inner(p * b.rho0, lam) - times(r, [[0.5 * p]]), -p)
-            m.ge(cs[2] + inner((1 - p) * b.rho1, lam)
-                 - times(r, [[0.5 * (1 - p)]]), 0.0)
-            m.ge(cs[3] - inner((1 - p) * b.rho1, lam)
-                 + times(r, [[0.5 * (1 - p)]]), 0.0)
-            m.ge(e0 - times(r, [[0.5]]), -p)
-            m.ge(e1 + times(r, [[0.5]]), 1 - p)
-            total_c = cs[0] + cs[1] + cs[2] + cs[3]
-            m.le(total_c + eps * e0 + eps * e1, eps * (1 - p))
-    else:
-        lams = [[m.psd_var(f"lam{i}{j}", d) for j in (0, 1)] for i in (0, 1)]
-        m.eq(lams[0][0] + lams[0][1] + lams[1][0] + lams[1][1], np.eye(d))
-        rows = [
-            (lams[0][0], lams[1][0], "big"),
-            (lams[0][1], lams[1][1], "small"),
-            (lams[1][0], lams[0][0], "small"),
-            (lams[1][1], lams[0][1], "big"),
-        ]
-        cs = []
-        for idx, (l_a, l_b, kind) in enumerate(rows):
-            expr = inner(p * b.rho0, l_a) + inner((1 - p) * b.rho1, l_b)
-            if kind == "big":
-                expr = expr + times(r, [[0.25]])
-                rhs = 0.5
-            else:
-                expr = expr - times(r, [[0.25]])
-                rhs = 0.0
-            if eps > 0.0:
-                c = m.scalar(f"c{idx}")
-                cs.append(c)
-                expr = expr + c
-            m.ge(expr, rhs)
-        if eps > 0.0:
-            m.le(2.0 * (cs[0] + cs[1] + cs[2] + cs[3]) - eps * r, 0.0)
-    m.minimize(r)
-    res = model.require_optimal(m.solve(), "approximate distillation program")
-    r_star = max(res.value, 0.0)
+    r_star = q_min_eps(b, eps)
     if r_star <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"r": r_star})
-    return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
+    return TaskResult(-math.log2(r_star), None, {"r": r_star})
 
 
 # --- approximate dilution (bisection over M) --------------------------------------
@@ -364,8 +315,8 @@ def cost_approx(b: QuantumBox, eps: float, regime: str,
     Evaluated by bisection over M: for fixed M the program is linear, and
     feasibility only improves as M grows."""
     _check_regime(regime)
-    if eps < 0:
-        raise ParameterRangeError("eps must be nonnegative")
+    if not 0.0 <= eps < INF:
+        raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
     if regime == CPTPA and not 0.0 < b.p < 1.0:
         return TaskResult(0.0, None, {"reason": "singular prior"})
     exact = cost_exact(b, regime)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symdist import linalg
+from symdist import linalg, sdp
 from symdist.boxes import QuantumBox, random_box, random_density
 from symdist.channels import gad_channel
 
@@ -11,6 +11,14 @@ from symdist.channels import gad_channel
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make every SDP solve raise, so a test proves its path is solver-free."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sdp.solve called on a solver-free path")
+    monkeypatch.setattr(sdp, "solve", refuse)
 
 
 def random_hermitian(d, rng, real=False):

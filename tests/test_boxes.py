@@ -89,6 +89,20 @@ def test_validation():
     assert np.trace(b.rho0).real == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite_entries(bad):
+    """A non-finite entry compares false against every bound, so each
+    validation step would pass it on."""
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumBox(0.5, np.array([[bad, 0.0], [0.0, 1.0]]), np.diag([0.5, 0.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumBox(0.5, np.diag([0.5, 0.5]), np.array([[0.5, bad], [bad, 0.5]]))
+    data = json.loads(box_to_json(golden_box(2, 0.5)))
+    data["rho0"][0][0] = [bad, 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        box_from_json(json.dumps(data))  # NaN / Infinity literals
+
+
 def test_json_round_trip(rng):
     b = boxes.random_box(3, rng)
     b2 = box_from_json(box_to_json(b))

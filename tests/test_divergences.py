@@ -9,6 +9,8 @@ from symdist import linalg, tasks
 from symdist.boxes import QuantumBox, golden_box, random_box, random_density
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
 
+from oracles import distill_approx_program
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -97,7 +99,7 @@ def test_q_min_minimizer_is_feasible(rng):
 
 def test_q_min_matches_distill_program(rng):
     """Q_min against its program, the eps = 0 CPTP_A distillation program
-    (states swapped): q_min = 2^(-distill_approx)."""
+    (states swapped): q_min = 2^(-distill_approx_program)."""
     boxes = [random_box(d, rng, real=real, p=p) for d in (2, 3, 4)
              for real in (True, False) for p in (0.05, 0.5, 0.93)]
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -105,7 +107,7 @@ def test_q_min_matches_distill_program(rng):
     boxes.append(QuantumBox(0.5, np.outer(v, v.conj()), random_density(3, rng)))
     boxes.append(QuantumBox(0.3, np.diag([0.7, 0.3, 0.0]), np.diag([0.0, 0.4, 0.6])))
     for b in boxes:
-        r = tasks.distill_approx(b, 0.0, tasks.CPTPA).value
+        r = distill_approx_program(b, 0.0, tasks.CPTPA).value
         assert dv.q_min(b.rho0, b.rho1).value == pytest.approx(2.0 ** -r, abs=1e-6)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symdist import sdp
+from symdist.exceptions import SolverError
 from symdist.boxes import random_box
 from symdist.model import (Model, channel_output, hermitian_basis, inner,
                            kron_left, kron_right, ptrace_out, times, trace)
@@ -40,6 +41,17 @@ def test_infeasible_toy():
     m.minimize(trace(x))
     m.eq(trace(x), -1.0)
     assert m.solve().status is SdpStatus.PRIMAL_INFEASIBLE
+
+
+def test_non_finite_data_raises_solver_error():
+    """Non-finite data would break the first iteration before any iterate is
+    scored; the solver refuses it up front with a typed error."""
+    m = Model()
+    x = m.psd_var("x", 2)
+    m.minimize(trace(x))
+    m.eq(trace(x), float("nan"))
+    with pytest.raises(SolverError, match="non-finite"):
+        m.solve()
 
 
 def test_unbounded_toy():

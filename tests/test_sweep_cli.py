@@ -25,6 +25,9 @@ def test_spec_validation():
         SweepSpec(family="gad-gamma", start=0, stop=1, steps=1)
     with pytest.raises(ValueError):
         SweepSpec(family="gad-gamma", start=0, stop=1, quantities=("bogus",))
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            SweepSpec(family="gad-gamma", start=0, stop=1, eps=eps)
 
 
 def test_gad_gamma_sweep_endpoints():
@@ -113,6 +116,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["perr", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_non_finite_input(tmp_path, capsys):
+    """NaN box entries and non-finite eps are domain errors (exit 2), not
+    printed values or tracebacks."""
+    good = tmp_path / "good.json"
+    good.write_text(box_to_json(golden_box(2, 0.5)))
+    nan_box = tmp_path / "nan.json"
+    nan_box.write_text(good.read_text().replace("[0.75, 0.0]", "[NaN, 0]", 1))
+    for cmd in ("perr", "sd", "chernoff", "rates"):
+        assert cli.main([cmd, str(nan_box)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+    for cmd in ("distill", "dilute"):
+        for eps in ("nan", "inf"):
+            for regime in ("cptpA", "cds"):
+                assert cli.main([cmd, str(good), "--eps", eps,
+                                 "--regime", regime]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "eps" in captured.err
+    assert cli.main(["sweep", "--family", "gad-gamma", "--eps", "nan",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    assert "eps" in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):

@@ -8,10 +8,11 @@ from symdist import divergences as dv
 from symdist import tasks
 from symdist.boxes import QuantumBox, golden_box, random_box, random_density
 from symdist.channels import CdsMap, apply_cds, apply_cptp
-from symdist.exceptions import ParameterRangeError
+from symdist.exceptions import ParameterRangeError, SolverError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, figure4_boxes
+from oracles import distill_approx_program
 
 
 def _apply_witness(witness, box):
@@ -230,8 +231,55 @@ def test_distill_approx_monotone_in_eps(rng):
 
 
 def test_distill_approx_rejects_bad_eps(rng):
-    with pytest.raises(ParameterRangeError):
-        tasks.distill_approx(random_box(2, rng), -0.1, CDS)
+    b = random_box(2, rng)
+    for regime in (CPTPA, CDS):
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterRangeError):
+                tasks.distill_approx(b, eps, regime)
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_distill_approx_matches_program(seed, real, eps, regime):
+    """The closed forms against the distillation program, on r = 2^(-value).
+    A case whose program solve fails is not compared."""
+    b = random_box((2, 3, 4)[seed % 3], np.random.default_rng(seed), real=real)
+    try:
+        program = distill_approx_program(b, eps, regime).value
+    except SolverError as exc:
+        pytest.skip(f"oracle program failed: {exc}")
+    got = tasks.distill_approx(b, eps, regime).value
+    assert 2.0 ** -got == pytest.approx(2.0 ** -program, abs=1e-6)
+
+
+def test_distill_approx_cptpA_reproducer():
+    """The complex draw on which the cptpA program ends ill_conditioned."""
+    b = random_box(2, np.random.default_rng(4))
+    lo, mid, hi = (tasks.distill_approx(b, eps, CPTPA).value
+                   for eps in (0.05, 0.1, 0.3))
+    assert math.isfinite(mid)
+    assert lo < mid < hi
+
+
+def test_spectral_paths_run_without_solver(no_solver, rng):
+    for real in (True, False):
+        b = random_box(3, rng, real=real)
+        dv.q_min(b.rho0, b.rho1)
+        dv.xi_min(b.rho0, b.rho1)
+        tasks.distill_exact(b, CPTPA)
+        for regime in (CPTPA, CDS):
+            for eps in (0.0, 0.1):
+                assert math.isfinite(tasks.distill_approx(b, eps, regime).value)
+
+
+def test_cost_approx_rejects_bad_eps(rng):
+    b = random_box(2, rng)
+    for regime in (CPTPA, CDS):
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterRangeError):
+                tasks.cost_approx(b, eps, regime)
 
 
 def test_cost_approx_eps_zero(rng):
