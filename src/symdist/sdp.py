@@ -11,8 +11,7 @@ symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] / 2 (see
 :func:`realify`); the embedding halves the data so optimal values match.
 
 The algorithm is a primal-dual path-following method with Nesterov-Todd
-scaling on the homogeneous self-dual embedding, which doubles as the
-feasibility oracle needed by bisection callers: an unbounded or infeasible
+scaling on the homogeneous self-dual embedding: an unbounded or infeasible
 instance surfaces as a certificate, never as a diverging iterate.  A
 Mehrotra-style adaptive centering parameter is used; only the tau/kappa
 second-order correction is applied (matrix corrections buy little at these

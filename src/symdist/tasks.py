@@ -251,19 +251,21 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     return TaskResult(-math.log2(r_star), None, {"r": r_star})
 
 
-# --- approximate dilution (bisection over M) --------------------------------------
+# --- approximate dilution (bracketed root-finder over M) -------------------------
 
 _PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
 
 
-def _cost_feasible(b: QuantumBox, eps: float, regime: str, big_m: float,
-                   slack_tol: float = 1e-8) -> bool:
-    """Phase-I feasibility of the fixed-M approximate-dilution program.
+def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
+                  stats: dict) -> float:
+    """Signed infeasibility lambda of the approximate-dilution program at
+    golden unit M = (1 + 1/t)/2; the solve is counted in ``stats``.
 
     Every inequality is relaxed by a common shift lambda = lam0 - 1 whose
     minimum is the (signed) infeasibility; this keeps a strict interior on
     both sides of the feasibility boundary, including at eps = 0 where the
-    error-ball constraints would otherwise pin variables to zero."""
+    error-ball constraints would otherwise pin variables to zero.  The two
+    M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1)."""
     d = b.dim
     p = b.p
     w0, w1 = b.weighted()
@@ -277,8 +279,8 @@ def _cost_feasible(b: QuantumBox, eps: float, regime: str, big_m: float,
     r0 = m.psd_var("r0", d)
     r1 = m.psd_var("r1", d)
     eye = np.eye(d)
-    m.ge((2 * big_m - 1) * r1 - r0 + times(lam0, eye), eye)
-    m.ge((2 * big_m - 1) * r0 - r1 + times(lam0, eye), eye)
+    m.ge(r1 - t * r0 + times(lam0, eye), eye)
+    m.ge(r0 - t * r1 + times(lam0, eye), eye)
     if regime == CDS:
         # r0, r1 are the weighted branch operators; traces sum to s
         m.eq(bs[0] - cs[0] - times(s_extra, w0) + r0, w0)
@@ -297,23 +299,26 @@ def _cost_feasible(b: QuantumBox, eps: float, regime: str, big_m: float,
     m.le(trace(dvar) + trace(evar) - s_extra - lam0, -1.0)
     m.minimize(lam0)
     res = m.solve(_PHASE1_OPTIONS)
+    stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
-        # a feasibility decision only needs ~1e-6 accuracy on lambda
+        # a root-finder step only needs ~1e-6 accuracy on lambda
         diag = res.diagnostics
-        usable = (diag.get("rel_primal", 1.0) <= 1e-6
-                  and diag.get("rel_gap", 1.0) <= 1e-6)
-        if not usable:
-            raise SolverError(
-                f"phase-I feasibility solve returned {res.status.value}")
-    return res.value - 1.0 <= slack_tol
+        if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
+            raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
+        stats[res.status.value] = stats.get(res.status.value, 0) + 1
+    return res.value - 1.0
 
 
 def cost_approx(b: QuantumBox, eps: float, regime: str,
                 m_tol: float = 1e-6) -> TaskResult:
     """Smallest golden unit diluting to the eps-ball of the box.
 
-    Evaluated by bisection over M: for fixed M the program is linear, and
-    feasibility only improves as M grows."""
+    For fixed M the program is linear and its phase-I shift lambda rises
+    with t = 1/(2M - 1).  Illinois regula falsi closes a bracket on the root,
+    from t = 1 (M = 1) to the exact cost (feasible: ``cost_exact``'s dilution
+    channel maps that golden unit onto the box), to m_tol in M and returns
+    its feasible end.  Diagnostics count the solves and, by status, the
+    non-optimal ones accepted for their residuals."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
@@ -323,19 +328,29 @@ def cost_approx(b: QuantumBox, eps: float, regime: str,
     if math.isinf(exact.value):
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
-    hi = 2.0 ** exact.value
-    lo = 1.0
-    if not _cost_feasible(b, eps, regime, hi * (1 + 1e-7) + 1e-7, slack_tol=1e-6):
-        raise SolverError("approximate-dilution bracket infeasible at the exact cost")
-    if _cost_feasible(b, eps, regime, lo):
-        return TaskResult(0.0, None, {"M": 1.0})
-    while hi - lo > m_tol:
-        mid = 0.5 * (lo + hi)
-        if _cost_feasible(b, eps, regime, mid):
-            hi = mid
+    stats = {"solves": 0, "ill_conditioned": 0}
+    hi, f_hi = 1.0, _phase1_shift(b, eps, regime, 1.0, stats)
+    if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
+        return TaskResult(0.0, None, {"M": 1.0, **stats})
+    lo = 1.0 / (2.0 ** (exact.value + 1.0) - 1.0)
+    try:        # lo is feasible; its solve only supplies an interpolation value
+        f_lo = min(_phase1_shift(b, eps, regime, lo, stats), 0.0)
+    except SolverError:
+        f_lo = 0.0
+    side = 0        # the end that moved last; a repeat halves the other's value
+    while 0.5 / lo - 0.5 / hi > m_tol:
+        xtol = 2.0 * lo * lo * m_tol      # m_tol in M at the feasible end
+        t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * xtol),
+                hi - 0.5 * xtol)
+        f = _phase1_shift(b, eps, regime, t, stats)
+        if f <= 0.0:
+            f_hi *= 0.5 if side < 0 else 1.0
+            lo, f_lo, side = t, f, -1
         else:
-            lo = mid
-    return TaskResult(math.log2(hi), None, {"M": hi})
+            f_lo *= 0.5 if side > 0 else 1.0
+            hi, f_hi, side = t, f, 1
+    big_m = 0.5 * (1.0 + 1.0 / lo)
+    return TaskResult(math.log2(big_m), None, {"M": big_m, **stats})
 
 
 # --- asymptotic rates ----------------------------------------------------------

@@ -33,6 +33,15 @@ def box_distance(a: QuantumBox, b: QuantumBox) -> float:
     return 0.5 * linalg.trace_norm(a.cq_operator() - b.cq_operator())
 
 
+def dilution_reproducer() -> QuantumBox:
+    """The second draw of random_box(2, default_rng(1)) after one real draw
+    (p ~ 0.0748, complex states): at the exact cost its phase-I solve sits
+    on the feasibility boundary."""
+    rng = np.random.default_rng(1)
+    random_box(2, rng, real=True)
+    return random_box(2, rng)
+
+
 def figure4_boxes(phi: float) -> tuple[QuantumBox, QuantumBox]:
     """Figure-4 conversion pair: the damped source and the target whose
     second branch is rotated by exp(i phi sigma_x)."""
@@ -46,4 +55,4 @@ def figure4_boxes(phi: float) -> tuple[QuantumBox, QuantumBox]:
 
 
 __all__ = ["random_hermitian", "random_density", "random_box", "box_distance",
-           "figure4_boxes"]
+           "dilution_reproducer", "figure4_boxes"]

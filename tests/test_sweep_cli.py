@@ -6,6 +6,8 @@ from symdist import cli, sweep
 from symdist.boxes import box_to_json, golden_box
 from symdist.sweep import SweepSpec, parse_csv, run_sweep, to_svg
 
+from conftest import dilution_reproducer
+
 
 def _monotone_nonincreasing(col, slack=1e-6):
     prev = math.inf
@@ -105,6 +107,13 @@ def test_cli_box_files(tmp_path, capsys):
     assert cli.main(["rates", str(src)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("distill ")
+
+
+def test_cli_dilute_reproducer_tiny_eps(tmp_path, capsys):
+    box = tmp_path / "box.json"
+    box.write_text(box_to_json(dilution_reproducer()))
+    assert cli.main(["dilute", str(box), "--regime", "cptpA", "--eps", "1e-9"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(8.1951040515, abs=1e-5)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

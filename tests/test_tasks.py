@@ -11,7 +11,7 @@ from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.exceptions import ParameterRangeError, SolverError
 from symdist.tasks import CDS, CPTPA
 
-from conftest import box_distance, figure4_boxes
+from conftest import box_distance, dilution_reproducer, figure4_boxes
 from oracles import distill_approx_program
 
 
@@ -288,6 +288,37 @@ def test_cost_approx_eps_zero(rng):
         exact = tasks.cost_exact(b, regime).value
         approx = tasks.cost_approx(b, 0.0, regime).value
         assert approx == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.93])
+def test_cost_approx_eps_zero_skewed_priors(p):
+    rng = np.random.default_rng(round(1000 * p))
+    for _ in range(2):
+        b = random_box(2, rng, p=p)
+        for regime in (CPTPA, CDS):
+            exact = tasks.cost_exact(b, regime).value
+            approx = tasks.cost_approx(b, 0.0, regime).value
+            assert approx == pytest.approx(exact, abs=1e-5)
+
+
+def test_cost_approx_reproducer_eps_zero():
+    """At the exact cost the phase-I solve sits on the feasibility boundary;
+    that end of the bracket is feasible by construction."""
+    b = dilution_reproducer()
+    assert tasks.cost_approx(b, 0.0, CPTPA).value == pytest.approx(
+        tasks.cost_exact(b, CPTPA).value, abs=1e-5)
+
+
+def test_cost_approx_counts_solves():
+    """The solver is deterministic, so the counts of a fixed call repeat
+    exactly; an accepted ill_conditioned solve is counted, not silent."""
+    b = random_box(2, np.random.default_rng(3))
+    diag = tasks.cost_approx(b, 0.05, CPTPA).diagnostics
+    assert set(diag) == {"M", "solves", "ill_conditioned"}
+    assert (diag["solves"], diag["ill_conditioned"]) == (8, 0)
+    assert diag["solves"] <= 10
+    diag = tasks.cost_approx(b, 0.0, CPTPA).diagnostics
+    assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
 
 
 def test_cost_approx_monotone_in_eps(rng):
