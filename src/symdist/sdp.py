@@ -15,7 +15,8 @@ scaling on the homogeneous self-dual embedding: an unbounded or infeasible
 instance surfaces as a certificate, never as a diverging iterate.  A
 Mehrotra-style adaptive centering parameter is used; only the tau/kappa
 second-order correction is applied (matrix corrections buy little at these
-block sizes).
+block sizes).  Blocks of one size are stacked into one (n, d, d) array, so
+each step makes one batched LAPACK or BLAS call per block size.
 """
 
 from __future__ import annotations
@@ -111,40 +112,48 @@ def realify(p: SdpProblem) -> SdpProblem:
                       p.free_objective, p.free_coeffs)
 
 
+def _sym(a: Array) -> Array:
+    return (a + np.swapaxes(a, -1, -2)) / 2
+
+
 def _nt_scaling(x: Array, s: Array) -> Array:
-    """W with W S W = X (both arguments symmetric positive definite)."""
+    """W with W S W = X, for stacks of symmetric positive definite pairs."""
     wx, vx = np.linalg.eigh(x)
     wx = np.maximum(wx, 1e-300)
-    xh = (vx * np.sqrt(wx)) @ vx.T
+    xh = (vx * np.sqrt(wx)[..., None, :]) @ np.swapaxes(vx, -1, -2)
     t = xh @ s @ xh
-    wt, vt = np.linalg.eigh((t + t.T) / 2)
+    wt, vt = np.linalg.eigh(_sym(t))
     wt = np.maximum(wt, 1e-300)
-    tih = (vt / np.sqrt(wt)) @ vt.T
-    w = xh @ tih @ xh
-    return (w + w.T) / 2
+    tih = (vt / np.sqrt(wt)[..., None, :]) @ np.swapaxes(vt, -1, -2)
+    return _sym(xh @ tih @ xh)
 
 
 def _max_step(x: Array, dx: Array) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for x > 0."""
-    d = x.shape[0]
+    """Largest alpha with x_j + alpha*dx_j >= 0 for every block j of a
+    stack (n, d, d), for x > 0."""
+    n, d, _ = x.shape
     if d == 1:
-        if dx[0, 0] >= 0:
-            return np.inf
-        return -x[0, 0] / dx[0, 0]
+        neg = dx[:, 0, 0] < 0
+        return float(np.min(-x[neg, 0, 0] / dx[neg, 0, 0], initial=np.inf))
     try:
         chol = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(x + np.trace(x) / d * 1e-12 * np.eye(d))
-    t1 = np.linalg.solve(chol, dx)
-    b = np.linalg.solve(chol, t1.T).T
-    lam = np.linalg.eigvalsh((b + b.T) / 2).min()
+    except np.linalg.LinAlgError:   # ridge each block by its own trace
+        ridge = np.trace(x, axis1=1, axis2=2) / d * 1e-12
+        chol = np.linalg.cholesky(x + ridge[:, None, None] * np.eye(d))
+    li = np.linalg.inv(chol)
+    lam = np.linalg.eigvalsh(_sym(li @ dx @ np.swapaxes(li, 1, 2))).min()
     if lam >= 0:
         return np.inf
     return -1.0 / lam
 
 
 class _Workspace:
-    """Mutable per-solve state; one instance per concurrent solve."""
+    """Mutable per-solve state; one instance per concurrent solve.
+
+    Blocks of one size form a group, held as one stack: C as (n_g, d, d),
+    A as (m, n_g, d, d) with the flat view Af (m, n_g*d*d).  Iterates are
+    lists of stacks in group order; :meth:`unstack` restores block order.
+    """
 
     def __init__(self, prob: SdpProblem):
         self.dims = list(prob.blocks)
@@ -152,15 +161,20 @@ class _Workspace:
         if self.m == 0:
             raise SolverError("problem must have at least one constraint")
         self.k = prob.free_size
-        self.C = [np.ascontiguousarray(np.real(c), dtype=float) for c in prob.objective]
+        self.groups = [[j for j, dj in enumerate(self.dims) if dj == d]
+                       for d in sorted(set(self.dims))]
+        self.C = [np.stack([np.real(prob.objective[j]) for j in g]).astype(float)
+                  for g in self.groups]
         self.b = np.array([b for _, b in prob.constraints], dtype=float)
         self.A = []
-        for blk, d in enumerate(self.dims):
-            stack = np.zeros((self.m, d, d))
+        for g, c in zip(self.groups, self.C):
+            stack = np.zeros((self.m,) + c.shape)
             for i, (mats, _) in enumerate(prob.constraints):
-                if mats[blk] is not None:
-                    stack[i] = np.real(mats[blk])
-            self.A.append(np.ascontiguousarray(stack))
+                for jj, j in enumerate(g):
+                    if mats[j] is not None:
+                        stack[i, jj] = np.real(mats[j])
+            self.A.append(stack)
+        self.Af = [a.reshape(self.m, -1) for a in self.A]
         if self.k:
             self.F = np.ascontiguousarray(prob.free_coeffs, dtype=float)
             self.f = np.ascontiguousarray(prob.free_objective, dtype=float)
@@ -172,19 +186,27 @@ class _Workspace:
             raise SolverError("problem data has a non-finite entry")
         self.n_tot = sum(self.dims)
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-        self.norm_c = max(1.0, max(float(np.linalg.norm(c)) for c in self.C),
+        self.norm_c = max(1.0, max(float(np.linalg.norm(c, axis=(1, 2)).max())
+                                   for c in self.C),
                           float(np.linalg.norm(self.f)) if self.k else 0.0)
 
     # linear maps ---------------------------------------------------------
     def apply_a(self, xs: list[Array]) -> Array:
-        return sum(a.reshape(self.m, -1) @ x.reshape(-1) for a, x in zip(self.A, xs))
+        return sum(af @ x.reshape(-1) for af, x in zip(self.Af, xs))
 
     def apply_at(self, y: Array) -> list[Array]:
-        return [(y @ a.reshape(self.m, -1)).reshape(d, d)
-                for a, d in zip(self.A, self.dims)]
+        return [(y @ af).reshape(c.shape) for af, c in zip(self.Af, self.C)]
 
-    def inner_c(self, xs: list[Array]) -> float:
-        return float(sum(np.vdot(c, x).real for c, x in zip(self.C, xs)))
+    @staticmethod
+    def inner(xs: list[Array], ys: list[Array]) -> float:
+        return float(sum(np.vdot(x, y).real for x, y in zip(xs, ys)))
+
+    def unstack(self, xs: list[Array]) -> list[Array]:
+        out: list[Array] = [None] * len(self.dims)
+        for g, x in zip(self.groups, xs):
+            for jj, j in enumerate(g):
+                out[j] = x[jj]
+        return out
 
 
 def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -199,14 +221,16 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     return _solve_real(prob, opts)
 
 
+# A diverging iterate overflows; the non-finite Newton system or step that
+# follows ends the solve ill_conditioned, so numpy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
     ws = _Workspace(prob)
     m, k = ws.m, ws.k
-    dims = ws.dims
 
     eta = max(1.0, np.sqrt(ws.norm_b), np.sqrt(ws.norm_c))
-    X = [eta * np.eye(d) for d in dims]
-    S = [eta * np.eye(d) for d in dims]
+    X = [eta * np.broadcast_to(np.eye(c.shape[-1]), c.shape) for c in ws.C]
+    S = list(X)
     y = np.zeros(m)
     u = np.zeros(k)
     tau, kappa = 1.0, 1.0
@@ -216,10 +240,9 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
 
     def residuals():
         p_res = ws.apply_a(X) + (ws.F @ u if k else 0.0) - ws.b * tau
-        at_y = ws.apply_at(y)
-        d_res = [at_y[i] + S[i] - ws.C[i] * tau for i in range(len(dims))]
+        d_res = [a + s - c * tau for a, s, c in zip(ws.apply_at(y), S, ws.C)]
         f_res = (ws.F.T @ y - ws.f * tau) if k else np.zeros(0)
-        cx = ws.inner_c(X) + (float(ws.f @ u) if k else 0.0)
+        cx = ws.inner(ws.C, X) + (float(ws.f @ u) if k else 0.0)
         by = float(ws.b @ y)
         g_res = by - cx - kappa
         return p_res, d_res, f_res, g_res, cx, by
@@ -237,7 +260,7 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
     it = 0
     for it in range(1, opts.max_iterations + 1):
         p_res, d_res, f_res, g_res, cx, by = residuals()
-        mu = (sum(np.vdot(a, b).real for a, b in zip(X, S)) + tau * kappa) / (ws.n_tot + 1)
+        mu = (ws.inner(X, S) + tau * kappa) / (ws.n_tot + 1)
         if not (np.isfinite(mu) and np.isfinite(cx) and np.isfinite(by)
                 and mu > 0):
             status = SdpStatus.ILL_CONDITIONED
@@ -246,9 +269,9 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
         pobj, dobj, rel_p, rel_d, rel_g = scaled_metrics(cx, by, p_res, d_res, f_res)
         metric = max(rel_p, rel_d, rel_g)
         if metric < best_metric:
+            # every update rebinds the iterates, so references suffice
             best_metric = metric
-            best = ([x.copy() for x in X], [s.copy() for s in S], y.copy(),
-                    u.copy(), tau, kappa, pobj, dobj, rel_p, rel_d, rel_g)
+            best = (X, S, y, u, tau, kappa, pobj, dobj, rel_p, rel_d, rel_g)
 
         if rel_p <= opts.feas_tol and rel_d <= opts.feas_tol and rel_g <= opts.gap_tol:
             status = SdpStatus.OPTIMAL
@@ -256,8 +279,7 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
 
         # infeasibility certificates from the homogeneous embedding
         if by > 0:
-            at_y = ws.apply_at(y)
-            dual_slack = max(np.abs(at_y[i] + S[i]).max() for i in range(len(dims)))
+            dual_slack = max(np.abs(a + s).max() for a, s in zip(ws.apply_at(y), S))
             free_slack = np.abs(ws.F.T @ y).max() if k else 0.0
             if max(dual_slack, free_slack) <= opts.feas_tol * by * ws.norm_c:
                 status = SdpStatus.PRIMAL_INFEASIBLE
@@ -268,21 +290,16 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
                 status = SdpStatus.DUAL_INFEASIBLE
                 break
 
-        # NT scaling and Schur complement
+        # NT scaling and Schur complement, one batched call per block size
         try:
-            W = [_nt_scaling(X[i], S[i]) for i in range(len(dims))]
-            Sinv = [np.linalg.inv(S[i]) for i in range(len(dims))]
-            M = np.zeros((m, m))
-            WCW = []
-            h = np.zeros(m)
-            for i, d in enumerate(dims):
-                T = W[i] @ ws.A[i] @ W[i]
-                M += ws.A[i].reshape(m, d * d) @ T.reshape(m, d * d).T
-                wcw = W[i] @ ws.C[i] @ W[i]
-                WCW.append(wcw)
-                h += ws.A[i].reshape(m, d * d) @ wcw.reshape(d * d)
+            W = [_nt_scaling(x, s) for x, s in zip(X, S)]
+            Sinv = [np.linalg.inv(s) for s in S]
+            WCW = [w @ c @ w for w, c in zip(W, ws.C)]
+            M = sum(af @ (w @ a @ w).reshape(m, -1).T
+                    for af, a, w in zip(ws.Af, ws.A, W))
+            h = ws.apply_a(WCW)
             M = (M + M.T) / 2
-            c0 = sum(np.vdot(ws.C[i], WCW[i]).real for i in range(len(dims)))
+            c0 = ws.inner(ws.C, WCW)
 
             K = np.zeros((m + k, m + k))
             K[:m, :m] = M
@@ -292,24 +309,22 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
 
             def newton(eta_f, sigma, corr):
                 # rhs of the eliminated system
-                rc_mat = [sigma * mu * Sinv[i] - X[i] for i in range(len(dims))]
+                rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
                 rc_sc = sigma * mu - tau * kappa - corr
-                a_rc = ws.apply_a(rc_mat)
-                wdw = [W[i] @ d_res[i] @ W[i] for i in range(len(dims))]
-                a_wdw = ws.apply_a(wdw)
-                r1 = -eta_f * p_res - a_rc - eta_f * a_wdw
+                wdw = [w @ dr @ w for w, dr in zip(W, d_res)]
+                r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * ws.apply_a(wdw)
                 r2 = -eta_f * f_res
-                r3 = (-eta_f * g_res + sum(np.vdot(ws.C[i], rc_mat[i]).real
-                                           for i in range(len(dims)))
-                      + eta_f * sum(np.vdot(ws.C[i], wdw[i]).real
-                                    for i in range(len(dims)))
-                      + rc_sc / tau)
+                r3 = (-eta_f * g_res + ws.inner(ws.C, rc_mat)
+                      + eta_f * ws.inner(ws.C, wdw) + rc_sc / tau)
                 rhs = np.column_stack([np.concatenate([r1, r2]),
                                        np.concatenate([h + ws.b, ws.f])])
                 if not np.all(np.isfinite(rhs)) or not np.all(np.isfinite(K)):
                     raise np.linalg.LinAlgError("non-finite Newton system")
                 try:
                     sols = np.linalg.solve(K, rhs)
+                    # one refinement step: near a degenerate optimum K is
+                    # singular to working precision
+                    sols = sols + np.linalg.solve(K, rhs - K @ sols)
                 except np.linalg.LinAlgError:
                     sols = np.full_like(rhs, np.nan)
                 if not np.all(np.isfinite(sols)):
@@ -326,19 +341,15 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
                 dtau = numer / denom if abs(denom) > 1e-300 else 0.0
                 dy = g1 + q1 * dtau
                 du = g2 + q2 * dtau
-                at_dy = ws.apply_at(dy)
-                dS = [-eta_f * d_res[i] - at_dy[i] + ws.C[i] * dtau
-                      for i in range(len(dims))]
-                dX = [rc_mat[i] - W[i] @ dS[i] @ W[i] for i in range(len(dims))]
-                dX = [(d + d.T) / 2 for d in dX]
-                dS = [(d + d.T) / 2 for d in dS]
+                dS = [-eta_f * dr - a + c * dtau
+                      for dr, a, c in zip(d_res, ws.apply_at(dy), ws.C)]
+                dX = [_sym(rc - w @ ds @ w) for rc, w, ds in zip(rc_mat, W, dS)]
                 dkappa = (rc_sc - kappa * dtau) / tau
-                return dX, dS, dy, du, dtau, dkappa
+                return dX, [_sym(ds) for ds in dS], dy, du, dtau, dkappa
 
             def boundary(dX, dS, dtau, dkappa):
-                alpha = np.inf
-                for i in range(len(dims)):
-                    alpha = min(alpha, _max_step(X[i], dX[i]), _max_step(S[i], dS[i]))
+                alpha = min([np.inf] + [_max_step(x, dx) for x, dx in zip(X, dX)]
+                            + [_max_step(s, ds) for s, ds in zip(S, dS)])
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkappa < 0:
@@ -351,11 +362,12 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
                 status = SdpStatus.ILL_CONDITIONED
                 break
             alpha_aff = min(1.0, opts.step_fraction * boundary(dXa, dSa, dtaua, dkappaa))
-            gap_aff = (sum(np.vdot(X[i] + alpha_aff * dXa[i],
-                                   S[i] + alpha_aff * dSa[i]).real
-                           for i in range(len(dims)))
+            gap_aff = (ws.inner([x + alpha_aff * dx for x, dx in zip(X, dXa)],
+                                [s + alpha_aff * ds for s, ds in zip(S, dSa)])
                        + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa))
-            sigma = min(0.99, max(1e-9, (gap_aff / (mu * (ws.n_tot + 1))) ** 3))
+            # the ratio is clipped before cubing: sigma is capped at 0.99 anyway
+            ratio = min(gap_aff / (mu * (ws.n_tot + 1)), 1.0)
+            sigma = min(0.99, max(1e-9, ratio ** 3))
             corr = dtaua * dkappaa
             dX, dS, dy, du, dtau, dkappa = newton(1.0 - sigma, sigma, corr)
             alpha = min(1.0, opts.step_fraction * boundary(dX, dS, dtau, dkappa))
@@ -372,9 +384,8 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
             status = SdpStatus.ILL_CONDITIONED
             break
 
-        for i in range(len(dims)):
-            X[i] = (X[i] + alpha * dX[i] + (X[i] + alpha * dX[i]).T) / 2
-            S[i] = (S[i] + alpha * dS[i] + (S[i] + alpha * dS[i]).T) / 2
+        X = [_sym(x + alpha * dx) for x, dx in zip(X, dX)]
+        S = [_sym(s + alpha * ds) for s, ds in zip(S, dS)]
         y = y + alpha * dy
         u = u + alpha * du
         tau += alpha * dtau
@@ -385,19 +396,19 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
 
     if status is SdpStatus.PRIMAL_INFEASIBLE:
         scale = float(ws.b @ y)
-        return SdpSolution(status, np.inf, [x / max(tau, 1e-300) for x in X],
+        return SdpSolution(status, np.inf, ws.unstack([x / max(tau, 1e-300) for x in X]),
                            y / scale, u, np.inf, it,
                            {"certificate": "b.y = 1, A*(y) <= 0"})
     if status is SdpStatus.DUAL_INFEASIBLE:
-        cx = ws.inner_c(X) + (float(ws.f @ u) if k else 0.0)
-        return SdpSolution(status, -np.inf, [x / (-cx) for x in X], y, u,
+        cx = ws.inner(ws.C, X) + (float(ws.f @ u) if k else 0.0)
+        return SdpSolution(status, -np.inf, ws.unstack([x / (-cx) for x in X]), y, u,
                            -np.inf, it, {"certificate": "C.X = -1, A(X) = 0, X >= 0"})
 
     xs = [x / tau for x in X]
     ys = y / tau
     us = u / tau
-    pobj_f = ws.inner_c(xs) + (float(ws.f @ us) if k else 0.0)
+    pobj_f = ws.inner(ws.C, xs) + (float(ws.f @ us) if k else 0.0)
     dobj_f = float(ws.b @ ys)
     res = {"rel_primal": rel_p, "rel_dual": rel_d, "rel_gap": rel_g,
            "primal_objective": pobj_f, "dual_objective": dobj_f}
-    return SdpSolution(status, pobj_f, xs, ys, us, pobj_f - dobj_f, it, res)
+    return SdpSolution(status, pobj_f, ws.unstack(xs), ys, us, pobj_f - dobj_f, it, res)

@@ -256,6 +256,92 @@ def test_solver_deterministic():
     assert np.array_equal(a.primal["x"], b.primal["x"])
 
 
+def _per_block_problem(dims, seed):
+    """min sum_k <C_k, X_k> s.t. Tr X_k = k + 1 and one row coupling every
+    block, with a strictly feasible interior."""
+    rng = np.random.default_rng(seed)
+    objective = [random_hermitian(d, rng).real for d in dims]
+    rows = [([np.eye(d) if j == k else None for j, d in enumerate(dims)], k + 1.0)
+            for k in range(len(dims))]
+    rows.append(([np.diag(np.arange(1.0, d + 1)) for d in dims],
+                 1.5 * sum(k + 1.0 for k in range(len(dims)))))
+    return sdp.SdpProblem(list(dims), objective, rows)
+
+
+def test_interleaved_block_sizes_keep_caller_order():
+    """Same-size blocks are stacked inside the solver; the solution still
+    lists the blocks in the caller's order, and reordering the blocks only
+    reorders the solution."""
+    dims = [1, 3, 2, 3, 1, 2]
+    prob = _per_block_problem(dims, 21)
+    res = sdp.solve(prob)
+    assert res.status is SdpStatus.OPTIMAL
+    assert [x.shape for x in res.x_blocks] == [(d, d) for d in dims]
+    for k, x in enumerate(res.x_blocks):
+        assert np.trace(x) == pytest.approx(k + 1.0, abs=1e-6)
+        assert np.linalg.eigvalsh(x).min() >= -1e-8
+
+    perm = [4, 2, 0, 5, 3, 1]
+    permuted = sdp.SdpProblem([dims[j] for j in perm],
+                              [prob.objective[j] for j in perm],
+                              [([mats[j] for j in perm], b)
+                               for mats, b in prob.constraints])
+    res_p = sdp.solve(permuted)
+    assert res_p.status is SdpStatus.OPTIMAL
+    assert res_p.value == pytest.approx(res.value, abs=1e-9)
+    for pos, j in enumerate(perm):
+        assert np.allclose(res_p.x_blocks[pos], res.x_blocks[j], atol=1e-6)
+
+
+def _step_by_eigh(x, dx):
+    """Largest alpha with x + alpha*dx >= 0, from x^(-1/2) dx x^(-1/2)."""
+    w, v = np.linalg.eigh(x)
+    xih = (v / np.sqrt(w)) @ v.T
+    lam = np.linalg.eigvalsh(xih @ dx @ xih).min()
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_max_step_of_a_stack_is_the_blockwise_minimum(d):
+    rng = np.random.default_rng(d)
+    for trial in range(20):
+        n = int(rng.integers(1, 6))
+        g = rng.standard_normal((n, d, d))
+        x = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        if trial % 4 == 1 and d > 1:
+            # one near-singular block: smallest eigenvalue 1e-10 of the largest
+            w, v = np.linalg.eigh(x[0])
+            w[0] = 1e-10 * w[-1]
+            x[0] = (v * w) @ v.T
+        h = rng.standard_normal((n, d, d))
+        dx = h + h.transpose(0, 2, 1)
+        if trial % 4 == 2:
+            dx = dx @ dx      # positive semidefinite: no block bounds the step
+        got = sdp._max_step(x, dx)
+        ref = min(_step_by_eigh(x[j], dx[j]) for j in range(n))
+        single = min(sdp._max_step(x[j:j + 1], dx[j:j + 1]) for j in range(n))
+        assert got == pytest.approx(single, rel=1e-12)
+        if np.isinf(ref):
+            assert np.isinf(got)
+        else:
+            assert got == pytest.approx(ref, rel=1e-6)
+
+
+def test_max_step_ridges_a_singular_block():
+    """A block whose Cholesky factorisation fails is ridged by its own trace,
+    and the step stays finite and positive."""
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(3)
+    g = rng.standard_normal((2, 3, 3))
+    x = np.stack([np.outer(v, v), g[0] @ g[0].T + np.eye(3)])
+    dx = -np.stack([np.eye(3), np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(x)
+    alpha = sdp._max_step(x, dx)
+    assert 0 < alpha < 1e-10
+    assert alpha == pytest.approx(sdp._max_step(x[:1], dx[:1]), rel=1e-9)
+
+
 def test_max_iterations_status():
     m = Model()
     x = m.psd_var("x", 2)

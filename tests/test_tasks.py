@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ def test_cost_approx_counts_solves():
     assert diag["solves"] <= 10
     diag = tasks.cost_approx(b, 0.0, CPTPA).diagnostics
     assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
+
+
+@pytest.mark.parametrize("d,seed,p,regime", [
+    (2, 0, None, CDS), (2, 8, 0.05, CPTPA), (3, 0, None, CPTPA), (3, 7, 0.05, CDS),
+    (2, 16, None, CDS), (2, 31, None, CPTPA)])
+def test_cost_approx_near_boundary_solves_do_not_warn(d, seed, p, regime):
+    """Real boxes whose phase-I solves reach overflowing iterates on the way
+    to an ill_conditioned end; the solver reports that through its status,
+    and no numpy warning reaches the caller."""
+    kw = {} if p is None else {"p": p}
+    b = random_box(d, np.random.default_rng(seed), real=True, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        approx = tasks.cost_approx(b, 0.0, regime).value
+    assert approx == pytest.approx(tasks.cost_exact(b, regime).value, abs=1e-5)
 
 
 def test_cost_approx_monotone_in_eps(rng):
