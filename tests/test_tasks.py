@@ -326,9 +326,9 @@ def test_cost_approx_counts_solves():
     (2, 0, None, CDS), (2, 8, 0.05, CPTPA), (3, 0, None, CPTPA), (3, 7, 0.05, CDS),
     (2, 16, None, CDS), (2, 31, None, CPTPA)])
 def test_cost_approx_near_boundary_solves_do_not_warn(d, seed, p, regime):
-    """Real boxes whose phase-I solves reach overflowing iterates on the way
-    to an ill_conditioned end; the solver reports that through its status,
-    and no numpy warning reaches the caller."""
+    """Real boxes whose near-boundary phase-I solves have overflowed (the
+    last one still does): the solver reports that through its status, and
+    no numpy warning reaches the caller."""
     kw = {} if p is None else {"p": p}
     b = random_box(d, np.random.default_rng(seed), real=True, **kw)
     with warnings.catch_warnings():
