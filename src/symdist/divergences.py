@@ -305,6 +305,23 @@ def scaled_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
     return _nonneg(cq_trace_distance(rho, sigma) / e)
 
 
+def _scaled_trace_distance_rows(m: Model, tau0: model.Expr, tau1: model.Expr,
+                                s_extra: model.Var, sigma: "QuantumBox") -> model.Expr:
+    """Add the scaled-trace-distance rows of the branch images (tau0, tau1)
+    against sigma at scale s = 1 + s_extra, and return the objective
+    Tr(B + C) to minimize:  B_i - C_i = tau_i - s sigma_i,
+    D - E = s (p sigma0 - (1-p) sigma1),  Tr(D + E) <= s,  B, C, D, E >= 0."""
+    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
+                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
+    s0, s1 = sigma.weighted()
+    weight = s0 - s1
+    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
+    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
+    m.eq(dv - ev - times(s_extra, weight), weight)
+    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
+    return trace(b0) + trace(b1) + trace(c0) + trace(c1)
+
+
 class DPrimePair(NamedTuple):
     primal: float
     dual: float
@@ -346,20 +363,11 @@ def scaled_trace_distance_sdp(rho: "QuantumBox", sigma: "QuantumBox",
     if not return_pair:
         return primal
 
-    # dual: min Tr[B + C] over the block components
+    # dual: min Tr[B + C] with the fixed images s r_i in place of tau_i
     md = Model()
-    b0 = md.psd_var("b0", d)
-    b1 = md.psd_var("b1", d)
-    c0 = md.psd_var("c0", d)
-    c1 = md.psd_var("c1", d)
-    dv = md.psd_var("dv", d)
-    ev = md.psd_var("ev", d)
     s_extra = md.scalar("s0")  # s = 1 + s_extra
-    md.eq(b0 - c0 - times(s_extra, diff0), diff0)
-    md.eq(b1 - c1 - times(s_extra, diff1), diff1)
-    md.eq(dv - ev - times(s_extra, weight), weight)
-    md.le(trace(dv) + trace(ev) - s_extra, 0.0)
-    md.minimize(trace(b0) + trace(b1) + trace(c0) + trace(c1))
+    md.minimize(_scaled_trace_distance_rows(
+        md, times(s_extra, r0) + r0, times(s_extra, r1) + r1, s_extra, sigma))
     dual = model.require_optimal(md.solve(), "D' dual").value
     return DPrimePair(_nonneg(primal), _nonneg(dual))
 

@@ -5,6 +5,12 @@ affine matrix expressions; ``le``/``ge`` constraints get slack blocks, so a
 program in the inequality standard form  max <A, X> : Phi(X) <= B, X >= 0
 compiles directly to the solver's equality form.  Matrix equalities are
 expanded over an orthonormal Hermitian basis of the constraint space.
+
+Whether a program is complex is decided here, once, from its data.  Real
+programs compile to real symmetric blocks.  Complex programs compile
+through the real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] / 2,
+which doubles every block and halves the data so optimal values match;
+:meth:`Model.solve` maps the primal blocks back.
 """
 
 from __future__ import annotations
@@ -44,6 +50,20 @@ def hermitian_basis(d: int, include_imag: bool = True) -> Array:
                 m[j, i] = 1j / np.sqrt(2)
                 mats.append(m)
     return np.stack(mats)
+
+
+def _embed(h: Array) -> Array:
+    """Real symmetric embedding of a stack (..., d, d) of Hermitians."""
+    re, im = 0.5 * h.real, 0.5 * h.imag
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2)
+
+
+def _unembed(x: Array, d: int) -> Array:
+    """The Hermitian d x d block whose embedding is nearest to x (2d x 2d)."""
+    a, b, c, ct = x[:d, :d], x[d:, d:], x[d:, :d], x[:d, d:]
+    out = (a + b) / 2 + 1j * (c - ct) / 2
+    return (out + out.conj().T) / 2
 
 
 # --- expressions ------------------------------------------------------------
@@ -257,65 +277,53 @@ class Model:
         if self._obj is None:
             raise SolverError("objective not set")
         self._with_imag = not self._data_is_real()
+        to_real = _embed if self._with_imag else np.real
         psd_index = {v.name: i for i, v in enumerate(self._psd)}
-        free_offset: dict[str, int] = {}
-        free_basis: dict[str, Array] = {}
-        off = 0
-        for v in self._free:
-            free_offset[v.name] = off
-            free_basis[v.name] = hermitian_basis(v.dim, self._with_imag)
-            off += free_basis[v.name].shape[0]
-        kfree = off
-        blocks = [v.dim for v in self._psd]
+        free_basis = {v.name: hermitian_basis(v.dim, self._with_imag)
+                      for v in self._free}
+        free_offset, kfree = {}, 0
+        for name, basis in free_basis.items():
+            free_offset[name], kfree = kfree, kfree + len(basis)
 
-        def accumulate(expr: Expr, e_stack: Array, rows_psd, rows_free):
+        def rows(expr: Expr, e_stack: Array) -> tuple[list[Array], Array]:
+            """Coefficients of <E_r, expr> for each E_r in e_stack: one real
+            stack per PSD block and the free-variable rows (r, kfree)."""
+            r = e_stack.shape[0]
+            psd = [np.zeros((r, v.dim, v.dim), dtype=complex) for v in self._psd]
+            free = np.zeros((r, kfree))
             for name, c, adjoint, _ in expr.terms:
                 coef = c * adjoint(e_stack)
                 coef = (coef + np.conj(np.transpose(coef, (0, 2, 1)))) / 2
                 if name in psd_index:
-                    rows_psd[psd_index[name]] += coef
+                    psd[psd_index[name]] += coef
                 else:
                     basis = free_basis[name]
                     j0 = free_offset[name]
-                    rows_free[:, j0:j0 + basis.shape[0]] += np.real(
+                    free[:, j0:j0 + len(basis)] += np.real(
                         np.einsum("kij,rij->rk", basis.conj(), coef))
+            return [to_real(a) for a in psd], free
 
-        constraints: list[tuple[list[Array | None], float]] = []
+        constraints: list[tuple[list[Array], float]] = []
         f_rows: list[Array] = []
         for expr, const in self._cons:
-            d = expr.dim
-            e_stack = hermitian_basis(d, self._with_imag) if d > 1 \
-                else np.ones((1, 1, 1), dtype=complex)
-            r = e_stack.shape[0]
-            rows_psd = [np.zeros((r, v.dim, v.dim), dtype=complex) for v in self._psd]
-            rows_free = np.zeros((r, kfree))
-            accumulate(expr, e_stack, rows_psd, rows_free)
+            e_stack = hermitian_basis(expr.dim, self._with_imag)
+            psd, free = rows(expr, e_stack)
             bvals = np.real(np.einsum("rij,ij->r", e_stack.conj(), const))
-            for ri in range(r):
-                mats: list[Array | None] = []
-                for bi, v in enumerate(self._psd):
-                    mat = rows_psd[bi][ri]
-                    mats.append(mat if np.abs(mat).max(initial=0.0) > 0 else None)
-                if all(m is None for m in mats) and not rows_free[ri].any():
-                    if abs(bvals[ri]) > 1e-12:
-                        raise SolverError("inconsistent constant constraint row")
-                    continue
-                constraints.append((mats, float(bvals[ri])))
-                f_rows.append(rows_free[ri])
+            keep = free.any(axis=1)
+            for a in psd:
+                keep |= a.reshape(len(keep), -1).any(axis=1)
+            if np.any(np.abs(bvals[~keep]) > 1e-12):
+                raise SolverError("inconsistent constant constraint row")
+            for i in np.flatnonzero(keep):
+                constraints.append(([a[i] for a in psd], float(bvals[i])))
+                f_rows.append(free[i])
 
-        # objective
-        e1 = np.ones((1, 1, 1), dtype=complex)
-        obj_psd = [np.zeros((1, v.dim, v.dim), dtype=complex) for v in self._psd]
-        obj_free = np.zeros((1, kfree))
-        accumulate(self._obj, e1, obj_psd, obj_free)
-        objective = [self._sense * m[0] for m in obj_psd]
-        f_obj = self._sense * obj_free[0]
-        obj_const = float(np.real(self._obj._const()[0, 0]))
-
-        fc = np.array(f_rows) if kfree else None
-        problem = sdp.SdpProblem(blocks, objective, constraints,
-                                 kfree, f_obj if kfree else None, fc)
-        return problem, obj_const
+        psd, free = rows(self._obj, hermitian_basis(1))
+        problem = sdp.SdpProblem(
+            [a.shape[-1] for a in psd], [self._sense * a[0] for a in psd],
+            constraints, kfree, self._sense * free[0] if kfree else None,
+            np.array(f_rows) if kfree else None)
+        return problem, float(np.real(self._obj._const()[0, 0]))
 
     def solve(self, options: sdp.SolverOptions | None = None) -> ModelSolution:
         problem, obj_const = self.compile()
@@ -324,8 +332,8 @@ class Model:
             else self._sense * sol.value
         primal: dict[str, Array] = {}
         if np.all(np.isfinite(sol.y)) and sol.x_blocks:
-            for i, v in enumerate(self._psd):
-                primal[v.name] = sol.x_blocks[i]
+            for x, v in zip(sol.x_blocks, self._psd):
+                primal[v.name] = _unembed(x, v.dim) if self._with_imag else x
             off = 0
             for v in self._free:
                 basis = hermitian_basis(v.dim, self._with_imag)

@@ -6,9 +6,9 @@ Standard equality form:
     subject to  sum_k <A_ik, X_k> + F_i.u = b_i      (i = 1..m)
                 X_k >= 0,   u free
 
-with Hermitian data.  Complex problems are solved through the real
-symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] / 2 (see
-:func:`realify`); the embedding halves the data so optimal values match.
+with real symmetric data.  Complex Hermitian programs reach the solver
+already embedded in real form by :meth:`symdist.model.Model.compile`;
+complex data here is refused, never cast.
 
 The algorithm is a primal-dual path-following method with Nesterov-Todd
 scaling on the homogeneous self-dual embedding: an unbounded or infeasible
@@ -44,31 +44,27 @@ class SolverOptions:
     max_iterations: int = 200
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    step_fraction: float = 0.98     # fraction-to-boundary
+
+
+_STEP_FRACTION = 0.98    # fraction-to-boundary
 
 
 @dataclass(eq=False)
 class SdpProblem:
     """Block SDP in equality standard form (sense: minimize).
 
-    ``constraints`` holds pairs ``(mats, b)`` where ``mats`` lists one
-    Hermitian matrix per block (``None`` for an all-zero coefficient).
-    Free variables enter through ``free_objective`` (length ``free_size``)
-    and per-constraint rows ``free_coeffs`` (shape ``(m, free_size)``).
+    ``constraints`` holds pairs ``(mats, b)`` where ``mats`` lists one real
+    symmetric matrix per block.  Free variables enter through
+    ``free_objective`` (length ``free_size``) and per-constraint rows
+    ``free_coeffs`` (shape ``(m, free_size)``).
     """
 
     blocks: list[int]
     objective: list[Array]
-    constraints: list[tuple[list[Array | None], float]]
+    constraints: list[tuple[list[Array], float]]
     free_size: int = 0
     free_objective: Array | None = None
     free_coeffs: Array | None = None
-
-    def is_complex(self) -> bool:
-        mats = list(self.objective)
-        for row, _ in self.constraints:
-            mats.extend(m for m in row if m is not None)
-        return any(np.abs(np.imag(m)).max(initial=0.0) > 1e-14 for m in mats)
 
 
 @dataclass(eq=False)
@@ -81,35 +77,6 @@ class SdpSolution:
     gap: float
     iterations: int
     residuals: dict = field(default_factory=dict)
-
-
-def _embed(h: Array) -> Array:
-    re, im = np.real(h), np.imag(h)
-    return 0.5 * np.block([[re, -im], [im, re]])
-
-
-def _unembed(x: Array, d: int) -> Array:
-    a = x[:d, :d]
-    b = x[d:, d:]
-    c = x[d:, :d]
-    ct = x[:d, d:]
-    out = (a + b) / 2 + 1j * (c - ct) / 2
-    return (out + out.conj().T) / 2
-
-
-def realify(p: SdpProblem) -> SdpProblem:
-    """Real symmetric embedding of a complex-Hermitian problem.
-
-    Objective and constraint matrices are halved so that optimal values
-    (and the right-hand sides b) are preserved exactly.
-    """
-    blocks = [2 * d for d in p.blocks]
-    objective = [_embed(c) for c in p.objective]
-    constraints = []
-    for mats, b in p.constraints:
-        constraints.append(([None if m is None else _embed(m) for m in mats], b))
-    return SdpProblem(blocks, objective, constraints, p.free_size,
-                      p.free_objective, p.free_coeffs)
 
 
 def _sym(a: Array) -> Array:
@@ -163,26 +130,22 @@ class _Workspace:
         self.k = prob.free_size
         self.groups = [[j for j, dj in enumerate(self.dims) if dj == d]
                        for d in sorted(set(self.dims))]
-        self.C = [np.stack([np.real(prob.objective[j]) for j in g]).astype(float)
-                  for g in self.groups]
+        self.C = [np.array([prob.objective[j] for j in g]) for g in self.groups]
         self.b = np.array([b for _, b in prob.constraints], dtype=float)
-        self.A = []
-        for g, c in zip(self.groups, self.C):
-            stack = np.zeros((self.m,) + c.shape)
-            for i, (mats, _) in enumerate(prob.constraints):
-                for jj, j in enumerate(g):
-                    if mats[j] is not None:
-                        stack[i, jj] = np.real(mats[j])
-            self.A.append(stack)
+        self.A = [np.array([[mats[j] for j in g] for mats, _ in prob.constraints])
+                  for g in self.groups]
         self.Af = [a.reshape(self.m, -1) for a in self.A]
         if self.k:
-            self.F = np.ascontiguousarray(prob.free_coeffs, dtype=float)
-            self.f = np.ascontiguousarray(prob.free_objective, dtype=float)
+            self.F = np.ascontiguousarray(prob.free_coeffs)
+            self.f = np.ascontiguousarray(prob.free_objective)
         else:
             self.F = np.zeros((self.m, 0))
             self.f = np.zeros(0)
-        if not all(np.all(np.isfinite(x)) for x in [*self.C, self.b, *self.A,
-                                                    self.F, self.f]):
+        data = [*self.C, self.b, *self.A, self.F, self.f]
+        if any(np.iscomplexobj(x) for x in data):
+            raise SolverError("problem data is complex; Model.compile embeds "
+                              "complex programs in real symmetric form")
+        if not all(np.all(np.isfinite(x)) for x in data):
             raise SolverError("problem data has a non-finite entry")
         self.n_tot = sum(self.dims)
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
@@ -209,22 +172,12 @@ class _Workspace:
         return out
 
 
-def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
-    """Solve a block SDP; deterministic for fixed inputs."""
-    opts = options or SolverOptions()
-    if prob.is_complex():
-        real_prob = realify(prob)
-        sol = _solve_real(real_prob, opts)
-        x_blocks = [_unembed(x, d) for x, d in zip(sol.x_blocks, prob.blocks)]
-        return SdpSolution(sol.status, sol.value, x_blocks, sol.y, sol.free,
-                           sol.gap, sol.iterations, sol.residuals)
-    return _solve_real(prob, opts)
-
-
 # A diverging iterate overflows; the non-finite Newton system or step that
 # follows ends the solve ill_conditioned, so numpy need not warn about it.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
+def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
+    """Solve a real block SDP; deterministic for fixed inputs."""
+    opts = options or SolverOptions()
     ws = _Workspace(prob)
     m, k = ws.m, ws.k
 
@@ -361,7 +314,7 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
                     or max(abs(dtaua), abs(dkappaa)) > 1e100:
                 status = SdpStatus.ILL_CONDITIONED
                 break
-            alpha_aff = min(1.0, opts.step_fraction * boundary(dXa, dSa, dtaua, dkappaa))
+            alpha_aff = min(1.0, _STEP_FRACTION * boundary(dXa, dSa, dtaua, dkappaa))
             gap_aff = (ws.inner([x + alpha_aff * dx for x, dx in zip(X, dXa)],
                                 [s + alpha_aff * ds for s, ds in zip(S, dSa)])
                        + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa))
@@ -370,11 +323,11 @@ def _solve_real(prob: SdpProblem, opts: SolverOptions) -> SdpSolution:
             sigma = min(0.99, max(1e-9, ratio ** 3))
             corr = dtaua * dkappaa
             dX, dS, dy, du, dtau, dkappa = newton(1.0 - sigma, sigma, corr)
-            alpha = min(1.0, opts.step_fraction * boundary(dX, dS, dtau, dkappa))
+            alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
             if alpha < 0.05:
                 # jammed near the boundary: take a recentering step instead
                 dX, dS, dy, du, dtau, dkappa = newton(1.0 - 0.8, 0.8, 0.0)
-                alpha = min(1.0, opts.step_fraction * boundary(dX, dS, dtau, dkappa))
+                alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
         except np.linalg.LinAlgError:
             status = SdpStatus.ILL_CONDITIONED
             break

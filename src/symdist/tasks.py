@@ -20,9 +20,9 @@ from . import channels, linalg, model
 from .boxes import KET0, KET1, QuantumBox, golden_box
 from .channels import CdsMap, CpMap, measure_prepare
 from .config import TOLS
-from .divergences import (_orthogonal_supports, chernoff, p_err, q_max,
-                          q_max_star, q_min, q_min_eps, sd, thompson, xi_max,
-                          xi_max_star)
+from .divergences import (_orthogonal_supports, _scaled_trace_distance_rows,
+                          chernoff, p_err, q_max, q_max_star, q_min, q_min_eps,
+                          sd, thompson, xi_max, xi_max_star)
 from .exceptions import ParameterRangeError, SolverError
 from .model import (Model, channel_output, inner, kron_left, kron_right,
                     ptrace_out, times, trace)
@@ -152,26 +152,11 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
             return TaskResult(0.0, witness, {})
 
     d_in, d_out = source.dim, target.dim
-    w0, w1 = source.weighted()
-    s0 = target.p * target.rho0
-    s1 = (1 - target.p) * target.rho1
-    weight = s0 - s1
-
     m = Model()
-    b0 = m.psd_var("b0", d_out)
-    b1 = m.psd_var("b1", d_out)
-    c0 = m.psd_var("c0", d_out)
-    c1 = m.psd_var("c1", d_out)
-    dv = m.psd_var("dv", d_out)
-    ev = m.psd_var("ev", d_out)
     s_extra = m.scalar("s0")  # s = 1 + s_extra
-    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
-    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
-    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
-    m.eq(dv - ev - times(s_extra, weight), weight)
-    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
+    tau0, tau1, tp = _free_map_outputs(m, *source.weighted(), (d_in, d_out), regime)
+    m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
     m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
-    m.minimize(trace(b0) + trace(b1) + trace(c0) + trace(c1))
     res = model.require_optimal(m.solve(), "conversion-error program")
 
     s_val = 1.0 + float(np.real(res.primal["s0"][0, 0]))
@@ -254,6 +239,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
 # --- approximate dilution (bracketed root-finder over M) -------------------------
 
 _PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
+_M_TOL = 1e-6       # width in M of the bracket cost_approx closes
 
 
 def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
@@ -309,14 +295,13 @@ def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
     return res.value - 1.0
 
 
-def cost_approx(b: QuantumBox, eps: float, regime: str,
-                m_tol: float = 1e-6) -> TaskResult:
+def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     """Smallest golden unit diluting to the eps-ball of the box.
 
     For fixed M the program is linear and its phase-I shift lambda rises
     with t = 1/(2M - 1).  Illinois regula falsi closes a bracket on the root,
     from t = 1 (M = 1) to the exact cost (feasible: ``cost_exact``'s dilution
-    channel maps that golden unit onto the box), to m_tol in M and returns
+    channel maps that golden unit onto the box), to ``_M_TOL`` in M and returns
     its feasible end.  Diagnostics count the solves and, by status, the
     non-optimal ones accepted for their residuals."""
     _check_regime(regime)
@@ -338,8 +323,8 @@ def cost_approx(b: QuantumBox, eps: float, regime: str,
     except SolverError:
         f_lo = 0.0
     side = 0        # the end that moved last; a repeat halves the other's value
-    while 0.5 / lo - 0.5 / hi > m_tol:
-        xtol = 2.0 * lo * lo * m_tol      # m_tol in M at the feasible end
+    while 0.5 / lo - 0.5 / hi > _M_TOL:
+        xtol = 2.0 * lo * lo * _M_TOL     # _M_TOL in M at the feasible end
         t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * xtol),
                 hi - 0.5 * xtol)
         f = _phase1_shift(b, eps, regime, t, stats)

@@ -101,43 +101,39 @@ def test_weak_duality_and_gap_at_solution():
         assert res.value == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-7)
 
 
-def _toy_problem(c_block):
-    prob = sdp.SdpProblem(
-        blocks=[c_block.shape[0]],
-        objective=[c_block],
-        constraints=[([np.eye(c_block.shape[0], dtype=complex)], 1.0)])
-    return prob
-
-
-def test_realify_real_problem_same_value():
-    c = np.diag([0.5, 2.0]).astype(complex)
-    prob = _toy_problem(c)
-    direct = sdp.solve(prob)
-    embedded = sdp.solve(sdp.realify(prob))
-    assert embedded.status is SdpStatus.OPTIMAL
-    assert direct.value == pytest.approx(embedded.value, abs=1e-7)
-    assert sdp.realify(prob).blocks == [4]
-
-
-def test_realify_sigma_y_block():
-    sy = np.array([[0, -1j], [1j, 0]])
-    c = 0.5 * np.eye(2) + 0.3 * sy
-    prob = _toy_problem(c)
-    direct = sdp.solve(prob)          # complex path (realified internally)
-    embedded = sdp.solve(sdp.realify(prob))
-    assert direct.value == pytest.approx(0.2, abs=1e-7)
-    assert embedded.value == pytest.approx(0.2, abs=1e-7)
-    # returned primal is a valid Hermitian unit-trace PSD matrix
-    x = direct.x_blocks[0]
+@pytest.mark.parametrize("c,value,blocks", [
+    (np.diag([0.5, 2.0]), 0.5, [2]),
+    (0.5 * np.eye(2) + 0.3 * np.array([[0, -1j], [1j, 0]]), 0.2, [4]),
+    (np.eye(3), 1.0, [3]),
+], ids=["real-diagonal", "sigma-y", "identity"])
+def test_compile_embeds_complex_data(c, value, blocks):
+    """min <C, X> : Tr X = 1 is the least eigenvalue of C.  Complex data
+    compile to doubled real blocks and real data do not; either way the
+    primal comes back Hermitian, PSD and of unit trace."""
+    m = Model()
+    x = m.psd_var("x", len(c))
+    m.minimize(inner(c, x))
+    m.eq(trace(x), 1.0)
+    prob, _ = m.compile()
+    assert prob.blocks == blocks
+    res = m.solve()
+    assert res.status is SdpStatus.OPTIMAL
+    assert res.value == pytest.approx(value, abs=1e-7)
+    x = res.primal["x"]
+    assert x.shape == c.shape
     assert np.allclose(x, x.conj().T)
     assert np.trace(x).real == pytest.approx(1.0, abs=1e-6)
     assert np.linalg.eigvalsh(x).min() >= -1e-8
 
 
-def test_realify_identity_objective_exact():
-    prob = _toy_problem(np.eye(3, dtype=complex))
-    res = sdp.solve(sdp.realify(prob))
-    assert res.value == pytest.approx(1.0, abs=1e-7)
+def test_solver_rejects_complex_data():
+    """The solver takes real data only; it refuses complex data instead of
+    dropping the imaginary part."""
+    c = 0.5 * np.eye(2) + 0.3 * np.array([[0, -1j], [1j, 0]])
+    prob = sdp.SdpProblem(blocks=[2], objective=[c],
+                          constraints=[([np.eye(2)], 1.0)])
+    with pytest.raises(SolverError, match="complex"):
+        sdp.solve(prob)
 
 
 def _ptrace_out(x):
@@ -190,7 +186,7 @@ def test_realness_decision(real, rows, free):
     prob, _ = m.compile()
     assert len(prob.constraints) == rows
     assert prob.free_size == free
-    assert prob.is_complex() is not real
+    assert prob.blocks == ([2, 2] if real else [4, 4])
 
     # the same data entering only as a term payload: max t : t w0 <= I
     m = Model()
@@ -199,6 +195,7 @@ def test_realness_decision(real, rows, free):
     m.le(times(t, w0), np.eye(2))
     prob, _ = m.compile()
     assert len(prob.constraints) == rows // 2
+    assert prob.blocks == ([1, 2] if real else [2, 4])
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
     assert res.value == pytest.approx(1 / np.linalg.eigvalsh(w0).max(), abs=1e-7)
@@ -210,7 +207,8 @@ def test_scaled_partial_trace_compiles_real():
     m.eq(-2.5 * ptrace_out(om, (2, 2)), -2.5 * np.eye(2))
     m.minimize(trace(om))
     prob, _ = m.compile()
-    assert prob.is_complex() is False
+    assert prob.blocks == [4]
+    assert not any(np.iscomplexobj(a) for a in prob.objective)
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
     assert res.value == pytest.approx(2.0, abs=1e-7)
@@ -261,7 +259,8 @@ def _per_block_problem(dims, seed):
     block, with a strictly feasible interior."""
     rng = np.random.default_rng(seed)
     objective = [random_hermitian(d, rng).real for d in dims]
-    rows = [([np.eye(d) if j == k else None for j, d in enumerate(dims)], k + 1.0)
+    rows = [([np.eye(d) if j == k else np.zeros((d, d)) for j, d in enumerate(dims)],
+             k + 1.0)
             for k in range(len(dims))]
     rows.append(([np.diag(np.arange(1.0, d + 1)) for d in dims],
                  1.5 * sum(k + 1.0 for k in range(len(dims)))))
