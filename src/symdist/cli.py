@@ -21,7 +21,7 @@ from . import tasks
 from .boxes import QuantumBox, box_from_json, golden_box
 from .config import TOLS
 from .divergences import chernoff, p_err, sd
-from .exceptions import SolverError, SymdistError
+from .exceptions import ParameterRangeError, SolverError, SymdistError
 
 
 def _fmt(v: float) -> str:
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for the random channel generators")
     ap.add_argument("--tol", type=float, default=None,
-                    help="override the shared infinity-detection tolerance")
+                    help="override the shared infinity-detection tolerance "
+                         "(finite and positive)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name, help_ in [("perr", "minimum discrimination error"),
@@ -120,6 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ParameterRangeError(
+                f"--tol must be finite and positive, got {args.tol}")
         TOLS.support = args.tol
         TOLS.infinite_perr = min(args.tol, TOLS.infinite_perr)
     if args.seed is not None:

@@ -5,10 +5,10 @@ convention: a divergence is infinite when its defining feasibility test
 fails at the tolerances in :mod:`symdist.config` (support containment at
 ``TOLS.support``, discrimination error at ``TOLS.infinite_perr``).
 
-Where the underlying quantity is also expressible as a semi-definite
-program (the discrimination error, the scaled trace distance), both the
-closed form and the program are provided so they can cross-validate each
-other.
+Every quantity here is a closed form or a one-dimensional spectral search;
+none calls the solver.  The semi-definite programs behind the discrimination
+error and the scaled trace distance are cross-check oracles in
+``tests/oracles.py``, which the tests compare with these closed forms.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from . import linalg, model
+from . import linalg
 from .config import TOLS
 from .exceptions import DimensionMismatchError, NotPsdError
-from .model import Model, inner, trace, times
 
 if TYPE_CHECKING:
     from .boxes import QuantumBox
@@ -42,18 +41,6 @@ def p_err(b: "QuantumBox") -> float:
     """Minimum Bayesian discrimination error (Helstrom value)."""
     w0, w1 = b.weighted()
     return _nonneg(0.5 * (1.0 - linalg.trace_norm(w0 - w1)))
-
-
-def p_err_sdp(b: "QuantumBox") -> float:
-    """Greatest-lower-bound program: max{Tr Y : Y <= p rho0, Y <= (1-p) rho1}."""
-    w0, w1 = b.weighted()
-    m = Model()
-    y = m.free_herm("y", b.dim)
-    m.maximize(trace(y))
-    m.le(y, w0)
-    m.le(y, w1)
-    res = model.require_optimal(m.solve(), "greatest-lower-bound program")
-    return res.value
 
 
 def sd(b: "QuantumBox") -> float:
@@ -303,73 +290,6 @@ def scaled_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
     if e <= TOLS.infinite_perr:
         return 0.0 if _boxes_equal(rho, sigma) else INF
     return _nonneg(cq_trace_distance(rho, sigma) / e)
-
-
-def _scaled_trace_distance_rows(m: Model, tau0: model.Expr, tau1: model.Expr,
-                                s_extra: model.Var, sigma: "QuantumBox") -> model.Expr:
-    """Add the scaled-trace-distance rows of the branch images (tau0, tau1)
-    against sigma at scale s = 1 + s_extra, and return the objective
-    Tr(B + C) to minimize:  B_i - C_i = tau_i - s sigma_i,
-    D - E = s (p sigma0 - (1-p) sigma1),  Tr(D + E) <= s,  B, C, D, E >= 0."""
-    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
-                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
-    s0, s1 = sigma.weighted()
-    weight = s0 - s1
-    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
-    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
-    m.eq(dv - ev - times(s_extra, weight), weight)
-    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
-    return trace(b0) + trace(b1) + trace(c0) + trace(c1)
-
-
-class DPrimePair(NamedTuple):
-    primal: float
-    dual: float
-
-
-def scaled_trace_distance_sdp(rho: "QuantumBox", sigma: "QuantumBox",
-                              return_pair: bool = False):
-    """Primal and dual programs for the scaled trace distance.
-
-    Requires p_err(sigma) > 0 (strong duality regime); both values agree
-    with the closed form.  Returns the primal value, or the (primal, dual)
-    pair with ``return_pair``.
-    """
-    if p_err(sigma) <= TOLS.infinite_perr:
-        raise ValueError("scaled_trace_distance_sdp needs p_err(sigma) > 0")
-    d = rho.dim
-    r0, r1 = rho.weighted()
-    s0, s1 = sigma.weighted()
-    diff0, diff1 = r0 - s0, r1 - s1
-    weight = sigma.p * sigma.rho0 - (1 - sigma.p) * sigma.rho1
-
-    # primal: max t with shifted interval variables
-    m = Model()
-    t = m.scalar("t")
-    l0 = m.psd_var("l0", d)
-    l1 = m.psd_var("l1", d)
-    p1 = m.psd_var("p1", d)
-    m.le(l0, 2.0 * np.eye(d))
-    m.le(l1, 2.0 * np.eye(d))
-    p2 = m.psd_var("p2", d)
-    m.eq(p1 + p2, times(t, 2.0 * np.eye(d)))
-    # t - Tr[(P1 - tI) weight] = Tr[(L0 - I) diff0] + Tr[(L1 - I) diff1]
-    lhs = (t - inner(weight, p1) + times(t, [[float(np.trace(weight).real)]])
-           - inner(diff0, l0) - inner(diff1, l1))
-    m.eq(lhs, -float(np.trace(diff0 + diff1).real))
-    m.maximize(t)
-    primal = model.require_optimal(m.solve(), "D' primal").value
-
-    if not return_pair:
-        return primal
-
-    # dual: min Tr[B + C] with the fixed images s r_i in place of tau_i
-    md = Model()
-    s_extra = md.scalar("s0")  # s = 1 + s_extra
-    md.minimize(_scaled_trace_distance_rows(
-        md, times(s_extra, r0) + r0, times(s_extra, r1) + r1, s_extra, sigma))
-    dual = model.require_optimal(md.solve(), "D' dual").value
-    return DPrimePair(_nonneg(primal), _nonneg(dual))
 
 
 # --- smoothed Thompson construction -------------------------------------------

@@ -1,7 +1,7 @@
 """Small modeling layer over the interior-point solver.
 
-Programs are written with PSD / free Hermitian / scalar variables and
-affine matrix expressions; ``le``/``ge`` constraints get slack blocks, so a
+Programs are written with PSD and nonnegative scalar variables and affine
+matrix expressions; ``le``/``ge`` constraints get slack blocks, so a
 program in the inequality standard form  max <A, X> : Phi(X) <= B, X >= 0
 compiles directly to the solver's equality form.  Matrix equalities are
 expanded over an orthonormal Hermitian basis of the constraint space.
@@ -218,7 +218,6 @@ class ModelSolution:
 class Model:
     def __init__(self):
         self._psd: list[Var] = []
-        self._free: list[Var] = []
         self._cons: list[tuple[Expr, Array]] = []  # expr == const, const Hermitian
         self._obj: Expr | None = None
         self._sense = 1.0  # +1 minimize, -1 maximize
@@ -233,11 +232,6 @@ class Model:
     def scalar(self, name: str) -> Var:
         """Nonnegative scalar (a 1 x 1 PSD block)."""
         return self.psd_var(name, 1)
-
-    def free_herm(self, name: str, dim: int) -> Var:
-        v = Var(name, dim)
-        self._free.append(v)
-        return v
 
     # constraints ---------------------------------------------------------
     def eq(self, a, b):
@@ -279,50 +273,34 @@ class Model:
         self._with_imag = not self._data_is_real()
         to_real = _embed if self._with_imag else np.real
         psd_index = {v.name: i for i, v in enumerate(self._psd)}
-        free_basis = {v.name: hermitian_basis(v.dim, self._with_imag)
-                      for v in self._free}
-        free_offset, kfree = {}, 0
-        for name, basis in free_basis.items():
-            free_offset[name], kfree = kfree, kfree + len(basis)
 
-        def rows(expr: Expr, e_stack: Array) -> tuple[list[Array], Array]:
+        def rows(expr: Expr, e_stack: Array) -> list[Array]:
             """Coefficients of <E_r, expr> for each E_r in e_stack: one real
-            stack per PSD block and the free-variable rows (r, kfree)."""
+            stack per PSD block."""
             r = e_stack.shape[0]
             psd = [np.zeros((r, v.dim, v.dim), dtype=complex) for v in self._psd]
-            free = np.zeros((r, kfree))
             for name, c, adjoint, _ in expr.terms:
                 coef = c * adjoint(e_stack)
                 coef = (coef + np.conj(np.transpose(coef, (0, 2, 1)))) / 2
-                if name in psd_index:
-                    psd[psd_index[name]] += coef
-                else:
-                    basis = free_basis[name]
-                    j0 = free_offset[name]
-                    free[:, j0:j0 + len(basis)] += np.real(
-                        np.einsum("kij,rij->rk", basis.conj(), coef))
-            return [to_real(a) for a in psd], free
+                psd[psd_index[name]] += coef
+            return [to_real(a) for a in psd]
 
         constraints: list[tuple[list[Array], float]] = []
-        f_rows: list[Array] = []
         for expr, const in self._cons:
             e_stack = hermitian_basis(expr.dim, self._with_imag)
-            psd, free = rows(expr, e_stack)
+            psd = rows(expr, e_stack)
             bvals = np.real(np.einsum("rij,ij->r", e_stack.conj(), const))
-            keep = free.any(axis=1)
+            keep = np.zeros(len(bvals), dtype=bool)
             for a in psd:
                 keep |= a.reshape(len(keep), -1).any(axis=1)
             if np.any(np.abs(bvals[~keep]) > 1e-12):
                 raise SolverError("inconsistent constant constraint row")
             for i in np.flatnonzero(keep):
                 constraints.append(([a[i] for a in psd], float(bvals[i])))
-                f_rows.append(free[i])
 
-        psd, free = rows(self._obj, hermitian_basis(1))
-        problem = sdp.SdpProblem(
-            [a.shape[-1] for a in psd], [self._sense * a[0] for a in psd],
-            constraints, kfree, self._sense * free[0] if kfree else None,
-            np.array(f_rows) if kfree else None)
+        psd = rows(self._obj, hermitian_basis(1))
+        problem = sdp.SdpProblem([a.shape[-1] for a in psd],
+                                 [self._sense * a[0] for a in psd], constraints)
         return problem, float(np.real(self._obj._const()[0, 0]))
 
     def solve(self, options: sdp.SolverOptions | None = None) -> ModelSolution:
@@ -334,12 +312,6 @@ class Model:
         if np.all(np.isfinite(sol.y)) and sol.x_blocks:
             for x, v in zip(sol.x_blocks, self._psd):
                 primal[v.name] = _unembed(x, v.dim) if self._with_imag else x
-            off = 0
-            for v in self._free:
-                basis = hermitian_basis(v.dim, self._with_imag)
-                coords = sol.free[off:off + basis.shape[0]]
-                primal[v.name] = np.einsum("k,kij->ij", coords, basis)
-                off += basis.shape[0]
         return ModelSolution(sol.status, value, primal, sol.gap,
                              sol.iterations, sol.residuals)
 

@@ -2,21 +2,23 @@
 
 Standard equality form:
 
-    minimize    sum_k <C_k, X_k> + f.u
-    subject to  sum_k <A_ik, X_k> + F_i.u = b_i      (i = 1..m)
-                X_k >= 0,   u free
+    minimize    sum_k <C_k, X_k>
+    subject to  sum_k <A_ik, X_k> = b_i      (i = 1..m)
+                X_k >= 0
 
-with real symmetric data.  Complex Hermitian programs reach the solver
-already embedded in real form by :meth:`symdist.model.Model.compile`;
-complex data here is refused, never cast.
+with real symmetric data and PSD blocks only; there are no free variables.
+Complex Hermitian programs reach the solver already embedded in real form
+by :meth:`symdist.model.Model.compile`; complex data here is refused, never
+cast.
 
 The algorithm is a primal-dual path-following method with Nesterov-Todd
 scaling on the homogeneous self-dual embedding: an unbounded or infeasible
 instance surfaces as a certificate, never as a diverging iterate.  A
 Mehrotra-style adaptive centering parameter is used; only the tau/kappa
 second-order correction is applied (matrix corrections buy little at these
-block sizes).  Blocks of one size are stacked into one (n, d, d) array, so
-each step makes one batched LAPACK or BLAS call per block size.
+block sizes).  The Newton system is the m x m Schur complement.  Blocks of
+one size are stacked into one (n, d, d) array, so each step makes one
+batched LAPACK or BLAS call per block size.
 """
 
 from __future__ import annotations
@@ -51,20 +53,15 @@ _STEP_FRACTION = 0.98    # fraction-to-boundary
 
 @dataclass(eq=False)
 class SdpProblem:
-    """Block SDP in equality standard form (sense: minimize).
+    """Block SDP in equality standard form (sense: minimize), PSD blocks only.
 
     ``constraints`` holds pairs ``(mats, b)`` where ``mats`` lists one real
-    symmetric matrix per block.  Free variables enter through
-    ``free_objective`` (length ``free_size``) and per-constraint rows
-    ``free_coeffs`` (shape ``(m, free_size)``).
+    symmetric matrix per block.
     """
 
     blocks: list[int]
     objective: list[Array]
     constraints: list[tuple[list[Array], float]]
-    free_size: int = 0
-    free_objective: Array | None = None
-    free_coeffs: Array | None = None
 
 
 @dataclass(eq=False)
@@ -73,7 +70,6 @@ class SdpSolution:
     value: float
     x_blocks: list[Array]
     y: Array
-    free: Array
     gap: float
     iterations: int
     residuals: dict = field(default_factory=dict)
@@ -127,7 +123,6 @@ class _Workspace:
         self.m = len(prob.constraints)
         if self.m == 0:
             raise SolverError("problem must have at least one constraint")
-        self.k = prob.free_size
         self.groups = [[j for j, dj in enumerate(self.dims) if dj == d]
                        for d in sorted(set(self.dims))]
         self.C = [np.array([prob.objective[j] for j in g]) for g in self.groups]
@@ -135,13 +130,7 @@ class _Workspace:
         self.A = [np.array([[mats[j] for j in g] for mats, _ in prob.constraints])
                   for g in self.groups]
         self.Af = [a.reshape(self.m, -1) for a in self.A]
-        if self.k:
-            self.F = np.ascontiguousarray(prob.free_coeffs)
-            self.f = np.ascontiguousarray(prob.free_objective)
-        else:
-            self.F = np.zeros((self.m, 0))
-            self.f = np.zeros(0)
-        data = [*self.C, self.b, *self.A, self.F, self.f]
+        data = [*self.C, self.b, *self.A]
         if any(np.iscomplexobj(x) for x in data):
             raise SolverError("problem data is complex; Model.compile embeds "
                               "complex programs in real symmetric form")
@@ -150,8 +139,7 @@ class _Workspace:
         self.n_tot = sum(self.dims)
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
         self.norm_c = max(1.0, max(float(np.linalg.norm(c, axis=(1, 2)).max())
-                                   for c in self.C),
-                          float(np.linalg.norm(self.f)) if self.k else 0.0)
+                                   for c in self.C))
 
     # linear maps ---------------------------------------------------------
     def apply_a(self, xs: list[Array]) -> Array:
@@ -179,52 +167,40 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     """Solve a real block SDP; deterministic for fixed inputs."""
     opts = options or SolverOptions()
     ws = _Workspace(prob)
-    m, k = ws.m, ws.k
+    m = ws.m
 
     eta = max(1.0, np.sqrt(ws.norm_b), np.sqrt(ws.norm_c))
     X = [eta * np.broadcast_to(np.eye(c.shape[-1]), c.shape) for c in ws.C]
     S = list(X)
     y = np.zeros(m)
-    u = np.zeros(k)
     tau, kappa = 1.0, 1.0
 
     best = None
     best_metric = np.inf
 
-    def residuals():
-        p_res = ws.apply_a(X) + (ws.F @ u if k else 0.0) - ws.b * tau
-        d_res = [a + s - c * tau for a, s, c in zip(ws.apply_at(y), S, ws.C)]
-        f_res = (ws.F.T @ y - ws.f * tau) if k else np.zeros(0)
-        cx = ws.inner(ws.C, X) + (float(ws.f @ u) if k else 0.0)
-        by = float(ws.b @ y)
-        g_res = by - cx - kappa
-        return p_res, d_res, f_res, g_res, cx, by
-
-    def scaled_metrics(cx, by, p_res, d_res, f_res):
-        pobj = cx / tau
-        dobj = by / tau
-        rel_p = np.linalg.norm(p_res / tau) / ws.norm_b
-        rel_d = max(max(np.abs(dr).max() for dr in d_res),
-                    np.abs(f_res).max() if k else 0.0) / (tau * ws.norm_c)
-        rel_g = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-        return pobj, dobj, rel_p, rel_d, rel_g
-
     status = SdpStatus.MAX_ITERATIONS
     it = 0
     for it in range(1, opts.max_iterations + 1):
-        p_res, d_res, f_res, g_res, cx, by = residuals()
+        p_res = ws.apply_a(X) - ws.b * tau
+        d_res = [a + s - c * tau for a, s, c in zip(ws.apply_at(y), S, ws.C)]
+        cx = ws.inner(ws.C, X)
+        by = float(ws.b @ y)
+        g_res = by - cx - kappa
         mu = (ws.inner(X, S) + tau * kappa) / (ws.n_tot + 1)
         if not (np.isfinite(mu) and np.isfinite(cx) and np.isfinite(by)
                 and mu > 0):
             status = SdpStatus.ILL_CONDITIONED
             break
 
-        pobj, dobj, rel_p, rel_d, rel_g = scaled_metrics(cx, by, p_res, d_res, f_res)
+        pobj, dobj = cx / tau, by / tau
+        rel_p = np.linalg.norm(p_res / tau) / ws.norm_b
+        rel_d = max(np.abs(dr).max() for dr in d_res) / (tau * ws.norm_c)
+        rel_g = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         metric = max(rel_p, rel_d, rel_g)
         if metric < best_metric:
             # every update rebinds the iterates, so references suffice
             best_metric = metric
-            best = (X, S, y, u, tau, kappa, pobj, dobj, rel_p, rel_d, rel_g)
+            best = (X, y, tau, rel_p, rel_d, rel_g)
 
         if rel_p <= opts.feas_tol and rel_d <= opts.feas_tol and rel_g <= opts.gap_tol:
             status = SdpStatus.OPTIMAL
@@ -233,12 +209,11 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         # infeasibility certificates from the homogeneous embedding
         if by > 0:
             dual_slack = max(np.abs(a + s).max() for a, s in zip(ws.apply_at(y), S))
-            free_slack = np.abs(ws.F.T @ y).max() if k else 0.0
-            if max(dual_slack, free_slack) <= opts.feas_tol * by * ws.norm_c:
+            if dual_slack <= opts.feas_tol * by * ws.norm_c:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 break
         if cx < 0:
-            prim_act = np.linalg.norm(ws.apply_a(X) + (ws.F @ u if k else 0.0))
+            prim_act = np.linalg.norm(ws.apply_a(X))
             if prim_act <= opts.feas_tol * (-cx) * ws.norm_b:
                 status = SdpStatus.DUAL_INFEASIBLE
                 break
@@ -254,51 +229,39 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             M = (M + M.T) / 2
             c0 = ws.inner(ws.C, WCW)
 
-            K = np.zeros((m + k, m + k))
-            K[:m, :m] = M
-            if k:
-                K[:m, m:] = ws.F
-                K[m:, :m] = ws.F.T
-
             def newton(eta_f, sigma, corr):
                 # rhs of the eliminated system
                 rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
                 rc_sc = sigma * mu - tau * kappa - corr
                 wdw = [w @ dr @ w for w, dr in zip(W, d_res)]
                 r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * ws.apply_a(wdw)
-                r2 = -eta_f * f_res
                 r3 = (-eta_f * g_res + ws.inner(ws.C, rc_mat)
                       + eta_f * ws.inner(ws.C, wdw) + rc_sc / tau)
-                rhs = np.column_stack([np.concatenate([r1, r2]),
-                                       np.concatenate([h + ws.b, ws.f])])
-                if not np.all(np.isfinite(rhs)) or not np.all(np.isfinite(K)):
+                rhs = np.column_stack([r1, h + ws.b])
+                if not np.all(np.isfinite(rhs)) or not np.all(np.isfinite(M)):
                     raise np.linalg.LinAlgError("non-finite Newton system")
                 try:
-                    sols = np.linalg.solve(K, rhs)
-                    # one refinement step: near a degenerate optimum K is
+                    sols = np.linalg.solve(M, rhs)
+                    # one refinement step: near a degenerate optimum M is
                     # singular to working precision
-                    sols = sols + np.linalg.solve(K, rhs - K @ sols)
+                    sols = sols + np.linalg.solve(M, rhs - M @ sols)
                 except np.linalg.LinAlgError:
                     sols = np.full_like(rhs, np.nan)
                 if not np.all(np.isfinite(sols)):
-                    ridge = 1e-12 * (1 + abs(np.trace(K[:m, :m])) / m)
-                    Kr = K + ridge * np.eye(m + k)
-                    sols = np.linalg.solve(Kr, rhs)
+                    ridge = 1e-12 * (1 + abs(np.trace(M)) / m)
+                    sols = np.linalg.solve(M + ridge * np.eye(m), rhs)
                     if not np.all(np.isfinite(sols)):
                         raise np.linalg.LinAlgError("singular Newton system")
-                g_vec, q_vec = sols[:, 0], sols[:, 1]
-                g1, g2 = g_vec[:m], g_vec[m:]
-                q1, q2 = q_vec[:m], q_vec[m:]
-                denom = float((ws.b - h) @ q1) - float(ws.f @ q2) + c0 + kappa / tau
-                numer = r3 - float((ws.b - h) @ g1) + float(ws.f @ g2)
+                g, q = sols[:, 0], sols[:, 1]
+                denom = float((ws.b - h) @ q) + c0 + kappa / tau
+                numer = r3 - float((ws.b - h) @ g)
                 dtau = numer / denom if abs(denom) > 1e-300 else 0.0
-                dy = g1 + q1 * dtau
-                du = g2 + q2 * dtau
+                dy = g + q * dtau
                 dS = [-eta_f * dr - a + c * dtau
                       for dr, a, c in zip(d_res, ws.apply_at(dy), ws.C)]
                 dX = [_sym(rc - w @ ds @ w) for rc, w, ds in zip(rc_mat, W, dS)]
                 dkappa = (rc_sc - kappa * dtau) / tau
-                return dX, [_sym(ds) for ds in dS], dy, du, dtau, dkappa
+                return dX, [_sym(ds) for ds in dS], dy, dtau, dkappa
 
             def boundary(dX, dS, dtau, dkappa):
                 alpha = min([np.inf] + [_max_step(x, dx) for x, dx in zip(X, dX)]
@@ -309,7 +272,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                     alpha = min(alpha, -kappa / dkappa)
                 return alpha
 
-            dXa, dSa, dya, dua, dtaua, dkappaa = newton(1.0, 0.0, 0.0)
+            dXa, dSa, dya, dtaua, dkappaa = newton(1.0, 0.0, 0.0)
             if not (np.isfinite(dtaua) and np.isfinite(dkappaa)) \
                     or max(abs(dtaua), abs(dkappaa)) > 1e100:
                 status = SdpStatus.ILL_CONDITIONED
@@ -322,11 +285,11 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             ratio = min(gap_aff / (mu * (ws.n_tot + 1)), 1.0)
             sigma = min(0.99, max(1e-9, ratio ** 3))
             corr = dtaua * dkappaa
-            dX, dS, dy, du, dtau, dkappa = newton(1.0 - sigma, sigma, corr)
+            dX, dS, dy, dtau, dkappa = newton(1.0 - sigma, sigma, corr)
             alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
             if alpha < 0.05:
                 # jammed near the boundary: take a recentering step instead
-                dX, dS, dy, du, dtau, dkappa = newton(1.0 - 0.8, 0.8, 0.0)
+                dX, dS, dy, dtau, dkappa = newton(1.0 - 0.8, 0.8, 0.0)
                 alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
         except np.linalg.LinAlgError:
             status = SdpStatus.ILL_CONDITIONED
@@ -340,28 +303,26 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         X = [_sym(x + alpha * dx) for x, dx in zip(X, dX)]
         S = [_sym(s + alpha * ds) for s, ds in zip(S, dS)]
         y = y + alpha * dy
-        u = u + alpha * du
         tau += alpha * dtau
         kappa += alpha * dkappa
 
     if status in (SdpStatus.MAX_ITERATIONS, SdpStatus.ILL_CONDITIONED) and best is not None:
-        X, S, y, u, tau, kappa, pobj, dobj, rel_p, rel_d, rel_g = best
+        X, y, tau, rel_p, rel_d, rel_g = best
 
     if status is SdpStatus.PRIMAL_INFEASIBLE:
         scale = float(ws.b @ y)
         return SdpSolution(status, np.inf, ws.unstack([x / max(tau, 1e-300) for x in X]),
-                           y / scale, u, np.inf, it,
+                           y / scale, np.inf, it,
                            {"certificate": "b.y = 1, A*(y) <= 0"})
     if status is SdpStatus.DUAL_INFEASIBLE:
-        cx = ws.inner(ws.C, X) + (float(ws.f @ u) if k else 0.0)
-        return SdpSolution(status, -np.inf, ws.unstack([x / (-cx) for x in X]), y, u,
+        cx = ws.inner(ws.C, X)
+        return SdpSolution(status, -np.inf, ws.unstack([x / (-cx) for x in X]), y,
                            -np.inf, it, {"certificate": "C.X = -1, A(X) = 0, X >= 0"})
 
     xs = [x / tau for x in X]
     ys = y / tau
-    us = u / tau
-    pobj_f = ws.inner(ws.C, xs) + (float(ws.f @ us) if k else 0.0)
+    pobj_f = ws.inner(ws.C, xs)
     dobj_f = float(ws.b @ ys)
     res = {"rel_primal": rel_p, "rel_dual": rel_d, "rel_gap": rel_g,
            "primal_objective": pobj_f, "dual_objective": dobj_f}
-    return SdpSolution(status, pobj_f, ws.unstack(xs), ys, us, pobj_f - dobj_f, it, res)
+    return SdpSolution(status, pobj_f, ws.unstack(xs), ys, pobj_f - dobj_f, it, res)

