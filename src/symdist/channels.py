@@ -31,7 +31,14 @@ Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class CpMap:
-    """Completely positive map stored as a Choi matrix."""
+    """Completely positive map stored as a Choi matrix.
+
+    The PSD test decomposes the Choi matrix once.  When every off-diagonal
+    input block <i|choi|j> (i != j) is exactly zero, as for measure-prepare
+    maps with diagonal effects, it decomposes the d_in diagonal blocks of
+    size d_out instead: a block-diagonal spectrum is the union of its
+    blocks' spectra.
+    """
     choi: Array = field(repr=False)
     d_in: int
     d_out: int
@@ -41,7 +48,11 @@ class CpMap:
         if c.shape[0] != self.d_in * self.d_out:
             raise DimensionMismatchError(
                 f"choi has dim {c.shape[0]}, expected {self.d_in * self.d_out}")
-        wmin = np.linalg.eigvalsh(c).min(initial=0.0)
+        idx = np.arange(self.d_in)
+        blocks = c.reshape(self.d_in, self.d_out, self.d_in, self.d_out)[idx, :, idx, :]
+        if np.count_nonzero(blocks) < np.count_nonzero(c):
+            blocks = c
+        wmin = np.linalg.eigvalsh(blocks).min(initial=0.0)
         scale = max(1.0, float(np.abs(c).max(initial=0.0)))
         if wmin < -TOLS.density * scale:
             raise NotPsdError(f"choi matrix has eigenvalue {wmin:.3e}")
@@ -198,7 +209,7 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
 # --- dilution channels ----------------------------------------------------------
 
 def _clamped_state(m: Array, tol: float = 1e-8) -> Array:
-    w, v = linalg.eig(m)
+    w, v = np.linalg.eigh(m)  # m is built from validated states
     if w.min(initial=0.0) < -tol:
         raise MTooSmallError(
             f"prepared state has eigenvalue {w.min():.3e}; M below the exact cost")
@@ -256,13 +267,13 @@ def dilute_channel_cds(target: QuantumBox, M: float) -> CdsMap:
 
 def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     """Exact CDS conversion from an infinite-resource box to any box."""
-    from .divergences import _orthogonal_supports, p_err
+    from .divergences import _support_if_orthogonal, p_err
     if p_err(source) > TOLS.infinite_perr:
         raise NotInfiniteResourceError("source box has positive p_err")
     q = target.p
     s0, s1 = target.rho0, target.rho1
-    if _orthogonal_supports(source.rho0, source.rho1):
-        lam = linalg.support_projector(source.rho0)
+    lam = _support_if_orthogonal(source.rho0, source.rho1)
+    if lam is not None:
         eye = np.eye(source.dim)
         e0 = measure_prepare([lam, eye - lam], [q * s0, (1 - q) * s1])
         e1 = measure_prepare([eye - lam, lam], [q * s0, (1 - q) * s1])

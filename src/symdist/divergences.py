@@ -144,14 +144,18 @@ def _golden_min(f, hi: float) -> float:
     return min(f(0.0), f(hi), fc, fd)
 
 
-def _orthogonal_supports(rho0: Array, rho1: Array) -> bool:
+def _support_if_orthogonal(rho0: Array, rho1: Array) -> Array | None:
+    """The projector P0 onto supp rho0 when Tr(P0 rho1) <= ``TOLS.support``
+    (orthogonal supports), else None; one eigendecomposition of rho0."""
     proj = linalg.support_projector(rho0)
-    return float(np.trace(proj @ rho1).real) <= TOLS.support
+    if float(np.vdot(proj, rho1).real) <= TOLS.support:
+        return proj
+    return None
 
 
 def xi_min(rho0: Array, rho1: Array) -> float:
     """-log2 Q_min; infinite exactly on orthogonal-support pairs."""
-    if _orthogonal_supports(rho0, rho1):
+    if _support_if_orthogonal(rho0, rho1) is not None:
         return INF
     v = q_min(rho0, rho1).value
     if v <= 0.0:
@@ -161,31 +165,67 @@ def xi_min(rho0: Array, rho1: Array) -> float:
 
 # --- max-relative entropy and Thompson metric --------------------------------
 
-def d_max(rho: Array, sigma: Array) -> float:
-    """inf{lam : rho <= 2^lam sigma}; inf if supp(rho) escapes supp(sigma).
+def _psd_eig(m: Array) -> linalg.EigenDecomposition:
+    """eigh of a validated d_max argument, which must be PSD."""
+    w, v = np.linalg.eigh(m)
+    if w.min(initial=0.0) < -TOLS.density:
+        raise NotPsdError("d_max arguments must be PSD")
+    return linalg.EigenDecomposition(w, v)
 
-    Subnormalized PSD arguments are allowed.
+
+def _d_max(rho: Array, sigma: linalg.EigenDecomposition) -> float:
+    """d_max(rho || sigma) from the spectrum of sigma.
+
+    With V+ the eigenvectors of sigma above ``TOLS.psd_clamp`` and w+ their
+    eigenvalues, the support test reads Tr((I - P) rho) off the remaining
+    eigenvectors, and lambda_max(sigma^(-1/2) rho sigma^(-1/2)) is the
+    lambda_max of the k x k matrix B^dag rho B, B = V+ diag(w+^(-1/2)).
     """
-    rho = linalg.hermitian(rho)
-    sigma = linalg.hermitian(sigma)
-    for m_ in (rho, sigma):
-        if np.linalg.eigvalsh(m_).min(initial=0.0) < -TOLS.density:
-            raise NotPsdError("d_max arguments must be PSD")
-    proj = linalg.support_projector(sigma)
-    outside = float(np.trace((np.eye(len(rho)) - proj) @ rho).real)
+    w, v = sigma
+    clamp = TOLS.psd_clamp
+    kernel = v[:, np.abs(w) <= clamp]
+    outside = float(np.vdot(kernel, rho @ kernel).real)
     if outside > TOLS.support:
         return INF
-    inv_sqrt = linalg.pseudo_inverse_sqrt(sigma)
-    op = inv_sqrt @ proj @ rho @ proj @ inv_sqrt
-    lam_max = float(np.linalg.eigvalsh(linalg.hermitian(op)).max(initial=0.0))
+    if w.min(initial=0.0) < -clamp:
+        raise NotPsdError(f"eigenvalue {w.min():.3e} below -{clamp:.1e}")
+    pos = w > clamp
+    b = v[:, pos] * w[pos] ** -0.5
+    lam_max = float(np.linalg.eigvalsh(b.conj().T @ rho @ b).max(initial=0.0))
     if lam_max <= 0.0:
         return -INF  # rho vanishes on the support of sigma
     return math.log2(lam_max)
 
 
+def d_max(rho: Array, sigma: Array) -> float:
+    """inf{lam : rho <= 2^lam sigma}; inf if supp(rho) escapes supp(sigma).
+
+    Subnormalized PSD arguments are allowed.  Decomposes sigma once (``eigh``)
+    and takes ``eigvalsh`` of rho for its PSD test and of one rank(sigma)-sized
+    matrix for the largest eigenvalue.
+    """
+    rho = linalg.hermitian(rho)
+    sigma = linalg.hermitian(sigma)
+    if np.linalg.eigvalsh(rho).min(initial=0.0) < -TOLS.density:
+        raise NotPsdError("d_max arguments must be PSD")
+    return _d_max(rho, _psd_eig(sigma))
+
+
 def thompson(rho0: Array, rho1: Array) -> float:
-    """Thompson metric: max of the two one-sided max-relative entropies."""
-    return max(d_max(rho0, rho1), d_max(rho1, rho0))
+    """Thompson metric: max of the two one-sided max-relative entropies.
+
+    Two ``eigh`` (one per argument, shared by both directions) and two
+    ``eigvalsh`` of rank-sized matrices.
+    """
+    rho0 = linalg.hermitian(rho0)
+    rho1 = linalg.hermitian(rho1)
+    eig0, eig1 = _psd_eig(rho0), _psd_eig(rho1)
+    return max(_d_max(rho0, eig1), _d_max(rho1, eig0))
+
+
+def xi_of(q: float) -> float:
+    """log2 of a Q_max-type golden-unit size, inf staying inf."""
+    return INF if math.isinf(q) else _nonneg(math.log2(q))
 
 
 def q_max(rho0: Array, rho1: Array) -> float:
@@ -196,8 +236,7 @@ def q_max(rho0: Array, rho1: Array) -> float:
 
 
 def xi_max(rho0: Array, rho1: Array) -> float:
-    v = q_max(rho0, rho1)
-    return INF if math.isinf(v) else _nonneg(math.log2(v))
+    return xi_of(q_max(rho0, rho1))
 
 
 def q_max_star(b: "QuantumBox") -> float:
@@ -215,41 +254,35 @@ def q_max_star(b: "QuantumBox") -> float:
 
 
 def xi_max_star(b: "QuantumBox") -> float:
-    v = q_max_star(b)
-    return INF if math.isinf(v) else _nonneg(math.log2(v))
+    return xi_of(q_max_star(b))
 
 
 # --- Chernoff divergence ------------------------------------------------------
-
-def _chernoff_objective(rho0: Array, rho1: Array):
-    w0, v0 = linalg.eig(rho0)
-    w1, v1 = linalg.eig(rho1)
-    clamp = TOLS.psd_clamp
-    keep0 = w0 > clamp
-    keep1 = w1 > clamp
-    w0, v0 = w0[keep0], v0[:, keep0]
-    w1, v1 = w1[keep1], v1[:, keep1]
-    overlap = np.abs(v0.conj().T @ v1) ** 2
-    if overlap.size == 0:
-        return None
-
-    def f(s: float) -> float:
-        return float((w0 ** s) @ overlap @ (w1 ** (1.0 - s)))
-
-    return f
-
 
 def chernoff(rho0: Array, rho1: Array) -> float:
     """-log2 min_{s in [0,1]} Tr[rho0^s rho1^(1-s)] by golden-section search.
 
     The objective is convex in s; the search includes both endpoints.
-    Returns inf iff the supports are orthogonal.
+    Returns inf iff the supports are orthogonal.  One ``eigh`` per state:
+    with O_ij = |<v0_i|v1_j>|^2, the objective is w0^s O w1^(1-s) over the
+    eigenvalues above ``TOLS.psd_clamp``, and the support test
+    Tr(P0 rho1) = sum_{i in supp rho0} sum_j O_ij w1_j reads the same O.
     """
-    if _orthogonal_supports(rho0, rho1):
+    w0, v0 = np.linalg.eigh(linalg.hermitian(rho0))
+    w1, v1 = np.linalg.eigh(linalg.hermitian(rho1))
+    overlap = np.abs(v0.conj().T @ v1) ** 2
+    clamp = TOLS.psd_clamp
+    if float((overlap[np.abs(w0) > clamp] @ w1).sum()) <= TOLS.support:
         return INF
-    f = _chernoff_objective(rho0, rho1)
-    if f is None:
+    keep0, keep1 = w0 > clamp, w1 > clamp
+    overlap = overlap[np.ix_(keep0, keep1)]
+    if overlap.size == 0:
         return INF
+    w0, w1 = w0[keep0], w1[keep1]
+
+    def f(s: float) -> float:
+        return float((w0 ** s) @ overlap @ (w1 ** (1.0 - s)))
+
     q = _golden_min(f, 1.0)
     if q <= TOLS.infinite_perr:
         return INF

@@ -1,9 +1,10 @@
 """Dense Hermitian linear algebra: spectral calculus, trace norms, tensors.
 
-Everything here works on plain complex numpy arrays validated by
-:func:`hermitian`.  Spectral functions follow the support convention
-0**0 = 0, i.e. they act on the support only, matching the pseudo-inverse
-convention used by the pretty good measurement.
+Every public function validates its argument with :func:`hermitian`;
+matrices rebuilt here from a validated spectrum are only symmetrized.
+Spectral functions follow the support convention 0**0 = 0, i.e. they act on
+the support only, matching the pseudo-inverse convention used by the pretty
+good measurement.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ def hermitian(a, tol: float | None = None) -> Array:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if tol is None:
         tol = TOLS.asymmetry
+    ah = a.conj().T
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
+    asym = float(np.abs(a - ah).max(initial=0.0))
     if asym > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
-    return (a + a.conj().T) / 2
+    return (a + ah) / 2
 
 
 class EigenDecomposition(NamedTuple):
@@ -55,7 +57,8 @@ def _spectral(h: Array, fn, clamp_tol: float | None = None, require_psd: bool = 
         if w.min(initial=0.0) < -clamp_tol:
             raise NotPsdError(f"eigenvalue {w.min():.3e} below -{clamp_tol:.1e}")
         w = np.maximum(w, 0.0)
-    return hermitian((v * fn(w)) @ v.conj().T)
+    out = (v * fn(w)) @ v.conj().T
+    return (out + out.conj().T) / 2  # symmetrized, not re-validated
 
 
 def matrix_power(h: Array, s: float, clamp_tol: float | None = None) -> Array:

@@ -137,9 +137,12 @@ class _Workspace:
         if not all(np.all(np.isfinite(x)) for x in data):
             raise SolverError("problem data has a non-finite entry")
         self.n_tot = sum(self.dims)
-        self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-        self.norm_c = max(1.0, max(float(np.linalg.norm(c, axis=(1, 2)).max())
-                                   for c in self.C))
+        with np.errstate(over="ignore"):
+            self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
+            self.norm_c = max(1.0, max(float(np.linalg.norm(c, axis=(1, 2)).max())
+                                       for c in self.C))
+        if not (np.isfinite(self.norm_b) and np.isfinite(self.norm_c)):
+            raise SolverError("problem data norm overflows")
 
     # linear maps ---------------------------------------------------------
     def apply_a(self, xs: list[Array]) -> Array:

@@ -21,9 +21,8 @@ from . import channels, linalg, model
 from .boxes import QuantumBox, golden_box
 from .channels import CdsMap, CpMap, measure_prepare
 from .config import TOLS
-from .divergences import (_orthogonal_supports, chernoff, p_err, q_max,
-                          q_max_star, q_min, q_min_eps, sd, thompson, xi_max,
-                          xi_max_star)
+from .divergences import (_support_if_orthogonal, chernoff, p_err, q_max,
+                          q_max_star, q_min, q_min_eps, sd, thompson, xi_of)
 from .exceptions import ParameterRangeError, SolverError
 from .model import Model, channel_output, ptrace_out, times, trace
 from .sdp import SdpStatus, SolverOptions
@@ -56,7 +55,7 @@ def distill_exact(b: QuantumBox, regime: str) -> TaskResult:
         if b.p <= 0.0 or b.p >= 1.0:
             return TaskResult(INF, None, {"reason": "singular prior"})
         qm = q_min(b.rho0, b.rho1)
-        if _orthogonal_supports(b.rho0, b.rho1) or qm.value <= 0.0:
+        if qm.value <= 0.0 or _support_if_orthogonal(b.rho0, b.rho1) is not None:
             value = INF
         else:
             value = max(-math.log2(qm.value), 0.0)
@@ -71,21 +70,23 @@ def distill_exact(b: QuantumBox, regime: str) -> TaskResult:
 
 
 def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
+    """Exact dilution cost xi_max (cptpA) or xi_max_star (cds) with its
+    dilution channel.  The Thompson metric is evaluated once (two ``eigh``,
+    two ``eigvalsh``); the witness adds one ``eigh`` per prepared state and
+    a PSD test on each input block of its Choi matrix."""
     _check_regime(regime)
     if regime == CPTPA:
         if b.p <= 0.0 or b.p >= 1.0:
             return TaskResult(0.0, None, {"reason": "singular prior"})
         big_m = q_max(b.rho0, b.rho1)
-        value = xi_max(b.rho0, b.rho1)
         if math.isinf(big_m):
             return TaskResult(INF, None, {})
-        return TaskResult(value, channels.dilute_channel_cptpA(b, big_m),
+        return TaskResult(xi_of(big_m), channels.dilute_channel_cptpA(b, big_m),
                           {"q_max": big_m})
     big_m = q_max_star(b)
-    value = xi_max_star(b)
     if math.isinf(big_m):
         return TaskResult(INF, None, {})
-    return TaskResult(value, channels.dilute_channel_cds(b, big_m),
+    return TaskResult(xi_of(big_m), channels.dilute_channel_cds(b, big_m),
                       {"q_max_star": big_m})
 
 
@@ -108,9 +109,9 @@ def _exact_cptpA_conversion(source: QuantumBox, target: QuantumBox) -> CpMap | N
         return measure_prepare([np.eye(source.dim)], [target.rho1])
     if target.p >= 1.0 - TOLS.infinite_perr:
         return measure_prepare([np.eye(source.dim)], [target.rho0])
-    if not _orthogonal_supports(source.rho0, source.rho1):
+    proj = _support_if_orthogonal(source.rho0, source.rho1)
+    if proj is None:
         return None
-    proj = linalg.support_projector(source.rho0)
     return measure_prepare([proj, np.eye(source.dim) - proj],
                            [target.rho0, target.rho1])
 
@@ -202,7 +203,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         return TaskResult(sd(b) + math.log2(1.0 + eps))
     if not 0.0 < b.p < 1.0:
         return TaskResult(INF, None, {"reason": "singular prior"})
-    if _orthogonal_supports(b.rho0, b.rho1):
+    if _support_if_orthogonal(b.rho0, b.rho1) is not None:
         return TaskResult(INF, None, {"reason": "orthogonal supports"})
     r_star = q_min_eps(b, eps)
     if r_star <= TOLS.infinite_perr:

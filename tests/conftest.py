@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,25 @@ def no_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sdp.solve called on a solver-free path")
     monkeypatch.setattr(sdp, "solve", refuse)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count ``np.linalg.eigh``/``eigvalsh`` calls by (name, size), so a test
+    can pin how often a closed form decomposes an operator."""
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            counts[name, np.shape(a)[-1]] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return counts
 
 
 def random_hermitian(d, rng, real=False):

@@ -25,7 +25,7 @@ import numpy as np
 from symdist import model
 from symdist.boxes import KET0, KET1, QuantumBox
 from symdist.config import TOLS
-from symdist.divergences import _nonneg, _orthogonal_supports, p_err
+from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Model, inner, kron_left, kron_right, times, trace
 from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime,
@@ -155,7 +155,7 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
         raise ParameterRangeError("eps must be nonnegative")
     if regime == CPTPA and not 0.0 < b.p < 1.0:
         return TaskResult(INF, None, {"reason": "singular prior"})
-    if regime == CPTPA and _orthogonal_supports(b.rho0, b.rho1):
+    if regime == CPTPA and _support_if_orthogonal(b.rho0, b.rho1) is not None:
         return TaskResult(INF, None, {"reason": "orthogonal supports"})
     if regime == CDS and p_err(b) <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"reason": "infinite resource"})

@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from symdist import channels, linalg
 from symdist.boxes import KET0, KET1, QuantumBox, golden_box, random_box, random_density
-from symdist.channels import (CdsMap, apply_cds, apply_cptp,
+from symdist.channels import (CdsMap, CpMap, apply_cds, apply_cptp,
                               cptp_as_cds, dilute_channel_cds,
                               dilute_channel_cptpA, distill_channel_cds,
                               distill_channel_cptpA, gad_channel,
                               golden_majorize, helstrom_povm, identity_map,
                               inf_to_any, measure_prepare, pgm, random_cds,
                               random_cptp)
+from symdist.config import TOLS
 from symdist.divergences import p_err, q_max, q_max_star, q_min
 from symdist.exceptions import (InfiniteResourceError, MTooSmallError,
                                 NotMajorizedError, NotInfiniteResourceError,
-                                ParameterRangeError)
+                                NotPsdError, ParameterRangeError)
 
 from conftest import box_distance
 
@@ -235,3 +237,57 @@ def test_constructed_channels_pass_validity(rng):
     distill_channel_cds(b)
     dilute_channel_cptpA(b, q_max(b.rho0, b.rho1) + 0.1)
     dilute_channel_cds(b, q_max_star(b) + 0.1)
+
+
+# --- PSD test of block-diagonal Choi matrices -----------------------------------
+
+@pytest.mark.parametrize("d_in", [2, 3])
+def test_cp_map_block_psd_test_matches_full(d_in, rng, decompositions):
+    """A Choi matrix with zero off-diagonal input blocks is tested block by
+    block, and the decision is the full spectrum's."""
+    d_out, trials = 3, 40
+    decisions = set()
+    for _ in range(trials):
+        choi = block_diag(*(random_density(d_out, rng)
+                            + rng.uniform(-0.1, 0.1) * np.eye(d_out)
+                            for _ in range(d_in)))
+        scale = max(1.0, np.abs(choi).max())
+        full = np.linalg.eigvalsh(choi).min() >= -TOLS.density * scale
+        try:
+            CpMap(choi, d_in, d_out)
+            block = True
+        except NotPsdError:
+            block = False
+        assert block == full
+        decisions.add(full)
+    assert decisions == {True, False}
+    assert decompositions == {("eigvalsh", d_out): trials,
+                              ("eigvalsh", d_in * d_out): trials}
+
+
+@pytest.mark.parametrize("d_in", [2, 3])
+def test_cp_map_block_path_rejects_small_negative_eigenvalue(d_in, rng):
+    d_out = 3
+    blocks = [random_density(d_out, rng) for _ in range(d_in)]
+    w, v = np.linalg.eigh(blocks[-1])
+    w[0] = -1e-6
+    blocks[-1] = (v * w) @ v.conj().T
+    with pytest.raises(NotPsdError):
+        CpMap(block_diag(*blocks), d_in, d_out)
+
+
+@pytest.mark.parametrize("coupling, psd", [(0.5, True), (2.0, False)])
+def test_cp_map_coupled_blocks_take_full_path(coupling, psd, decompositions):
+    """One nonzero off-diagonal input block (with its adjoint) sends the
+    test to the full spectrum: here every diagonal block is PSD, and the
+    full matrix is PSD only for the weaker coupling."""
+    d_in, d_out = 3, 2
+    choi = np.eye(d_in * d_out, dtype=complex)
+    c4 = choi.reshape(d_in, d_out, d_in, d_out)
+    c4[0, :, 1, :] = c4[1, :, 0, :] = coupling * np.eye(d_out)
+    if psd:
+        CpMap(choi, d_in, d_out)
+    else:
+        with pytest.raises(NotPsdError):
+            CpMap(choi, d_in, d_out)
+    assert decompositions == {("eigvalsh", d_in * d_out): 1}

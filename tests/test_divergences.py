@@ -6,7 +6,8 @@ from scipy.optimize import minimize_scalar
 
 from symdist import divergences as dv
 from symdist import linalg, tasks
-from symdist.boxes import QuantumBox, golden_box, random_box, random_density
+from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
+                           tensor_box)
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
 
 from oracles import distill_approx_program, p_err_sdp, scaled_trace_distance_sdp
@@ -118,6 +119,15 @@ def test_d_max_examples(rng):
     assert dv.d_max(rho, rho) == pytest.approx(0.0, abs=1e-9)
     assert dv.d_max(np.diag([0.5, 0.5]), np.diag([0.75, 0.25])) == pytest.approx(1.0)
     assert math.isinf(dv.d_max(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    # rank-deficient sigma holding supp rho: the sandwiched operator
+    # sigma^(-1/2) rho sigma^(-1/2) built from the linalg functions
+    for _ in range(5):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        sigma = (u * [0.0, 0.0, 0.3, 0.7]) @ u.conj().T
+        rho = u[:, 2:] @ random_density(2, rng) @ u[:, 2:].conj().T
+        s = linalg.pseudo_inverse_sqrt(sigma)
+        lam = np.linalg.eigvalsh(linalg.hermitian(s @ rho @ s)).max()
+        assert dv.d_max(rho, sigma) == pytest.approx(math.log2(lam), abs=1e-9)
 
 
 def test_thompson_examples(rng):
@@ -172,6 +182,13 @@ def test_q_max_star_examples(rng):
     assert math.isinf(dv.q_max_star(QuantumBox(0.0, rho, rho)))
 
 
+def test_thompson_decomposes_each_state_once(decompositions):
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    dv.thompson(b.rho0, b.rho1)
+    assert decompositions == {("eigh", 8): 2, ("eigvalsh", 8): 2}
+
+
 # --- Chernoff ---------------------------------------------------------------------
 
 def test_chernoff_examples(rng):
@@ -205,6 +222,26 @@ def test_chernoff_additivity(rng):
         r0, r1 = random_density(2, rng), random_density(2, rng)
         doubled = dv.chernoff(linalg.tensor(r0, r0), linalg.tensor(r1, r1))
         assert doubled == pytest.approx(2 * dv.chernoff(r0, r1), abs=1e-8)
+
+
+def test_chernoff_decomposes_each_state_once(decompositions):
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    dv.chernoff(b.rho0, b.rho1)
+    assert decompositions == {("eigh", 8): 2}
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.xfail(
+    strict=True, reason="lambda_min(rho0^(x)9) = 4.1e-11 falls under the "
+    "absolute TOLS.psd_clamp = 1e-10, so d_max(rho1 || rho0) reads inf"))])
+def test_closed_forms_additive_on_tensor_powers(n):
+    """d_max (both directions), thompson and chernoff are additive on
+    tensor powers of one box."""
+    b1 = random_box(2, np.random.default_rng(7))
+    b = tensor_box(b1, n)
+    for f in (dv.d_max, lambda r0, r1: dv.d_max(r1, r0), dv.thompson, dv.chernoff):
+        assert f(b.rho0, b.rho1) == pytest.approx(n * f(b1.rho0, b1.rho1),
+                                                  rel=1e-8, abs=0.0)
 
 
 # --- scaled trace distance -----------------------------------------------------------

@@ -54,6 +54,14 @@ def test_non_finite_data_raises_solver_error():
         m.solve()
 
 
+@pytest.mark.parametrize("c, b", [(np.eye(2), 1e155), (1e155 * np.eye(2), 1.0)])
+def test_overflowing_data_raises_solver_error(c, b):
+    """Finite data whose norm overflows would start from an infinite point
+    and break the first iteration; the solver refuses it up front."""
+    with pytest.raises(SolverError, match="overflows"):
+        sdp.solve(sdp.SdpProblem([2], [c], [([np.eye(2)], b)]))
+
+
 def test_unbounded_toy():
     m = Model()
     x = m.psd_var("x", 2)

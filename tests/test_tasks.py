@@ -7,7 +7,8 @@ from scipy.optimize import linprog
 
 from symdist import divergences as dv
 from symdist import tasks
-from symdist.boxes import QuantumBox, golden_box, random_box, random_density
+from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
+                           tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.exceptions import ParameterRangeError
 from symdist.tasks import CDS, CPTPA
@@ -82,6 +83,20 @@ def test_cost_witnesses_reach_target(rng):
         res = tasks.cost_exact(b, CDS)
         src = golden_box(2.0 ** res.value, 0.5)
         assert box_distance(_apply_witness(res.witness, src), b) <= 1e-7
+
+
+@pytest.mark.parametrize("regime, eigh_max, eigvalsh_max",
+                         [(CPTPA, 4, 4), (CDS, 4, 6)])
+def test_cost_exact_decomposes_each_operator_once(decompositions, regime,
+                                                   eigh_max, eigvalsh_max):
+    """One Thompson metric, one eigh per prepared state and a PSD test on
+    the input blocks of each witness Choi; nothing of the Choi size 2d."""
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    tasks.cost_exact(b, regime)
+    assert {size for _, size in decompositions} == {8}
+    assert decompositions["eigh", 8] <= eigh_max
+    assert decompositions["eigvalsh", 8] <= eigvalsh_max
 
 
 def test_one_shot_irreversibility(rng):
