@@ -25,15 +25,17 @@ KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _validated_state(a, tol: float) -> Array:
-    a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
+def _validated_state(a, tol: float):
+    """A unit-trace PSD state, dense or block by block."""
+    op = linalg.BlockOp.of(a)
+    if not all(np.all(np.isfinite(b)) for b in op.blocks):
         raise ValueError("state has a non-finite entry")
-    h = linalg.hermitian(a)
-    w = np.linalg.eigvalsh(h)
-    if w.min(initial=0.0) < -tol:
-        raise NotPsdError(f"state has eigenvalue {w.min():.3e}")
-    tr = float(np.trace(h).real)
+    h = linalg.hermitian(op)
+    wmin = min(float(np.linalg.eigvalsh(b).min(initial=0.0))
+               for b in linalg.BlockOp.of(h).blocks)
+    if wmin < -tol:
+        raise NotPsdError(f"state has eigenvalue {wmin:.3e}")
+    tr = linalg.trace(h)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"state trace {tr!r} differs from 1 beyond {tol:.1e}")
     return h / tr
@@ -41,6 +43,8 @@ def _validated_state(a, tol: float) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class QuantumBox:
+    """A box; its states are dense matrices or ``linalg.BlockOp`` operators
+    (``tensor_box`` of a qubit box)."""
     p: float
     rho0: Array = field(repr=False)
     rho1: Array = field(repr=False)
@@ -66,12 +70,12 @@ class QuantumBox:
         return self.p * self.rho0, (1.0 - self.p) * self.rho1
 
     def cq_operator(self) -> Array:
-        """Block embedding p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1."""
+        """Dense embedding p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1."""
         w0, w1 = self.weighted()
         d = self.dim
         out = np.zeros((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = w0
-        out[d:, d:] = w1
+        out[:d, :d] = np.asarray(w0)
+        out[d:, d:] = np.asarray(w1)
         return out
 
 
@@ -113,12 +117,15 @@ def is_infinite_resource(b: QuantumBox, tol: float | None = None) -> bool:
 
 
 def tensor_box(b: QuantumBox, n: int, cap: int | None = None) -> QuantumBox:
+    """n copies of b.  A qubit box gives states in Schur-Weyl block form
+    (``linalg.schur_weyl_power``: blocks of size at most n + 1); a larger
+    one gives dense Kronecker powers."""
     if cap is None:
         cap = TOLS.dimension_cap
     if b.dim ** n > cap:
         raise DimensionCapError(f"dimension {b.dim}^{n} exceeds cap {cap}")
-    return QuantumBox(b.p, linalg.tensor_power(b.rho0, n),
-                      linalg.tensor_power(b.rho1, n))
+    power = linalg.schur_weyl_power if b.dim == 2 else linalg.tensor_power
+    return QuantumBox(b.p, power(b.rho0, n), power(b.rho1, n))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -135,8 +142,9 @@ def _matrix_from_json(rows, name: str) -> Array:
 
 
 def box_to_json(b: QuantumBox) -> str:
-    return json.dumps({"p": b.p, "rho0": _matrix_to_json(b.rho0),
-                       "rho1": _matrix_to_json(b.rho1)})
+    """JSON of the dense states."""
+    return json.dumps({"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
+                       "rho1": _matrix_to_json(np.asarray(b.rho1))})
 
 
 def box_from_json(text: str) -> QuantumBox:

@@ -9,6 +9,11 @@ E(rho) = Tr_in[(rho^T (x) I) choi].  A CDS map holds two completely
 positive branches: ``e0`` keeps the classical label, ``e1`` flips it;
 their Choi matrices must sum to a trace-preserving map.  A channel acting
 on the quantum register alone is the ``e1 = 0`` special case.
+
+A map into or out of a qubit tensor power in block form (``linalg.BlockOp``)
+holds its Choi matrix in block form too: one block per irreducible block of
+the structured side, tensored with the other, dense side.  Validation and
+application then run block by block.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .linalg import BlockOp
 from .boxes import KET0, KET1, PAULI_X, QuantumBox
 from .config import TOLS
 from .exceptions import (DimensionMismatchError, InfiniteResourceError,
@@ -29,47 +35,64 @@ from .exceptions import (DimensionMismatchError, InfiniteResourceError,
 Array = np.ndarray
 
 
+def _min_eigenvalue(c: Array, d_in: int, d_out: int) -> float:
+    """Least eigenvalue of a Choi matrix on C^d_in (x) C^d_out.  When every
+    off-diagonal input block <i|c|j> (i != j) is exactly zero, as for
+    measure-prepare maps with diagonal effects, it decomposes the d_in
+    diagonal blocks of size d_out instead: a block-diagonal spectrum is the
+    union of its blocks' spectra."""
+    idx = np.arange(d_in)
+    blocks = c.reshape(d_in, d_out, d_in, d_out)[idx, :, idx, :]
+    if np.count_nonzero(blocks) < np.count_nonzero(c):
+        blocks = c
+    return np.linalg.eigvalsh(blocks).min(initial=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class CpMap:
-    """Completely positive map stored as a Choi matrix.
+    """Completely positive map stored as a Choi matrix, dense or in block
+    form.
 
-    The PSD test decomposes the Choi matrix once.  When every off-diagonal
-    input block <i|choi|j> (i != j) is exactly zero, as for measure-prepare
-    maps with diagonal effects, it decomposes the d_in diagonal blocks of
-    size d_out instead: a block-diagonal spectrum is the union of its
-    blocks' spectra.
+    The PSD test decomposes each block of the Choi matrix once, or its
+    input-diagonal blocks when it is block diagonal in the input
+    (``_min_eigenvalue``).
     """
-    choi: Array = field(repr=False)
+    choi: Array | BlockOp = field(repr=False)
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        c = linalg.hermitian(self.choi)
-        if c.shape[0] != self.d_in * self.d_out:
+        c = BlockOp.of(linalg.hermitian(self.choi))
+        if c.dim != self.d_in * self.d_out:
             raise DimensionMismatchError(
-                f"choi has dim {c.shape[0]}, expected {self.d_in * self.d_out}")
-        idx = np.arange(self.d_in)
-        blocks = c.reshape(self.d_in, self.d_out, self.d_in, self.d_out)[idx, :, idx, :]
-        if np.count_nonzero(blocks) < np.count_nonzero(c):
-            blocks = c
-        wmin = np.linalg.eigvalsh(blocks).min(initial=0.0)
-        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+                f"choi has dim {c.dim}, expected {self.d_in * self.d_out}")
+        _, split = linalg.bipartite(c, (self.d_in, self.d_out))
+        wmin = min(_min_eigenvalue(b, *dims) for b, dims in zip(c.blocks, split))
+        scale = max(1.0, linalg.max_abs(c))
         if wmin < -TOLS.density * scale:
             raise NotPsdError(f"choi matrix has eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "choi", c)
+        object.__setattr__(self, "choi", c.like(c.blocks))
 
-    def __call__(self, rho: Array) -> Array:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape[0] != self.d_in:
+    def __call__(self, rho):
+        """E(rho) = Tr_in[(rho^T (x) I) choi], block by block.  A map out of
+        a block-form space takes its input in the same block form."""
+        c, r = BlockOp.of(self.choi), BlockOp.of(rho)
+        if r.dim != self.d_in:
             raise DimensionMismatchError(
-                f"input dim {rho.shape[0]} != channel dim {self.d_in}")
-        c4 = self.choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-        return np.einsum("ki,kaib->ab", rho, c4)
+                f"input dim {r.dim} != channel dim {self.d_in}")
+        side, split = linalg.bipartite(c, (self.d_in, self.d_out))
+        if side == 0 and r.layout()[:2] != (c.qubits, (c.pad[0], 1)):
+            c = BlockOp.of(c.dense())       # input in another form: go dense
+            side, split = linalg.bipartite(c, (self.d_in, self.d_out))
+        inputs = r.blocks if side == 0 else [np.asarray(r.dense())] * len(c.blocks)
+        parts = [np.einsum("ki,kaib->ab", x, b.reshape(d1, d2, d1, d2))
+                 for x, b, (d1, d2) in zip(inputs, c.blocks, split)]
+        return linalg.factor(c, None if side == 0 else 1, parts)
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
         tol = TOLS.tp_sum if tol is None else tol
         tr_out = linalg.ptrace(self.choi, (self.d_in, self.d_out), axis=1)
-        return bool(np.abs(tr_out - np.eye(self.d_in)).max() <= tol)
+        return linalg.max_abs(tr_out - linalg.identity_like(tr_out)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +106,7 @@ class CdsMap:
             raise DimensionMismatchError("branch dimensions differ")
         total = self.e0.choi + self.e1.choi
         tr_out = linalg.ptrace(total, (self.e0.d_in, self.e0.d_out), axis=1)
-        if np.abs(tr_out - np.eye(self.e0.d_in)).max() > TOLS.tp_sum:
+        if linalg.max_abs(tr_out - linalg.identity_like(tr_out)) > TOLS.tp_sum:
             raise InvalidChannelError("branch sum is not trace preserving")
 
     @property
@@ -111,15 +134,14 @@ def identity_map(d: int, weight: float = 1.0) -> CpMap:
     return cp_from_kraus([math.sqrt(weight) * np.eye(d)])
 
 
-def measure_prepare(effects: list[Array], states: list[Array],
-                    weight: float = 1.0) -> CpMap:
-    """E(rho) = weight * sum_k Tr(M_k rho) omega_k."""
+def measure_prepare(effects: list, states: list, weight: float = 1.0) -> CpMap:
+    """E(rho) = weight * sum_k Tr(M_k rho) omega_k; effects or states may be
+    in block form."""
     d_in = effects[0].shape[0]
     d_out = states[0].shape[0]
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    choi = 0
     for m, w in zip(effects, states):
-        choi += weight * np.kron(np.asarray(m, dtype=complex).T,
-                                 np.asarray(w, dtype=complex))
+        choi = choi + weight * linalg.tensor(linalg.transpose(m), w)
     return CpMap(choi, d_in, d_out)
 
 
@@ -131,7 +153,7 @@ def cptp_as_cds(e: CpMap) -> CdsMap:
     """Embed a channel on the quantum register as a one-branch CDS map."""
     if not e.is_trace_preserving():
         raise InvalidChannelError("single-branch embedding needs a CPTP map")
-    return CdsMap(e, zero_map(e.d_in, e.d_out))
+    return CdsMap(e, CpMap(0.0 * e.choi, e.d_in, e.d_out))
 
 
 def apply_cds(m: CdsMap, b: QuantumBox) -> QuantumBox:
@@ -141,9 +163,8 @@ def apply_cds(m: CdsMap, b: QuantumBox) -> QuantumBox:
     w0, w1 = b.weighted()
     out0 = m.e0(w0) + m.e1(w1)
     out1 = m.e1(w0) + m.e0(w1)
-    p_out = float(np.trace(out0).real)
-    d = m.d_out
-    mixed = np.eye(d) / d
+    p_out = linalg.trace(out0)
+    mixed = linalg.identity_like(out0) / m.d_out
     rho0 = out0 / p_out if p_out > TOLS.infinite_perr else mixed
     rho1 = out1 / (1 - p_out) if 1 - p_out > TOLS.infinite_perr else mixed
     return QuantumBox(min(max(p_out, 0.0), 1.0), rho0, rho1)
@@ -168,13 +189,18 @@ def gad_channel(gamma: float, N: float) -> CpMap:
 
 # --- optimal and pretty good measurements ------------------------------------
 
-def helstrom_povm(b: QuantumBox) -> Array:
+def helstrom_povm(b: QuantumBox):
     """Effect accepting label 1: projector onto the strictly negative
-    eigenspace of p rho0 - (1-p) rho1 (zero eigenvalues go with label 0)."""
+    eigenspace of p rho0 - (1-p) rho1 (zero eigenvalues go with label 0),
+    block by block."""
     w0, w1 = b.weighted()
-    vals, vecs = linalg.eig(w0 - w1)
-    neg = vecs[:, vals < 0.0]
-    return linalg.hermitian(neg @ neg.conj().T)
+    diff = BlockOp.of(w0 - w1)
+    projs = []
+    for x in diff.blocks:
+        vals, vecs = linalg.eig(x)
+        neg = vecs[:, vals < 0.0]
+        projs.append(neg @ neg.conj().T)
+    return linalg.hermitian(diff.like(projs))
 
 
 def pgm(rho0: Array, rho1: Array) -> Array:
@@ -189,8 +215,7 @@ def distill_channel_cptpA(b: QuantumBox, lam: Array) -> CpMap:
     """Measure-and-prepare channel mapping b to its best golden unit
     (prior unchanged); the measurement ``lam`` is the Q_min minimizer,
     ``q_min(b.rho0, b.rho1).minimizer``."""
-    eye = np.eye(b.dim)
-    return measure_prepare([eye - lam, lam], [KET0, KET1])
+    return measure_prepare([linalg.identity_like(lam) - lam, lam], [KET0, KET1])
 
 
 def distill_channel_cds(b: QuantumBox) -> CdsMap:
@@ -200,7 +225,7 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
         raise InfiniteResourceError(
             "box has p_err = 0; use inf_to_any for the exact conversion")
     lam = helstrom_povm(b)
-    eye = np.eye(b.dim)
+    eye = linalg.identity_like(lam)
     e0 = measure_prepare([eye - lam, lam], [KET0, KET1], weight=0.5)
     e1 = measure_prepare([eye - lam, lam], [KET1, KET0], weight=0.5)
     return CdsMap(e0, e1)
@@ -208,14 +233,17 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
 
 # --- dilution channels ----------------------------------------------------------
 
-def _clamped_state(m: Array, tol: float = 1e-8) -> Array:
-    w, v = np.linalg.eigh(m)  # m is built from validated states
-    if w.min(initial=0.0) < -tol:
+def _clamped_state(m, tol: float = 1e-8):
+    """m with its negative eigenvalues (at most ``tol`` deep) set to zero,
+    at unit trace; block by block."""
+    op = BlockOp.of(m)
+    decs = [np.linalg.eigh(b) for b in op.blocks]  # m is built from validated states
+    wmin = min(float(w.min(initial=0.0)) for w, _ in decs)
+    if wmin < -tol:
         raise MTooSmallError(
-            f"prepared state has eigenvalue {w.min():.3e}; M below the exact cost")
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.conj().T
-    return out / np.trace(out).real
+            f"prepared state has eigenvalue {wmin:.3e}; M below the exact cost")
+    out = op.like([(v * np.maximum(w, 0.0)) @ v.conj().T for w, v in decs])
+    return out / linalg.trace(out)
 
 
 def dilute_channel_cptpA(target: QuantumBox, M: float) -> CpMap:
@@ -273,12 +301,11 @@ def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     q = target.p
     s0, s1 = target.rho0, target.rho1
     lam = _support_if_orthogonal(source.rho0, source.rho1)
+    eye = linalg.identity_like(source.rho0)
     if lam is not None:
-        eye = np.eye(source.dim)
         e0 = measure_prepare([lam, eye - lam], [q * s0, (1 - q) * s1])
         e1 = measure_prepare([eye - lam, lam], [q * s0, (1 - q) * s1])
         return CdsMap(e0, e1)
-    eye = np.eye(source.dim)
     if source.p <= TOLS.infinite_perr:
         # only the rho1 branch carries weight
         e0 = measure_prepare([eye], [(1 - q) * s1])

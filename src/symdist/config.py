@@ -1,8 +1,17 @@
 """Shared numerical tolerances.
 
 All divergences use a single infinity convention: a quantity is infinite when
-its defining feasibility condition fails at these thresholds.  The CLI can
-override ``TOLS`` fields via ``--tol``.
+its defining feasibility condition fails at these thresholds.  The CLI's
+``--tol`` sets ``support`` and caps ``infinite_perr``.
+
+Which eigenvalues count as zero (supports, kernels, pseudo-inverses) is not
+a tolerance here: an eigenvalue is zero at or below lambda_max * d *
+eps_mach, the default rank rule of ``numpy.linalg.matrix_rank``, with
+lambda_max the largest eigenvalue modulus of the operator and d its full
+dimension (``linalg.spectral_cut``).  The cut scales with the spectrum, so
+lambda_min(rho^(x)9) ~ 4e-11 of a full-rank qubit state stays in the
+support.  No option moves it; ``--tol`` does not.  A PSD argument may dip
+to -``density`` before it is rejected.
 """
 
 from dataclasses import dataclass
@@ -11,7 +20,6 @@ from dataclasses import dataclass
 @dataclass
 class Tolerances:
     asymmetry: float = 1e-8        # hard error above this; symmetrized below
-    psd_clamp: float = 1e-10       # eigenvalue clamp for PSD spectral calculus
     density: float = 1e-9          # state validation (PSD slack, trace drift)
     tp_sum: float = 1e-8           # trace-preservation of channel branch sums
     support: float = 1e-9          # support-containment test for D_max

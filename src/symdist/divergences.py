@@ -6,9 +6,12 @@ fails at the tolerances in :mod:`symdist.config` (support containment at
 ``TOLS.support``, discrimination error at ``TOLS.infinite_perr``).
 
 Every quantity here is a closed form or a one-dimensional spectral search;
-none calls the solver.  The semi-definite programs behind the discrimination
-error and the scaled trace distance are cross-check oracles in
-``tests/oracles.py``, which the tests compare with these closed forms.
+none calls the solver.  States may be dense or in block form
+(``linalg.BlockOp``): each quantity decomposes block by block and weights
+traces by multiplicity, so a tensor power b^(x)n never forms a matrix
+larger than its largest block.  The semi-definite programs behind the
+discrimination error and the scaled trace distance are cross-check oracles
+in ``tests/oracles.py``, which the tests compare with these closed forms.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import linalg
 from .config import TOLS
+from .linalg import BlockOp
 from .exceptions import DimensionMismatchError, NotPsdError
 
 if TYPE_CHECKING:
@@ -70,21 +74,25 @@ def q_min(rho0: Array, rho1: Array) -> QMinResult:
     with states swapped."""
     rho0 = linalg.hermitian(rho0)
     sigma = rho0 + linalg.hermitian(rho1)
-    lo, p_lo, s_lo = 0.0, np.zeros_like(sigma), 0.0
-    hi, p_hi, s_hi = 1.0, np.eye(len(sigma)), float(np.trace(sigma).real)
+    r0, sg = BlockOp.of(rho0, sigma)
+    lo, p_lo, s_lo = 0.0, [np.zeros_like(x) for x in sg.blocks], 0.0
+    hi, p_hi, s_hi = 1.0, [np.eye(len(x)) for x in sg.blocks], linalg.trace(sigma)
+    pairs = list(zip(sg.mults, r0.blocks, sg.blocks))
     while hi - lo > 1e-15:
         mu = 0.5 * (lo + hi)
-        w, v = np.linalg.eigh(rho0 - mu * sigma)
-        neg = v[:, w < 0.0]
-        proj = neg @ neg.conj().T
-        s = float(np.vdot(proj, sigma).real)
+        proj, s = [], 0.0
+        for m, r, x in pairs:
+            w, v = np.linalg.eigh(r - mu * x)
+            neg = v[:, w < 0.0]
+            proj.append(neg @ neg.conj().T)
+            s += m * float(np.vdot(proj[-1], x).real)
         if s < 1.0:
             lo, p_lo, s_lo = mu, proj, s
         else:
             hi, p_hi, s_hi = mu, proj, s
     t = (1.0 - s_lo) / (s_hi - s_lo)  # s_lo < 1 <= s_hi
-    effect = (1.0 - t) * p_lo + t * p_hi
-    return QMinResult(_nonneg(2.0 * float(np.vdot(effect, rho0).real)), effect)
+    effect = sg.like([(1.0 - t) * a + t * b for a, b in zip(p_lo, p_hi)])
+    return QMinResult(_nonneg(2.0 * linalg.inner(effect, r0)), effect)
 
 
 def q_min_eps(b: "QuantumBox", eps: float) -> float:
@@ -109,12 +117,16 @@ def q_min_eps(b: "QuantumBox", eps: float) -> float:
     program is ``distill_approx_program`` in ``tests/oracles.py``."""
     p = b.p
     m = min(p, 1.0 - p)
+    r0, r1 = BlockOp.of(b.rho0, b.rho1)
 
     def neg_r(th: float) -> float:
         t = 1.0 / max(math.cos(th) / p, math.sin(th) / (1.0 - p))
         u, v = t * math.cos(th), t * math.sin(th)
-        w = np.linalg.eigvalsh(u * b.rho0 - v * b.rho1)
-        a = u - float(w[w > 0.0].sum())
+        pos = 0.0
+        for k, x, y in zip(r0.mults, r0.blocks, r1.blocks):
+            w = np.linalg.eigvalsh(u * x - v * y)
+            pos += k * w[w > 0.0].sum()
+        a = u - float(pos)
         if a <= 0.0:
             return 0.0
         s = a / (u + v + eps)
@@ -144,11 +156,11 @@ def _golden_min(f, hi: float) -> float:
     return min(f(0.0), f(hi), fc, fd)
 
 
-def _support_if_orthogonal(rho0: Array, rho1: Array) -> Array | None:
+def _support_if_orthogonal(rho0, rho1):
     """The projector P0 onto supp rho0 when Tr(P0 rho1) <= ``TOLS.support``
     (orthogonal supports), else None; one eigendecomposition of rho0."""
     proj = linalg.support_projector(rho0)
-    if float(np.vdot(proj, rho1).real) <= TOLS.support:
+    if linalg.inner(proj, rho1) <= TOLS.support:
         return proj
     return None
 
@@ -165,60 +177,62 @@ def xi_min(rho0: Array, rho1: Array) -> float:
 
 # --- max-relative entropy and Thompson metric --------------------------------
 
-def _psd_eig(m: Array) -> linalg.EigenDecomposition:
-    """eigh of a validated d_max argument, which must be PSD."""
-    w, v = np.linalg.eigh(m)
-    if w.min(initial=0.0) < -TOLS.density:
+def _psd_eig(m: BlockOp) -> list[linalg.EigenDecomposition]:
+    """eigh of each block of a validated d_max argument, which must be PSD."""
+    decs = [linalg.EigenDecomposition(*np.linalg.eigh(b)) for b in m.blocks]
+    if min(float(w.min(initial=0.0)) for w, _ in decs) < -TOLS.density:
         raise NotPsdError("d_max arguments must be PSD")
-    return linalg.EigenDecomposition(w, v)
+    return decs
 
 
-def _d_max(rho: Array, sigma: linalg.EigenDecomposition) -> float:
-    """d_max(rho || sigma) from the spectrum of sigma.
+def _d_max(rho: BlockOp, sigma: list[linalg.EigenDecomposition]) -> float:
+    """d_max(rho || sigma) from the spectrum of each block of sigma.
 
-    With V+ the eigenvectors of sigma above ``TOLS.psd_clamp`` and w+ their
-    eigenvalues, the support test reads Tr((I - P) rho) off the remaining
-    eigenvectors, and lambda_max(sigma^(-1/2) rho sigma^(-1/2)) is the
-    lambda_max of the k x k matrix B^dag rho B, B = V+ diag(w+^(-1/2)).
+    With V+ the eigenvectors of a block of sigma above ``linalg.spectral_cut``
+    and w+ their eigenvalues, the support test reads Tr((I - P) rho) off the
+    remaining eigenvectors, and lambda_max(sigma^(-1/2) rho sigma^(-1/2)) is
+    the largest lambda_max over blocks of the k x k matrix B^dag rho B,
+    B = V+ diag(w+^(-1/2)).
     """
-    w, v = sigma
-    clamp = TOLS.psd_clamp
-    kernel = v[:, np.abs(w) <= clamp]
-    outside = float(np.vdot(kernel, rho @ kernel).real)
+    cut = linalg.spectral_cut([w for w, _ in sigma], rho.mults)
+    outside, lam_max = 0.0, 0.0
+    for m, r, (w, v) in zip(rho.mults, rho.blocks, sigma):
+        kernel = v[:, np.abs(w) <= cut]
+        outside += m * float(np.vdot(kernel, r @ kernel).real)
     if outside > TOLS.support:
         return INF
-    if w.min(initial=0.0) < -clamp:
-        raise NotPsdError(f"eigenvalue {w.min():.3e} below -{clamp:.1e}")
-    pos = w > clamp
-    b = v[:, pos] * w[pos] ** -0.5
-    lam_max = float(np.linalg.eigvalsh(b.conj().T @ rho @ b).max(initial=0.0))
+    for r, (w, v) in zip(rho.blocks, sigma):
+        pos = w > cut
+        if pos.any():
+            b = v[:, pos] * w[pos] ** -0.5
+            lam_max = max(lam_max, float(np.linalg.eigvalsh(b.conj().T @ r @ b)
+                                         .max(initial=0.0)))
     if lam_max <= 0.0:
         return -INF  # rho vanishes on the support of sigma
     return math.log2(lam_max)
 
 
-def d_max(rho: Array, sigma: Array) -> float:
+def d_max(rho, sigma) -> float:
     """inf{lam : rho <= 2^lam sigma}; inf if supp(rho) escapes supp(sigma).
 
-    Subnormalized PSD arguments are allowed.  Decomposes sigma once (``eigh``)
-    and takes ``eigvalsh`` of rho for its PSD test and of one rank(sigma)-sized
-    matrix for the largest eigenvalue.
+    Subnormalized PSD arguments are allowed.  Decomposes each block of sigma
+    once (``eigh``) and takes ``eigvalsh`` of each block of rho for its PSD
+    test and of one rank-sized matrix per block for the largest eigenvalue.
     """
-    rho = linalg.hermitian(rho)
-    sigma = linalg.hermitian(sigma)
-    if np.linalg.eigvalsh(rho).min(initial=0.0) < -TOLS.density:
+    rho, sigma = BlockOp.of(linalg.hermitian(rho), linalg.hermitian(sigma))
+    if min(float(np.linalg.eigvalsh(b).min(initial=0.0))
+           for b in rho.blocks) < -TOLS.density:
         raise NotPsdError("d_max arguments must be PSD")
     return _d_max(rho, _psd_eig(sigma))
 
 
-def thompson(rho0: Array, rho1: Array) -> float:
+def thompson(rho0, rho1) -> float:
     """Thompson metric: max of the two one-sided max-relative entropies.
 
-    Two ``eigh`` (one per argument, shared by both directions) and two
-    ``eigvalsh`` of rank-sized matrices.
+    Per block, two ``eigh`` (one per argument, shared by both directions)
+    and two ``eigvalsh`` of rank-sized matrices.
     """
-    rho0 = linalg.hermitian(rho0)
-    rho1 = linalg.hermitian(rho1)
+    rho0, rho1 = BlockOp.of(linalg.hermitian(rho0), linalg.hermitian(rho1))
     eig0, eig1 = _psd_eig(rho0), _psd_eig(rho1)
     return max(_d_max(rho0, eig1), _d_max(rho1, eig0))
 
@@ -259,29 +273,34 @@ def xi_max_star(b: "QuantumBox") -> float:
 
 # --- Chernoff divergence ------------------------------------------------------
 
-def chernoff(rho0: Array, rho1: Array) -> float:
+def chernoff(rho0, rho1) -> float:
     """-log2 min_{s in [0,1]} Tr[rho0^s rho1^(1-s)] by golden-section search.
 
     The objective is convex in s; the search includes both endpoints.
-    Returns inf iff the supports are orthogonal.  One ``eigh`` per state:
-    with O_ij = |<v0_i|v1_j>|^2, the objective is w0^s O w1^(1-s) over the
-    eigenvalues above ``TOLS.psd_clamp``, and the support test
+    Returns inf iff the supports are orthogonal.  One ``eigh`` per block of
+    each state: with O_ij = |<v0_i|v1_j>|^2 in a block of multiplicity m,
+    the block adds m w0^s O w1^(1-s) over the eigenvalues above
+    ``linalg.spectral_cut`` to the objective, and the support test
     Tr(P0 rho1) = sum_{i in supp rho0} sum_j O_ij w1_j reads the same O.
     """
-    w0, v0 = np.linalg.eigh(linalg.hermitian(rho0))
-    w1, v1 = np.linalg.eigh(linalg.hermitian(rho1))
-    overlap = np.abs(v0.conj().T @ v1) ** 2
-    clamp = TOLS.psd_clamp
-    if float((overlap[np.abs(w0) > clamp] @ w1).sum()) <= TOLS.support:
+    r0, r1 = BlockOp.of(linalg.hermitian(rho0), linalg.hermitian(rho1))
+    eig0 = [np.linalg.eigh(b) for b in r0.blocks]
+    eig1 = [np.linalg.eigh(b) for b in r1.blocks]
+    cut0 = linalg.spectral_cut([w for w, _ in eig0], r0.mults)
+    cut1 = linalg.spectral_cut([w for w, _ in eig1], r1.mults)
+    support, terms = 0.0, []
+    for m, (w0, v0), (w1, v1) in zip(r0.mults, eig0, eig1):
+        overlap = np.abs(v0.conj().T @ v1) ** 2
+        support += m * float((overlap[np.abs(w0) > cut0] @ w1).sum())
+        keep0, keep1 = w0 > cut0, w1 > cut1
+        if keep0.any() and keep1.any():
+            terms.append((m, w0[keep0], overlap[np.ix_(keep0, keep1)], w1[keep1]))
+    if support <= TOLS.support or not terms:
         return INF
-    keep0, keep1 = w0 > clamp, w1 > clamp
-    overlap = overlap[np.ix_(keep0, keep1)]
-    if overlap.size == 0:
-        return INF
-    w0, w1 = w0[keep0], w1[keep1]
 
     def f(s: float) -> float:
-        return float((w0 ** s) @ overlap @ (w1 ** (1.0 - s)))
+        return float(sum(m * ((a ** s) @ o @ (b ** (1.0 - s)))
+                         for m, a, o, b in terms))
 
     q = _golden_min(f, 1.0)
     if q <= TOLS.infinite_perr:
@@ -297,8 +316,7 @@ def _boxes_equal(rho: "QuantumBox", sigma: "QuantumBox") -> bool:
     r0, r1 = rho.weighted()
     s0, s1 = sigma.weighted()
     tol = TOLS.box_equality
-    return (np.abs(r0 - s0).max(initial=0.0) <= tol
-            and np.abs(r1 - s1).max(initial=0.0) <= tol)
+    return linalg.max_abs(r0 - s0) <= tol and linalg.max_abs(r1 - s1) <= tol
 
 
 def cq_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
@@ -347,23 +365,23 @@ def smooth_thompson_witness(omega0: Array, omega1: Array,
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     omega0 = linalg.hermitian(omega0)
     omega1 = linalg.hermitian(omega1)
-    tr0 = float(np.trace(omega0).real)
-    tr1 = float(np.trace(omega1).real)
+    tr0 = linalg.trace(omega0)
+    tr1 = linalg.trace(omega1)
 
     pos10 = linalg.positive_part(omega1 - omega0)
     pos01 = linalg.positive_part(omega0 - omega1)
 
     if abs(tr0 - 1.0) <= 1e-12 and abs(tr1 - 1.0) <= 1e-12:
-        lam = max(float(np.trace(pos01).real) / eps, 1.0)
-        shift = float(np.trace(pos01).real) / lam
+        lam = max(linalg.trace(pos01) / eps, 1.0)
+        shift = linalg.trace(pos01) / lam
         w0 = (omega0 + pos10 / lam) / (1.0 + shift)
         w1 = (omega1 + pos01 / lam) / (1.0 + shift)
         return SmoothedThompson(w0, w1, thompson(w0, w1))
 
-    lam0 = max(2.0 * float(np.trace(pos10).real) / eps, 1.0)
-    lam1 = max(2.0 * float(np.trace(pos01).real) / eps, 1.0)
-    eps0 = float(np.trace(pos10).real) / lam0
-    eps1 = float(np.trace(pos01).real) / lam1
+    lam0 = max(2.0 * linalg.trace(pos10) / eps, 1.0)
+    lam1 = max(2.0 * linalg.trace(pos01) / eps, 1.0)
+    eps0 = linalg.trace(pos10) / lam0
+    eps1 = linalg.trace(pos01) / lam1
     denom = 1.0 + eps0 + eps1
     w0 = (omega0 + pos10 / lam0) / denom
     w1 = (omega1 + pos01 / lam1) / denom

@@ -1,14 +1,26 @@
-"""Dense Hermitian linear algebra: spectral calculus, trace norms, tensors.
+"""Hermitian linear algebra on dense or block-diagonal operators.
+
+An operator is either a dense matrix or a :class:`BlockOp`, the block form
+(+)_k B_k (x) I_{m_k} that Schur-Weyl duality gives qubit tensor powers.
+``BlockOp.of`` coerces both to a ``BlockOp`` (a dense matrix is the single
+block with multiplicity 1), so every function here has one code path over
+blocks, with traces weighted by multiplicity; results come back in the
+kind of their argument.  Dense forms of block operators are built only on
+request (``np.asarray``).
 
 Every public function validates its argument with :func:`hermitian`;
 matrices rebuilt here from a validated spectrum are only symmetrized.
 Spectral functions follow the support convention 0**0 = 0, i.e. they act on
 the support only, matching the pseudo-inverse convention used by the pretty
-good measurement.
+good measurement.  An eigenvalue counts as zero at or below the cut
+``spectral_cut`` = lambda_max * d * eps_mach, the default rank rule of
+``numpy.linalg.matrix_rank``; a PSD argument may dip to -``TOLS.density``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -17,25 +29,166 @@ from .config import TOLS
 from .exceptions import NotPsdError
 
 Array = np.ndarray
+_EPS = float(np.finfo(float).eps)
 
 
-def hermitian(a, tol: float | None = None) -> Array:
-    """Validate and symmetrize a square matrix to (A + A^dag)/2.
+class BlockOp:
+    """The operator (+)_k B_k (x) I_{m_k} on (C^l) (x) H (x) (C^r).
+
+    ``blocks`` act on C^l (x) C^{s_k} (x) C^r, where H = (C^2)^(x)qubits
+    splits into irreducible blocks of size s_k and multiplicity m_k
+    (``schur_weyl_power``) and ``pad = (l, r)`` are dense tensor factors
+    (Choi matrices of maps into or out of H).  ``qubits=None`` marks a
+    dense matrix, held as its single block.  The dense form is taken in the
+    computational basis through the qubit Schur transform, which is real,
+    so transposition acts block by block.
+    """
+    __slots__ = ("blocks", "mults", "qubits", "pad")
+    __array_ufunc__ = None      # ndarray (op) BlockOp defers to BlockOp
+
+    def __init__(self, blocks, mults, qubits=None, pad=(1, 1)):
+        self.blocks = tuple(blocks)
+        self.mults = tuple(mults)
+        self.qubits = qubits
+        self.pad = pad
+
+    @staticmethod
+    def of(*hs):
+        """Coerce operators to ``BlockOp`` in one common layout: a dense
+        matrix is the single block with multiplicity 1; operators whose
+        layouts differ are all taken dense.  One argument gives one
+        ``BlockOp``, several a tuple."""
+        ops = [h if isinstance(h, BlockOp)
+               else BlockOp((np.asarray(h, dtype=complex),), (1,)) for h in hs]
+        if len(ops) == 1:
+            return ops[0]
+        if any(o.layout() != ops[0].layout() for o in ops[1:]):
+            ops = [BlockOp((np.asarray(o.dense(), dtype=complex),), (1,)) for o in ops]
+        return tuple(ops)
+
+    @property
+    def dim(self) -> int:
+        return sum(m * len(b) for b, m in zip(self.blocks, self.mults))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        d = self.dim
+        return d, d
+
+    def layout(self) -> tuple:
+        return (self.qubits, self.pad, self.mults,
+                tuple(b.shape for b in self.blocks))
+
+    def like(self, blocks):
+        """New blocks in this layout; a dense operator comes back dense."""
+        if self.qubits is None:
+            return blocks[0]
+        return BlockOp(blocks, self.mults, self.qubits, self.pad)
+
+    def dense(self) -> Array:
+        if self.qubits is None:
+            return self.blocks[0]
+        out = 0.0
+        for b, cols in zip(self.blocks, _basis(self.qubits, self.pad)):
+            d, _, m = cols.shape
+            lhs = np.matmul(cols.transpose(0, 2, 1), b)   # (d, m, s)
+            out = out + lhs.reshape(d, -1) @ cols.transpose(0, 2, 1).reshape(d, -1).T
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.dense()
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+    def _binary(self, other, fn):
+        if np.isscalar(other):
+            return self.like([fn(b, other) for b in self.blocks])
+        a, b = BlockOp.of(self, other)      # mixed layouts come back dense
+        return a.like([fn(x, y) for x, y in zip(a.blocks, b.blocks)])
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __radd__(self, other):
+        return self._binary(other, lambda x, y: y + x)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __mul__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return self.like([b * c for b in self.blocks])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return self.like([b / c for b in self.blocks])
+
+    def __neg__(self):
+        return self.like([-b for b in self.blocks])
+
+
+def _wsum(mults, values) -> float:
+    """Multiplicity-weighted sum of per-block scalars."""
+    return float(sum(m * v for m, v in zip(mults, values)))
+
+
+def trace(h) -> float:
+    """Real part of the trace."""
+    op = BlockOp.of(h)
+    return _wsum(op.mults, (np.trace(b).real for b in op.blocks))
+
+
+def inner(a, b) -> float:
+    """Re Tr(a^dag b)."""
+    a, b = BlockOp.of(a, b)
+    return _wsum(a.mults, (np.vdot(x, y).real for x, y in zip(a.blocks, b.blocks)))
+
+
+def max_abs(h) -> float:
+    """Largest entry modulus, in the block basis."""
+    return max(float(np.abs(b).max(initial=0.0)) for b in BlockOp.of(h).blocks)
+
+
+def identity_like(h):
+    op = BlockOp.of(h)
+    return op.like([np.eye(len(b)) for b in op.blocks])
+
+
+def transpose(h):
+    op = BlockOp.of(h)
+    return op.like([b.T for b in op.blocks])
+
+
+def spectral_cut(spectra, mults) -> float:
+    """Eigenvalues at or below this are zero: lambda_max * d * eps_mach over
+    the blocks' spectra, with d the full dimension."""
+    top = max((float(np.abs(w).max(initial=0.0)) for w in spectra), default=0.0)
+    return top * _wsum(mults, (len(w) for w in spectra)) * _EPS
+
+
+def hermitian(a, tol: float | None = None):
+    """Validate and symmetrize each block to (A + A^dag)/2.
 
     Asymmetry beyond ``tol`` (default 1e-8) is a hard error: it catches
     transposed or corrupted user data rather than silently averaging it away.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    op = BlockOp.of(a)
     if tol is None:
         tol = TOLS.asymmetry
-    ah = a.conj().T
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    asym = float(np.abs(a - ah).max(initial=0.0))
+    out, scale, asym = [], 1.0, 0.0
+    for b in op.blocks:
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {b.shape}")
+        bh = b.conj().T
+        scale = max(scale, float(np.abs(b).max(initial=0.0)))
+        asym = max(asym, float(np.abs(b - bh).max(initial=0.0)))
+        out.append((b + bh) / 2)
     if asym > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
-    return (a + ah) / 2
+    return op.like(out)
 
 
 class EigenDecomposition(NamedTuple):
@@ -44,80 +197,95 @@ class EigenDecomposition(NamedTuple):
 
 
 def eig(h: Array) -> EigenDecomposition:
-    """Hermitian eigendecomposition with ascending eigenvalues."""
+    """Hermitian eigendecomposition of a dense matrix (or one block),
+    ascending eigenvalues."""
     w, v = np.linalg.eigh(hermitian(h))
     return EigenDecomposition(w, v)
 
 
-def _spectral(h: Array, fn, clamp_tol: float | None = None, require_psd: bool = False) -> Array:
-    w, v = eig(h)
+def _spectral(h, fn, require_psd: bool = False):
+    """fn(w, cut) applied to the spectrum of each block."""
+    op = BlockOp.of(hermitian(h))
+    decs = [np.linalg.eigh(b) for b in op.blocks]
     if require_psd:
-        if clamp_tol is None:
-            clamp_tol = TOLS.psd_clamp
-        if w.min(initial=0.0) < -clamp_tol:
-            raise NotPsdError(f"eigenvalue {w.min():.3e} below -{clamp_tol:.1e}")
-        w = np.maximum(w, 0.0)
-    out = (v * fn(w)) @ v.conj().T
-    return (out + out.conj().T) / 2  # symmetrized, not re-validated
+        wmin = min(float(w.min(initial=0.0)) for w, _ in decs)
+        if wmin < -TOLS.density:
+            raise NotPsdError(f"eigenvalue {wmin:.3e} below -{TOLS.density:.1e}")
+        decs = [(np.maximum(w, 0.0), v) for w, v in decs]
+    cut = spectral_cut([w for w, _ in decs], op.mults)
+    out = []
+    for w, v in decs:
+        x = (v * fn(w, cut)) @ v.conj().T
+        out.append((x + x.conj().T) / 2)  # symmetrized, not re-validated
+    return op.like(out)
 
 
-def matrix_power(h: Array, s: float, clamp_tol: float | None = None) -> Array:
+def matrix_power(h, s: float):
     """h**s for PSD h and s in [0, 1], with the support convention 0**0 = 0."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {s}")
 
-    def power(w):
+    def power(w, cut):
         out = np.zeros_like(w)
         pos = w > 0
         out[pos] = w[pos] ** s
         return out
 
-    return _spectral(h, power, clamp_tol, require_psd=True)
+    return _spectral(h, power, require_psd=True)
 
 
-def trace_norm(h: Array) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(np.linalg.eigvalsh(hermitian(h))).sum())
+def trace_norm(h) -> float:
+    """Sum of absolute eigenvalues of a Hermitian operator."""
+    op = BlockOp.of(hermitian(h))
+    return _wsum(op.mults, (np.abs(np.linalg.eigvalsh(b)).sum() for b in op.blocks))
 
 
-def trace_distance(a: Array, b: Array) -> float:
-    return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
+def trace_distance(a, b) -> float:
+    return 0.5 * trace_norm(BlockOp.of(a) - b)
 
 
-def positive_part(h: Array) -> Array:
-    return _spectral(h, lambda w: np.maximum(w, 0.0))
+def positive_part(h):
+    return _spectral(h, lambda w, cut: np.maximum(w, 0.0))
 
 
-def negative_part(h: Array) -> Array:
+def negative_part(h):
     """Negative part, so that h = positive_part(h) - negative_part(h)."""
-    return _spectral(h, lambda w: np.maximum(-w, 0.0))
+    return _spectral(h, lambda w, cut: np.maximum(-w, 0.0))
 
 
-def support_projector(h: Array, clamp_tol: float | None = None) -> Array:
-    if clamp_tol is None:
-        clamp_tol = TOLS.psd_clamp
-    return _spectral(h, lambda w: (np.abs(w) > clamp_tol).astype(float))
+def support_projector(h):
+    return _spectral(h, lambda w, cut: (np.abs(w) > cut).astype(float))
 
 
-def pseudo_inverse_sqrt(h: Array, clamp_tol: float | None = None) -> Array:
-    """h^(-1/2) on the support of a PSD matrix, zero on the kernel."""
-    if clamp_tol is None:
-        clamp_tol = TOLS.psd_clamp
+def pseudo_inverse_sqrt(h):
+    """h^(-1/2) on the support of a PSD operator, zero on the kernel."""
 
-    def inv_sqrt(w):
+    def inv_sqrt(w, cut):
         out = np.zeros_like(w)
-        pos = w > clamp_tol
+        pos = w > cut
         out[pos] = w[pos] ** -0.5
         return out
 
-    return _spectral(h, inv_sqrt, clamp_tol, require_psd=True)
+    return _spectral(h, inv_sqrt, require_psd=True)
 
 
-def tensor(a: Array, b: Array) -> Array:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def tensor(a, b):
+    """Kronecker product; a block operator keeps its block form, the other
+    factor joining its dense padding."""
+    a, b = BlockOp.of(a), BlockOp.of(b)
+    if b.qubits is None:
+        x = b.blocks[0]
+        if a.qubits is None:
+            return np.kron(a.blocks[0], x)
+        return BlockOp([np.kron(y, x) for y in a.blocks], a.mults, a.qubits,
+                       (a.pad[0], a.pad[1] * len(x)))
+    x = np.asarray(a.dense(), dtype=complex)
+    return BlockOp([np.kron(x, y) for y in b.blocks], b.mults, b.qubits,
+                   (len(x) * b.pad[0], b.pad[1]))
 
 
 def tensor_power(a: Array, n: int) -> Array:
+    """Dense n-fold Kronecker power."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     out = np.asarray(a, dtype=complex)
@@ -126,15 +294,134 @@ def tensor_power(a: Array, n: int) -> Array:
     return out
 
 
-def ptrace(m: Array, dims: tuple[int, int], axis: int) -> Array:
+def bipartite(op: BlockOp, dims: tuple[int, int]) -> tuple[int, list]:
+    """Where the block structure of an operator on C^d1 (x) C^d2 sits, and
+    each block's bipartite dimensions: side 0 when the blocks split the
+    first factor (pad (l, d2)), side 1 when they split the second
+    (pad (d1, r)) or the operator is dense."""
+    d1, d2 = dims
+    if op.qubits is None:
+        return 1, [(d1, d2)]
+    (l, r), sizes = op.pad, [len(b) for b in op.blocks]
+    if l == d1:
+        return 1, [(l, s // l) for s in sizes]
+    if r == d2:
+        return 0, [(s // r, r) for s in sizes]
+    raise ValueError(f"block layout {op.pad} does not split dims {dims}")
+
+
+def factor(op: BlockOp, keep: int | None, parts: list):
+    """The operator on one factor of a bipartite block operator with one part
+    per block.  ``keep`` is the side of the structured factor when the parts
+    live on it: they keep the layout, minus the other factor's padding.
+    ``keep=None``: the parts live on the dense factor and are summed,
+    weighted by multiplicity."""
+    if keep is None:
+        return sum(m * x for m, x in zip(op.mults, parts))
+    if op.qubits is None:
+        return parts[0]
+    l, r = op.pad
+    return BlockOp(parts, op.mults, op.qubits, (l, 1) if keep == 0 else (1, r))
+
+
+def ptrace(m, dims: tuple[int, int], axis: int):
     """Partial trace of an operator on a bipartite space.
 
     ``axis=0`` traces out the first tensor factor, ``axis=1`` the second.
     """
-    d1, d2 = dims
-    t = np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2)
-    if axis == 0:
-        return np.einsum("iaib->ab", t)
-    if axis == 1:
-        return np.einsum("aibi->ab", t)
-    raise ValueError("axis must be 0 or 1")
+    if axis not in (0, 1):
+        raise ValueError("axis must be 0 or 1")
+    op = BlockOp.of(m)
+    side, split = bipartite(op, dims)
+    spec = "iaib->ab" if axis == 0 else "aibi->ab"
+    parts = [np.einsum(spec, b.reshape(d1, d2, d1, d2))
+             for b, (d1, d2) in zip(op.blocks, split)]
+    return factor(op, None if axis == side else side, parts)
+
+
+# --- Schur-Weyl block form of qubit tensor powers -------------------------------
+
+def _sym_power(a: Array, m: int) -> Array:
+    """Sym^m(a) on the symmetric subspace of (C^2)^(x)m in the Dicke basis
+    (j = number of 1s): column j holds the coefficients of the normalised
+    monomial x^(m-j) y^j after x -> a00 x + a10 y, y -> a01 x + a11 y."""
+    binom = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
+    out = np.empty((m + 1, m + 1), dtype=complex)
+    for j in range(m + 1):
+        poly = np.ones(1, dtype=complex)
+        for _ in range(m - j):
+            poly = np.convolve(poly, a[:, 0])
+        for _ in range(j):
+            poly = np.convolve(poly, a[:, 1])
+        out[:, j] = poly * np.sqrt(binom[j] / binom)
+    return out
+
+
+def schur_weyl_power(a, n: int) -> BlockOp:
+    """a^(x)n for a 2 x 2 matrix, in block form: block k = 0..n//2 is
+    det(a)^k Sym^(n-2k)(a), of size n - 2k + 1 and multiplicity
+    C(n, k) - C(n, k-1)."""
+    if n < 1:
+        raise ValueError("tensor power needs n >= 1")
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2):
+        raise ValueError(f"Schur-Weyl form needs a qubit operator, got {a.shape}")
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    ks = range(n // 2 + 1)
+    return BlockOp([det ** k * _sym_power(a, n - 2 * k) for k in ks],
+                   [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in ks],
+                   n)
+
+
+@functools.lru_cache(maxsize=None)
+def _schur_transform(n: int) -> tuple[Array, ...]:
+    """Columns of the real orthogonal qubit Schur transform, one (2^n, s_k,
+    m_k) array per block: copy j of block k spans S_-^i v_kj, normalised,
+    where the v_kj are an orthonormal basis of the kernel of the total
+    raising operator S_+ on the weight space with k ones."""
+    dim = 2 ** n
+    ones = np.array([bin(x).count("1") for x in range(dim)])
+    flips = [(x, x ^ (1 << q)) for x in range(dim) for q in range(n)
+             if x >> q & 1]                    # S_+ : x -> x with a 1 cleared
+    out = []
+    for k in range(n // 2 + 1):
+        weight = np.flatnonzero(ones == k)
+        lower = np.flatnonzero(ones == k - 1)
+        raise_k = np.zeros((len(lower), len(weight)))
+        row = {x: i for i, x in enumerate(lower)}
+        col = {x: i for i, x in enumerate(weight)}
+        for x, y in flips:
+            if x in col:
+                raise_k[row[y], col[x]] = 1.0
+        kernel = np.linalg.svd(raise_k)[2][len(lower):].T if len(lower) else np.eye(1)
+        top = np.zeros((dim, kernel.shape[1]))
+        top[weight] = kernel
+        cols = [top]
+        for _ in range(n - 2 * k):             # S_- : x -> x with a 0 set
+            t = cols[-1].reshape((2,) * n + (-1,))
+            nxt = np.zeros_like(t)
+            for q in range(n):
+                src = [slice(None)] * n
+                dst = list(src)
+                src[q], dst[q] = 0, 1
+                nxt[tuple(dst)] += t[tuple(src)]
+            nxt = nxt.reshape(dim, -1)
+            cols.append(nxt / np.linalg.norm(nxt, axis=0))
+        out.append(np.stack(cols, axis=1))
+        out[-1].flags.writeable = False     # cached: shared by every caller
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int, pad: tuple[int, int]) -> tuple[Array, ...]:
+    """The Schur transform columns with dense factors (l, r) on either side:
+    (l * 2^n * r, l * s_k * r, m_k) per block."""
+    l, r = pad
+    il, ir = np.eye(l), np.eye(r)
+    out = []
+    for q in _schur_transform(n):
+        d, s, m = q.shape
+        out.append(np.einsum("ab,xij,cd->axcbidj", il, q, ir)
+                   .reshape(l * d * r, l * s * r, m))
+        out[-1].flags.writeable = False
+    return tuple(out)

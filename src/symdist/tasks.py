@@ -7,6 +7,10 @@ quantum register (prior fixed), ``"cds"`` allows classical label flips.
 Approximate distillation is solver-free in both regimes.  Its program, and
 the conversion program into an orthogonal-pair golden unit with its dual,
 are cross-check oracles in ``tests/oracles.py``.
+
+Exact tasks run block by block on boxes in block form (``tensor_box`` of a
+qubit box), witnesses included.  The programs take dense data: they
+materialise a block-form box once, where they read it.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ def distill_exact(b: QuantumBox, regime: str) -> TaskResult:
 
 def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
     """Exact dilution cost xi_max (cptpA) or xi_max_star (cds) with its
-    dilution channel.  The Thompson metric is evaluated once (two ``eigh``,
-    two ``eigvalsh``); the witness adds one ``eigh`` per prepared state and
-    a PSD test on each input block of its Choi matrix."""
+    dilution channel.  The Thompson metric is evaluated once (per block,
+    two ``eigh`` and two ``eigvalsh``); the witness adds one ``eigh`` per
+    block of each prepared state and a PSD test on each input block of its
+    Choi matrix."""
     _check_regime(regime)
     if regime == CPTPA:
         if b.p <= 0.0 or b.p >= 1.0:
@@ -105,15 +110,20 @@ def _exact_cptpA_conversion(source: QuantumBox, target: QuantumBox) -> CpMap | N
     """Exact prior-preserving channel source -> target, or None."""
     if abs(source.p - target.p) > 1e-12:
         return None
+    eye = linalg.identity_like(source.rho0)
     if target.p <= TOLS.infinite_perr:
-        return measure_prepare([np.eye(source.dim)], [target.rho1])
+        return measure_prepare([eye], [target.rho1])
     if target.p >= 1.0 - TOLS.infinite_perr:
-        return measure_prepare([np.eye(source.dim)], [target.rho0])
+        return measure_prepare([eye], [target.rho0])
     proj = _support_if_orthogonal(source.rho0, source.rho1)
     if proj is None:
         return None
-    return measure_prepare([proj, np.eye(source.dim) - proj],
-                           [target.rho0, target.rho1])
+    return measure_prepare([proj, eye - proj], [target.rho0, target.rho1])
+
+
+def _dense_weighted(b: QuantumBox) -> tuple[Array, Array]:
+    """The weighted pair as dense matrices, for a program's data."""
+    return tuple(np.asarray(w) for w in b.weighted())
 
 
 def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
@@ -138,7 +148,7 @@ def _scaled_trace_distance_rows(m: Model, tau0: model.Expr, tau1: model.Expr,
     D - E = s (p sigma0 - (1-p) sigma1),  Tr(D + E) <= s,  B, C, D, E >= 0."""
     b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
                               for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
-    s0, s1 = sigma.weighted()
+    s0, s1 = _dense_weighted(sigma)
     weight = s0 - s1
     m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
     m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
@@ -172,7 +182,8 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     d_in, d_out = source.dim, target.dim
     m = Model()
     s_extra = m.scalar("s0")  # s = 1 + s_extra
-    tau0, tau1, tp = _free_map_outputs(m, *source.weighted(), (d_in, d_out), regime)
+    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(source), (d_in, d_out),
+                                       regime)
     m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
     m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
     res = model.require_optimal(m.solve(), "conversion-error program")
@@ -229,7 +240,7 @@ def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
     M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1)."""
     d = b.dim
     p = b.p
-    w0, w1 = b.weighted()
+    w0, w1 = _dense_weighted(b)
     m = Model()
     lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
     s_extra = m.scalar("s0")       # s = 1 + s0

@@ -23,10 +23,32 @@ def no_solver(monkeypatch):
 
 
 @pytest.fixture
+def no_dense(monkeypatch):
+    """Make building the dense form of a block operator raise, so a test
+    proves its path stays in block form."""
+    dense = linalg.BlockOp.dense
+
+    def refuse(self):
+        if self.qubits is not None:
+            raise AssertionError("dense form of a block operator built")
+        return dense(self)
+    monkeypatch.setattr(linalg.BlockOp, "dense", refuse)
+
+
+class Decompositions(Counter):
+    """``np.linalg.eigh``/``eigvalsh`` calls by (name, size)."""
+
+    @property
+    def largest(self) -> int:
+        """Size of the largest operand decomposed."""
+        return max((size for _, size in self), default=0)
+
+
+@pytest.fixture
 def decompositions(monkeypatch):
     """Count ``np.linalg.eigh``/``eigvalsh`` calls by (name, size), so a test
     can pin how often a closed form decomposes an operator."""
-    counts = Counter()
+    counts = Decompositions()
 
     def counted(name):
         fn = getattr(np.linalg, name)
@@ -39,6 +61,11 @@ def decompositions(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     return counts
+
+
+def dense_box(b: QuantumBox) -> QuantumBox:
+    """The same box with its states as dense matrices."""
+    return QuantumBox(b.p, np.asarray(b.rho0), np.asarray(b.rho1))
 
 
 def random_hermitian(d, rng, real=False):
@@ -75,4 +102,4 @@ def figure4_boxes(phi: float) -> tuple[QuantumBox, QuantumBox]:
 
 
 __all__ = ["random_hermitian", "random_density", "random_box", "box_distance",
-           "dilution_reproducer", "figure4_boxes"]
+           "dense_box", "dilution_reproducer", "figure4_boxes"]

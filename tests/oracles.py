@@ -14,7 +14,8 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 
 The solver takes PSD blocks only, so each free Hermitian variable of the
 textbook programs is written as a bound minus a PSD block; the docstrings
-say why the bound loses nothing.
+say why the bound loses nothing.  Like the library's programs, each takes
+dense data and materialises a box in block form once, on entry.
 """
 
 import math
@@ -28,7 +29,7 @@ from symdist.config import TOLS
 from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Model, inner, kron_left, kron_right, times, trace
-from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime,
+from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime, _dense_weighted,
                            _free_map_outputs, _scaled_trace_distance_rows)
 
 INF = math.inf
@@ -38,7 +39,7 @@ def p_err_sdp(b: QuantumBox) -> float:
     """Greatest-lower-bound program max{Tr Y : Y <= p rho0, Y <= (1-p) rho1},
     with Y = p rho0 - Z: max{Tr(p rho0) - Tr Z : Z >= 0, Z >= p rho0 - (1-p) rho1}.
     Z >= 0 is the first bound itself, so the substitution loses nothing."""
-    w0, w1 = b.weighted()
+    w0, w1 = _dense_weighted(b)
     m = Model()
     z = m.psd_var("z", b.dim)
     m.ge(z, w0 - w1)
@@ -62,10 +63,10 @@ def scaled_trace_distance_sdp(rho: QuantumBox, sigma: QuantumBox,
     if p_err(sigma) <= TOLS.infinite_perr:
         raise ValueError("scaled_trace_distance_sdp needs p_err(sigma) > 0")
     d = rho.dim
-    r0, r1 = rho.weighted()
-    s0, s1 = sigma.weighted()
+    r0, r1 = _dense_weighted(rho)
+    s0, s1 = _dense_weighted(sigma)
     diff0, diff1 = r0 - s0, r1 - s1
-    weight = sigma.p * sigma.rho0 - (1 - sigma.p) * sigma.rho1
+    weight = s0 - s1
 
     # primal: max t with shifted interval variables
     m = Model()
@@ -112,7 +113,7 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
     _check_regime(regime)
     q = 0.5 if regime == CDS else b.p
     d_in, d_out = b.dim, 2
-    w0, w1 = b.weighted()
+    w0, w1 = _dense_weighted(b)
     t0 = q * KET0
     t1 = (1 - q) * KET1
 
@@ -162,6 +163,7 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
 
     d = b.dim
     p = b.p
+    rho0, rho1 = np.asarray(b.rho0), np.asarray(b.rho1)
     m = Model()
     r = m.scalar("r")
     m.le(r, 1.0)
@@ -169,17 +171,17 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
         lam = m.psd_var("lam", d)
         m.le(lam, np.eye(d))
         if eps == 0.0:  # the Q_min program (states swapped)
-            m.eq(inner(b.rho0, lam) + 0.5 * r, 1.0)
-            m.eq(inner(b.rho1, lam) - 0.5 * r, 0.0)
+            m.eq(inner(rho0, lam) + 0.5 * r, 1.0)
+            m.eq(inner(rho1, lam) - 0.5 * r, 0.0)
         else:
             cs = [m.scalar(f"c{i}") for i in range(4)]
             e0 = m.scalar("e0")
             e1 = m.scalar("e1")
-            m.ge(cs[0] + inner(p * b.rho0, lam) + times(r, [[0.5 * p]]), p)
-            m.ge(cs[1] - inner(p * b.rho0, lam) - times(r, [[0.5 * p]]), -p)
-            m.ge(cs[2] + inner((1 - p) * b.rho1, lam)
+            m.ge(cs[0] + inner(p * rho0, lam) + times(r, [[0.5 * p]]), p)
+            m.ge(cs[1] - inner(p * rho0, lam) - times(r, [[0.5 * p]]), -p)
+            m.ge(cs[2] + inner((1 - p) * rho1, lam)
                  - times(r, [[0.5 * (1 - p)]]), 0.0)
-            m.ge(cs[3] - inner((1 - p) * b.rho1, lam)
+            m.ge(cs[3] - inner((1 - p) * rho1, lam)
                  + times(r, [[0.5 * (1 - p)]]), 0.0)
             m.ge(e0 - times(r, [[0.5]]), -p)
             m.ge(e1 + times(r, [[0.5]]), 1 - p)
@@ -196,7 +198,7 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
         ]
         cs = []
         for idx, (l_a, l_b, kind) in enumerate(rows):
-            expr = inner(p * b.rho0, l_a) + inner((1 - p) * b.rho1, l_b)
+            expr = inner(p * rho0, l_a) + inner((1 - p) * rho1, l_b)
             if kind == "big":
                 expr = expr + times(r, [[0.25]])
                 rhs = 0.5

@@ -10,6 +10,7 @@ from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
 
+from conftest import dense_box
 from oracles import distill_approx_program, p_err_sdp, scaled_trace_distance_sdp
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -183,10 +184,20 @@ def test_q_max_star_examples(rng):
 
 
 def test_thompson_decomposes_each_state_once(decompositions):
-    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    b = dense_box(tensor_box(random_box(2, np.random.default_rng(7)), 3))
     decompositions.clear()  # state validation
     dv.thompson(b.rho0, b.rho1)
     assert decompositions == {("eigh", 8): 2, ("eigvalsh", 8): 2}
+
+
+def test_thompson_decomposes_each_block_once(decompositions):
+    """Block form of b^(x)3: blocks of size 4 and 2, one eigh per block per
+    state and one rank-sized eigvalsh per block per direction."""
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    dv.thompson(b.rho0, b.rho1)
+    assert decompositions == {("eigh", 4): 2, ("eigh", 2): 2,
+                              ("eigvalsh", 4): 2, ("eigvalsh", 2): 2}
 
 
 # --- Chernoff ---------------------------------------------------------------------
@@ -225,15 +236,20 @@ def test_chernoff_additivity(rng):
 
 
 def test_chernoff_decomposes_each_state_once(decompositions):
-    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    b = dense_box(tensor_box(random_box(2, np.random.default_rng(7)), 3))
     decompositions.clear()  # state validation
     dv.chernoff(b.rho0, b.rho1)
     assert decompositions == {("eigh", 8): 2}
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.xfail(
-    strict=True, reason="lambda_min(rho0^(x)9) = 4.1e-11 falls under the "
-    "absolute TOLS.psd_clamp = 1e-10, so d_max(rho1 || rho0) reads inf"))])
+def test_chernoff_decomposes_each_block_once(decompositions):
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    dv.chernoff(b.rho0, b.rho1)
+    assert decompositions == {("eigh", 4): 2, ("eigh", 2): 2}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_closed_forms_additive_on_tensor_powers(n):
     """d_max (both directions), thompson and chernoff are additive on
     tensor powers of one box."""

@@ -13,7 +13,7 @@ from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.exceptions import ParameterRangeError
 from symdist.tasks import CDS, CPTPA
 
-from conftest import box_distance, dilution_reproducer, figure4_boxes
+from conftest import box_distance, dense_box, dilution_reproducer, figure4_boxes
 from oracles import conversion_error_to_infinite, distill_approx_program
 
 
@@ -91,12 +91,26 @@ def test_cost_exact_decomposes_each_operator_once(decompositions, regime,
                                                    eigh_max, eigvalsh_max):
     """One Thompson metric, one eigh per prepared state and a PSD test on
     the input blocks of each witness Choi; nothing of the Choi size 2d."""
-    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    b = dense_box(tensor_box(random_box(2, np.random.default_rng(7)), 3))
     decompositions.clear()  # state validation
     tasks.cost_exact(b, regime)
     assert {size for _, size in decompositions} == {8}
     assert decompositions["eigh", 8] <= eigh_max
     assert decompositions["eigvalsh", 8] <= eigvalsh_max
+
+
+@pytest.mark.parametrize("regime, eigvalsh_count", [(CPTPA, 3), (CDS, 4)])
+def test_cost_exact_decomposes_each_block_once(decompositions, regime,
+                                               eigvalsh_count):
+    """Block form of b^(x)3 (blocks of size 4 and 2): per block, the Thompson
+    metric's two eigh and two eigvalsh, one eigh per prepared state, and
+    the PSD test of each witness Choi on its input blocks."""
+    b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    decompositions.clear()  # state validation
+    tasks.cost_exact(b, regime)
+    assert decompositions == {("eigh", 4): 4, ("eigh", 2): 4,
+                              ("eigvalsh", 4): eigvalsh_count,
+                              ("eigvalsh", 2): eigvalsh_count}
 
 
 def test_one_shot_irreversibility(rng):
