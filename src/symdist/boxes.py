@@ -48,6 +48,9 @@ class QuantumBox:
     p: float
     rho0: Array = field(repr=False)
     rho1: Array = field(repr=False)
+    # (a0, a1, n) when the states were built as a0^(x)n, a1^(x)n in block
+    # form: box_to_json keeps them, so box_from_json rebuilds the same blocks
+    qubit_power: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -124,8 +127,16 @@ def tensor_box(b: QuantumBox, n: int, cap: int | None = None) -> QuantumBox:
         cap = TOLS.dimension_cap
     if b.dim ** n > cap:
         raise DimensionCapError(f"dimension {b.dim}^{n} exceeds cap {cap}")
-    power = linalg.schur_weyl_power if b.dim == 2 else linalg.tensor_power
-    return QuantumBox(b.p, power(b.rho0, n), power(b.rho1, n))
+    if b.dim == 2:
+        return _qubit_power_box(b.p, b.rho0, b.rho1, n)
+    return QuantumBox(b.p, linalg.tensor_power(b.rho0, n),
+                      linalg.tensor_power(b.rho1, n))
+
+
+def _qubit_power_box(p: float, a0, a1, n: int) -> QuantumBox:
+    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    return QuantumBox(p, linalg.schur_weyl_power(a0, n),
+                      linalg.schur_weyl_power(a1, n), (a0, a1, n))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -142,9 +153,17 @@ def _matrix_from_json(rows, name: str) -> Array:
 
 
 def box_to_json(b: QuantumBox) -> str:
-    """JSON of the dense states."""
-    return json.dumps({"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
-                       "rho1": _matrix_to_json(np.asarray(b.rho1))})
+    """JSON of the dense states.  A qubit tensor power (``tensor_box``) also
+    records its one-copy states and n under "tensor_power", from which
+    ``box_from_json`` rebuilds the same blocks: the box computes the same
+    values after a round trip."""
+    data = {"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
+            "rho1": _matrix_to_json(np.asarray(b.rho1))}
+    if b.qubit_power is not None:
+        a0, a1, n = b.qubit_power
+        data["tensor_power"] = {"n": n, "rho0": _matrix_to_json(a0),
+                                "rho1": _matrix_to_json(a1)}
+    return json.dumps(data)
 
 
 def box_from_json(text: str) -> QuantumBox:
@@ -154,9 +173,28 @@ def box_from_json(text: str) -> QuantumBox:
             raise ValueError(f"field {key!r} missing from box JSON")
     if not isinstance(data["p"], (int, float)):
         raise ValueError("field 'p': expected a number")
-    return QuantumBox(float(data["p"]),
-                      _matrix_from_json(data["rho0"], "rho0"),
-                      _matrix_from_json(data["rho1"], "rho1"))
+    p = float(data["p"])
+    rho0 = _matrix_from_json(data["rho0"], "rho0")
+    rho1 = _matrix_from_json(data["rho1"], "rho1")
+    if "tensor_power" not in data:
+        return QuantumBox(p, rho0, rho1)
+    power = data["tensor_power"]
+    n = power.get("n") if isinstance(power, dict) else None
+    if (not isinstance(n, int) or isinstance(n, bool) or n < 1
+            or any(k not in power for k in ("rho0", "rho1"))):
+        raise ValueError("field 'tensor_power': expected "
+                         "{\"n\": n >= 1, \"rho0\": ..., \"rho1\": ...}")
+    d = len(rho0)
+    if (rho0.shape != (d, d) or rho1.shape != (d, d)
+            or d.bit_length() - 1 != n or d != 1 << n):
+        raise ValueError(f"field 'tensor_power': n = {n} does not match "
+                         f"states of shape {rho0.shape}")
+    b = _qubit_power_box(p, _matrix_from_json(power["rho0"], "tensor_power.rho0"),
+                         _matrix_from_json(power["rho1"], "tensor_power.rho1"), n)
+    for dense, state in ((rho0, b.rho0), (rho1, b.rho1)):
+        if not np.abs(np.asarray(state) - dense).max() <= TOLS.density:
+            raise ValueError("field 'tensor_power' disagrees with the dense states")
+    return b
 
 
 # --- random instances (seeded; used by property tests and experiments) ------

@@ -68,7 +68,7 @@ class CpMap:
                 f"choi has dim {c.dim}, expected {self.d_in * self.d_out}")
         _, split = linalg.bipartite(c, (self.d_in, self.d_out))
         wmin = min(_min_eigenvalue(b, *dims) for b, dims in zip(c.blocks, split))
-        scale = max(1.0, linalg.max_abs(c))
+        scale = max(1.0, linalg.trace(c) / c.dim)     # mean eigenvalue
         if wmin < -TOLS.density * scale:
             raise NotPsdError(f"choi matrix has eigenvalue {wmin:.3e}")
         object.__setattr__(self, "choi", c.like(c.blocks))
@@ -92,7 +92,7 @@ class CpMap:
     def is_trace_preserving(self, tol: float | None = None) -> bool:
         tol = TOLS.tp_sum if tol is None else tol
         tr_out = linalg.ptrace(self.choi, (self.d_in, self.d_out), axis=1)
-        return linalg.max_abs(tr_out - linalg.identity_like(tr_out)) <= tol
+        return linalg.frobenius(tr_out - linalg.identity_like(tr_out)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +106,7 @@ class CdsMap:
             raise DimensionMismatchError("branch dimensions differ")
         total = self.e0.choi + self.e1.choi
         tr_out = linalg.ptrace(total, (self.e0.d_in, self.e0.d_out), axis=1)
-        if linalg.max_abs(tr_out - linalg.identity_like(tr_out)) > TOLS.tp_sum:
+        if linalg.frobenius(tr_out - linalg.identity_like(tr_out)) > TOLS.tp_sum:
             raise InvalidChannelError("branch sum is not trace preserving")
 
     @property

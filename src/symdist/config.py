@@ -10,8 +10,9 @@ eps_mach, the default rank rule of ``numpy.linalg.matrix_rank``, with
 lambda_max the largest eigenvalue modulus of the operator and d its full
 dimension (``linalg.spectral_cut``).  The cut scales with the spectrum, so
 lambda_min(rho^(x)9) ~ 4e-11 of a full-rank qubit state stays in the
-support.  No option moves it; ``--tol`` does not.  A PSD argument may dip
-to -``density`` before it is rejected.
+support.  No option moves it; ``--tol`` does not.  States may dip to
+-``density`` before validation rejects them; the PSD arguments of spectral
+functions and of d_max, to -``linalg.PSD_SLACK`` (1e-10).
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ class Tolerances:
     tp_sum: float = 1e-8           # trace-preservation of channel branch sums
     support: float = 1e-9          # support-containment test for D_max
     infinite_perr: float = 1e-12   # p_err at or below this means infinite resource
-    box_equality: float = 1e-10    # entrywise c-q equality test for D'
+    box_equality: float = 1e-10    # c-q equality test for D' (Frobenius)
     dimension_cap: int = 512       # largest tensor-power dimension
 
 

@@ -201,6 +201,9 @@ def _d_max(rho: BlockOp, sigma: list[linalg.EigenDecomposition]) -> float:
         outside += m * float(np.vdot(kernel, r @ kernel).real)
     if outside > TOLS.support:
         return INF
+    wmin = min(float(w.min(initial=0.0)) for w, _ in sigma)
+    if wmin < -linalg.PSD_SLACK:
+        raise NotPsdError(f"eigenvalue {wmin:.3e} below -{linalg.PSD_SLACK:.1e}")
     for r, (w, v) in zip(rho.blocks, sigma):
         pos = w > cut
         if pos.any():
@@ -316,7 +319,7 @@ def _boxes_equal(rho: "QuantumBox", sigma: "QuantumBox") -> bool:
     r0, r1 = rho.weighted()
     s0, s1 = sigma.weighted()
     tol = TOLS.box_equality
-    return linalg.max_abs(r0 - s0) <= tol and linalg.max_abs(r1 - s1) <= tol
+    return linalg.frobenius(r0 - s0) <= tol and linalg.frobenius(r1 - s1) <= tol
 
 
 def cq_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
@@ -331,8 +334,9 @@ def scaled_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
 
     Three cases: the ratio when p_err(sigma) > 0; when p_err(sigma) = 0 the
     value is 0 for equal boxes and inf otherwise.  Box equality is tested
-    entrywise at ``TOLS.box_equality`` on the c-q embedding, so the boundary
-    between the last two cases is tolerance-dependent.
+    in Frobenius norm at ``TOLS.box_equality`` on the c-q embedding, the
+    same in block and dense form, so the boundary between the last two
+    cases is tolerance-dependent but not basis-dependent.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(

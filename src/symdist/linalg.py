@@ -14,7 +14,7 @@ Spectral functions follow the support convention 0**0 = 0, i.e. they act on
 the support only, matching the pseudo-inverse convention used by the pretty
 good measurement.  An eigenvalue counts as zero at or below the cut
 ``spectral_cut`` = lambda_max * d * eps_mach, the default rank rule of
-``numpy.linalg.matrix_rank``; a PSD argument may dip to -``TOLS.density``.
+``numpy.linalg.matrix_rank``; a PSD argument may dip to -``PSD_SLACK``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .exceptions import NotPsdError
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
+PSD_SLACK = 1e-10       # a PSD argument's least eigenvalue may dip this far
 
 
 class BlockOp:
@@ -114,6 +115,9 @@ class BlockOp:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
+    def __rsub__(self, other):
+        return self._binary(other, lambda x, y: y - x)
+
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
@@ -147,9 +151,11 @@ def inner(a, b) -> float:
     return _wsum(a.mults, (np.vdot(x, y).real for x, y in zip(a.blocks, b.blocks)))
 
 
-def max_abs(h) -> float:
-    """Largest entry modulus, in the block basis."""
-    return max(float(np.abs(b).max(initial=0.0)) for b in BlockOp.of(h).blocks)
+def frobenius(h) -> float:
+    """Frobenius norm, sqrt(sum_k m_k ||B_k||_F^2): the Schur transform is
+    orthogonal, so block and dense forms give the same norm."""
+    op = BlockOp.of(h)
+    return math.sqrt(_wsum(op.mults, (np.vdot(b, b).real for b in op.blocks)))
 
 
 def identity_like(h):
@@ -203,19 +209,20 @@ def eig(h: Array) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def _spectral(h, fn, require_psd: bool = False):
-    """fn(w, cut) applied to the spectrum of each block."""
+def _spectral(h, fn, require_psd: bool = False, needs_cut: bool = False):
+    """fn(w) applied to the spectrum of each block; fn(w, cut) with
+    ``needs_cut``, cut the ``spectral_cut`` of the whole operator."""
     op = BlockOp.of(hermitian(h))
     decs = [np.linalg.eigh(b) for b in op.blocks]
     if require_psd:
         wmin = min(float(w.min(initial=0.0)) for w, _ in decs)
-        if wmin < -TOLS.density:
-            raise NotPsdError(f"eigenvalue {wmin:.3e} below -{TOLS.density:.1e}")
+        if wmin < -PSD_SLACK:
+            raise NotPsdError(f"eigenvalue {wmin:.3e} below -{PSD_SLACK:.1e}")
         decs = [(np.maximum(w, 0.0), v) for w, v in decs]
-    cut = spectral_cut([w for w, _ in decs], op.mults)
+    cut = (spectral_cut([w for w, _ in decs], op.mults),) if needs_cut else ()
     out = []
     for w, v in decs:
-        x = (v * fn(w, cut)) @ v.conj().T
+        x = (v * fn(w, *cut)) @ v.conj().T
         out.append((x + x.conj().T) / 2)  # symmetrized, not re-validated
     return op.like(out)
 
@@ -225,7 +232,7 @@ def matrix_power(h, s: float):
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {s}")
 
-    def power(w, cut):
+    def power(w):
         out = np.zeros_like(w)
         pos = w > 0
         out[pos] = w[pos] ** s
@@ -245,16 +252,17 @@ def trace_distance(a, b) -> float:
 
 
 def positive_part(h):
-    return _spectral(h, lambda w, cut: np.maximum(w, 0.0))
+    return _spectral(h, lambda w: np.maximum(w, 0.0))
 
 
 def negative_part(h):
     """Negative part, so that h = positive_part(h) - negative_part(h)."""
-    return _spectral(h, lambda w, cut: np.maximum(-w, 0.0))
+    return _spectral(h, lambda w: np.maximum(-w, 0.0))
 
 
 def support_projector(h):
-    return _spectral(h, lambda w, cut: (np.abs(w) > cut).astype(float))
+    return _spectral(h, lambda w, cut: (np.abs(w) > cut).astype(float),
+                     needs_cut=True)
 
 
 def pseudo_inverse_sqrt(h):
@@ -266,7 +274,7 @@ def pseudo_inverse_sqrt(h):
         out[pos] = w[pos] ** -0.5
         return out
 
-    return _spectral(h, inv_sqrt, require_psd=True)
+    return _spectral(h, inv_sqrt, require_psd=True, needs_cut=True)
 
 
 def tensor(a, b):

@@ -1,13 +1,16 @@
 """Schur-Weyl block form of qubit tensor powers against the dense form."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from symdist import cli
 from symdist import divergences as dv
 from symdist import linalg, tasks
-from symdist.boxes import golden_box, random_box, tensor_box
+from symdist.boxes import (QuantumBox, box_from_json, box_to_json, golden_box,
+                           random_box, tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.tasks import CDS, CPTPA
 
@@ -157,3 +160,55 @@ def test_programs_materialise_block_boxes_once():
     want = tasks.min_conversion_error(dense_box(t), target, CDS).value
     assert got == pytest.approx(want, abs=1e-6)
     assert p_err_sdp(t) == pytest.approx(dv.p_err(t), abs=1e-6)
+
+
+@pytest.mark.parametrize("delta, equal", [(5e-11, True), (6.2e-11, False)])
+def test_box_equality_is_the_same_in_block_and_dense_form(delta, equal):
+    """scaled_trace_distance against a box with p_err = 0 is 0 for equal
+    boxes and inf otherwise.  Here the weighted states differ by 1.5 delta
+    in their largest entry and by about 1.73 delta in Frobenius norm, so at
+    delta = 6.2e-11 an entrywise test at 1e-10 would call them equal; the
+    Frobenius test reads the same in both forms."""
+    n = 3
+    sigma = tensor_box(golden_box(math.inf, 0.5), n)
+    rho = tensor_box(QuantumBox(0.5, np.diag([1 - delta, delta]),
+                                np.diag([delta, 1 - delta])), n)
+    want = 0.0 if equal else math.inf
+    for r, s in ((rho, sigma), (dense_box(rho), dense_box(sigma)),
+                 (dense_box(rho), sigma)):
+        assert dv.scaled_trace_distance(r, s) == want
+
+
+def test_json_round_trip_keeps_the_block_form(tmp_path, capsys):
+    """box_to_json of a qubit tensor power records its one-copy states, so
+    box_from_json rebuilds the same blocks and the CLI prints the library's
+    value.  On this rung (condition number ~4e4) a dense evaluation of the
+    same box differs from the block one in the 12th digit."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 4)
+    back = box_from_json(box_to_json(t))
+    for got, want in ((back.rho0, t.rho0), (back.rho1, t.rho1)):
+        assert got.mults == want.mults
+        assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+    path = tmp_path / "box.json"
+    path.write_text(box_to_json(t))
+    for regime in (CPTPA, CDS):
+        assert cli.main(["dilute", str(path), "--regime", regime]) == 0
+        want = format(tasks.cost_exact(t, regime).value, ".12g")
+        assert capsys.readouterr().out.strip() == want
+
+
+def test_json_tensor_power_field_is_checked():
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    data = json.loads(box_to_json(t))
+    data["tensor_power"]["n"] = 2
+    with pytest.raises(ValueError, match="tensor_power"):
+        box_from_json(json.dumps(data))
+    data = json.loads(box_to_json(t))
+    data["tensor_power"]["rho1"] = data["tensor_power"]["rho0"]
+    with pytest.raises(ValueError, match="tensor_power"):
+        box_from_json(json.dumps(data))
+    data = json.loads(box_to_json(t))
+    del data["tensor_power"]
+    dense = box_from_json(json.dumps(data))
+    assert isinstance(dense.rho0, np.ndarray)
+    assert np.abs(dense.rho0 - np.asarray(t.rho0)).max() <= 1e-15

@@ -251,7 +251,7 @@ def test_cp_map_block_psd_test_matches_full(d_in, rng, decompositions):
         choi = block_diag(*(random_density(d_out, rng)
                             + rng.uniform(-0.1, 0.1) * np.eye(d_out)
                             for _ in range(d_in)))
-        scale = max(1.0, np.abs(choi).max())
+        scale = max(1.0, np.trace(choi).real / len(choi))
         full = np.linalg.eigvalsh(choi).min() >= -TOLS.density * scale
         try:
             CpMap(choi, d_in, d_out)

@@ -9,6 +9,7 @@ from symdist import linalg, tasks
 from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
 from symdist.channels import apply_cds, pgm, random_cds, random_cptp
+from symdist.exceptions import NotPsdError
 
 from conftest import dense_box
 from oracles import distill_approx_program, p_err_sdp, scaled_trace_distance_sdp
@@ -129,6 +130,13 @@ def test_d_max_examples(rng):
         s = linalg.pseudo_inverse_sqrt(sigma)
         lam = np.linalg.eigvalsh(linalg.hermitian(s @ rho @ s)).max()
         assert dv.d_max(rho, sigma) == pytest.approx(math.log2(lam), abs=1e-9)
+
+
+def test_d_max_rejects_sigma_below_psd_slack():
+    rho = np.diag([0.5, 0.5])
+    with pytest.raises(NotPsdError):
+        dv.d_max(rho, np.diag([1.0, -5e-10]))
+    assert dv.d_max(np.diag([1.0, 0.0]), np.diag([1.0, -5e-11])) == pytest.approx(0.0)
 
 
 def test_thompson_examples(rng):

@@ -52,6 +52,21 @@ def test_matrix_power_rejects_negative():
         linalg.matrix_power(np.diag([1.0, -0.5]), 0.5)
 
 
+def test_psd_arguments_may_dip_to_1e10():
+    """matrix_power and pseudo_inverse_sqrt reject an eigenvalue below
+    -1e-10 and clamp one above it to zero."""
+    for f in (lambda h: linalg.matrix_power(h, 0.5), linalg.pseudo_inverse_sqrt):
+        with pytest.raises(NotPsdError):
+            f(np.diag([1.0, -5e-10]))
+        assert np.allclose(f(np.diag([1.0, -5e-11])), np.diag([1.0, 0.0]))
+
+
+def test_frobenius_is_the_same_in_block_and_dense_form():
+    op = linalg.schur_weyl_power(random_hermitian(2, np.random.default_rng(3)), 5)
+    assert linalg.frobenius(op) == pytest.approx(
+        np.linalg.norm(np.asarray(op)), rel=1e-12)
+
+
 def test_trace_norm_examples():
     assert linalg.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
