@@ -25,20 +25,18 @@ KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _validated_state(a, tol: float):
-    """A unit-trace PSD state, dense or block by block."""
-    op = linalg.BlockOp.of(a)
-    if not all(np.all(np.isfinite(b)) for b in op.blocks):
-        raise ValueError("state has a non-finite entry")
-    h = linalg.hermitian(op)
-    wmin = min(float(np.linalg.eigvalsh(b).min(initial=0.0))
-               for b in linalg.BlockOp.of(h).blocks)
-    if wmin < -tol:
-        raise NotPsdError(f"state has eigenvalue {wmin:.3e}")
-    tr = linalg.trace(h)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace {tr!r} differs from 1 beyond {tol:.1e}")
-    return h / tr
+def _validated_state(a):
+    """A unit-trace state, dense or block by block, stored PSD: eigenvalues
+    down to -``TOLS.density`` are accepted and set to zero."""
+    s = linalg.spectrum(a, vectors=False)
+    wmin = s.least(TOLS.density, NotPsdError, "state")
+    tr = linalg.trace(s.op)
+    if abs(tr - 1.0) > TOLS.density:
+        raise ValueError(f"state trace {tr!r} differs from 1 beyond {TOLS.density:.1e}")
+    if wmin < 0.0:
+        h = linalg.spectrum(s.op).apply(lambda w: np.maximum(w, 0.0))
+        return h / linalg.trace(h)
+    return s.op.like(s.op.blocks) / tr
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +53,8 @@ class QuantumBox:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"prior {self.p} outside [0, 1]")
-        tol = TOLS.density
-        r0 = _validated_state(self.rho0, tol)
-        r1 = _validated_state(self.rho1, tol)
+        r0 = _validated_state(self.rho0)
+        r1 = _validated_state(self.rho1)
         if r0.shape != r1.shape:
             raise DimensionMismatchError(
                 f"branch states have shapes {r0.shape} and {r1.shape}")
@@ -111,22 +108,20 @@ def golden_box(M: float, q: float = 0.5) -> QuantumBox:
     return golden_to_box(GoldenUnit(M, q))
 
 
-def is_infinite_resource(b: QuantumBox, tol: float | None = None) -> bool:
-    """True iff the minimum discrimination error is at most ``tol``."""
+def is_infinite_resource(b: QuantumBox) -> bool:
+    """True iff p_err(b) is at most ``TOLS.infinite_perr``."""
     from .divergences import p_err
-    if tol is None:
-        tol = TOLS.infinite_perr
-    return p_err(b) <= tol
+    return p_err(b) <= TOLS.infinite_perr
 
 
-def tensor_box(b: QuantumBox, n: int, cap: int | None = None) -> QuantumBox:
-    """n copies of b.  A qubit box gives states in Schur-Weyl block form
-    (``linalg.schur_weyl_power``: blocks of size at most n + 1); a larger
-    one gives dense Kronecker powers."""
-    if cap is None:
-        cap = TOLS.dimension_cap
-    if b.dim ** n > cap:
-        raise DimensionCapError(f"dimension {b.dim}^{n} exceeds cap {cap}")
+def tensor_box(b: QuantumBox, n: int) -> QuantumBox:
+    """n copies of b, up to dimension ``TOLS.dimension_cap``.  A qubit box
+    gives states in Schur-Weyl block form (``linalg.schur_weyl_power``:
+    blocks of size at most n + 1); a larger one gives dense Kronecker
+    powers."""
+    if b.dim ** n > TOLS.dimension_cap:
+        raise DimensionCapError(
+            f"dimension {b.dim}^{n} exceeds cap {TOLS.dimension_cap}")
     if b.dim == 2:
         return _qubit_power_box(b.p, b.rho0, b.rho1, n)
     return QuantumBox(b.p, linalg.tensor_power(b.rho0, n),

@@ -89,10 +89,14 @@ class CpMap:
                  for x, b, (d1, d2) in zip(inputs, c.blocks, split)]
         return linalg.factor(c, None if side == 0 else 1, parts)
 
-    def is_trace_preserving(self, tol: float | None = None) -> bool:
-        tol = TOLS.tp_sum if tol is None else tol
-        tr_out = linalg.ptrace(self.choi, (self.d_in, self.d_out), axis=1)
-        return linalg.frobenius(tr_out - linalg.identity_like(tr_out)) <= tol
+    def is_trace_preserving(self) -> bool:
+        return _trace_preserving(self.choi, self.d_in, self.d_out)
+
+
+def _trace_preserving(choi, d_in: int, d_out: int) -> bool:
+    """Tr_out[choi] = I_in to ``TOLS.tp_sum`` in Frobenius norm."""
+    tr_out = linalg.ptrace(choi, (d_in, d_out), axis=1)
+    return linalg.frobenius(tr_out - linalg.identity_like(tr_out)) <= TOLS.tp_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +108,7 @@ class CdsMap:
     def __post_init__(self):
         if (self.e0.d_in, self.e0.d_out) != (self.e1.d_in, self.e1.d_out):
             raise DimensionMismatchError("branch dimensions differ")
-        total = self.e0.choi + self.e1.choi
-        tr_out = linalg.ptrace(total, (self.e0.d_in, self.e0.d_out), axis=1)
-        if linalg.frobenius(tr_out - linalg.identity_like(tr_out)) > TOLS.tp_sum:
+        if not _trace_preserving(self.e0.choi + self.e1.choi, self.d_in, self.d_out):
             raise InvalidChannelError("branch sum is not trace preserving")
 
     @property
@@ -194,13 +196,7 @@ def helstrom_povm(b: QuantumBox):
     eigenspace of p rho0 - (1-p) rho1 (zero eigenvalues go with label 0),
     block by block."""
     w0, w1 = b.weighted()
-    diff = BlockOp.of(w0 - w1)
-    projs = []
-    for x in diff.blocks:
-        vals, vecs = linalg.eig(x)
-        neg = vecs[:, vals < 0.0]
-        projs.append(neg @ neg.conj().T)
-    return linalg.hermitian(diff.like(projs))
+    return linalg.spectrum(w0 - w1).apply(lambda w: (w < 0.0).astype(float))
 
 
 def pgm(rho0: Array, rho1: Array) -> Array:
@@ -233,16 +229,12 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
 
 # --- dilution channels ----------------------------------------------------------
 
-def _clamped_state(m, tol: float = 1e-8):
-    """m with its negative eigenvalues (at most ``tol`` deep) set to zero,
-    at unit trace; block by block."""
-    op = BlockOp.of(m)
-    decs = [np.linalg.eigh(b) for b in op.blocks]  # m is built from validated states
-    wmin = min(float(w.min(initial=0.0)) for w, _ in decs)
-    if wmin < -tol:
-        raise MTooSmallError(
-            f"prepared state has eigenvalue {wmin:.3e}; M below the exact cost")
-    out = op.like([(v * np.maximum(w, 0.0)) @ v.conj().T for w, v in decs])
+def _clamped_state(m):
+    """m with its negative eigenvalues (at most 1e-8 deep; deeper means M is
+    below the exact cost) set to zero, at unit trace; block by block."""
+    s = linalg.spectrum(m)
+    s.least(1e-8, MTooSmallError, "prepared state")
+    out = s.apply(lambda w: np.maximum(w, 0.0))
     return out / linalg.trace(out)
 
 

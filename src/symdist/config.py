@@ -5,14 +5,14 @@ its defining feasibility condition fails at these thresholds.  The CLI's
 ``--tol`` sets ``support`` and caps ``infinite_perr``.
 
 Which eigenvalues count as zero (supports, kernels, pseudo-inverses) is not
-a tolerance here: an eigenvalue is zero at or below lambda_max * d *
-eps_mach, the default rank rule of ``numpy.linalg.matrix_rank``, with
-lambda_max the largest eigenvalue modulus of the operator and d its full
-dimension (``linalg.spectral_cut``).  The cut scales with the spectrum, so
-lambda_min(rho^(x)9) ~ 4e-11 of a full-rank qubit state stays in the
-support.  No option moves it; ``--tol`` does not.  States may dip to
--``density`` before validation rejects them; the PSD arguments of spectral
-functions and of d_max, to -``linalg.PSD_SLACK`` (1e-10).
+a tolerance: an eigenvalue is zero at or below lambda_max * d * eps_mach
+(``linalg.Spectrum.cut``, the rank rule of ``numpy.linalg.matrix_rank``;
+lambda_max the largest eigenvalue modulus, d the full dimension), so
+lambda_min(rho^(x)9) ~ 4e-11 stays in the support; ``--tol`` does not move
+it.  Every spectrum comes from ``linalg.spectrum``, which rejects non-finite
+entries.  A state may dip to -``density`` and is stored PSD (negative
+eigenvalues set to zero, renormalized); PSD arguments of spectral functions
+and of d_max may dip to -``linalg.PSD_SLACK`` (1e-10).
 """
 
 from dataclasses import dataclass

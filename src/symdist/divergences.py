@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .config import TOLS
 from .linalg import BlockOp
-from .exceptions import DimensionMismatchError, NotPsdError
+from .exceptions import DimensionMismatchError
 
 if TYPE_CHECKING:
     from .boxes import QuantumBox
@@ -177,34 +177,24 @@ def xi_min(rho0: Array, rho1: Array) -> float:
 
 # --- max-relative entropy and Thompson metric --------------------------------
 
-def _psd_eig(m: BlockOp) -> list[linalg.EigenDecomposition]:
-    """eigh of each block of a validated d_max argument, which must be PSD."""
-    decs = [linalg.EigenDecomposition(*np.linalg.eigh(b)) for b in m.blocks]
-    if min(float(w.min(initial=0.0)) for w, _ in decs) < -TOLS.density:
-        raise NotPsdError("d_max arguments must be PSD")
-    return decs
-
-
-def _d_max(rho: BlockOp, sigma: list[linalg.EigenDecomposition]) -> float:
+def _d_max(rho: BlockOp, sigma: linalg.Spectrum) -> float:
     """d_max(rho || sigma) from the spectrum of each block of sigma.
 
-    With V+ the eigenvectors of a block of sigma above ``linalg.spectral_cut``
+    With V+ the eigenvectors of a block of sigma above ``linalg.Spectrum.cut``
     and w+ their eigenvalues, the support test reads Tr((I - P) rho) off the
     remaining eigenvectors, and lambda_max(sigma^(-1/2) rho sigma^(-1/2)) is
     the largest lambda_max over blocks of the k x k matrix B^dag rho B,
     B = V+ diag(w+^(-1/2)).
     """
-    cut = linalg.spectral_cut([w for w, _ in sigma], rho.mults)
+    cut = sigma.cut()
     outside, lam_max = 0.0, 0.0
-    for m, r, (w, v) in zip(rho.mults, rho.blocks, sigma):
+    for m, r, (w, v) in zip(rho.mults, rho.blocks, sigma.eigs):
         kernel = v[:, np.abs(w) <= cut]
         outside += m * float(np.vdot(kernel, r @ kernel).real)
     if outside > TOLS.support:
         return INF
-    wmin = min(float(w.min(initial=0.0)) for w, _ in sigma)
-    if wmin < -linalg.PSD_SLACK:
-        raise NotPsdError(f"eigenvalue {wmin:.3e} below -{linalg.PSD_SLACK:.1e}")
-    for r, (w, v) in zip(rho.blocks, sigma):
+    sigma.least(linalg.PSD_SLACK)
+    for r, (w, v) in zip(rho.blocks, sigma.eigs):
         pos = w > cut
         if pos.any():
             b = v[:, pos] * w[pos] ** -0.5
@@ -222,11 +212,11 @@ def d_max(rho, sigma) -> float:
     once (``eigh``) and takes ``eigvalsh`` of each block of rho for its PSD
     test and of one rank-sized matrix per block for the largest eigenvalue.
     """
-    rho, sigma = BlockOp.of(linalg.hermitian(rho), linalg.hermitian(sigma))
-    if min(float(np.linalg.eigvalsh(b).min(initial=0.0))
-           for b in rho.blocks) < -TOLS.density:
-        raise NotPsdError("d_max arguments must be PSD")
-    return _d_max(rho, _psd_eig(sigma))
+    rho, sigma = BlockOp.of(rho, sigma)
+    r, s = linalg.spectrum(rho, vectors=False), linalg.spectrum(sigma)
+    for x in (r, s):
+        x.least(TOLS.density, what="d_max argument")
+    return _d_max(r.op, s)
 
 
 def thompson(rho0, rho1) -> float:
@@ -235,9 +225,10 @@ def thompson(rho0, rho1) -> float:
     Per block, two ``eigh`` (one per argument, shared by both directions)
     and two ``eigvalsh`` of rank-sized matrices.
     """
-    rho0, rho1 = BlockOp.of(linalg.hermitian(rho0), linalg.hermitian(rho1))
-    eig0, eig1 = _psd_eig(rho0), _psd_eig(rho1)
-    return max(_d_max(rho0, eig1), _d_max(rho1, eig0))
+    s0, s1 = (linalg.spectrum(x) for x in BlockOp.of(rho0, rho1))
+    for x in (s0, s1):
+        x.least(TOLS.density, what="d_max argument")
+    return max(_d_max(s0.op, s1), _d_max(s1.op, s0))
 
 
 def xi_of(q: float) -> float:
@@ -283,16 +274,13 @@ def chernoff(rho0, rho1) -> float:
     Returns inf iff the supports are orthogonal.  One ``eigh`` per block of
     each state: with O_ij = |<v0_i|v1_j>|^2 in a block of multiplicity m,
     the block adds m w0^s O w1^(1-s) over the eigenvalues above
-    ``linalg.spectral_cut`` to the objective, and the support test
+    ``linalg.Spectrum.cut`` to the objective, and the support test
     Tr(P0 rho1) = sum_{i in supp rho0} sum_j O_ij w1_j reads the same O.
     """
-    r0, r1 = BlockOp.of(linalg.hermitian(rho0), linalg.hermitian(rho1))
-    eig0 = [np.linalg.eigh(b) for b in r0.blocks]
-    eig1 = [np.linalg.eigh(b) for b in r1.blocks]
-    cut0 = linalg.spectral_cut([w for w, _ in eig0], r0.mults)
-    cut1 = linalg.spectral_cut([w for w, _ in eig1], r1.mults)
+    s0, s1 = (linalg.spectrum(x) for x in BlockOp.of(rho0, rho1))
+    cut0, cut1 = s0.cut(), s1.cut()
     support, terms = 0.0, []
-    for m, (w0, v0), (w1, v1) in zip(r0.mults, eig0, eig1):
+    for m, (w0, v0), (w1, v1) in zip(s0.op.mults, s0.eigs, s1.eigs):
         overlap = np.abs(v0.conj().T @ v1) ** 2
         support += m * float((overlap[np.abs(w0) > cut0] @ w1).sum())
         keep0, keep1 = w0 > cut0, w1 > cut1

@@ -8,13 +8,14 @@ blocks, with traces weighted by multiplicity; results come back in the
 kind of their argument.  Dense forms of block operators are built only on
 request (``np.asarray``).
 
-Every public function validates its argument with :func:`hermitian`;
-matrices rebuilt here from a validated spectrum are only symmetrized.
-Spectral functions follow the support convention 0**0 = 0, i.e. they act on
-the support only, matching the pseudo-inverse convention used by the pretty
-good measurement.  An eigenvalue counts as zero at or below the cut
-``spectral_cut`` = lambda_max * d * eps_mach, the default rank rule of
-``numpy.linalg.matrix_rank``; a PSD argument may dip to -``PSD_SLACK``.
+Every spectral function reads its argument through :func:`spectrum`, which
+validates it once (:func:`hermitian`); matrices rebuilt from that spectrum
+are only symmetrized.  Spectral functions follow the support convention
+0**0 = 0, i.e. they act on the support only, matching the pseudo-inverse
+convention used by the pretty good measurement.  An eigenvalue counts as
+zero at or below ``Spectrum.cut`` = lambda_max * d * eps_mach, the default
+rank rule of ``numpy.linalg.matrix_rank``; a PSD argument may dip to
+-``PSD_SLACK``.
 """
 
 from __future__ import annotations
@@ -168,63 +169,66 @@ def transpose(h):
     return op.like([b.T for b in op.blocks])
 
 
-def spectral_cut(spectra, mults) -> float:
-    """Eigenvalues at or below this are zero: lambda_max * d * eps_mach over
-    the blocks' spectra, with d the full dimension."""
-    top = max((float(np.abs(w).max(initial=0.0)) for w in spectra), default=0.0)
-    return top * _wsum(mults, (len(w) for w in spectra)) * _EPS
-
-
-def hermitian(a, tol: float | None = None):
+def hermitian(a):
     """Validate and symmetrize each block to (A + A^dag)/2.
 
-    Asymmetry beyond ``tol`` (default 1e-8) is a hard error: it catches
-    transposed or corrupted user data rather than silently averaging it away.
+    A non-finite entry, or asymmetry beyond ``TOLS.asymmetry`` relative to
+    the largest entry, is a hard error: it catches transposed or corrupted
+    user data rather than silently averaging it away.
     """
     op = BlockOp.of(a)
-    if tol is None:
-        tol = TOLS.asymmetry
     out, scale, asym = [], 1.0, 0.0
     for b in op.blocks:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {b.shape}")
+        top = float(np.abs(b).max(initial=0.0))
+        if not math.isfinite(top):
+            raise ValueError("matrix has a non-finite entry")
         bh = b.conj().T
-        scale = max(scale, float(np.abs(b).max(initial=0.0)))
+        scale = max(scale, top)
         asym = max(asym, float(np.abs(b - bh).max(initial=0.0)))
         out.append((b + bh) / 2)
-    if asym > tol * scale:
+    if asym > TOLS.asymmetry * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
     return op.like(out)
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: Array   # real, ascending
-    eigenvectors: Array  # unitary, columns match eigenvalues
+class Spectrum(NamedTuple):
+    """A validated operator and, per block, its ascending eigenvalues with
+    their eigenvectors (``None`` from ``spectrum(h, vectors=False)``)."""
+    op: BlockOp
+    eigs: list
+
+    def least(self, slack: float, error=NotPsdError, what: str = "operator") -> float:
+        """min(0, least eigenvalue); ``error`` when it is below -``slack``."""
+        wmin = min(float(w.min(initial=0.0)) for w, _ in self.eigs)
+        if wmin < -slack:
+            raise error(f"{what} has eigenvalue {wmin:.3e} below -{slack:.1e}")
+        return wmin
+
+    def cut(self) -> float:
+        """Eigenvalues at or below this are zero: lambda_max * d * eps_mach
+        over every block, with d the full dimension."""
+        top = max((float(np.abs(w).max(initial=0.0)) for w, _ in self.eigs), default=0.0)
+        return top * self.op.dim * _EPS
+
+    def apply(self, fn):
+        """fn(w) on each block's eigenvectors, symmetrized (not re-validated),
+        in the kind of the operator."""
+        out = []
+        for w, v in self.eigs:
+            x = (v * fn(w)) @ v.conj().T
+            out.append((x + x.conj().T) / 2)
+        return self.op.like(out)
 
 
-def eig(h: Array) -> EigenDecomposition:
-    """Hermitian eigendecomposition of a dense matrix (or one block),
-    ascending eigenvalues."""
-    w, v = np.linalg.eigh(hermitian(h))
-    return EigenDecomposition(w, v)
-
-
-def _spectral(h, fn, require_psd: bool = False, needs_cut: bool = False):
-    """fn(w) applied to the spectrum of each block; fn(w, cut) with
-    ``needs_cut``, cut the ``spectral_cut`` of the whole operator."""
+def spectrum(h, vectors: bool = True) -> Spectrum:
+    """Validate h (``hermitian``) and decompose each block: ``eigh``, or
+    ``eigvalsh`` alone when ``vectors`` is false."""
     op = BlockOp.of(hermitian(h))
-    decs = [np.linalg.eigh(b) for b in op.blocks]
-    if require_psd:
-        wmin = min(float(w.min(initial=0.0)) for w, _ in decs)
-        if wmin < -PSD_SLACK:
-            raise NotPsdError(f"eigenvalue {wmin:.3e} below -{PSD_SLACK:.1e}")
-        decs = [(np.maximum(w, 0.0), v) for w, v in decs]
-    cut = (spectral_cut([w for w, _ in decs], op.mults),) if needs_cut else ()
-    out = []
-    for w, v in decs:
-        x = (v * fn(w, *cut)) @ v.conj().T
-        out.append((x + x.conj().T) / 2)  # symmetrized, not re-validated
-    return op.like(out)
+    if vectors:
+        return Spectrum(op, [np.linalg.eigh(b) for b in op.blocks])
+    return Spectrum(op, [(np.linalg.eigvalsh(b), None) for b in op.blocks])
 
 
 def matrix_power(h, s: float):
@@ -238,13 +242,15 @@ def matrix_power(h, s: float):
         out[pos] = w[pos] ** s
         return out
 
-    return _spectral(h, power, require_psd=True)
+    spec = spectrum(h)
+    spec.least(PSD_SLACK)
+    return spec.apply(power)
 
 
 def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
-    op = BlockOp.of(hermitian(h))
-    return _wsum(op.mults, (np.abs(np.linalg.eigvalsh(b)).sum() for b in op.blocks))
+    s = spectrum(h, vectors=False)
+    return _wsum(s.op.mults, (np.abs(w).sum() for w, _ in s.eigs))
 
 
 def trace_distance(a, b) -> float:
@@ -252,29 +258,33 @@ def trace_distance(a, b) -> float:
 
 
 def positive_part(h):
-    return _spectral(h, lambda w: np.maximum(w, 0.0))
+    return spectrum(h).apply(lambda w: np.maximum(w, 0.0))
 
 
 def negative_part(h):
     """Negative part, so that h = positive_part(h) - negative_part(h)."""
-    return _spectral(h, lambda w: np.maximum(-w, 0.0))
+    return spectrum(h).apply(lambda w: np.maximum(-w, 0.0))
 
 
 def support_projector(h):
-    return _spectral(h, lambda w, cut: (np.abs(w) > cut).astype(float),
-                     needs_cut=True)
+    s = spectrum(h)
+    cut = s.cut()
+    return s.apply(lambda w: (np.abs(w) > cut).astype(float))
 
 
 def pseudo_inverse_sqrt(h):
     """h^(-1/2) on the support of a PSD operator, zero on the kernel."""
+    s = spectrum(h)
+    s.least(PSD_SLACK)
+    cut = s.cut()
 
-    def inv_sqrt(w, cut):
+    def inv_sqrt(w):
         out = np.zeros_like(w)
         pos = w > cut
         out[pos] = w[pos] ** -0.5
         return out
 
-    return _spectral(h, inv_sqrt, require_psd=True, needs_cut=True)
+    return s.apply(inv_sqrt)
 
 
 def tensor(a, b):
@@ -386,34 +396,24 @@ def _schur_transform(n: int) -> tuple[Array, ...]:
     """Columns of the real orthogonal qubit Schur transform, one (2^n, s_k,
     m_k) array per block: copy j of block k spans S_-^i v_kj, normalised,
     where the v_kj are an orthonormal basis of the kernel of the total
-    raising operator S_+ on the weight space with k ones."""
+    raising operator S_+ = S_-^T on the weight space with k ones."""
     dim = 2 ** n
-    ones = np.array([bin(x).count("1") for x in range(dim)])
-    flips = [(x, x ^ (1 << q)) for x in range(dim) for q in range(n)
-             if x >> q & 1]                    # S_+ : x -> x with a 1 cleared
+    x = np.arange(dim)
+    ones = np.array([bin(y).count("1") for y in x])
+    lower = np.zeros((dim, dim))               # S_- : x -> x with a 0 set
+    for q in range(n):
+        zero = x[(x >> q & 1) == 0]
+        lower[zero | 1 << q, zero] = 1.0
     out = []
     for k in range(n // 2 + 1):
-        weight = np.flatnonzero(ones == k)
-        lower = np.flatnonzero(ones == k - 1)
-        raise_k = np.zeros((len(lower), len(weight)))
-        row = {x: i for i, x in enumerate(lower)}
-        col = {x: i for i, x in enumerate(weight)}
-        for x, y in flips:
-            if x in col:
-                raise_k[row[y], col[x]] = 1.0
-        kernel = np.linalg.svd(raise_k)[2][len(lower):].T if len(lower) else np.eye(1)
+        weight, below = np.flatnonzero(ones == k), np.flatnonzero(ones == k - 1)
+        raise_k = lower[np.ix_(weight, below)].T
+        kernel = np.linalg.svd(raise_k)[2][len(below):].T if len(below) else np.eye(1)
         top = np.zeros((dim, kernel.shape[1]))
         top[weight] = kernel
         cols = [top]
-        for _ in range(n - 2 * k):             # S_- : x -> x with a 0 set
-            t = cols[-1].reshape((2,) * n + (-1,))
-            nxt = np.zeros_like(t)
-            for q in range(n):
-                src = [slice(None)] * n
-                dst = list(src)
-                src[q], dst[q] = 0, 1
-                nxt[tuple(dst)] += t[tuple(src)]
-            nxt = nxt.reshape(dim, -1)
+        for _ in range(n - 2 * k):
+            nxt = lower @ cols[-1]
             cols.append(nxt / np.linalg.norm(nxt, axis=0))
         out.append(np.stack(cols, axis=1))
         out[-1].flags.writeable = False     # cached: shared by every caller

@@ -48,7 +48,7 @@ def test_block_layout_of_nine_qubits():
     assert t.dim == 512
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_dense_form_is_the_kronecker_power(n):
     b = random_box(2, np.random.default_rng(7))
     t = tensor_box(b, n)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_d_max_rejects_sigma_below_psd_slack():
     with pytest.raises(NotPsdError):
         dv.d_max(rho, np.diag([1.0, -5e-10]))
     assert dv.d_max(np.diag([1.0, 0.0]), np.diag([1.0, -5e-11])) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_state_functions_reject_non_finite_entries(bad):
+    """d_max of diag(nan, 1) against I/2 was -inf, chernoff inf and q_min
+    nan; each argument is now rejected, without a warning."""
+    fns = [dv.q_min, dv.xi_min, dv.d_max, dv.thompson, dv.q_max, dv.xi_max,
+           dv.chernoff, lambda a, b: dv.smooth_thompson_witness(a, b, 0.1)]
+    h, rho = np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2) / 2
+    for fn in fns:
+        for args in ((h, rho), (rho, h)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(*args)
 
 
 def test_thompson_examples(rng):

@@ -1,3 +1,8 @@
+import ast
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,27 +16,33 @@ from conftest import random_hermitian
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _eigh(h):
+    """Eigenvalues and eigenvectors of a dense operator's single block."""
+    (w, v), = linalg.spectrum(h).eigs
+    return w, v
+
+
 def test_eig_diagonal():
-    dec = linalg.eig(np.diag([1.0, 2.0]))
-    assert np.allclose(dec.eigenvalues, [1, 2])
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(2))
+    w, v = _eigh(np.diag([1.0, 2.0]))
+    assert np.allclose(w, [1, 2])
+    assert np.allclose(np.abs(v), np.eye(2))
 
 
 def test_eig_identity():
-    dec = linalg.eig(np.eye(2))
-    assert np.allclose(dec.eigenvalues, [1, 1])
+    w, _ = _eigh(np.eye(2))
+    assert np.allclose(w, [1, 1])
 
 
 def test_eig_rank_one_projector():
-    dec = linalg.eig(0.5 * (np.eye(2) + SX))
-    assert np.allclose(dec.eigenvalues, [0, 1], atol=1e-12)
+    w, _ = _eigh(0.5 * (np.eye(2) + SX))
+    assert np.allclose(w, [0, 1], atol=1e-12)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_eig_reconstruction(seed, d):
     h = random_hermitian(d, np.random.default_rng(seed))
-    w, v = linalg.eig(h)
+    w, v = _eigh(h)
     err = np.linalg.norm((v * w) @ v.conj().T - h)
     assert err <= 1e-9 * max(1.0, np.linalg.norm(h))
 
@@ -94,6 +105,63 @@ def test_hermitian_rejects_asymmetry():
         linalg.hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         linalg.hermitian(np.ones((2, 3)))
+
+
+VALIDATING = {
+    "hermitian": linalg.hermitian,
+    "spectrum": linalg.spectrum,
+    "eigenvalues": lambda h: linalg.spectrum(h, vectors=False),
+    "matrix_power": lambda h: linalg.matrix_power(h, 0.5),
+    "trace_norm": linalg.trace_norm,
+    "trace_distance": lambda h: linalg.trace_distance(h, 0.0 * linalg.identity_like(h)),
+    "positive_part": linalg.positive_part,
+    "negative_part": linalg.negative_part,
+    "support_projector": linalg.support_projector,
+    "pseudo_inverse_sqrt": linalg.pseudo_inverse_sqrt,
+}
+
+
+@pytest.mark.parametrize("name", VALIDATING)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_functions_reject_non_finite_entries(name, bad):
+    """A non-finite entry compares false against every bound, so it would
+    pass validation (trace_norm of diag(nan, 1) was 0.0); it is rejected
+    before any arithmetic that warns."""
+    for h in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [0.0, 1.0]]),
+              linalg.BlockOp([np.diag([0.5, bad, 0.5]), np.eye(1)], (1, 1), 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                VALIDATING[name](h)
+
+
+# Every function that may decompose an operator itself; everything else
+# reads its spectrum through linalg.spectrum, which validates it once.
+EIGEN_SITES = {
+    "linalg.spectrum",
+    "divergences.q_min", "divergences.q_min_eps.neg_r", "divergences._d_max",
+    "channels._min_eigenvalue", "channels._choi_to_kraus",
+    "sdp._nt_scaling", "sdp._max_step",
+}
+
+
+def test_eigendecompositions_only_at_listed_sites():
+    """A new call of np.linalg.eigh/eigvalsh must be added here on purpose."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, (ast.Attribute, ast.Name)):
+                if getattr(child, "attr", getattr(child, "id", None)) in ("eigh", "eigvalsh"):
+                    sites.add(scope)
+            visit(child, inner)
+
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == EIGEN_SITES
 
 
 @given(st.integers(0, 10**6), st.integers(2, 5))

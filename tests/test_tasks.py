@@ -85,6 +85,23 @@ def test_cost_witnesses_reach_target(rng):
         assert box_distance(_apply_witness(res.witness, src), b) <= 1e-7
 
 
+def test_state_below_zero_is_stored_psd():
+    """rho1 has eigenvalues (-5e-10, 0.3 + 5e-10, 0.7): validation accepts
+    it (slack 1e-9) and stores it with the negative eigenvalue set to zero,
+    so the exact costs, whose d_max admits only -1e-10, are the clamped
+    box's."""
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rho0 = u[:, 1:] @ random_density(2, rng, real=True) @ u[:, 1:].T
+    rho1 = (u * [-5e-10, 0.3 + 5e-10, 0.7]) @ u.T
+    clamped = (u * [0.0, 0.3 + 5e-10, 0.7]) @ u.T / (1.0 + 5e-10)
+    b, ref = QuantumBox(0.4, rho0, rho1), QuantumBox(0.4, rho0, clamped)
+    for regime in (CPTPA, CDS):
+        got = tasks.cost_exact(b, regime).value
+        assert math.isfinite(got)
+        assert got == pytest.approx(tasks.cost_exact(ref, regime).value, rel=1e-9)
+
+
 @pytest.mark.parametrize("regime, eigh_max, eigvalsh_max",
                          [(CPTPA, 4, 4), (CDS, 4, 6)])
 def test_cost_exact_decomposes_each_operator_once(decompositions, regime,
