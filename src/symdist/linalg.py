@@ -64,6 +64,8 @@ class BlockOp:
                else BlockOp((np.asarray(h, dtype=complex),), (1,)) for h in hs]
         if len(ops) == 1:
             return ops[0]
+        if not any(isinstance(h, BlockOp) for h in hs):
+            return tuple(ops)       # dense arrays share one layout
         if any(o.layout() != ops[0].layout() for o in ops[1:]):
             ops = [BlockOp((np.asarray(o.dense(), dtype=complex),), (1,)) for o in ops]
         return tuple(ops)
@@ -254,7 +256,8 @@ def trace_norm(h) -> float:
 
 
 def trace_distance(a, b) -> float:
-    return 0.5 * trace_norm(BlockOp.of(a) - b)
+    """Half the trace norm of a - b; both are validated before subtracting."""
+    return 0.5 * trace_norm(BlockOp.of(hermitian(a)) - hermitian(b))
 
 
 def positive_part(h):

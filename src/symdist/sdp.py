@@ -19,6 +19,14 @@ second-order correction is applied (matrix corrections buy little at these
 block sizes).  The Newton system is the m x m Schur complement.  Blocks of
 one size are stacked into one (n, d, d) array, so each step makes one
 batched LAPACK or BLAS call per block size.
+
+Each iteration factors its iterates once per block size: one Cholesky
+factorisation of the stack concat[X, S] and one inversion of those factors
+together with S.  The two or three step-length tests of the iteration
+(predictor, corrector, and a recentering step when the corrector jams)
+reuse them, one ``eigvalsh`` per block size each; 1 x 1 blocks take a
+ratio test.  Everything the Newton solves of an iteration share but do
+not vary is computed once before them.
 """
 
 from __future__ import annotations
@@ -91,20 +99,46 @@ def _nt_scaling(x: Array, s: Array) -> Array:
     return _sym(xh @ tih @ xh)
 
 
-def _max_step(x: Array, dx: Array) -> float:
-    """Largest alpha with x_j + alpha*dx_j >= 0 for every block j of a
-    stack (n, d, d), for x > 0."""
-    n, d, _ = x.shape
-    if d == 1:
-        neg = dx[:, 0, 0] < 0
-        return float(np.min(-x[neg, 0, 0] / dx[neg, 0, 0], initial=np.inf))
+def _ridged_cholesky(x: Array) -> Array:
+    """Cholesky factors of a stack (n, d, d); if one block fails, of each
+    block ridged by its own trace."""
     try:
-        chol = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:   # ridge each block by its own trace
+        return np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        d = x.shape[-1]
         ridge = np.trace(x, axis1=1, axis2=2) / d * 1e-12
-        chol = np.linalg.cholesky(x + ridge[:, None, None] * np.eye(d))
-    li = np.linalg.inv(chol)
-    lam = np.linalg.eigvalsh(_sym(li @ dx @ np.swapaxes(li, 1, 2))).min()
+        return np.linalg.cholesky(x + ridge[:, None, None] * np.eye(d))
+
+
+def _factor(x: Array, s: Array) -> tuple[Array, Array]:
+    """Factors of one block size's iterates, shared by every step test of
+    an iteration: ``(basis, s^-1)``.  ``basis`` holds the inverse Cholesky
+    factors of the stack concat[x, s], or for 1 x 1 blocks, whose step
+    test is a ratio, that stack itself.
+
+    Both stacks are factored by one ``cholesky`` call, and the factors are
+    inverted with s by one ``inv`` call; if the joint factorisation fails,
+    each stack is factored on its own by :func:`_ridged_cholesky`.
+    """
+    xs = np.concatenate([x, s])
+    if x.shape[-1] == 1:
+        return xs, np.linalg.inv(s)
+    try:
+        chol = np.linalg.cholesky(xs)
+    except np.linalg.LinAlgError:
+        chol = np.concatenate([_ridged_cholesky(x), _ridged_cholesky(s)])
+    inv = np.linalg.inv(np.concatenate([chol, s]))
+    return inv[:len(xs)], inv[len(xs):]
+
+
+def _max_step(basis: Array, dxs: Array) -> float:
+    """Largest alpha with xs_j + alpha*dxs_j >= 0 for every block j of a
+    stack (n, d, d), for xs > 0 given by its step basis (see
+    :func:`_factor`)."""
+    if dxs.shape[-1] == 1:
+        neg = dxs[:, 0, 0] < 0
+        return float(np.min(-basis[neg, 0, 0] / dxs[neg, 0, 0], initial=np.inf))
+    lam = np.linalg.eigvalsh(_sym(basis @ dxs @ np.swapaxes(basis, 1, 2))).min()
     if lam >= 0:
         return np.inf
     return -1.0 / lam
@@ -185,7 +219,8 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     it = 0
     for it in range(1, opts.max_iterations + 1):
         p_res = ws.apply_a(X) - ws.b * tau
-        d_res = [a + s - c * tau for a, s, c in zip(ws.apply_at(y), S, ws.C)]
+        aty = ws.apply_at(y)
+        d_res = [a + s - c * tau for a, s, c in zip(aty, S, ws.C)]
         cx = ws.inner(ws.C, X)
         by = float(ws.b @ y)
         g_res = by - cx - kappa
@@ -211,7 +246,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
 
         # infeasibility certificates from the homogeneous embedding
         if by > 0:
-            dual_slack = max(np.abs(a + s).max() for a, s in zip(ws.apply_at(y), S))
+            dual_slack = max(np.abs(a + s).max() for a, s in zip(aty, S))
             if dual_slack <= opts.feas_tol * by * ws.norm_c:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 break
@@ -221,27 +256,33 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 status = SdpStatus.DUAL_INFEASIBLE
                 break
 
-        # NT scaling and Schur complement, one batched call per block size
+        # NT scaling, factors and Schur complement, one batched call per
+        # block size; everything newton() reads but does not vary is here
         try:
             W = [_nt_scaling(x, s) for x, s in zip(X, S)]
-            Sinv = [np.linalg.inv(s) for s in S]
+            factors = [_factor(x, s) for x, s in zip(X, S)]
+            Sinv = [si for _, si in factors]
             WCW = [w @ c @ w for w, c in zip(W, ws.C)]
             M = sum(af @ (w @ a @ w).reshape(m, -1).T
                     for af, a, w in zip(ws.Af, ws.A, W))
             h = ws.apply_a(WCW)
             M = (M + M.T) / 2
+            if not np.all(np.isfinite(M)):
+                raise np.linalg.LinAlgError("non-finite Newton system")
             c0 = ws.inner(ws.C, WCW)
+            wdw = [w @ dr @ w for w, dr in zip(W, d_res)]
+            a_wdw, c_wdw = ws.apply_a(wdw), ws.inner(ws.C, wdw)
+            h_plus_b, b_minus_h = h + ws.b, ws.b - h
 
             def newton(eta_f, sigma, corr):
                 # rhs of the eliminated system
                 rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
                 rc_sc = sigma * mu - tau * kappa - corr
-                wdw = [w @ dr @ w for w, dr in zip(W, d_res)]
-                r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * ws.apply_a(wdw)
+                r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * a_wdw
                 r3 = (-eta_f * g_res + ws.inner(ws.C, rc_mat)
-                      + eta_f * ws.inner(ws.C, wdw) + rc_sc / tau)
-                rhs = np.column_stack([r1, h + ws.b])
-                if not np.all(np.isfinite(rhs)) or not np.all(np.isfinite(M)):
+                      + eta_f * c_wdw + rc_sc / tau)
+                rhs = np.column_stack([r1, h_plus_b])
+                if not np.all(np.isfinite(rhs)):
                     raise np.linalg.LinAlgError("non-finite Newton system")
                 try:
                     sols = np.linalg.solve(M, rhs)
@@ -256,8 +297,8 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                     if not np.all(np.isfinite(sols)):
                         raise np.linalg.LinAlgError("singular Newton system")
                 g, q = sols[:, 0], sols[:, 1]
-                denom = float((ws.b - h) @ q) + c0 + kappa / tau
-                numer = r3 - float((ws.b - h) @ g)
+                denom = float(b_minus_h @ q) + c0 + kappa / tau
+                numer = r3 - float(b_minus_h @ g)
                 dtau = numer / denom if abs(denom) > 1e-300 else 0.0
                 dy = g + q * dtau
                 dS = [-eta_f * dr - a + c * dtau
@@ -267,8 +308,9 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 return dX, [_sym(ds) for ds in dS], dy, dtau, dkappa
 
             def boundary(dX, dS, dtau, dkappa):
-                alpha = min([np.inf] + [_max_step(x, dx) for x, dx in zip(X, dX)]
-                            + [_max_step(s, ds) for s, ds in zip(S, dS)])
+                alpha = min([np.inf] + [_max_step(basis, np.concatenate([dx, ds]))
+                                        for (basis, _), dx, ds
+                                        in zip(factors, dX, dS)])
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkappa < 0:

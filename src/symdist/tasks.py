@@ -228,16 +228,17 @@ _PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
 _M_TOL = 1e-6       # width in M of the bracket cost_approx closes
 
 
-def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
-                  stats: dict) -> float:
-    """Signed infeasibility lambda of the approximate-dilution program at
-    golden unit M = (1 + 1/t)/2; the solve is counted in ``stats``.
+def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
+    """The phase-I program of approximate dilution at golden unit
+    M = (1 + 1/t)/2, minimizing its signed infeasibility lambda.
 
     Every inequality is relaxed by a common shift lambda = lam0 - 1 whose
     minimum is the (signed) infeasibility; this keeps a strict interior on
     both sides of the feasibility boundary, including at eps = 0 where the
     error-ball constraints would otherwise pin variables to zero.  The two
-    M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1)."""
+    M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1).
+    They are constraints 0 and 1, and t enters them only as the
+    coefficient of r0 and of r1 respectively (see ``_phase1_at``)."""
     d = b.dim
     p = b.p
     w0, w1 = _dense_weighted(b)
@@ -270,7 +271,18 @@ def _phase1_shift(b: QuantumBox, eps: float, regime: str, t: float,
     m.le(total_bc - lam0, eps - 1.0)
     m.le(trace(dvar) + trace(evar) - s_extra - lam0, -1.0)
     m.minimize(lam0)
-    res = m.solve(_PHASE1_OPTIONS)
+    return m
+
+
+def _phase1_at(m: Model, compiled: tuple, t: float) -> tuple:
+    """The compiled phase-I program at t, from ``m`` compiled at t = 1."""
+    return m.scaled(compiled, {(0, "r0"): t, (1, "r1"): t})
+
+
+def _phase1_shift(m: Model, compiled: tuple, t: float, stats: dict) -> float:
+    """Signed infeasibility lambda of the phase-I program ``m`` (compiled
+    once at t = 1) at t; the solve is counted in ``stats``."""
+    res = m.solve(_PHASE1_OPTIONS, _phase1_at(m, compiled, t))
     stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
         # a root-finder step only needs ~1e-6 accuracy on lambda
@@ -288,8 +300,10 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     with t = 1/(2M - 1).  Illinois regula falsi closes a bracket on the root,
     from t = 1 (M = 1) to the exact cost (feasible: ``cost_exact``'s dilution
     channel maps that golden unit onto the box), to ``_M_TOL`` in M and returns
-    its feasible end.  Diagnostics count the solves and, by status, the
-    non-optimal ones accepted for their residuals."""
+    its feasible end.  The phase-I program is built and compiled once per
+    call, at t = 1; each step solves a copy with its two t blocks rescaled.
+    Diagnostics count the solves and, by status, the non-optimal ones
+    accepted for their residuals."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
@@ -300,12 +314,14 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
-    hi, f_hi = 1.0, _phase1_shift(b, eps, regime, 1.0, stats)
+    m = _phase1_model(b, eps, regime, 1.0)
+    compiled = m.compile()
+    hi, f_hi = 1.0, _phase1_shift(m, compiled, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})
     lo = 1.0 / (2.0 ** (exact.value + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
-        f_lo = min(_phase1_shift(b, eps, regime, lo, stats), 0.0)
+        f_lo = min(_phase1_shift(m, compiled, lo, stats), 0.0)
     except SolverError:
         f_lo = 0.0
     side = 0        # the end that moved last; a repeat halves the other's value
@@ -313,7 +329,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         xtol = 2.0 * lo * lo * _M_TOL     # _M_TOL in M at the feasible end
         t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * xtol),
                 hi - 0.5 * xtol)
-        f = _phase1_shift(b, eps, regime, t, stats)
+        f = _phase1_shift(m, compiled, t, stats)
         if f <= 0.0:
             f_hi *= 0.5 if side < 0 else 1.0
             lo, f_lo, side = t, f, -1

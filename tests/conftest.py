@@ -63,6 +63,26 @@ def decompositions(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Record ``np.linalg`` cholesky/inv/eigvalsh calls as (name, size) in
+    call order, so a test can pin how often the solver factors per
+    iteration."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1]))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
 def dense_box(b: QuantumBox) -> QuantumBox:
     """The same box with its states as dense matrices."""
     return QuantumBox(b.p, np.asarray(b.rho0), np.asarray(b.rho1))

@@ -114,6 +114,8 @@ VALIDATING = {
     "matrix_power": lambda h: linalg.matrix_power(h, 0.5),
     "trace_norm": linalg.trace_norm,
     "trace_distance": lambda h: linalg.trace_distance(h, 0.0 * linalg.identity_like(h)),
+    # the same non-finite entry in both operands: nothing to subtract first
+    "trace_distance_same": lambda h: linalg.trace_distance(h, h),
     "positive_part": linalg.positive_part,
     "negative_part": linalg.negative_part,
     "support_projector": linalg.support_projector,

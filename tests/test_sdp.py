@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from symdist import sdp
+from symdist import sdp, tasks
 from symdist.exceptions import SolverError
 from symdist.boxes import random_box
 from symdist.model import (Model, channel_output, hermitian_basis, inner,
@@ -309,25 +309,43 @@ def _step_by_eigh(x, dx):
     return np.inf if lam >= 0 else -1.0 / lam
 
 
+def _max_step(x, s, dx, ds):
+    """The step test of one block size: the largest alpha with x + alpha*dx
+    and s + alpha*ds both >= 0, from the factors of the iterate pair."""
+    basis, _ = sdp._factor(x, s)
+    return sdp._max_step(basis, np.concatenate([dx, ds]))
+
+
+def _random_pd(rng, n, d):
+    g = rng.standard_normal((n, d, d))
+    return g @ g.transpose(0, 2, 1) + 0.1 * np.eye(d)
+
+
+def _random_sym(rng, n, d):
+    h = rng.standard_normal((n, d, d))
+    return h + h.transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_max_step_of_a_stack_is_the_blockwise_minimum(d):
     rng = np.random.default_rng(d)
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        g = rng.standard_normal((n, d, d))
-        x = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        x, s = _random_pd(rng, n, d), _random_pd(rng, n, d)
         if trial % 4 == 1 and d > 1:
             # one near-singular block: smallest eigenvalue 1e-10 of the largest
             w, v = np.linalg.eigh(x[0])
             w[0] = 1e-10 * w[-1]
             x[0] = (v * w) @ v.T
-        h = rng.standard_normal((n, d, d))
-        dx = h + h.transpose(0, 2, 1)
+        dx, ds = _random_sym(rng, n, d), _random_sym(rng, n, d)
         if trial % 4 == 2:
-            dx = dx @ dx      # positive semidefinite: no block bounds the step
-        got = sdp._max_step(x, dx)
-        ref = min(_step_by_eigh(x[j], dx[j]) for j in range(n))
-        single = min(sdp._max_step(x[j:j + 1], dx[j:j + 1]) for j in range(n))
+            # positive semidefinite: no block bounds the step
+            dx, ds = dx @ dx, ds @ ds
+        got = _max_step(x, s, dx, ds)
+        ref = min(_step_by_eigh(z[j], dz[j]) for z, dz in ((x, dx), (s, ds))
+                  for j in range(n))
+        single = min(_max_step(x[j:j + 1], s[j:j + 1], dx[j:j + 1], ds[j:j + 1])
+                     for j in range(n))
         assert got == pytest.approx(single, rel=1e-12)
         if np.isinf(ref):
             assert np.isinf(got)
@@ -342,12 +360,58 @@ def test_max_step_ridges_a_singular_block():
     v = rng.standard_normal(3)
     g = rng.standard_normal((2, 3, 3))
     x = np.stack([np.outer(v, v), g[0] @ g[0].T + np.eye(3)])
+    s = np.stack([g[1] @ g[1].T + np.eye(3), np.eye(3)])
     dx = -np.stack([np.eye(3), np.eye(3)])
+    ds = np.zeros_like(dx)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(x)
-    alpha = sdp._max_step(x, dx)
+    alpha = _max_step(x, s, dx, ds)
     assert 0 < alpha < 1e-10
-    assert alpha == pytest.approx(sdp._max_step(x[:1], dx[:1]), rel=1e-9)
+    assert alpha == pytest.approx(_max_step(x[:1], s[:1], dx[:1], ds[:1]), rel=1e-9)
+
+
+def test_factor_ridges_only_the_stack_that_fails():
+    """When X factors and S does not, the joint factorisation falls back to
+    one per stack: X's factors are the plain ones, S's are ridged block by
+    block by their own trace, and S^-1 is of S itself."""
+    rng = np.random.default_rng(6)
+    x = _random_pd(rng, 2, 3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    s = np.stack([(q * [1.0, 2.0, -1e-14]) @ q.T, _random_pd(rng, 1, 3)[0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(s)
+    basis, sinv = sdp._factor(x, s)
+    assert np.array_equal(basis[:2], np.linalg.inv(np.linalg.cholesky(x)))
+    ridge = np.trace(s, axis1=1, axis2=2) / 3 * 1e-12
+    ridged = np.linalg.cholesky(s + ridge[:, None, None] * np.eye(3))
+    assert np.array_equal(basis[2:], np.linalg.inv(ridged))
+    assert np.array_equal(sinv, np.linalg.inv(s))
+
+
+def test_each_iteration_factors_once_per_block_size(lapack_calls):
+    """One phase-I solve: every iteration that takes a step makes one
+    cholesky and one inv per block size > 1 (one inv for 1 x 1 blocks), and
+    each of its two or three step tests one eigvalsh per block size > 1."""
+    b = random_box(2, np.random.default_rng(3), real=True)
+    m = tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0)
+    problem, _ = m.compile()
+    lapack_calls.clear()
+    res = sdp.solve(problem, tasks._PHASE1_OPTIONS)
+    assert res.status is SdpStatus.OPTIMAL
+    sizes = sorted(set(problem.blocks))
+    big = [d for d in sizes if d > 1]
+    assert sizes[0] == 1 and big
+    # an iteration's calls start with the factors of its 1 x 1 blocks; the
+    # last iteration stops at the convergence test, before factoring
+    starts = [i for i, c in enumerate(lapack_calls) if c == ("inv", 1)]
+    assert starts[0] == 0 and len(starts) == res.iterations - 1
+    for a, z in zip(starts, starts[1:] + [len(lapack_calls)]):
+        calls = lapack_calls[a:z]
+        factors = [("inv", 1)] + [c for d in big for c in (("cholesky", d), ("inv", d))]
+        assert calls[:len(factors)] == factors
+        tests = calls[len(factors):]
+        assert tests in ([("eigvalsh", d) for d in big] * 2,
+                         [("eigvalsh", d) for d in big] * 3)
 
 
 def test_max_iterations_status():

@@ -364,6 +364,31 @@ def test_cost_approx_counts_solves():
     assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
 
 
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+@pytest.mark.parametrize("real", [True, False])
+def test_phase1_program_rescaled_equals_fresh_compile(real, regime):
+    """cost_approx compiles its phase-I program once, at t = 1; the copy
+    rescaled to t holds exactly the data of a program compiled at t."""
+    b = random_box(2, np.random.default_rng(11), real=real)
+    m = tasks._phase1_model(b, 0.05, regime, 1.0)
+    compiled = m.compile()
+    for t in (0.3, 0.7071067811865476, 1.0 / 3.0):
+        got, got_const = tasks._phase1_at(m, compiled, t)
+        want, want_const = tasks._phase1_model(b, 0.05, regime, t).compile()
+        assert got_const == want_const
+        assert got.blocks == want.blocks
+        assert all(np.array_equal(a, w) for a, w in zip(got.objective, want.objective))
+        assert len(got.constraints) == len(want.constraints)
+        for (mats, rhs), (mats_w, rhs_w) in zip(got.constraints, want.constraints):
+            assert rhs == rhs_w
+            assert all(np.array_equal(a, w) for a, w in zip(mats, mats_w))
+    # the compiled program at t = 1 is left as it was
+    again, _ = m.compile()
+    assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
+               zip(compiled[0].constraints, again.constraints)
+               for a, w in zip(mats, mats_w))
+
+
 @pytest.mark.parametrize("d,seed,p,regime", [
     (2, 0, None, CDS), (2, 8, 0.05, CPTPA), (3, 0, None, CPTPA), (3, 7, 0.05, CDS),
     (2, 16, None, CDS), (2, 31, None, CPTPA)])
