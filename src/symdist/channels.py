@@ -1,4 +1,5 @@
-"""Channels as Choi matrices, plus every constructive protocol map.
+"""Channels as Choi matrices or measure-and-prepare maps, plus every
+constructive protocol map.
 
 Choi convention: for a map E with input dimension d_in and output d_out,
 
@@ -7,13 +8,15 @@ Choi convention: for a map E with input dimension d_in and output d_out,
 so trace preservation reads Tr_out[choi] = I_in and application is
 E(rho) = Tr_in[(rho^T (x) I) choi].  A CDS map holds two completely
 positive branches: ``e0`` keeps the classical label, ``e1`` flips it;
-their Choi matrices must sum to a trace-preserving map.  A channel acting
-on the quantum register alone is the ``e1 = 0`` special case.
+they must sum to a trace-preserving map.  A channel acting on the quantum
+register alone is the ``e1 = 0`` special case.
 
-A map into or out of a qubit tensor power in block form (``linalg.BlockOp``)
-holds its Choi matrix in block form too: one block per irreducible block of
-the structured side, tensored with the other, dense side.  Validation and
-application then run block by block.
+Every constructive protocol is a measure-and-prepare map (Holevo form),
+E(rho) = sum_k Tr(M_k rho) omega_k, held as its effects and states
+(:class:`MeasurePrepare`).  Those may be in block form (``linalg.BlockOp``)
+on a qubit tensor power, so validation, application and the trace
+preservation test run block by block; the dense Choi matrix is built only
+on request.  A general map (``CpMap``) holds a dense Choi matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import BlockOp
 from .boxes import KET0, KET1, PAULI_X, QuantumBox
 from .config import TOLS
 from .exceptions import (DimensionMismatchError, InfiniteResourceError,
@@ -35,80 +37,103 @@ from .exceptions import (DimensionMismatchError, InfiniteResourceError,
 Array = np.ndarray
 
 
-def _min_eigenvalue(c: Array, d_in: int, d_out: int) -> float:
-    """Least eigenvalue of a Choi matrix on C^d_in (x) C^d_out.  When every
-    off-diagonal input block <i|c|j> (i != j) is exactly zero, as for
-    measure-prepare maps with diagonal effects, it decomposes the d_in
-    diagonal blocks of size d_out instead: a block-diagonal spectrum is the
-    union of its blocks' spectra."""
-    idx = np.arange(d_in)
-    blocks = c.reshape(d_in, d_out, d_in, d_out)[idx, :, idx, :]
-    if np.count_nonzero(blocks) < np.count_nonzero(c):
-        blocks = c
-    return np.linalg.eigvalsh(blocks).min(initial=0.0)
+def _check_input(rho, d_in: int):
+    if np.shape(rho)[0] != d_in:
+        raise DimensionMismatchError(
+            f"input dim {np.shape(rho)[0]} != channel dim {d_in}")
+
+
+def _trace_preserving(tr_out, d_in: int) -> bool:
+    """Tr_out[choi] = I_in to ``TOLS.tp_sum`` in Frobenius norm; ``tr_out``
+    is 0 for the empty map."""
+    eye = np.eye(d_in) if np.isscalar(tr_out) else linalg.identity_like(tr_out)
+    return linalg.frobenius(tr_out - eye) <= TOLS.tp_sum
 
 
 @dataclass(frozen=True, eq=False)
 class CpMap:
-    """Completely positive map stored as a Choi matrix, dense or in block
-    form.
-
-    The PSD test decomposes each block of the Choi matrix once, or its
-    input-diagonal blocks when it is block diagonal in the input
-    (``_min_eigenvalue``).
-    """
-    choi: Array | BlockOp = field(repr=False)
+    """Completely positive map stored as a dense Choi matrix, validated by
+    one spectrum."""
+    choi: Array = field(repr=False)
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        c = BlockOp.of(linalg.hermitian(self.choi))
-        if c.dim != self.d_in * self.d_out:
+        s = linalg.spectrum(np.asarray(self.choi), vectors=False)
+        if s.op.dim != self.d_in * self.d_out:
             raise DimensionMismatchError(
-                f"choi has dim {c.dim}, expected {self.d_in * self.d_out}")
-        _, split = linalg.bipartite(c, (self.d_in, self.d_out))
-        wmin = min(_min_eigenvalue(b, *dims) for b, dims in zip(c.blocks, split))
-        scale = max(1.0, linalg.trace(c) / c.dim)     # mean eigenvalue
-        if wmin < -TOLS.density * scale:
-            raise NotPsdError(f"choi matrix has eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "choi", c.like(c.blocks))
+                f"choi has dim {s.op.dim}, expected {self.d_in * self.d_out}")
+        scale = max(1.0, linalg.trace(s.op) / s.op.dim)     # mean eigenvalue
+        s.least(TOLS.density * scale, NotPsdError, "choi matrix")
+        object.__setattr__(self, "choi", s.op.blocks[0])
 
-    def __call__(self, rho):
-        """E(rho) = Tr_in[(rho^T (x) I) choi], block by block.  A map out of
-        a block-form space takes its input in the same block form."""
-        c, r = BlockOp.of(self.choi), BlockOp.of(rho)
-        if r.dim != self.d_in:
-            raise DimensionMismatchError(
-                f"input dim {r.dim} != channel dim {self.d_in}")
-        side, split = linalg.bipartite(c, (self.d_in, self.d_out))
-        if side == 0 and r.layout()[:2] != (c.qubits, (c.pad[0], 1)):
-            c = BlockOp.of(c.dense())       # input in another form: go dense
-            side, split = linalg.bipartite(c, (self.d_in, self.d_out))
-        inputs = r.blocks if side == 0 else [np.asarray(r.dense())] * len(c.blocks)
-        parts = [np.einsum("ki,kaib->ab", x, b.reshape(d1, d2, d1, d2))
-                 for x, b, (d1, d2) in zip(inputs, c.blocks, split)]
-        return linalg.factor(c, None if side == 0 else 1, parts)
+    def __call__(self, rho) -> Array:
+        """E(rho) = Tr_in[(rho^T (x) I) choi]."""
+        _check_input(rho, self.d_in)
+        c = self.choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
+        return np.einsum("ki,kaib->ab", np.asarray(rho, dtype=complex), c)
+
+    def tr_out(self) -> Array:
+        return linalg.ptrace(self.choi, (self.d_in, self.d_out), axis=1)
 
     def is_trace_preserving(self) -> bool:
-        return _trace_preserving(self.choi, self.d_in, self.d_out)
+        return _trace_preserving(self.tr_out(), self.d_in)
 
 
-def _trace_preserving(choi, d_in: int, d_out: int) -> bool:
-    """Tr_out[choi] = I_in to ``TOLS.tp_sum`` in Frobenius norm."""
-    tr_out = linalg.ptrace(choi, (d_in, d_out), axis=1)
-    return linalg.frobenius(tr_out - linalg.identity_like(tr_out)) <= TOLS.tp_sum
+@dataclass(frozen=True, eq=False)
+class MeasurePrepare:
+    """E(rho) = sum_k Tr(M_k rho) omega_k with PSD effects M_k and states
+    omega_k (not normalized), each validated by one spectrum and stored
+    validated, in its own kind (dense or block form)."""
+    effects: tuple
+    states: tuple
+    d_in: int
+    d_out: int
+
+    def __post_init__(self):
+        if len(self.effects) != len(self.states):
+            raise DimensionMismatchError("one state per effect")
+        for what, d in (("effect", self.d_in), ("state", self.d_out)):
+            ops = [linalg.spectrum(x, vectors=False) for x in getattr(self, what + "s")]
+            for s in ops:
+                if s.op.dim != d:
+                    raise DimensionMismatchError(f"{what} has dim {s.op.dim}, expected {d}")
+                s.least(TOLS.density, NotPsdError, what)
+            object.__setattr__(self, what + "s", tuple(s.op.like(s.op.blocks) for s in ops))
+
+    def __call__(self, rho):
+        """sum_k Tr(M_k rho) omega_k, in the kind of the states; 0 for the
+        empty map."""
+        _check_input(rho, self.d_in)
+        return sum(linalg.inner(m, rho) * w for m, w in zip(self.effects, self.states))
+
+    def tr_out(self):
+        """Tr_out of the Choi matrix, sum_k Tr(omega_k) M_k^T, in the kind of
+        the effects; 0 for the empty map."""
+        return sum(linalg.trace(w) * linalg.transpose(m)
+                   for m, w in zip(self.effects, self.states))
+
+    def is_trace_preserving(self) -> bool:
+        return _trace_preserving(self.tr_out(), self.d_in)
+
+    @property
+    def choi(self) -> Array:
+        """The dense Choi matrix sum_k M_k^T (x) omega_k."""
+        return sum((linalg.tensor(linalg.transpose(m), w)
+                    for m, w in zip(self.effects, self.states)),
+                   np.zeros((self.d_in * self.d_out,) * 2, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
 class CdsMap:
     """Two-branch conditional doubly stochastic map (e0 keeps, e1 flips)."""
-    e0: CpMap
-    e1: CpMap
+    e0: CpMap | MeasurePrepare
+    e1: CpMap | MeasurePrepare
 
     def __post_init__(self):
         if (self.e0.d_in, self.e0.d_out) != (self.e1.d_in, self.e1.d_out):
             raise DimensionMismatchError("branch dimensions differ")
-        if not _trace_preserving(self.e0.choi + self.e1.choi, self.d_in, self.d_out):
+        if not _trace_preserving(self.e0.tr_out() + self.e1.tr_out(), self.d_in):
             raise InvalidChannelError("branch sum is not trace preserving")
 
     @property
@@ -136,26 +161,24 @@ def identity_map(d: int, weight: float = 1.0) -> CpMap:
     return cp_from_kraus([math.sqrt(weight) * np.eye(d)])
 
 
-def measure_prepare(effects: list, states: list, weight: float = 1.0) -> CpMap:
-    """E(rho) = weight * sum_k Tr(M_k rho) omega_k; effects or states may be
-    in block form."""
-    d_in = effects[0].shape[0]
-    d_out = states[0].shape[0]
-    choi = 0
-    for m, w in zip(effects, states):
-        choi = choi + weight * linalg.tensor(linalg.transpose(m), w)
-    return CpMap(choi, d_in, d_out)
+def measure_prepare(effects: list, states: list,
+                    weight: float = 1.0) -> MeasurePrepare:
+    """E(rho) = weight * sum_k Tr(M_k rho) omega_k, the weight folded into
+    the states; effects or states may be in block form."""
+    return MeasurePrepare(tuple(effects), tuple(weight * w for w in states),
+                          effects[0].shape[0], states[0].shape[0])
 
 
-def zero_map(d_in: int, d_out: int) -> CpMap:
-    return CpMap(np.zeros((d_in * d_out, d_in * d_out)), d_in, d_out)
+def zero_map(d_in: int, d_out: int) -> MeasurePrepare:
+    """The zero map: the measure-prepare map with no outcome."""
+    return MeasurePrepare((), (), d_in, d_out)
 
 
-def cptp_as_cds(e: CpMap) -> CdsMap:
+def cptp_as_cds(e: CpMap | MeasurePrepare) -> CdsMap:
     """Embed a channel on the quantum register as a one-branch CDS map."""
     if not e.is_trace_preserving():
         raise InvalidChannelError("single-branch embedding needs a CPTP map")
-    return CdsMap(e, CpMap(0.0 * e.choi, e.d_in, e.d_out))
+    return CdsMap(e, zero_map(e.d_in, e.d_out))
 
 
 def apply_cds(m: CdsMap, b: QuantumBox) -> QuantumBox:
@@ -172,7 +195,7 @@ def apply_cds(m: CdsMap, b: QuantumBox) -> QuantumBox:
     return QuantumBox(min(max(p_out, 0.0), 1.0), rho0, rho1)
 
 
-def apply_cptp(e: CpMap, b: QuantumBox) -> QuantumBox:
+def apply_cptp(e: CpMap | MeasurePrepare, b: QuantumBox) -> QuantumBox:
     return apply_cds(cptp_as_cds(e), b)
 
 
@@ -207,7 +230,7 @@ def pgm(rho0: Array, rho1: Array) -> Array:
 
 # --- distillation channels ----------------------------------------------------
 
-def distill_channel_cptpA(b: QuantumBox, lam: Array) -> CpMap:
+def distill_channel_cptpA(b: QuantumBox, lam: Array) -> MeasurePrepare:
     """Measure-and-prepare channel mapping b to its best golden unit
     (prior unchanged); the measurement ``lam`` is the Q_min minimizer,
     ``q_min(b.rho0, b.rho1).minimizer``."""
@@ -238,7 +261,7 @@ def _clamped_state(m):
     return out / linalg.trace(out)
 
 
-def dilute_channel_cptpA(target: QuantumBox, M: float) -> CpMap:
+def dilute_channel_cptpA(target: QuantumBox, M: float) -> MeasurePrepare:
     """Channel sending pi_M -> rho0 and X pi_M X -> rho1 (qubit input)."""
     if not math.isfinite(M) or M < 1.0:
         raise ParameterRangeError(f"M must be finite and >= 1, got {M}")
@@ -263,14 +286,9 @@ def dilute_channel_cds(target: QuantumBox, M: float) -> CdsMap:
         # boundary M = max(1/2p, 1/2(1-p)); only equal-state targets live here
         if linalg.trace_distance(target.rho0, target.rho1) > 1e-8:
             raise MTooSmallError("boundary M dilutes only equal-state targets")
-        rho = target.rho0
-        if p <= 1 - p:
-            e0 = measure_prepare([KET1], [rho])
-            e1 = measure_prepare([KET0], [rho])
-        else:
-            e0 = measure_prepare([KET0], [rho])
-            e1 = measure_prepare([KET1], [rho])
-        return CdsMap(e0, e1)
+        keep, flip = (KET1, KET0) if p <= 1 - p else (KET0, KET1)
+        return CdsMap(measure_prepare([keep], [target.rho0]),
+                      measure_prepare([flip], [target.rho0]))
     q = (2 * M * p - 1) / (2 * M - 2)
     if not -1e-12 <= q <= 1 + 1e-12:
         raise MTooSmallError(f"derived golden prior {q} outside [0, 1]")

@@ -6,7 +6,9 @@ An operator is either a dense matrix or a :class:`BlockOp`, the block form
 block with multiplicity 1), so every function here has one code path over
 blocks, with traces weighted by multiplicity; results come back in the
 kind of their argument.  Dense forms of block operators are built only on
-request (``np.asarray``).
+request (``np.asarray``).  Bipartite operators (``tensor``, ``ptrace``) are
+dense: channels on block-form spaces are held as effects and states
+(``channels.MeasurePrepare``), never as block-form Choi matrices.
 
 Every spectral function reads its argument through :func:`spectrum`, which
 validates it once (:func:`hermitian`); matrices rebuilt from that spectrum
@@ -35,38 +37,33 @@ PSD_SLACK = 1e-10       # a PSD argument's least eigenvalue may dip this far
 
 
 class BlockOp:
-    """The operator (+)_k B_k (x) I_{m_k} on (C^l) (x) H (x) (C^r).
+    """The operator (+)_k B_k (x) I_{m_k} on H = (C^2)^(x)qubits.
 
-    ``blocks`` act on C^l (x) C^{s_k} (x) C^r, where H = (C^2)^(x)qubits
-    splits into irreducible blocks of size s_k and multiplicity m_k
-    (``schur_weyl_power``) and ``pad = (l, r)`` are dense tensor factors
-    (Choi matrices of maps into or out of H).  ``qubits=None`` marks a
-    dense matrix, held as its single block.  The dense form is taken in the
+    ``blocks`` act on the irreducible blocks C^{s_k} of H, of size s_k and
+    multiplicity m_k (``schur_weyl_power``).  ``qubits=None`` marks a dense
+    matrix, held as its single block.  The dense form is taken in the
     computational basis through the qubit Schur transform, which is real,
     so transposition acts block by block.
     """
-    __slots__ = ("blocks", "mults", "qubits", "pad")
+    __slots__ = ("blocks", "mults", "qubits")
     __array_ufunc__ = None      # ndarray (op) BlockOp defers to BlockOp
 
-    def __init__(self, blocks, mults, qubits=None, pad=(1, 1)):
+    def __init__(self, blocks, mults, qubits=None):
         self.blocks = tuple(blocks)
         self.mults = tuple(mults)
         self.qubits = qubits
-        self.pad = pad
 
     @staticmethod
     def of(*hs):
         """Coerce operators to ``BlockOp`` in one common layout: a dense
-        matrix is the single block with multiplicity 1; operators whose
-        layouts differ are all taken dense.  One argument gives one
-        ``BlockOp``, several a tuple."""
+        matrix is the single block with multiplicity 1; operators on
+        different spaces (``qubits``, which fixes the block layout) are all
+        taken dense.  One argument gives one ``BlockOp``, several a tuple."""
         ops = [h if isinstance(h, BlockOp)
                else BlockOp((np.asarray(h, dtype=complex),), (1,)) for h in hs]
         if len(ops) == 1:
             return ops[0]
-        if not any(isinstance(h, BlockOp) for h in hs):
-            return tuple(ops)       # dense arrays share one layout
-        if any(o.layout() != ops[0].layout() for o in ops[1:]):
+        if any(o.qubits != ops[0].qubits for o in ops[1:]):
             ops = [BlockOp((np.asarray(o.dense(), dtype=complex),), (1,)) for o in ops]
         return tuple(ops)
 
@@ -79,21 +76,17 @@ class BlockOp:
         d = self.dim
         return d, d
 
-    def layout(self) -> tuple:
-        return (self.qubits, self.pad, self.mults,
-                tuple(b.shape for b in self.blocks))
-
     def like(self, blocks):
         """New blocks in this layout; a dense operator comes back dense."""
         if self.qubits is None:
             return blocks[0]
-        return BlockOp(blocks, self.mults, self.qubits, self.pad)
+        return BlockOp(blocks, self.mults, self.qubits)
 
     def dense(self) -> Array:
         if self.qubits is None:
             return self.blocks[0]
         out = 0.0
-        for b, cols in zip(self.blocks, _basis(self.qubits, self.pad)):
+        for b, cols in zip(self.blocks, _schur_transform(self.qubits)):
             d, _, m = cols.shape
             lhs = np.matmul(cols.transpose(0, 2, 1), b)   # (d, m, s)
             out = out + lhs.reshape(d, -1) @ cols.transpose(0, 2, 1).reshape(d, -1).T
@@ -290,19 +283,9 @@ def pseudo_inverse_sqrt(h):
     return s.apply(inv_sqrt)
 
 
-def tensor(a, b):
-    """Kronecker product; a block operator keeps its block form, the other
-    factor joining its dense padding."""
-    a, b = BlockOp.of(a), BlockOp.of(b)
-    if b.qubits is None:
-        x = b.blocks[0]
-        if a.qubits is None:
-            return np.kron(a.blocks[0], x)
-        return BlockOp([np.kron(y, x) for y in a.blocks], a.mults, a.qubits,
-                       (a.pad[0], a.pad[1] * len(x)))
-    x = np.asarray(a.dense(), dtype=complex)
-    return BlockOp([np.kron(x, y) for y in b.blocks], b.mults, b.qubits,
-                   (len(x) * b.pad[0], b.pad[1]))
+def tensor(a, b) -> Array:
+    """Dense Kronecker product."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def tensor_power(a: Array, n: int) -> Array:
@@ -315,49 +298,16 @@ def tensor_power(a: Array, n: int) -> Array:
     return out
 
 
-def bipartite(op: BlockOp, dims: tuple[int, int]) -> tuple[int, list]:
-    """Where the block structure of an operator on C^d1 (x) C^d2 sits, and
-    each block's bipartite dimensions: side 0 when the blocks split the
-    first factor (pad (l, d2)), side 1 when they split the second
-    (pad (d1, r)) or the operator is dense."""
-    d1, d2 = dims
-    if op.qubits is None:
-        return 1, [(d1, d2)]
-    (l, r), sizes = op.pad, [len(b) for b in op.blocks]
-    if l == d1:
-        return 1, [(l, s // l) for s in sizes]
-    if r == d2:
-        return 0, [(s // r, r) for s in sizes]
-    raise ValueError(f"block layout {op.pad} does not split dims {dims}")
-
-
-def factor(op: BlockOp, keep: int | None, parts: list):
-    """The operator on one factor of a bipartite block operator with one part
-    per block.  ``keep`` is the side of the structured factor when the parts
-    live on it: they keep the layout, minus the other factor's padding.
-    ``keep=None``: the parts live on the dense factor and are summed,
-    weighted by multiplicity."""
-    if keep is None:
-        return sum(m * x for m, x in zip(op.mults, parts))
-    if op.qubits is None:
-        return parts[0]
-    l, r = op.pad
-    return BlockOp(parts, op.mults, op.qubits, (l, 1) if keep == 0 else (1, r))
-
-
-def ptrace(m, dims: tuple[int, int], axis: int):
-    """Partial trace of an operator on a bipartite space.
+def ptrace(m, dims: tuple[int, int], axis: int) -> Array:
+    """Partial trace of a dense operator on a bipartite space.
 
     ``axis=0`` traces out the first tensor factor, ``axis=1`` the second.
     """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    op = BlockOp.of(m)
-    side, split = bipartite(op, dims)
+    d1, d2 = dims
     spec = "iaib->ab" if axis == 0 else "aibi->ab"
-    parts = [np.einsum(spec, b.reshape(d1, d2, d1, d2))
-             for b, (d1, d2) in zip(op.blocks, split)]
-    return factor(op, None if axis == side else side, parts)
+    return np.einsum(spec, np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2))
 
 
 # --- Schur-Weyl block form of qubit tensor powers -------------------------------
@@ -420,19 +370,4 @@ def _schur_transform(n: int) -> tuple[Array, ...]:
             cols.append(nxt / np.linalg.norm(nxt, axis=0))
         out.append(np.stack(cols, axis=1))
         out[-1].flags.writeable = False     # cached: shared by every caller
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _basis(n: int, pad: tuple[int, int]) -> tuple[Array, ...]:
-    """The Schur transform columns with dense factors (l, r) on either side:
-    (l * 2^n * r, l * s_k * r, m_k) per block."""
-    l, r = pad
-    il, ir = np.eye(l), np.eye(r)
-    out = []
-    for q in _schur_transform(n):
-        d, s, m = q.shape
-        out.append(np.einsum("ab,xij,cd->axcbidj", il, q, ir)
-                   .reshape(l * d * r, l * s * r, m))
-        out[-1].flags.writeable = False
     return tuple(out)

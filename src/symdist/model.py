@@ -158,28 +158,6 @@ def times(var: Var, h) -> Expr:
     return Expr(h.shape[0], [(var.name, 1.0, adjoint, h)])
 
 
-def kron_left(k, var: Var) -> Expr:
-    """X -> K (x) X."""
-    k = np.asarray(k, dtype=complex)
-    dk, dx = k.shape[0], var.dim
-
-    def adjoint(e):
-        return np.einsum("ij,riajb->rab", k.conj(), e.reshape(-1, dk, dx, dk, dx))
-
-    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
-
-
-def kron_right(var: Var, k) -> Expr:
-    """X -> X (x) K."""
-    k = np.asarray(k, dtype=complex)
-    dk, dx = k.shape[0], var.dim
-
-    def adjoint(e):
-        return np.einsum("ij,raibj->rab", k.conj(), e.reshape(-1, dx, dk, dx, dk))
-
-    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
-
-
 def channel_output(k, choi_var: Var, dims: tuple[int, int]) -> Expr:
     """Tr_in[(K^T (x) I) Omega] for a Choi-matrix variable on in (x) out."""
     k = np.asarray(k, dtype=complex)

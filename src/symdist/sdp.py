@@ -345,8 +345,8 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             status = SdpStatus.ILL_CONDITIONED
             break
 
-        X = [_sym(x + alpha * dx) for x, dx in zip(X, dX)]
-        S = [_sym(s + alpha * ds) for s, ds in zip(S, dS)]
+        X = [x + alpha * dx for x, dx in zip(X, dX)]
+        S = [s + alpha * ds for s, ds in zip(S, dS)]
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa

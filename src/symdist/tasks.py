@@ -9,7 +9,8 @@ the conversion program into an orthogonal-pair golden unit with its dual,
 are cross-check oracles in ``tests/oracles.py``.
 
 Exact tasks run block by block on boxes in block form (``tensor_box`` of a
-qubit box), witnesses included.  The programs take dense data: they
+qubit box), witnesses included: those are measure-and-prepare maps whose
+effects or states keep the block form.  The programs take dense data: they
 materialise a block-form box once, where they read it.
 """
 
@@ -23,10 +24,11 @@ import numpy as np
 
 from . import channels, linalg, model
 from .boxes import QuantumBox, golden_box
-from .channels import CdsMap, CpMap, measure_prepare
+from .channels import CdsMap, CpMap, MeasurePrepare, measure_prepare
 from .config import TOLS
 from .divergences import (_support_if_orthogonal, chernoff, p_err, q_max,
-                          q_max_star, q_min, q_min_eps, sd, thompson, xi_of)
+                          q_max_star, q_min, q_min_eps, sd, thompson, xi_max,
+                          xi_max_star, xi_of)
 from .exceptions import ParameterRangeError, SolverError
 from .model import Model, channel_output, ptrace_out, times, trace
 from .sdp import SdpStatus, SolverOptions
@@ -47,7 +49,7 @@ def _check_regime(regime: str) -> str:
 @dataclass(eq=False)
 class TaskResult:
     value: float
-    witness: CdsMap | CpMap | None = None
+    witness: CdsMap | CpMap | MeasurePrepare | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -77,8 +79,8 @@ def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
     """Exact dilution cost xi_max (cptpA) or xi_max_star (cds) with its
     dilution channel.  The Thompson metric is evaluated once (per block,
     two ``eigh`` and two ``eigvalsh``); the witness adds one ``eigh`` per
-    block of each prepared state and a PSD test on each input block of its
-    Choi matrix."""
+    block of each prepared state and the PSD test (one ``eigvalsh`` per
+    block) of each of its effects and states."""
     _check_regime(regime)
     if regime == CPTPA:
         if b.p <= 0.0 or b.p >= 1.0:
@@ -106,7 +108,8 @@ def _normalized_chois(chois: list[Array], d_in: int, d_out: int) -> list[Array]:
     return [corr @ c @ corr.conj().T for c in chois]
 
 
-def _exact_cptpA_conversion(source: QuantumBox, target: QuantumBox) -> CpMap | None:
+def _exact_cptpA_conversion(source: QuantumBox,
+                            target: QuantumBox) -> MeasurePrepare | None:
     """Exact prior-preserving channel source -> target, or None."""
     if abs(source.p - target.p) > 1e-12:
         return None
@@ -298,8 +301,9 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
 
     For fixed M the program is linear and its phase-I shift lambda rises
     with t = 1/(2M - 1).  Illinois regula falsi closes a bracket on the root,
-    from t = 1 (M = 1) to the exact cost (feasible: ``cost_exact``'s dilution
-    channel maps that golden unit onto the box), to ``_M_TOL`` in M and returns
+    from t = 1 (M = 1) to the exact cost ``xi_max`` (cptpA) or
+    ``xi_max_star`` (cds), feasible because ``cost_exact``'s dilution channel
+    maps that golden unit onto the box, to ``_M_TOL`` in M and returns
     its feasible end.  The phase-I program is built and compiled once per
     call, at t = 1; each step solves a copy with its two t blocks rescaled.
     Diagnostics count the solves and, by status, the non-optimal ones
@@ -309,8 +313,8 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
     if regime == CPTPA and not 0.0 < b.p < 1.0:
         return TaskResult(0.0, None, {"reason": "singular prior"})
-    exact = cost_exact(b, regime)
-    if math.isinf(exact.value):
+    exact = xi_max(b.rho0, b.rho1) if regime == CPTPA else xi_max_star(b)
+    if math.isinf(exact):
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
@@ -319,7 +323,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     hi, f_hi = 1.0, _phase1_shift(m, compiled, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})
-    lo = 1.0 / (2.0 ** (exact.value + 1.0) - 1.0)
+    lo = 1.0 / (2.0 ** (exact + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
         f_lo = min(_phase1_shift(m, compiled, lo, stats), 0.0)
     except SolverError:

@@ -12,6 +12,9 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
   regimes (``tasks.distill_approx``; ``divergences.q_min`` at eps = 0 under
   CPTP_A).
 
+``kron_left`` and ``kron_right`` (X -> K (x) X, X -> X (x) K) are the
+model expressions of the D' dual in ``conversion_error_to_infinite``.
+
 The solver takes PSD blocks only, so each free Hermitian variable of the
 textbook programs is written as a bound minus a PSD block; the docstrings
 say why the bound loses nothing.  Like the library's programs, each takes
@@ -28,11 +31,33 @@ from symdist.boxes import KET0, KET1, QuantumBox
 from symdist.config import TOLS
 from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
 from symdist.exceptions import ParameterRangeError
-from symdist.model import Model, inner, kron_left, kron_right, times, trace
+from symdist.model import Expr, Model, Var, inner, times, trace
 from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime, _dense_weighted,
                            _free_map_outputs, _scaled_trace_distance_rows)
 
 INF = math.inf
+
+
+def kron_left(k, var: Var) -> Expr:
+    """X -> K (x) X."""
+    k = np.asarray(k, dtype=complex)
+    dk, dx = k.shape[0], var.dim
+
+    def adjoint(e):
+        return np.einsum("ij,riajb->rab", k.conj(), e.reshape(-1, dk, dx, dk, dx))
+
+    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
+
+
+def kron_right(var: Var, k) -> Expr:
+    """X -> X (x) K."""
+    k = np.asarray(k, dtype=complex)
+    dk, dx = k.shape[0], var.dim
+
+    def adjoint(e):
+        return np.einsum("ij,raibj->rab", k.conj(), e.reshape(-1, dx, dk, dx, dk))
+
+    return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
 
 
 def p_err_sdp(b: QuantumBox) -> float:

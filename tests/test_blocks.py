@@ -138,17 +138,23 @@ def test_exact_cost_rate_approaches_thompson_from_below():
 
 
 def test_nine_copies_stay_in_block_form(no_dense, decompositions):
-    """The closed forms and exact tasks on b^(x)9 (d = 512) never build a
-    dense matrix and decompose nothing larger than 2(n + 1) = 20."""
+    """The closed forms and exact tasks on b^(x)9 (d = 512), and both
+    witnesses applied, never build a dense matrix and decompose nothing
+    larger than the largest block, n + 1 = 10."""
     t = tensor_box(random_box(2, np.random.default_rng(7)), 9)
     dv.sd(t)
     dv.chernoff(t.rho0, t.rho1)
     dv.thompson(t.rho0, t.rho1)
     dv.q_min(t.rho0, t.rho1)
     for regime in (CPTPA, CDS):
-        assert math.isfinite(tasks.cost_exact(t, regime).value)
-        tasks.distill_exact(t, regime)
-    assert 0 < decompositions.largest <= 20
+        q = 0.5 if regime == CDS else t.p
+        res = tasks.cost_exact(t, regime)
+        assert math.isfinite(res.value)
+        assert isinstance(_apply(res.witness, golden_box(2.0 ** res.value, q)).rho0,
+                          linalg.BlockOp)
+        res = tasks.distill_exact(t, regime)
+        assert _apply(res.witness, t).dim == 2
+    assert 0 < decompositions.largest <= 10
 
 
 def test_programs_materialise_block_boxes_once():

@@ -1,13 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from symdist import channels, linalg
-from symdist.boxes import KET0, KET1, QuantumBox, golden_box, random_box, random_density
-from symdist.channels import (CdsMap, CpMap, apply_cds, apply_cptp,
-                              cptp_as_cds, dilute_channel_cds,
+from symdist.boxes import (KET0, KET1, QuantumBox, golden_box, random_box,
+                           random_density, tensor_box)
+from symdist.channels import (CdsMap, CpMap, MeasurePrepare, apply_cds,
+                              apply_cptp, cptp_as_cds, dilute_channel_cds,
                               dilute_channel_cptpA, distill_channel_cds,
                               distill_channel_cptpA, gad_channel,
                               golden_majorize, helstrom_povm, identity_map,
@@ -15,11 +17,12 @@ from symdist.channels import (CdsMap, CpMap, apply_cds, apply_cptp,
                               random_cptp)
 from symdist.config import TOLS
 from symdist.divergences import p_err, q_max, q_max_star, q_min
-from symdist.exceptions import (InfiniteResourceError, MTooSmallError,
-                                NotMajorizedError, NotInfiniteResourceError,
-                                NotPsdError, ParameterRangeError)
+from symdist.exceptions import (InfiniteResourceError, InvalidChannelError,
+                                MTooSmallError, NotMajorizedError,
+                                NotInfiniteResourceError, NotPsdError,
+                                ParameterRangeError)
 
-from conftest import box_distance
+from conftest import box_distance, dense_box
 
 
 def test_apply_identity(rng):
@@ -243,26 +246,34 @@ def test_constructed_channels_pass_validity(rng):
 
 @pytest.mark.parametrize("d_in", [2, 3])
 def test_cp_map_block_psd_test_matches_full(d_in, rng, decompositions):
-    """A Choi matrix with zero off-diagonal input blocks is tested block by
-    block, and the decision is the full spectrum's."""
+    """A Choi matrix with zero off-diagonal input blocks is the
+    measure-prepare map with effects |i><i| and its diagonal blocks as
+    states.  That map is tested on its effects and states, the Choi matrix
+    as a ``CpMap`` on its full spectrum, and both decide as the full
+    spectrum does."""
     d_out, trials = 3, 40
     decisions = set()
+    effects = list(np.eye(d_in)[:, :, None] * np.eye(d_in)[:, None, :])
     for _ in range(trials):
-        choi = block_diag(*(random_density(d_out, rng)
-                            + rng.uniform(-0.1, 0.1) * np.eye(d_out)
-                            for _ in range(d_in)))
+        states = [random_density(d_out, rng) + rng.uniform(-0.1, 0.1) * np.eye(d_out)
+                  for _ in range(d_in)]
+        choi = block_diag(*states)
         scale = max(1.0, np.trace(choi).real / len(choi))
         full = np.linalg.eigvalsh(choi).min() >= -TOLS.density * scale
-        try:
-            CpMap(choi, d_in, d_out)
-            block = True
-        except NotPsdError:
-            block = False
-        assert block == full
+        for build in (lambda: CpMap(choi, d_in, d_out),
+                      lambda: measure_prepare(effects, states)):
+            try:
+                build()
+                decided = True
+            except NotPsdError:
+                decided = False
+            assert decided == full
         decisions.add(full)
     assert decisions == {True, False}
-    assert decompositions == {("eigvalsh", d_out): trials,
-                              ("eigvalsh", d_in * d_out): trials}
+    want = Counter({("eigvalsh", d_in * d_out): 2 * trials})
+    want["eigvalsh", d_in] += d_in * trials         # effects
+    want["eigvalsh", d_out] += d_in * trials        # states
+    assert decompositions == want
 
 
 @pytest.mark.parametrize("d_in", [2, 3])
@@ -278,9 +289,9 @@ def test_cp_map_block_path_rejects_small_negative_eigenvalue(d_in, rng):
 
 @pytest.mark.parametrize("coupling, psd", [(0.5, True), (2.0, False)])
 def test_cp_map_coupled_blocks_take_full_path(coupling, psd, decompositions):
-    """One nonzero off-diagonal input block (with its adjoint) sends the
-    test to the full spectrum: here every diagonal block is PSD, and the
-    full matrix is PSD only for the weaker coupling."""
+    """A Choi matrix is tested on its full spectrum: here every diagonal
+    input block is PSD, and the full matrix is PSD only for the weaker
+    coupling."""
     d_in, d_out = 3, 2
     choi = np.eye(d_in * d_out, dtype=complex)
     c4 = choi.reshape(d_in, d_out, d_in, d_out)
@@ -291,3 +302,70 @@ def test_cp_map_coupled_blocks_take_full_path(coupling, psd, decompositions):
         with pytest.raises(NotPsdError):
             CpMap(choi, d_in, d_out)
     assert decompositions == {("eigvalsh", d_in * d_out): 1}
+
+
+# --- measure-and-prepare maps ---------------------------------------------------
+
+def _random_psd(d, rng, real):
+    return rng.uniform(0.1, 2.0) * random_density(d, rng, real)
+
+
+@pytest.mark.parametrize("d_in", [2, 3])
+@pytest.mark.parametrize("d_out", [2, 3])
+@pytest.mark.parametrize("real", [True, False])
+def test_measure_prepare_matches_its_choi(d_in, d_out, real, rng):
+    """Application and Tr_out read off the effects and states agree with the
+    dense Choi matrix built on request."""
+    for k in (1, 2, 3):
+        mp = measure_prepare([_random_psd(d_in, rng, real) for _ in range(k)],
+                             [_random_psd(d_out, rng, real) for _ in range(k)],
+                             weight=0.7)
+        assert isinstance(mp, MeasurePrepare)
+        cp = CpMap(mp.choi, d_in, d_out)
+        for _ in range(3):
+            rho = random_density(d_in, rng, real)
+            assert np.abs(mp(rho) - cp(rho)).max() <= 1e-12
+        tr_out = linalg.ptrace(mp.choi, (d_in, d_out), axis=1)
+        assert np.abs(mp.tr_out() - tr_out).max() <= 1e-12
+        assert np.abs(cp.tr_out() - tr_out).max() <= 1e-12
+
+
+def test_block_measure_prepare_matches_its_dense_form():
+    """A map on b^(x)3 with block-form effects and states: applied to a
+    block-form input it agrees with its dense Choi matrix on the dense
+    input, and its Tr_out stays in block form."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    lam = helstrom_povm(t)
+    mp = measure_prepare([lam, linalg.identity_like(lam) - lam], [t.rho0, t.rho1])
+    cp = CpMap(mp.choi, 8, 8)
+    d = dense_box(t)
+    for block, dense in zip(t.weighted(), d.weighted()):
+        out = mp(block)
+        assert isinstance(out, linalg.BlockOp)
+        assert np.abs(np.asarray(out) - cp(dense)).max() <= 1e-12
+    tr_out = mp.tr_out()
+    assert isinstance(tr_out, linalg.BlockOp)
+    assert np.abs(np.asarray(tr_out) - linalg.ptrace(mp.choi, (8, 8), axis=1)).max() <= 1e-12
+
+
+def test_measure_prepare_rejects_non_psd_effects_and_states():
+    bad = np.diag([1.0, -1e-6])
+    with pytest.raises(NotPsdError, match="effect"):
+        measure_prepare([bad, np.eye(2)], [KET0, KET1])
+    with pytest.raises(NotPsdError, match="state"):
+        measure_prepare([KET0, KET1], [KET0, bad])
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    with pytest.raises(NotPsdError, match="state"):
+        measure_prepare([KET0], [t.rho0 - t.rho1])
+
+
+def test_cds_map_of_measure_prepare_branches_must_be_trace_preserving():
+    keep = measure_prepare([KET0, KET1], [KET0, KET1], weight=0.5)
+    flip = measure_prepare([KET0, KET1], [KET1, KET0], weight=0.5)
+    assert CdsMap(keep, flip).d_in == 2
+    with pytest.raises(InvalidChannelError):
+        CdsMap(keep, measure_prepare([KET0], [KET1], weight=0.5))
+    with pytest.raises(InvalidChannelError):
+        CdsMap(keep, channels.zero_map(2, 2))
+    with pytest.raises(InvalidChannelError):
+        CdsMap(channels.zero_map(2, 2), channels.zero_map(2, 2))

@@ -7,10 +7,11 @@ from symdist import sdp, tasks
 from symdist.exceptions import SolverError
 from symdist.boxes import random_box
 from symdist.model import (Model, channel_output, hermitian_basis, inner,
-                           kron_left, kron_right, ptrace_out, times, trace)
+                           ptrace_out, times, trace)
 from symdist.sdp import SdpStatus, SolverOptions
 
 from conftest import random_hermitian
+from oracles import kron_left, kron_right
 
 
 def test_trace_normalized_psd():

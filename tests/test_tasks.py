@@ -107,27 +107,30 @@ def test_state_below_zero_is_stored_psd():
 def test_cost_exact_decomposes_each_operator_once(decompositions, regime,
                                                    eigh_max, eigvalsh_max):
     """One Thompson metric, one eigh per prepared state and a PSD test on
-    the input blocks of each witness Choi; nothing of the Choi size 2d."""
+    each effect (qubit) and state of the witness; nothing of the Choi size
+    2d."""
     b = dense_box(tensor_box(random_box(2, np.random.default_rng(7)), 3))
     decompositions.clear()  # state validation
     tasks.cost_exact(b, regime)
-    assert {size for _, size in decompositions} == {8}
+    assert decompositions.largest == 8
     assert decompositions["eigh", 8] <= eigh_max
     assert decompositions["eigvalsh", 8] <= eigvalsh_max
 
 
-@pytest.mark.parametrize("regime, eigvalsh_count", [(CPTPA, 3), (CDS, 4)])
+@pytest.mark.parametrize("regime, eigvalsh_4, eigvalsh_2",
+                         [(CPTPA, 4, 6), (CDS, 6, 10)])
 def test_cost_exact_decomposes_each_block_once(decompositions, regime,
-                                               eigvalsh_count):
+                                               eigvalsh_4, eigvalsh_2):
     """Block form of b^(x)3 (blocks of size 4 and 2): per block, the Thompson
-    metric's two eigh and two eigvalsh, one eigh per prepared state, and
-    the PSD test of each witness Choi on its input blocks."""
+    metric's two eigh and two eigvalsh and one eigh per prepared state;
+    then one eigvalsh per block of each state and per qubit effect of each
+    witness branch (one branch under cptpA, two under cds)."""
     b = tensor_box(random_box(2, np.random.default_rng(7)), 3)
     decompositions.clear()  # state validation
     tasks.cost_exact(b, regime)
     assert decompositions == {("eigh", 4): 4, ("eigh", 2): 4,
-                              ("eigvalsh", 4): eigvalsh_count,
-                              ("eigvalsh", 2): eigvalsh_count}
+                              ("eigvalsh", 4): eigvalsh_4,
+                              ("eigvalsh", 2): eigvalsh_2}
 
 
 def test_one_shot_irreversibility(rng):
