@@ -226,22 +226,6 @@ def spectrum(h, vectors: bool = True) -> Spectrum:
     return Spectrum(op, [(np.linalg.eigvalsh(b), None) for b in op.blocks])
 
 
-def matrix_power(h, s: float):
-    """h**s for PSD h and s in [0, 1], with the support convention 0**0 = 0."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {s}")
-
-    def power(w):
-        out = np.zeros_like(w)
-        pos = w > 0
-        out[pos] = w[pos] ** s
-        return out
-
-    spec = spectrum(h)
-    spec.least(PSD_SLACK)
-    return spec.apply(power)
-
-
 def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
     s = spectrum(h, vectors=False)

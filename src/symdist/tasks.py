@@ -4,9 +4,10 @@ Every one-shot task returns a :class:`TaskResult` carrying the value in
 SD-bits (base-2), a channel witness where the protocol is constructive,
 and solver diagnostics.  Regimes: ``"cptpA"`` restricts to channels on the
 quantum register (prior fixed), ``"cds"`` allows classical label flips.
-Approximate distillation is solver-free in both regimes.  Its program, and
-the conversion program into an orthogonal-pair golden unit with its dual,
-are cross-check oracles in ``tests/oracles.py``.
+Approximate distillation is solver-free in both regimes.  Its program, the
+conversion-error program with its scale as a variable (fixed here in closed
+form) and the conversion program into an orthogonal-pair golden unit with
+its dual are cross-check oracles in ``tests/oracles.py``.
 
 Exact tasks run block by block on boxes in block form (``tensor_box`` of a
 qubit box), witnesses included: those are measure-and-prepare maps whose
@@ -143,28 +144,19 @@ def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
             ptrace_out(om0, dims))
 
 
-def _scaled_trace_distance_rows(m: Model, tau0: model.Expr, tau1: model.Expr,
-                                s_extra: model.Var, sigma: QuantumBox) -> model.Expr:
-    """Add the scaled-trace-distance rows of the branch images (tau0, tau1)
-    against sigma at scale s = 1 + s_extra, and return the objective
-    Tr(B + C) to minimize:  B_i - C_i = tau_i - s sigma_i,
-    D - E = s (p sigma0 - (1-p) sigma1),  Tr(D + E) <= s,  B, C, D, E >= 0."""
-    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
-                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
-    s0, s1 = _dense_weighted(sigma)
-    weight = s0 - s1
-    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
-    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
-    m.eq(dv - ev - times(s_extra, weight), weight)
-    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
-    return trace(b0) + trace(b1) + trace(c0) + trace(c1)
-
-
 def min_conversion_error(source: QuantumBox, target: QuantumBox,
                          regime: str) -> TaskResult:
-    """Smallest scaled-trace-distance error reachable under free operations."""
+    """Smallest scaled-trace-distance error reachable under free operations.
+
+    A free map with branch images tau_i has error s* sum_i ||tau_i - sigma_i||_1,
+    with sigma_i the weighted target branches and the closed-form scale
+    s* = 1/(2 p_err(target)).  The program minimizes sum_i Tr(B_i + C_i) over
+    B_i - C_i = tau_i - sigma_i, B_i, C_i >= 0 and trace-preserving Choi
+    variables; the value is s* times its optimum, and ``diagnostics["s"]``
+    is s*."""
     _check_regime(regime)
-    if p_err(target) <= TOLS.infinite_perr:
+    pe_target = p_err(target)
+    if pe_target <= TOLS.infinite_perr:
         # infinite-resource target: exact conversion or nothing
         if regime == CDS:
             if p_err(source) <= TOLS.infinite_perr:
@@ -184,24 +176,23 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
 
     d_in, d_out = source.dim, target.dim
     m = Model()
-    s_extra = m.scalar("s0")  # s = 1 + s_extra
     tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(source), (d_in, d_out),
                                        regime)
-    m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
-    m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
+    sigma0, sigma1 = _dense_weighted(target)
+    b0, b1, c0, c1 = (m.psd_var(n, d_out) for n in ("b0", "b1", "c0", "c1"))
+    m.eq(b0 - c0 - tau0, -sigma0)
+    m.eq(b1 - c1 - tau1, -sigma1)
+    m.eq(tp, np.eye(d_in))
+    m.minimize(trace(b0) + trace(b1) + trace(c0) + trace(c1))
     res = model.require_optimal(m.solve(), "conversion-error program")
 
-    s_val = 1.0 + float(np.real(res.primal["s0"][0, 0]))
-    if regime == CDS:
-        choi0, choi1 = _normalized_chois(
-            [res.primal["om0"] / s_val, res.primal["om1"] / s_val], d_in, d_out)
-        witness: CdsMap | CpMap = CdsMap(CpMap(choi0, d_in, d_out),
-                                         CpMap(choi1, d_in, d_out))
-    else:
-        choi0, = _normalized_chois([res.primal["om0"] / s_val], d_in, d_out)
-        witness = CpMap(choi0, d_in, d_out)
-    return TaskResult(max(res.value, 0.0), witness,
-                      {"s": s_val, "gap": res.gap})
+    names = ("om0", "om1") if regime == CDS else ("om0",)
+    maps = [CpMap(c, d_in, d_out) for c in
+            _normalized_chois([res.primal[n] for n in names], d_in, d_out)]
+    witness = CdsMap(*maps) if regime == CDS else maps[0]
+    s_star = 1.0 / (2.0 * pe_target)
+    return TaskResult(max(s_star * res.value, 0.0), witness,
+                      {"s": s_star, "gap": res.gap})
 
 
 # --- approximate distillation ---------------------------------------------------

@@ -6,6 +6,9 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 - ``p_err_sdp``: the greatest-lower-bound program for ``divergences.p_err``.
 - ``scaled_trace_distance_sdp``: primal and dual programs for
   ``divergences.scaled_trace_distance``.
+- ``conversion_error_program``: the conversion-error program with its
+  scale s a variable, which ``tasks.min_conversion_error`` fixes at the
+  closed form s* = 1/(2 p_err(target)).
 - ``conversion_error_to_infinite``: the conversion program into an
   orthogonal-pair golden unit, and its dual; both equal ``p_err``.
 - ``distill_approx_program``: one-shot approximate distillation in both
@@ -33,7 +36,7 @@ from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Expr, Model, Var, inner, times, trace
 from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime, _dense_weighted,
-                           _free_map_outputs, _scaled_trace_distance_rows)
+                           _free_map_outputs)
 
 INF = math.inf
 
@@ -70,6 +73,53 @@ def p_err_sdp(b: QuantumBox) -> float:
     m.ge(z, w0 - w1)
     m.maximize(float(np.trace(w0).real) - trace(z))
     return model.require_optimal(m.solve(), "greatest-lower-bound program").value
+
+
+def _scaled_trace_distance_rows(m: Model, tau0: Expr, tau1: Expr,
+                                s_extra: Var, sigma: QuantumBox) -> Expr:
+    """Add the scaled-trace-distance rows of the branch images (tau0, tau1)
+    against sigma at scale s = 1 + s_extra, and return the objective
+    Tr(B0 + B1 + C0 + C1) to minimize:  B_i - C_i = tau_i - s sigma_i,
+    D - E = s (sigma_0 - sigma_1),  Tr(D + E) <= s - 1,  B, C, D, E >= 0,
+    with sigma_i the weighted branches.  The least Tr(D + E) is
+    s ||sigma_0 - sigma_1||_1 = s (1 - 2 p_err(sigma)), so the D, E rows
+    encode s >= 1/(2 p_err(sigma))."""
+    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
+                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
+    s0, s1 = _dense_weighted(sigma)
+    weight = s0 - s1
+    m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
+    m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
+    m.eq(dv - ev - times(s_extra, weight), weight)
+    m.le(trace(dv) + trace(ev) - s_extra, 0.0)
+    return trace(b0) + trace(b1) + trace(c0) + trace(c1)
+
+
+class ConversionProgram(NamedTuple):
+    value: float
+    s: float
+
+
+def conversion_error_program(source: QuantumBox, target: QuantumBox,
+                             regime: str) -> ConversionProgram:
+    """The conversion-error program with its scale s a variable: Choi
+    variables with Tr_out = s I and ``_scaled_trace_distance_rows``.  Its
+    objective grows with s, so wherever the value is positive the solved s
+    is the closed form s* = 1/(2 p_err(target)) that
+    ``tasks.min_conversion_error`` uses.  Requires p_err(target) > 0."""
+    _check_regime(regime)
+    if p_err(target) <= TOLS.infinite_perr:
+        raise ValueError("conversion_error_program needs p_err(target) > 0")
+    d_in, d_out = source.dim, target.dim
+    m = Model()
+    s_extra = m.scalar("s0")  # s = 1 + s_extra
+    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(source), (d_in, d_out),
+                                       regime)
+    m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
+    m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
+    res = model.require_optimal(m.solve(), "conversion-error program")
+    return ConversionProgram(max(res.value, 0.0),
+                             1.0 + float(np.real(res.primal["s0"][0, 0])))
 
 
 class DPrimePair(NamedTuple):

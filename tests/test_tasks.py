@@ -1,12 +1,13 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from symdist import divergences as dv
-from symdist import tasks
+from symdist import sdp, tasks
 from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
@@ -14,7 +15,8 @@ from symdist.exceptions import ParameterRangeError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, dense_box, dilution_reproducer, figure4_boxes
-from oracles import conversion_error_to_infinite, distill_approx_program
+from oracles import (conversion_error_program, conversion_error_to_infinite,
+                     distill_approx_program)
 
 
 def _apply_witness(witness, box):
@@ -218,11 +220,53 @@ def test_conversion_figure4_diagonal_lp():
             _diagonal_conversion_lp(source, target, regime), abs=1e-6)
 
 
-def test_conversion_witness_achieves_value(rng):
-    src, tgt = random_box(2, rng), random_box(2, rng)
-    res = tasks.min_conversion_error(src, tgt, CDS)
+CONVERSION_DIMS = [(2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("dims", CONVERSION_DIMS, ids="{0[0]}-{0[1]}".format)
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_conversion_witness_achieves_value(rng, regime, dims):
+    src, tgt = random_box(dims[0], rng), random_box(dims[1], rng)
+    res = tasks.min_conversion_error(src, tgt, regime)
     out = _apply_witness(res.witness, src)
     assert dv.scaled_trace_distance(out, tgt) <= res.value + 1e-5
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.93])
+@pytest.mark.parametrize("dims", CONVERSION_DIMS, ids="{0[0]}-{0[1]}".format)
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_conversion_at_closed_form_scale_matches_variable_scale(regime, dims, p):
+    """The program at s* = 1/(2 p_err(target)) has the value of the program
+    with s a variable, and where that value is positive the solved s is s*.
+    The variable s is pinned only through the objective's slope value/s, so
+    it is compared relative to its size: at value 9.3e-3 (dims (2, 3),
+    p = 0.93, cds) it is off by 1.3e-6, or 3.5e-7 relative."""
+    rng = np.random.default_rng(round(1000 * p) + 10 * dims[0] + dims[1])
+    src, tgt = random_box(dims[0], rng, p=p), random_box(dims[1], rng)
+    res = tasks.min_conversion_error(src, tgt, regime)
+    oracle = conversion_error_program(src, tgt, regime)
+    assert res.value == pytest.approx(oracle.value, abs=1e-6)
+    assert res.diagnostics["s"] == 1.0 / (2.0 * dv.p_err(tgt))
+    if oracle.value > 1e-6:
+        assert oracle.s == pytest.approx(res.diagnostics["s"], rel=1e-6)
+
+
+def test_conversion_program_shape(monkeypatch):
+    """The 4 -> 4 cds conversion of a two-copy qubit box reaches the solver
+    as two Choi blocks (16 x 16 complex, embedded as 32) and four trace-
+    distance blocks (4 x 4, embedded as 8): 2 x 16 image rows and 16 trace-
+    preservation rows, and no scalar block for the scale."""
+    shapes = []
+    solve = sdp.solve
+
+    def recording_solve(problem, options=None):
+        shapes.append((Counter(problem.blocks), len(problem.constraints)))
+        return solve(problem, options)
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    src = tensor_box(random_box(2, np.random.default_rng(7)), 2)
+    tasks.min_conversion_error(src, random_box(4, np.random.default_rng(8)), CDS)
+    assert shapes == [(Counter({8: 4, 32: 2}), 48)]
 
 
 def test_conversion_infinite_target_cases(rng):
