@@ -166,7 +166,7 @@ def box_from_json(text: str) -> QuantumBox:
     for key in ("p", "rho0", "rho1"):
         if key not in data:
             raise ValueError(f"field {key!r} missing from box JSON")
-    if not isinstance(data["p"], (int, float)):
+    if not isinstance(data["p"], (int, float)) or isinstance(data["p"], bool):
         raise ValueError("field 'p': expected a number")
     p = float(data["p"])
     rho0 = _matrix_from_json(data["rho0"], "rho0")

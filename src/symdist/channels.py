@@ -157,8 +157,8 @@ def cp_from_kraus(kraus: list[Array]) -> CpMap:
     return CpMap(kraus_to_choi(ks), ks[0].shape[1], ks[0].shape[0])
 
 
-def identity_map(d: int, weight: float = 1.0) -> CpMap:
-    return cp_from_kraus([math.sqrt(weight) * np.eye(d)])
+def identity_map(d: int) -> CpMap:
+    return cp_from_kraus([np.eye(d)])
 
 
 def measure_prepare(effects: list, states: list,
@@ -308,24 +308,20 @@ def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     from .divergences import _support_if_orthogonal, p_err
     if p_err(source) > TOLS.infinite_perr:
         raise NotInfiniteResourceError("source box has positive p_err")
-    q = target.p
-    s0, s1 = target.rho0, target.rho1
+    # lam accepts label 0: the support of rho0 when the branch states are
+    # orthogonal, else 0 or I when only one branch carries weight
     lam = _support_if_orthogonal(source.rho0, source.rho1)
     eye = linalg.identity_like(source.rho0)
-    if lam is not None:
-        e0 = measure_prepare([lam, eye - lam], [q * s0, (1 - q) * s1])
-        e1 = measure_prepare([eye - lam, lam], [q * s0, (1 - q) * s1])
-        return CdsMap(e0, e1)
-    if source.p <= TOLS.infinite_perr:
-        # only the rho1 branch carries weight
-        e0 = measure_prepare([eye], [(1 - q) * s1])
-        e1 = measure_prepare([eye], [q * s0])
-        return CdsMap(e0, e1)
-    if source.p >= 1.0 - TOLS.infinite_perr:
-        e0 = measure_prepare([eye], [q * s0])
-        e1 = measure_prepare([eye], [(1 - q) * s1])
-        return CdsMap(e0, e1)
-    raise NotInfiniteResourceError("source has overlapping branch states")
+    if lam is None:
+        if source.p <= TOLS.infinite_perr:
+            lam = 0.0 * eye
+        elif source.p >= 1.0 - TOLS.infinite_perr:
+            lam = eye
+        else:
+            raise NotInfiniteResourceError("source has overlapping branch states")
+    states = [target.p * target.rho0, (1 - target.p) * target.rho1]
+    return CdsMap(measure_prepare([lam, eye - lam], states),
+                  measure_prepare([eye - lam, lam], states))
 
 
 def golden_majorize(M: float, q1: float, q2: float) -> CdsMap:
@@ -348,19 +344,9 @@ def golden_majorize(M: float, q1: float, q2: float) -> CdsMap:
 
 # --- random channel generators (seeded; for property tests) -------------------
 
-_DEFAULT_RNG = np.random.default_rng(0)
-
-
-def seed_default_rng(seed: int):
-    """Reseed the generator used when no explicit rng is passed."""
-    global _DEFAULT_RNG
-    _DEFAULT_RNG = np.random.default_rng(seed)
-
-
-def random_cptp(d_in: int, d_out: int, rng: np.random.Generator | None = None,
+def random_cptp(d_in: int, d_out: int, rng: np.random.Generator,
                 env: int | None = None) -> CpMap:
     """Random channel from a Haar-ish isometry followed by an environment trace."""
-    rng = _DEFAULT_RNG if rng is None else rng
     env = env or d_in
     g = rng.normal(size=(env * d_out, d_in)) + 1j * rng.normal(size=(env * d_out, d_in))
     qmat, _ = np.linalg.qr(g)
@@ -368,11 +354,9 @@ def random_cptp(d_in: int, d_out: int, rng: np.random.Generator | None = None,
     return cp_from_kraus(kraus)
 
 
-def random_cds(d_in: int, d_out: int,
-               rng: np.random.Generator | None = None) -> CdsMap:
+def random_cds(d_in: int, d_out: int, rng: np.random.Generator) -> CdsMap:
     """Random CDS map: a random channel whose environment is measured with a
     random two-outcome projective split deciding the classical flip."""
-    rng = _DEFAULT_RNG if rng is None else rng
     env = max(2, d_in)
     total = random_cptp(d_in, d_out, rng, env=env)
     kraus = _choi_to_kraus(total.choi, d_in, d_out)

@@ -15,7 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import channels
 from . import sweep as sweep_mod
 from . import tasks
 from .boxes import QuantumBox, box_from_json, golden_box
@@ -42,35 +41,37 @@ def _parse_golden(text: str) -> QuantumBox:
         raise ValueError(f"--golden expects 'M,q', got {text!r}") from exc
 
 
-def _load_box(args, attr: str = "box") -> QuantumBox:
-    golden = getattr(args, "golden", None)
-    path = getattr(args, attr, None)
-    if golden is not None:
-        return _parse_golden(golden)
-    if path is None:
+def _load_box(args) -> QuantumBox:
+    if args.golden is not None:
+        return _parse_golden(args.golden)
+    if args.box is None:
         raise ValueError("provide a box JSON file or --golden M,q")
-    return box_from_json(Path(path).read_text())
+    return box_from_json(Path(args.box).read_text())
 
 
-def _add_box_arg(p: argparse.ArgumentParser, name: str = "box",
-                 required: bool = False):
-    p.add_argument(name, nargs=None if required else "?",
-                   help="box JSON file")
+def _add_box_arg(p: argparse.ArgumentParser):
+    p.add_argument("box", nargs="?", help="box JSON file")
     p.add_argument("--golden", metavar="M,q",
                    help="golden-unit shorthand instead of a JSON file")
 
 
-# the sweep's fixed family parameters (N ... q_target) have float defaults
-_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(sweep_mod.SweepSpec)}
-_SPEC_PARAMETERS = [n for n, v in _SPEC_DEFAULTS.items() if isinstance(v, float)]
+# every SweepSpec field after the family is a sweep option; an omitted one
+# takes the spec's own default
+_SPEC_OPTIONS = [f.name for f in dataclasses.fields(sweep_mod.SweepSpec)][1:]
+_SPEC_TYPES = {"steps": int,
+               "quantities": lambda text: tuple(text.split(",")) if text else None}
+_SPEC_HELP = {"stop": "default 1 for gad-gamma, pi/2 for the phi families",
+              "quantities": "comma-separated subset of " + ",".join(sweep_mod.QUANTITIES)}
+
+# each one-shot command: its help, its exact task and its task at eps > 0
+_ONE_SHOT = {"distill": ("one-shot distillable bits", tasks.distill_exact, tasks.distill_approx),
+             "dilute": ("one-shot cost in bits", tasks.cost_exact, tasks.cost_approx)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symdist",
         description="Distinguishability-resource calculations on quantum boxes.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for the random channel generators")
     ap.add_argument("--tol", type=float, default=None,
                     help="override the shared infinity-detection tolerance "
                          "(finite and positive)")
@@ -83,18 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         _add_box_arg(p)
 
-    p = sub.add_parser("distill", help="one-shot distillable bits")
-    _add_box_arg(p)
-    p.add_argument("--regime", choices=(tasks.CPTPA, tasks.CDS),
-                   default=tasks.CPTPA)
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="allowed scaled-trace-distance error (0 = exact)")
-
-    p = sub.add_parser("dilute", help="one-shot cost in bits")
-    _add_box_arg(p)
-    p.add_argument("--regime", choices=(tasks.CPTPA, tasks.CDS),
-                   default=tasks.CPTPA)
-    p.add_argument("--eps", type=float, default=0.0)
+    for name, (help_, _, _) in _ONE_SHOT.items():
+        p = sub.add_parser(name, help=help_)
+        _add_box_arg(p)
+        p.add_argument("--regime", choices=(tasks.CPTPA, tasks.CDS),
+                       default=tasks.CPTPA)
+        p.add_argument("--eps", type=float, default=0.0,
+                       help="allowed scaled-trace-distance error (0 = exact)")
 
     p = sub.add_parser("convert", help="minimum conversion error source -> target")
     p.add_argument("source", help="source box JSON file")
@@ -104,15 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep reproducing the figure data")
     p.add_argument("--family", choices=sweep_mod.FAMILIES, required=True)
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=None,
-                   help="default 1 for gad-gamma, pi/2 for the phi families")
-    p.add_argument("--steps", type=int, default=_SPEC_DEFAULTS["steps"])
-    p.add_argument("--quantities", default=None,
-                   help="comma-separated subset of " + ",".join(sweep_mod.QUANTITIES))
-    for name in _SPEC_PARAMETERS:
-        p.add_argument("--" + name.replace("_", "-"), type=float,
-                       default=_SPEC_DEFAULTS[name])
+    for name in _SPEC_OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), type=_SPEC_TYPES.get(name, float),
+                       help=_SPEC_HELP.get(name))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG output path")
@@ -126,8 +116,6 @@ def _run(args) -> int:
                 f"--tol must be finite and positive, got {args.tol}")
         TOLS.support = args.tol
         TOLS.infinite_perr = min(args.tol, TOLS.infinite_perr)
-    if args.seed is not None:
-        channels.seed_default_rng(args.seed)
 
     cmd = args.command
     if cmd == "perr":
@@ -142,31 +130,20 @@ def _run(args) -> int:
         print("distill", _fmt(r.distill))
         print("exact_cost", _fmt(r.exact_cost))
         print("approx_cost", _fmt(r.approx_cost))
-    elif cmd == "distill":
+    elif cmd in _ONE_SHOT:
+        _, exact, approx = _ONE_SHOT[cmd]
         b = _load_box(args)
-        res = tasks.distill_exact(b, args.regime) if args.eps == 0 \
-            else tasks.distill_approx(b, args.eps, args.regime)
-        print(_fmt(res.value))
-    elif cmd == "dilute":
-        b = _load_box(args)
-        res = tasks.cost_exact(b, args.regime) if args.eps == 0 \
-            else tasks.cost_approx(b, args.eps, args.regime)
+        res = exact(b, args.regime) if args.eps == 0 \
+            else approx(b, args.eps, args.regime)
         print(_fmt(res.value))
     elif cmd == "convert":
         source = box_from_json(Path(args.source).read_text())
         target = box_from_json(Path(args.target).read_text())
         print(_fmt(tasks.min_conversion_error(source, target, args.regime).value))
     elif cmd == "sweep":
-        stop = args.stop
-        if stop is None:
-            stop = 1.0 if args.family == "gad-gamma" else math.pi / 2
-        quantities = tuple(args.quantities.split(",")) if args.quantities else (
-            ("min_conversion_error",) if args.family == "conversion-phi"
-            else ("xi_min", "xi_max", "sd", "xi_max_star"))
-        spec = sweep_mod.SweepSpec(
-            family=args.family, start=args.start, stop=stop, steps=args.steps,
-            quantities=quantities,
-            **{name: getattr(args, name) for name in _SPEC_PARAMETERS})
+        spec = sweep_mod.SweepSpec(args.family, **{
+            name: getattr(args, name) for name in _SPEC_OPTIONS
+            if getattr(args, name) is not None})
         result = sweep_mod.run_sweep(spec, jobs=args.jobs)
         Path(args.out).write_text(result.to_csv())
         if result.failures:
@@ -183,7 +160,9 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``--tol`` holds for that command only."""
     args = build_parser().parse_args(argv)
+    saved = dict(vars(TOLS))
     try:
         return _run(args)
     except SolverError as exc:
@@ -192,6 +171,8 @@ def main(argv=None) -> int:
     except (SymdistError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        vars(TOLS).update(saved)
 
 
 if __name__ == "__main__":

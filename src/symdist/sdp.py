@@ -305,7 +305,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                       for dr, a, c in zip(d_res, ws.apply_at(dy), ws.C)]
                 dX = [_sym(rc - w @ ds @ w) for rc, w, ds in zip(rc_mat, W, dS)]
                 dkappa = (rc_sc - kappa * dtau) / tau
-                return dX, [_sym(ds) for ds in dS], dy, dtau, dkappa
+                return dX, dS, dy, dtau, dkappa
 
             def boundary(dX, dS, dtau, dkappa):
                 alpha = min([np.inf] + [_max_step(basis, np.concatenate([dx, ds]))

@@ -27,18 +27,33 @@ KET0D = np.diag([1.0, 0.0]).astype(complex)
 KET1D = np.diag([0.0, 1.0]).astype(complex)
 
 FAMILIES = ("gad-gamma", "gad-phi", "conversion-phi")
-QUANTITIES = ("xi_min", "xi_max", "sd", "xi_max_star",
-              "distill_approx_cptpA", "distill_approx_cds",
-              "min_conversion_error")
+# each quantity's value at a grid point, from the spec and the point's
+# source and target boxes (the target is None outside conversion-phi)
+_QUANTITY = {
+    "xi_min": lambda spec, box, target: xi_min(box.rho0, box.rho1),
+    "xi_max": lambda spec, box, target: xi_max(box.rho0, box.rho1),
+    "sd": lambda spec, box, target: sd(box),
+    "xi_max_star": lambda spec, box, target: xi_max_star(box),
+    "distill_approx_cptpA":
+        lambda spec, box, target: tasks.distill_approx(box, spec.eps, tasks.CPTPA).value,
+    "distill_approx_cds":
+        lambda spec, box, target: tasks.distill_approx(box, spec.eps, tasks.CDS).value,
+    "min_conversion_error":
+        lambda spec, box, target: tasks.min_conversion_error(box, target, tasks.CDS).value,
+}
+QUANTITIES = tuple(_QUANTITY)
 
 
 @dataclass
 class SweepSpec:
+    """A grid over one family; an omitted ``stop`` is 1 for gad-gamma and
+    pi/2 for the phi families, omitted ``quantities`` are the conversion
+    error for conversion-phi and the four exact quantities otherwise."""
     family: str
-    start: float
-    stop: float
+    start: float = 0.0
+    stop: float | None = None
     steps: int = 41
-    quantities: tuple[str, ...] = ("xi_min", "xi_max", "sd", "xi_max_star")
+    quantities: tuple[str, ...] | None = None
     # fixed parameters; which ones matter depends on the family
     N: float = 0.1
     gamma: float = 0.25
@@ -53,6 +68,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if self.stop is None:
+            self.stop = 1.0 if self.family == "gad-gamma" else math.pi / 2
+        if self.quantities is None:
+            self.quantities = (("min_conversion_error",) if self.family == "conversion-phi"
+                               else ("xi_min", "xi_max", "sd", "xi_max_star"))
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
         unknown = [q for q in self.quantities if q not in QUANTITIES]
@@ -137,20 +157,7 @@ def _evaluate(spec: SweepSpec, x: float) -> tuple[list[float], dict]:
     errors: dict[str, str] = {}
     for name in spec.quantities:
         try:
-            if name == "xi_min":
-                v = xi_min(box.rho0, box.rho1)
-            elif name == "xi_max":
-                v = xi_max(box.rho0, box.rho1)
-            elif name == "sd":
-                v = sd(box)
-            elif name == "xi_max_star":
-                v = xi_max_star(box)
-            elif name == "distill_approx_cptpA":
-                v = tasks.distill_approx(box, spec.eps, tasks.CPTPA).value
-            elif name == "distill_approx_cds":
-                v = tasks.distill_approx(box, spec.eps, tasks.CDS).value
-            else:  # min_conversion_error; family validated at spec construction
-                v = tasks.min_conversion_error(box, target, tasks.CDS).value
+            v = _QUANTITY[name](spec, box, target)
         except SymdistError as exc:
             v = math.nan
             errors[name] = str(exc)
@@ -175,8 +182,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
 # --- minimal SVG line plot (no plotting dependency) ---------------------------
 
-def to_svg(result: SweepResult, width: int = 640, height: int = 440) -> str:
-    margin = 50
+def to_svg(result: SweepResult) -> str:
+    width, height, margin = 640, 440, 50
     xs = result.column(result.header[0])
     series = result.header[1:]
     finite = [v for name in series for v in result.column(name)

@@ -116,5 +116,7 @@ def test_json_errors_name_field():
         box_from_json(json.dumps({"p": 0.5, "rho0": [[[1, 0]]]}))
     with pytest.raises(ValueError, match="'p'"):
         box_from_json(json.dumps({"p": "x", "rho0": [[[1, 0]]], "rho1": [[[1, 0]]]}))
+    with pytest.raises(ValueError, match="'p'"):
+        box_from_json(json.dumps({"p": True, "rho0": [[[1, 0]]], "rho1": [[[1, 0]]]}))
     with pytest.raises(ValueError, match="rho0"):
         box_from_json(json.dumps({"p": 0.5, "rho0": [[1, 0]], "rho1": [[[1, 0]]]}))

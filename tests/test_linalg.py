@@ -183,6 +183,15 @@ def test_eigendecompositions_only_at_listed_sites():
     assert sites == EIGEN_SITES
 
 
+def test_no_global_statements():
+    """Module state is not rebound at run time: no ``global`` in the package."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in Path(linalg.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
 @given(st.integers(0, 10**6), st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
 def test_positive_negative_decomposition(seed, d):

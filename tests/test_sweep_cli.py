@@ -4,6 +4,7 @@ import pytest
 
 from symdist import cli, sweep
 from symdist.boxes import box_to_json, golden_box
+from symdist.config import TOLS
 from symdist.sweep import SweepSpec, parse_csv, run_sweep, to_svg
 
 from conftest import dilution_reproducer
@@ -179,6 +180,34 @@ def test_cli_sweep_defaults_match_spec(tmp_path, capsys):
     spec = SweepSpec("gad-phi", 0.0, math.pi / 2, steps=3,
                      quantities=("sd", "xi_max"))
     assert out.read_text() == run_sweep(spec).to_csv()
+    # with no quantities either, conversion-phi sweeps the conversion error
+    spec = SweepSpec("conversion-phi", 0.0, steps=3)
+    assert spec.stop == math.pi / 2
+    assert spec.quantities == ("min_conversion_error",)
+    assert cli.main(["sweep", "--family", "conversion-phi", "--steps", "3",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == run_sweep(spec).to_csv()
+    spec = SweepSpec("gad-gamma")
+    assert (spec.start, spec.stop, spec.steps) == (0.0, 1.0, 41)
+    assert spec.quantities == ("xi_min", "xi_max", "sd", "xi_max_star")
+
+
+def test_cli_tol_holds_for_one_command(capsys):
+    support, infinite_perr = TOLS.support, TOLS.infinite_perr
+    assert cli.main(["--tol", "1e-6", "sd", "--golden", "4,0.5"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert (TOLS.support, TOLS.infinite_perr) == (support, infinite_perr)
+    assert cli.main(["--tol", "-1", "sd", "--golden", "4,0.5"]) == 2
+    capsys.readouterr()
+    assert (TOLS.support, TOLS.infinite_perr) == (support, infinite_perr)
+
+
+def test_cli_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "1", "sd", "--golden", "4,0.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_serialization_of_inf_and_nan():
