@@ -134,6 +134,32 @@ def _qubit_power_box(p: float, a0, a1, n: int) -> QuantumBox:
                       linalg.schur_weyl_power(a1, n), (a0, a1, n))
 
 
+def real_frame(b: QuantumBox) -> tuple[QuantumBox, Array | None]:
+    """A box b' with real states and the qubit unitary U with
+    b = U b' U^dag (U^(x)n for a qubit tensor power, whose one-copy pair is
+    framed and whose blocks are rebuilt); b and None for any other box.
+
+    A unitary on the quantum register is a reversible free operation in
+    both regimes, so b and b' have the same value for every monotone and
+    task.  U diagonalises rho0 (one ``linalg.spectrum``) and then carries
+    the diagonal phase that makes the off-diagonal entry of U^dag rho1 U
+    real and nonnegative."""
+    if b.qubit_power is not None:
+        a0, a1, n = b.qubit_power
+    elif b.dim == 2:
+        a0, a1, n = np.asarray(b.rho0), np.asarray(b.rho1), None
+    else:
+        return b, None
+    (w, u), = linalg.spectrum(a0).eigs
+    z = (u.conj().T @ a1 @ u)[0, 1]
+    u = u * np.array([1.0, np.conj(z) / abs(z) if z != 0 else 1.0])
+    r0 = np.diag(np.maximum(w, 0.0))
+    r1 = (u.conj().T @ a1 @ u).real
+    if n is None:
+        return QuantumBox(b.p, r0, r1), u
+    return _qubit_power_box(b.p, r0, r1, n), u
+
+
 # --- JSON interchange -------------------------------------------------------
 
 def _matrix_to_json(m: Array) -> list:

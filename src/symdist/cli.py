@@ -56,10 +56,10 @@ def _add_box_arg(p: argparse.ArgumentParser):
 
 
 # every SweepSpec field after the family is a sweep option; an omitted one
-# takes the spec's own default
+# takes the spec's own default, and an empty --quantities selects none
 _SPEC_OPTIONS = [f.name for f in dataclasses.fields(sweep_mod.SweepSpec)][1:]
 _SPEC_TYPES = {"steps": int,
-               "quantities": lambda text: tuple(text.split(",")) if text else None}
+               "quantities": lambda text: tuple(text.split(",")) if text else ()}
 _SPEC_HELP = {"stop": "default 1 for gad-gamma, pi/2 for the phi families",
               "quantities": "comma-separated subset of " + ",".join(sweep_mod.QUANTITIES)}
 

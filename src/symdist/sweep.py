@@ -75,6 +75,8 @@ class SweepSpec:
                                else ("xi_min", "xi_max", "sd", "xi_max_star"))
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
+        if not self.quantities:
+            raise ValueError("no quantities selected")
         unknown = [q for q in self.quantities if q not in QUANTITIES]
         if unknown:
             raise ValueError(f"unknown quantities {unknown}; choose from {QUANTITIES}")

@@ -12,7 +12,11 @@ its dual are cross-check oracles in ``tests/oracles.py``.
 Exact tasks run block by block on boxes in block form (``tensor_box`` of a
 qubit box), witnesses included: those are measure-and-prepare maps whose
 effects or states keep the block form.  The programs take dense data: they
-materialise a block-form box once, where they read it.
+materialise a block-form box once, where they read it.  A qubit box or
+qubit tensor power enters them in its real frame (``boxes.real_frame``):
+a unitary on the quantum register is free and reversible in both regimes,
+so the value is unchanged, and the program compiles real, with no complex
+embedding doubling its blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels, linalg, model
-from .boxes import QuantumBox, golden_box
+from .boxes import QuantumBox, golden_box, real_frame
 from .channels import CdsMap, CpMap, MeasurePrepare, measure_prepare
 from .config import TOLS
 from .divergences import (_support_if_orthogonal, chernoff, p_err, q_max,
@@ -130,6 +134,20 @@ def _dense_weighted(b: QuantumBox) -> tuple[Array, Array]:
     return tuple(np.asarray(w) for w in b.weighted())
 
 
+def _is_real(b: QuantumBox) -> bool:
+    """True when no block of either state has an imaginary part."""
+    return not any(np.imag(x).any() for state in (b.rho0, b.rho1)
+                   for x in linalg.BlockOp.of(state).blocks)
+
+
+def _dense_unitary(u: Array | None, b: QuantumBox) -> Array:
+    """``real_frame``'s unitary on the dense space of b: U^(x)n on a qubit
+    tensor power, the identity where b was left as it was."""
+    if u is None:
+        return np.eye(b.dim)
+    return linalg.tensor_power(u, b.qubit_power[2] if b.qubit_power else 1)
+
+
 def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
                       regime: str) -> tuple[model.Expr, model.Expr, model.Expr]:
     """Free-map Choi variables om0 (and om1 under CDS) on in (x) out, as
@@ -153,7 +171,13 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     s* = 1/(2 p_err(target)).  The program minimizes sum_i Tr(B_i + C_i) over
     B_i - C_i = tau_i - sigma_i, B_i, C_i >= 0 and trace-preserving Choi
     variables; the value is s* times its optimum, and ``diagnostics["s"]``
-    is s*."""
+    is s*.
+
+    When both boxes have a real frame (``real_frame``: source b = U b' U^dag,
+    target c = V c' V^dag, U and V lifted to U^(x)n on a tensor power), the
+    real program b' -> c' is solved and each normalised Choi is mapped back
+    as J = (conj(U) (x) V) J' (U^T (x) V^dag), so the witness acts on b.
+    Otherwise both sides are solved as given."""
     _check_regime(regime)
     pe_target = p_err(target)
     if pe_target <= TOLS.infinite_perr:
@@ -174,11 +198,15 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
         if witness is not None:
             return TaskResult(0.0, witness, {})
 
+    (src, u), (tgt, v) = real_frame(source), real_frame(target)
+    if not (_is_real(src) and _is_real(tgt)):
+        # one complex side keeps the program complex: solve it as given
+        (src, u), (tgt, v) = (source, None), (target, None)
     d_in, d_out = source.dim, target.dim
     m = Model()
-    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(source), (d_in, d_out),
+    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(src), (d_in, d_out),
                                        regime)
-    sigma0, sigma1 = _dense_weighted(target)
+    sigma0, sigma1 = _dense_weighted(tgt)
     b0, b1, c0, c1 = (m.psd_var(n, d_out) for n in ("b0", "b1", "c0", "c1"))
     m.eq(b0 - c0 - tau0, -sigma0)
     m.eq(b1 - c1 - tau1, -sigma1)
@@ -187,7 +215,8 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     res = model.require_optimal(m.solve(), "conversion-error program")
 
     names = ("om0", "om1") if regime == CDS else ("om0",)
-    maps = [CpMap(c, d_in, d_out) for c in
+    frame = np.kron(_dense_unitary(u, source).conj(), _dense_unitary(v, target))
+    maps = [CpMap(frame @ c @ frame.conj().T, d_in, d_out) for c in
             _normalized_chois([res.primal[n] for n in names], d_in, d_out)]
     witness = CdsMap(*maps) if regime == CDS else maps[0]
     s_star = 1.0 / (2.0 * pe_target)
@@ -296,9 +325,11 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     ``xi_max_star`` (cds), feasible because ``cost_exact``'s dilution channel
     maps that golden unit onto the box, to ``_M_TOL`` in M and returns
     its feasible end.  The phase-I program is built and compiled once per
-    call, at t = 1; each step solves a copy with its two t blocks rescaled.
-    Diagnostics count the solves and, by status, the non-optimal ones
-    accepted for their residuals."""
+    call, at t = 1, from the box in its real frame (``real_frame``), which
+    has the same cost; each step solves a copy with its two t blocks
+    rescaled.  No witness is returned, so no frame is mapped back; the
+    bracket end comes from b itself.  Diagnostics count the solves and, by
+    status, the non-optimal ones accepted for their residuals."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
@@ -309,7 +340,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
-    m = _phase1_model(b, eps, regime, 1.0)
+    m = _phase1_model(real_frame(b)[0], eps, regime, 1.0)
     compiled = m.compile()
     hi, f_hi = 1.0, _phase1_shift(m, compiled, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from symdist import linalg, sdp
+from symdist import linalg, model, sdp
 from symdist.boxes import QuantumBox, random_box, random_density
 from symdist.channels import gad_channel
 
@@ -33,6 +33,15 @@ def no_dense(monkeypatch):
             raise AssertionError("dense form of a block operator built")
         return dense(self)
     monkeypatch.setattr(linalg.BlockOp, "dense", refuse)
+
+
+@pytest.fixture
+def no_embedding(monkeypatch):
+    """Make the real embedding of complex program data raise, so a test
+    proves its programs compile real."""
+    def refuse(h):
+        raise AssertionError("complex program data embedded")
+    monkeypatch.setattr(model, "_embed", refuse)
 
 
 class Decompositions(Counter):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symdist import boxes, linalg
 from symdist.boxes import (GoldenUnit, QuantumBox, box_from_json, box_to_json,
                            golden_box, golden_to_box, is_infinite_resource,
-                           random_density, tensor_box)
+                           random_box, random_density, real_frame, tensor_box)
 from symdist.divergences import p_err
 from symdist.exceptions import DimensionCapError, NotPsdError
 
@@ -120,3 +120,50 @@ def test_json_errors_name_field():
         box_from_json(json.dumps({"p": True, "rho0": [[[1, 0]]], "rho1": [[[1, 0]]]}))
     with pytest.raises(ValueError, match="rho0"):
         box_from_json(json.dumps({"p": 0.5, "rho0": [[1, 0]], "rho1": [[[1, 0]]]}))
+
+
+# --- real frame -------------------------------------------------------------
+
+def _is_real(state) -> bool:
+    return all(not np.imag(x).any() for x in linalg.BlockOp.of(state).blocks)
+
+
+def _frame_cases():
+    cases = [random_box(2, np.random.default_rng(seed)) for seed in range(5)]
+    rho1 = random_density(2, np.random.default_rng(5))
+    pure = np.array([[1.0, 1j], [-1j, 1.0]]) / 2
+    cases += [QuantumBox(0.4, np.eye(2) / 2, rho1),                  # degenerate
+              QuantumBox(0.6, pure, rho1),                           # pure rho0
+              QuantumBox(0.3, np.diag([0.8, 0.2]),
+                         random_density(2, np.random.default_rng(6), real=True)),
+              QuantumBox(0.5, np.diag([0.7, 0.3]), np.diag([0.1, 0.9]))]   # z = 0
+    return cases
+
+
+@pytest.mark.parametrize("b", _frame_cases())
+def test_real_frame_is_a_real_unitary_copy(b):
+    framed, u = real_frame(b)
+    assert framed.p == b.p and _is_real(framed.rho0) and _is_real(framed.rho1)
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-14
+    for got, want in ((framed.rho0, b.rho0), (framed.rho1, b.rho1)):
+        assert np.abs(u @ got @ u.conj().T - want).max() <= 1e-14
+
+
+def test_real_frame_of_a_tensor_power_keeps_the_block_form():
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    framed, u = real_frame(t)
+    u3 = linalg.tensor_power(u, 3)
+    assert framed.qubit_power is not None and framed.qubit_power[2] == 3
+    for got, want in ((framed.rho0, t.rho0), (framed.rho1, t.rho1)):
+        assert isinstance(got, linalg.BlockOp) and _is_real(got)
+        assert got.mults == want.mults
+        assert np.abs(u3 @ np.asarray(got) @ u3.conj().T
+                      - np.asarray(want)).max() <= 1e-14
+    back = box_from_json(box_to_json(framed))
+    for got, want in ((back.rho0, framed.rho0), (back.rho1, framed.rho1)):
+        assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+
+
+def test_real_frame_leaves_other_boxes_as_they_are():
+    b = random_box(3, np.random.default_rng(8))
+    assert real_frame(b) == (b, None)

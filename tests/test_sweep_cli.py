@@ -33,6 +33,11 @@ def test_spec_validation():
             SweepSpec(family="gad-gamma", start=0, stop=1, eps=eps)
 
 
+def test_spec_rejects_empty_quantities():
+    with pytest.raises(ValueError, match="no quantities selected"):
+        SweepSpec("gad-gamma", quantities=())
+
+
 def test_gad_gamma_sweep_endpoints():
     spec = SweepSpec(family="gad-gamma", start=0.0, stop=1.0, steps=5,
                      N=0.1, q=1 / 3)
@@ -191,6 +196,17 @@ def test_cli_sweep_defaults_match_spec(tmp_path, capsys):
     spec = SweepSpec("gad-gamma")
     assert (spec.start, spec.stop, spec.steps) == (0.0, 1.0, 41)
     assert spec.quantities == ("xi_min", "xi_max", "sd", "xi_max_star")
+
+
+def test_cli_sweep_rejects_empty_quantities(tmp_path, capsys):
+    """An empty --quantities selects nothing: exit 2 and no CSV, rather
+    than the family's default columns."""
+    out = tmp_path / "q.csv"
+    assert cli.main(["sweep", "--family", "gad-gamma", "--quantities", "",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no quantities selected" in captured.err
+    assert not out.exists()
 
 
 def test_cli_tol_holds_for_one_command(capsys):

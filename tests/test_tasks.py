@@ -223,10 +223,15 @@ def test_conversion_figure4_diagonal_lp():
 CONVERSION_DIMS = [(2, 2), (2, 3), (3, 2)]
 
 
-@pytest.mark.parametrize("dims", CONVERSION_DIMS, ids="{0[0]}-{0[1]}".format)
+@pytest.mark.parametrize("dims", CONVERSION_DIMS + [(4, 2)],
+                         ids="{0[0]}-{0[1]}".format)
 @pytest.mark.parametrize("regime", [CPTPA, CDS])
 def test_conversion_witness_achieves_value(rng, regime, dims):
-    src, tgt = random_box(dims[0], rng), random_box(dims[1], rng)
+    """The witness, mapped back from the real frame where the program was
+    solved, reaches the value; a 4-dim source is the two-copy power of a
+    complex qubit box, in block form."""
+    src = tensor_box(random_box(2, rng), 2) if dims[0] == 4 else random_box(dims[0], rng)
+    tgt = random_box(dims[1], rng)
     res = tasks.min_conversion_error(src, tgt, regime)
     out = _apply_witness(res.witness, src)
     assert dv.scaled_trace_distance(out, tgt) <= res.value + 1e-5
@@ -469,6 +474,30 @@ def test_cost_approx_golden_small_eps():
 def test_cost_approx_infinite_box():
     orth = QuantumBox(0.5, np.diag([1.0, 0]), np.diag([0, 1.0]))
     assert math.isinf(tasks.cost_approx(orth, 0.3, CDS).value)
+
+
+# --- real frame ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_qubit_programs_compile_real(no_embedding, regime):
+    """Complex qubit boxes and their tensor powers are solved in their real
+    frame, so no program embeds complex data."""
+    b = random_box(2, np.random.default_rng(7))
+    target = random_box(2, np.random.default_rng(8))
+    for src in (b, tensor_box(b, 2)):
+        assert tasks.cost_approx(src, 0.05, regime).value > 0.0
+        assert tasks.min_conversion_error(src, target, regime).value > 0.0
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 1), (2, 1), (7, 2)])
+def test_cost_approx_real_frame_agrees_with_complex_program(monkeypatch, seed, n,
+                                                            regime):
+    b = random_box(2, np.random.default_rng(seed))
+    b = tensor_box(b, n) if n > 1 else b
+    framed = tasks.cost_approx(b, 0.05, regime).value
+    monkeypatch.setattr(tasks, "real_frame", lambda box: (box, None))
+    assert tasks.cost_approx(b, 0.05, regime).value == pytest.approx(framed, abs=1e-6)
 
 
 # --- asymptotic rates ---------------------------------------------------------------------

@@ -15,7 +15,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_tracer_counts_match_compiled_programs(monkeypatch):
     """One traced cost_approx: its phase-I program is compiled once and
     solved at every step, and the largest m and block the tracer reports
-    are those of the compiled (real) problem."""
+    are those of the compiled problem.  The complex qubit box is solved in
+    its real frame, so the program compiles real: no block is doubled."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
@@ -38,5 +39,5 @@ def test_tracer_counts_match_compiled_programs(monkeypatch):
 
     assert metrics["sdp.solves"] == 9
     assert metrics["model.compiles"] == len(compiled) == 1
-    assert metrics["sdp.max_m"] == max(len(p.constraints) for p in compiled) == 23
-    assert metrics["sdp.max_block"] == max(max(p.blocks) for p in compiled) == 4
+    assert metrics["sdp.max_m"] == max(len(p.constraints) for p in compiled) == 18
+    assert metrics["sdp.max_block"] == max(max(p.blocks) for p in compiled) == 2
