@@ -4,6 +4,10 @@ A box (p, rho0, rho1) emits rho0 with probability p and rho1 with 1-p; it
 is the operator  p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1  in block form.
 Golden units are the qubit family whose discrimination error is exactly
 1/(2M) in the scaling regime, the currency of distillation and dilution.
+
+A qubit tensor power b^(x)n is held as its Schur-Weyl quotient box, with
+states (+)_k m_k pi_k(rho) of size floor((n+2)^2/4); it converts to and from
+b^(x)n for free (``linalg``), so every monotone and task agrees on both.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ def _validated_state(a):
 
 @dataclass(frozen=True, eq=False)
 class QuantumBox:
-    """A box; its states are dense matrices or ``linalg.BlockOp`` operators
+    """A box; its states are dense matrices or ``linalg.BlockOp`` quotients
     (``tensor_box`` of a qubit box)."""
     p: float
     rho0: Array = field(repr=False)
     rho1: Array = field(repr=False)
-    # (a0, a1, n) when the states were built as a0^(x)n, a1^(x)n in block
-    # form: box_to_json keeps them, so box_from_json rebuilds the same blocks
+    # (a0, a1, n) when the states are the quotients of a0^(x)n, a1^(x)n:
+    # box_to_json keeps them, so box_from_json rebuilds the same blocks
     qubit_power: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -63,7 +67,9 @@ class QuantumBox:
 
     @property
     def dim(self) -> int:
-        return self.rho0.shape[0]
+        """Register dimension: 2^n for quotient states, else their size."""
+        n = getattr(self.rho0, "qubits", None)
+        return self.rho0.shape[0] if n is None else 2 ** n
 
     def weighted(self) -> tuple[Array, Array]:
         """The subnormalized pair (p rho0, (1-p) rho1)."""
@@ -72,7 +78,7 @@ class QuantumBox:
     def cq_operator(self) -> Array:
         """Dense embedding p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1."""
         w0, w1 = self.weighted()
-        d = self.dim
+        d = w0.shape[0]
         out = np.zeros((2 * d, 2 * d), dtype=complex)
         out[:d, :d] = np.asarray(w0)
         out[d:, d:] = np.asarray(w1)
@@ -115,47 +121,53 @@ def is_infinite_resource(b: QuantumBox) -> bool:
 
 
 def tensor_box(b: QuantumBox, n: int) -> QuantumBox:
-    """n copies of b, up to dimension ``TOLS.dimension_cap``.  A qubit box
-    gives states in Schur-Weyl block form (``linalg.schur_weyl_power``:
-    blocks of size at most n + 1); a larger one gives dense Kronecker
-    powers."""
+    """n copies of b, up to register dimension ``TOLS.dimension_cap``.  A
+    qubit box, or a qubit tensor power (a0, a1, m), gives the quotient box
+    of its (m n)-th power (blocks of size at most m n + 1); any other box
+    gives dense Kronecker powers."""
     if b.dim ** n > TOLS.dimension_cap:
         raise DimensionCapError(
             f"dimension {b.dim}^{n} exceeds cap {TOLS.dimension_cap}")
-    if b.dim == 2:
-        return _qubit_power_box(b.p, b.rho0, b.rho1, n)
+    if b.qubit_power is not None or b.dim == 2:
+        a0, a1, m = b.qubit_power or (b.rho0, b.rho1, 1)
+        return _qubit_power_box(b.p, a0, a1, m * n)
     return QuantumBox(b.p, linalg.tensor_power(b.rho0, n),
                       linalg.tensor_power(b.rho1, n))
 
 
 def _qubit_power_box(p: float, a0, a1, n: int) -> QuantumBox:
+    """The quotient box of (p, a0^(x)n, a1^(x)n): block k of each state is
+    m_k pi_k(a), m_k = C(n, k) - C(n, k-1) the multiplicity of block k."""
     a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
-    return QuantumBox(p, linalg.schur_weyl_power(a0, n),
-                      linalg.schur_weyl_power(a1, n), (a0, a1, n))
+
+    def quotient(a):
+        pi = linalg.schur_weyl_power(a, n)
+        return pi.like([(math.comb(n, k) - (math.comb(n, k - 1) if k else 0)) * x
+                        for k, x in enumerate(pi.blocks)])
+
+    return QuantumBox(p, quotient(a0), quotient(a1), (a0, a1, n))
 
 
 def real_frame(b: QuantumBox) -> tuple[QuantumBox, Array | None]:
     """A box b' with real states and the qubit unitary U with
-    b = U b' U^dag (U^(x)n for a qubit tensor power, whose one-copy pair is
-    framed and whose blocks are rebuilt); b and None for any other box.
+    b = U b' U^dag (pi(U) = ``linalg.schur_weyl_power(U, n)`` on the
+    quotient of a qubit tensor power, whose one-copy pair is framed and
+    whose blocks are rebuilt); b and None for any other box.
 
     A unitary on the quantum register is a reversible free operation in
     both regimes, so b and b' have the same value for every monotone and
     task.  U diagonalises rho0 (one ``linalg.spectrum``) and then carries
     the diagonal phase that makes the off-diagonal entry of U^dag rho1 U
     real and nonnegative."""
-    if b.qubit_power is not None:
-        a0, a1, n = b.qubit_power
-    elif b.dim == 2:
-        a0, a1, n = np.asarray(b.rho0), np.asarray(b.rho1), None
-    else:
+    if b.qubit_power is None and b.dim != 2:
         return b, None
+    a0, a1, n = b.qubit_power or (np.asarray(b.rho0), np.asarray(b.rho1), 1)
     (w, u), = linalg.spectrum(a0).eigs
     z = (u.conj().T @ a1 @ u)[0, 1]
     u = u * np.array([1.0, np.conj(z) / abs(z) if z != 0 else 1.0])
     r0 = np.diag(np.maximum(w, 0.0))
     r1 = (u.conj().T @ a1 @ u).real
-    if n is None:
+    if b.qubit_power is None:
         return QuantumBox(b.p, r0, r1), u
     return _qubit_power_box(b.p, r0, r1, n), u
 
@@ -174,17 +186,19 @@ def _matrix_from_json(rows, name: str) -> Array:
 
 
 def box_to_json(b: QuantumBox) -> str:
-    """JSON of the dense states.  A qubit tensor power (``tensor_box``) also
-    records its one-copy states and n under "tensor_power", from which
-    ``box_from_json`` rebuilds the same blocks: the box computes the same
-    values after a round trip."""
-    data = {"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
-            "rho1": _matrix_to_json(np.asarray(b.rho1))}
-    if b.qubit_power is not None:
-        a0, a1, n = b.qubit_power
-        data["tensor_power"] = {"n": n, "rho0": _matrix_to_json(a0),
-                                "rho1": _matrix_to_json(a1)}
-    return json.dumps(data)
+    """JSON of the dense states.  A qubit tensor power (``tensor_box``)
+    writes them as the Kronecker powers of its one-copy states, which it
+    also records with n under "tensor_power"; ``box_from_json`` rebuilds
+    the same quotient from those, so the box computes the same values after
+    a round trip."""
+    if b.qubit_power is None:
+        return json.dumps({"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
+                           "rho1": _matrix_to_json(np.asarray(b.rho1))})
+    a0, a1, n = b.qubit_power
+    return json.dumps({"p": b.p, "rho0": _matrix_to_json(linalg.tensor_power(a0, n)),
+                       "rho1": _matrix_to_json(linalg.tensor_power(a1, n)),
+                       "tensor_power": {"n": n, "rho0": _matrix_to_json(a0),
+                                        "rho1": _matrix_to_json(a1)}})
 
 
 def box_from_json(text: str) -> QuantumBox:
@@ -212,8 +226,9 @@ def box_from_json(text: str) -> QuantumBox:
                          f"states of shape {rho0.shape}")
     b = _qubit_power_box(p, _matrix_from_json(power["rho0"], "tensor_power.rho0"),
                          _matrix_from_json(power["rho1"], "tensor_power.rho1"), n)
-    for dense, state in ((rho0, b.rho0), (rho1, b.rho1)):
-        if not np.abs(np.asarray(state) - dense).max() <= TOLS.density:
+    a0, a1, _ = b.qubit_power
+    for dense, a in ((rho0, a0), (rho1, a1)):
+        if not np.abs(linalg.tensor_power(a, n) - dense).max() <= TOLS.density:
             raise ValueError("field 'tensor_power' disagrees with the dense states")
     return b
 

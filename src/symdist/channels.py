@@ -13,10 +13,11 @@ register alone is the ``e1 = 0`` special case.
 
 Every constructive protocol is a measure-and-prepare map (Holevo form),
 E(rho) = sum_k Tr(M_k rho) omega_k, held as its effects and states
-(:class:`MeasurePrepare`).  Those may be in block form (``linalg.BlockOp``)
-on a qubit tensor power, so validation, application and the trace
-preservation test run block by block; the dense Choi matrix is built only
-on request.  A general map (``CpMap``) holds a dense Choi matrix.
+(:class:`MeasurePrepare`).  On a qubit tensor power those are Schur-Weyl
+quotients (``linalg.BlockOp``), so validation, application and the trace
+preservation test run block by block, and ``d_in``/``d_out`` are quotient
+sizes; the dense Choi matrix is built only on request.  A general map
+(``CpMap``) holds a dense Choi matrix.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ class CpMap:
 
     def __post_init__(self):
         s = linalg.spectrum(np.asarray(self.choi), vectors=False)
-        if s.op.dim != self.d_in * self.d_out:
+        d = s.op.shape[0]
+        if d != self.d_in * self.d_out:
             raise DimensionMismatchError(
-                f"choi has dim {s.op.dim}, expected {self.d_in * self.d_out}")
-        scale = max(1.0, linalg.trace(s.op) / s.op.dim)     # mean eigenvalue
+                f"choi has dim {d}, expected {self.d_in * self.d_out}")
+        scale = max(1.0, linalg.trace(s.op) / d)     # mean eigenvalue
         s.least(TOLS.density * scale, NotPsdError, "choi matrix")
         object.__setattr__(self, "choi", s.op.blocks[0])
 
@@ -96,8 +98,8 @@ class MeasurePrepare:
         for what, d in (("effect", self.d_in), ("state", self.d_out)):
             ops = [linalg.spectrum(x, vectors=False) for x in getattr(self, what + "s")]
             for s in ops:
-                if s.op.dim != d:
-                    raise DimensionMismatchError(f"{what} has dim {s.op.dim}, expected {d}")
+                if s.op.shape != (d, d):
+                    raise DimensionMismatchError(f"{what} has shape {s.op.shape}")
                 s.least(TOLS.density, NotPsdError, what)
             object.__setattr__(self, what + "s", tuple(s.op.like(s.op.blocks) for s in ops))
 
@@ -183,8 +185,9 @@ def cptp_as_cds(e: CpMap | MeasurePrepare) -> CdsMap:
 
 def apply_cds(m: CdsMap, b: QuantumBox) -> QuantumBox:
     """Push a box through a CDS map, renormalizing the output branches."""
-    if b.dim != m.d_in:
-        raise DimensionMismatchError(f"box dim {b.dim} != channel dim {m.d_in}")
+    if b.rho0.shape[0] != m.d_in:
+        raise DimensionMismatchError(
+            f"box states of size {b.rho0.shape[0]} != channel dim {m.d_in}")
     w0, w1 = b.weighted()
     out0 = m.e0(w0) + m.e1(w1)
     out1 = m.e1(w0) + m.e0(w1)
@@ -217,7 +220,7 @@ def gad_channel(gamma: float, N: float) -> CpMap:
 def helstrom_povm(b: QuantumBox):
     """Effect accepting label 1: projector onto the strictly negative
     eigenspace of p rho0 - (1-p) rho1 (zero eigenvalues go with label 0),
-    block by block."""
+    block by block; the weights of a quotient do not move it."""
     w0, w1 = b.weighted()
     return linalg.spectrum(w0 - w1).apply(lambda w: (w < 0.0).astype(float))
 

@@ -6,10 +6,10 @@ fails at the tolerances in :mod:`symdist.config` (support containment at
 ``TOLS.support``, discrimination error at ``TOLS.infinite_perr``).
 
 Every quantity here is a closed form or a one-dimensional spectral search;
-none calls the solver.  States may be dense or in block form
-(``linalg.BlockOp``): each quantity decomposes block by block and weights
-traces by multiplicity, so a tensor power b^(x)n never forms a matrix
-larger than its largest block.  The semi-definite programs behind the
+none calls the solver.  States may be dense or Schur-Weyl quotients
+(``linalg.BlockOp``): each quantity decomposes block by block and sums over
+blocks, so a tensor power b^(x)n never forms a matrix larger than its
+largest block.  The semi-definite programs behind the
 discrimination error and the scaled trace distance are cross-check oracles
 in ``tests/oracles.py``, which the tests compare with these closed forms.
 """
@@ -77,15 +77,15 @@ def q_min(rho0: Array, rho1: Array) -> QMinResult:
     r0, sg = BlockOp.of(rho0, sigma)
     lo, p_lo, s_lo = 0.0, [np.zeros_like(x) for x in sg.blocks], 0.0
     hi, p_hi, s_hi = 1.0, [np.eye(len(x)) for x in sg.blocks], linalg.trace(sigma)
-    pairs = list(zip(sg.mults, r0.blocks, sg.blocks))
+    pairs = list(zip(r0.blocks, sg.blocks))
     while hi - lo > 1e-15:
         mu = 0.5 * (lo + hi)
         proj, s = [], 0.0
-        for m, r, x in pairs:
+        for r, x in pairs:
             w, v = np.linalg.eigh(r - mu * x)
             neg = v[:, w < 0.0]
             proj.append(neg @ neg.conj().T)
-            s += m * float(np.vdot(proj[-1], x).real)
+            s += float(np.vdot(proj[-1], x).real)
         if s < 1.0:
             lo, p_lo, s_lo = mu, proj, s
         else:
@@ -123,9 +123,9 @@ def q_min_eps(b: "QuantumBox", eps: float) -> float:
         t = 1.0 / max(math.cos(th) / p, math.sin(th) / (1.0 - p))
         u, v = t * math.cos(th), t * math.sin(th)
         pos = 0.0
-        for k, x, y in zip(r0.mults, r0.blocks, r1.blocks):
+        for x, y in zip(r0.blocks, r1.blocks):
             w = np.linalg.eigvalsh(u * x - v * y)
-            pos += k * w[w > 0.0].sum()
+            pos += w[w > 0.0].sum()
         a = u - float(pos)
         if a <= 0.0:
             return 0.0
@@ -188,9 +188,9 @@ def _d_max(rho: BlockOp, sigma: linalg.Spectrum) -> float:
     """
     cut = sigma.cut()
     outside, lam_max = 0.0, 0.0
-    for m, r, (w, v) in zip(rho.mults, rho.blocks, sigma.eigs):
+    for r, (w, v) in zip(rho.blocks, sigma.eigs):
         kernel = v[:, np.abs(w) <= cut]
-        outside += m * float(np.vdot(kernel, r @ kernel).real)
+        outside += float(np.vdot(kernel, r @ kernel).real)
     if outside > TOLS.support:
         return INF
     sigma.least(linalg.PSD_SLACK)
@@ -272,26 +272,25 @@ def chernoff(rho0, rho1) -> float:
 
     The objective is convex in s; the search includes both endpoints.
     Returns inf iff the supports are orthogonal.  One ``eigh`` per block of
-    each state: with O_ij = |<v0_i|v1_j>|^2 in a block of multiplicity m,
-    the block adds m w0^s O w1^(1-s) over the eigenvalues above
-    ``linalg.Spectrum.cut`` to the objective, and the support test
+    each state: with O_ij = |<v0_i|v1_j>|^2 in a block, the block adds
+    w0^s O w1^(1-s) over the eigenvalues above ``linalg.Spectrum.cut`` to
+    the objective, and the support test
     Tr(P0 rho1) = sum_{i in supp rho0} sum_j O_ij w1_j reads the same O.
     """
     s0, s1 = (linalg.spectrum(x) for x in BlockOp.of(rho0, rho1))
     cut0, cut1 = s0.cut(), s1.cut()
     support, terms = 0.0, []
-    for m, (w0, v0), (w1, v1) in zip(s0.op.mults, s0.eigs, s1.eigs):
+    for (w0, v0), (w1, v1) in zip(s0.eigs, s1.eigs):
         overlap = np.abs(v0.conj().T @ v1) ** 2
-        support += m * float((overlap[np.abs(w0) > cut0] @ w1).sum())
+        support += float((overlap[np.abs(w0) > cut0] @ w1).sum())
         keep0, keep1 = w0 > cut0, w1 > cut1
         if keep0.any() and keep1.any():
-            terms.append((m, w0[keep0], overlap[np.ix_(keep0, keep1)], w1[keep1]))
+            terms.append((w0[keep0], overlap[np.ix_(keep0, keep1)], w1[keep1]))
     if support <= TOLS.support or not terms:
         return INF
 
     def f(s: float) -> float:
-        return float(sum(m * ((a ** s) @ o @ (b ** (1.0 - s)))
-                         for m, a, o, b in terms))
+        return float(sum((a ** s) @ o @ (b ** (1.0 - s)) for a, o, b in terms))
 
     q = _golden_min(f, 1.0)
     if q <= TOLS.infinite_perr:
@@ -300,15 +299,6 @@ def chernoff(rho0, rho1) -> float:
 
 
 # --- scaled trace distance ----------------------------------------------------
-
-def _boxes_equal(rho: "QuantumBox", sigma: "QuantumBox") -> bool:
-    if rho.dim != sigma.dim:
-        return False
-    r0, r1 = rho.weighted()
-    s0, s1 = sigma.weighted()
-    tol = TOLS.box_equality
-    return linalg.frobenius(r0 - s0) <= tol and linalg.frobenius(r1 - s1) <= tol
-
 
 def cq_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
     """(1/2)||rho_XA - sigma_XA||_1 via the block structure."""
@@ -321,18 +311,20 @@ def scaled_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
     """Trace distance scaled by the second box's discrimination error.
 
     Three cases: the ratio when p_err(sigma) > 0; when p_err(sigma) = 0 the
-    value is 0 for equal boxes and inf otherwise.  Box equality is tested
-    in Frobenius norm at ``TOLS.box_equality`` on the c-q embedding, the
-    same in block and dense form, so the boundary between the last two
-    cases is tolerance-dependent but not basis-dependent.
+    value is 0 for equal boxes and inf otherwise.  Boxes are equal when
+    their c-q trace distance is at most ``TOLS.box_equality``, which the
+    pinch-and-trace map E (``linalg``) preserves on block-form operators,
+    so the test decides the same on b^(x)n and on its quotient.  States of
+    different shapes or layouts raise ``DimensionMismatchError``.
     """
-    if rho.dim != sigma.dim:
+    if rho.rho0.shape != sigma.rho0.shape:
         raise DimensionMismatchError(
-            f"boxes live on dimensions {rho.dim} and {sigma.dim}")
+            f"boxes hold states of shapes {rho.rho0.shape} and {sigma.rho0.shape}")
     e = p_err(sigma)
+    dist = cq_trace_distance(rho, sigma)
     if e <= TOLS.infinite_perr:
-        return 0.0 if _boxes_equal(rho, sigma) else INF
-    return _nonneg(cq_trace_distance(rho, sigma) / e)
+        return 0.0 if dist <= TOLS.box_equality else INF
+    return _nonneg(dist / e)
 
 
 # --- smoothed Thompson construction -------------------------------------------

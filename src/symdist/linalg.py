@@ -1,14 +1,16 @@
 """Hermitian linear algebra on dense or block-diagonal operators.
 
-An operator is either a dense matrix or a :class:`BlockOp`, the block form
-(+)_k B_k (x) I_{m_k} that Schur-Weyl duality gives qubit tensor powers.
-``BlockOp.of`` coerces both to a ``BlockOp`` (a dense matrix is the single
-block with multiplicity 1), so every function here has one code path over
-blocks, with traces weighted by multiplicity; results come back in the
-kind of their argument.  Dense forms of block operators are built only on
-request (``np.asarray``).  Bipartite operators (``tensor``, ``ptrace``) are
-dense: channels on block-form spaces are held as effects and states
-(``channels.MeasurePrepare``), never as block-form Choi matrices.
+An operator is either a dense matrix or a block-diagonal :class:`BlockOp`,
+such as the Schur-Weyl quotient of a qubit tensor power
+(``schur_weyl_power``): the pinch-and-trace map E, X -> (+)_k
+Tr_mult(P_k X P_k), keeps one copy of each irreducible block, and R,
+Y -> (+)_k Y_k (x) I_{m_k}/m_k, undoes it.  ``BlockOp.of`` holds a dense
+matrix as its single block, so every function here is one plain sum over
+blocks, with results in the kind of its argument; operators in different
+layouts do not mix.  The dense form of a block operator is its
+block-diagonal matrix (``np.asarray``).  Bipartite operators (``tensor``,
+``ptrace``) are dense: channels on quotient spaces are held as effects and
+states (``channels.MeasurePrepare``).
 
 Every spectral function reads its argument through :func:`spectrum`, which
 validates it once (:func:`hermitian`); matrices rebuilt from that spectrum
@@ -16,20 +18,19 @@ are only symmetrized.  Spectral functions follow the support convention
 0**0 = 0, i.e. they act on the support only, matching the pseudo-inverse
 convention used by the pretty good measurement.  An eigenvalue counts as
 zero at or below ``Spectrum.cut`` = lambda_max * d * eps_mach, the default
-rank rule of ``numpy.linalg.matrix_rank``; a PSD argument may dip to
--``PSD_SLACK``.
+rank rule of ``numpy.linalg.matrix_rank``, with d the size of the held
+operator; a PSD argument may dip to -``PSD_SLACK``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import TOLS
-from .exceptions import NotPsdError
+from .exceptions import DimensionMismatchError, NotPsdError
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
@@ -37,59 +38,50 @@ PSD_SLACK = 1e-10       # a PSD argument's least eigenvalue may dip this far
 
 
 class BlockOp:
-    """The operator (+)_k B_k (x) I_{m_k} on H = (C^2)^(x)qubits.
-
-    ``blocks`` act on the irreducible blocks C^{s_k} of H, of size s_k and
-    multiplicity m_k (``schur_weyl_power``).  ``qubits=None`` marks a dense
-    matrix, held as its single block.  The dense form is taken in the
-    computational basis through the qubit Schur transform, which is real,
-    so transposition acts block by block.
-    """
-    __slots__ = ("blocks", "mults", "qubits")
+    """The block-diagonal operator (+)_k B_k: the Schur-Weyl quotient of
+    (C^2)^(x)``qubits`` (``schur_weyl_power``), or with ``qubits=None`` a
+    dense matrix, held as its single block."""
+    __slots__ = ("blocks", "qubits")
     __array_ufunc__ = None      # ndarray (op) BlockOp defers to BlockOp
 
-    def __init__(self, blocks, mults, qubits=None):
+    def __init__(self, blocks, qubits=None):
         self.blocks = tuple(blocks)
-        self.mults = tuple(mults)
         self.qubits = qubits
 
     @staticmethod
     def of(*hs):
-        """Coerce operators to ``BlockOp`` in one common layout: a dense
-        matrix is the single block with multiplicity 1; operators on
-        different spaces (``qubits``, which fixes the block layout) are all
-        taken dense.  One argument gives one ``BlockOp``, several a tuple."""
+        """Coerce operators to ``BlockOp``: a dense matrix is its single
+        block.  One argument gives one ``BlockOp``, several a tuple, which
+        must share one layout (``qubits``) or ``DimensionMismatchError``."""
         ops = [h if isinstance(h, BlockOp)
-               else BlockOp((np.asarray(h, dtype=complex),), (1,)) for h in hs]
+               else BlockOp((np.asarray(h, dtype=complex),)) for h in hs]
         if len(ops) == 1:
             return ops[0]
         if any(o.qubits != ops[0].qubits for o in ops[1:]):
-            ops = [BlockOp((np.asarray(o.dense(), dtype=complex),), (1,)) for o in ops]
+            raise DimensionMismatchError(
+                f"operators in different layouts (qubits {[o.qubits for o in ops]})")
         return tuple(ops)
 
     @property
-    def dim(self) -> int:
-        return sum(m * len(b) for b, m in zip(self.blocks, self.mults))
-
-    @property
     def shape(self) -> tuple[int, int]:
-        d = self.dim
+        d = sum(len(b) for b in self.blocks)
         return d, d
 
     def like(self, blocks):
         """New blocks in this layout; a dense operator comes back dense."""
         if self.qubits is None:
             return blocks[0]
-        return BlockOp(blocks, self.mults, self.qubits)
+        return BlockOp(blocks, self.qubits)
 
     def dense(self) -> Array:
+        """The block-diagonal matrix."""
         if self.qubits is None:
             return self.blocks[0]
-        out = 0.0
-        for b, cols in zip(self.blocks, _schur_transform(self.qubits)):
-            d, _, m = cols.shape
-            lhs = np.matmul(cols.transpose(0, 2, 1), b)   # (d, m, s)
-            out = out + lhs.reshape(d, -1) @ cols.transpose(0, 2, 1).reshape(d, -1).T
+        out = np.zeros(self.shape, dtype=complex)
+        at = 0
+        for b in self.blocks:
+            out[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -99,7 +91,7 @@ class BlockOp:
     def _binary(self, other, fn):
         if np.isscalar(other):
             return self.like([fn(b, other) for b in self.blocks])
-        a, b = BlockOp.of(self, other)      # mixed layouts come back dense
+        a, b = BlockOp.of(self, other)
         return a.like([fn(x, y) for x, y in zip(a.blocks, b.blocks)])
 
     def __add__(self, other):
@@ -130,28 +122,22 @@ class BlockOp:
         return self.like([-b for b in self.blocks])
 
 
-def _wsum(mults, values) -> float:
-    """Multiplicity-weighted sum of per-block scalars."""
-    return float(sum(m * v for m, v in zip(mults, values)))
-
-
 def trace(h) -> float:
     """Real part of the trace."""
     op = BlockOp.of(h)
-    return _wsum(op.mults, (np.trace(b).real for b in op.blocks))
+    return float(sum(np.trace(b).real for b in op.blocks))
 
 
 def inner(a, b) -> float:
     """Re Tr(a^dag b)."""
     a, b = BlockOp.of(a, b)
-    return _wsum(a.mults, (np.vdot(x, y).real for x, y in zip(a.blocks, b.blocks)))
+    return float(sum(np.vdot(x, y).real for x, y in zip(a.blocks, b.blocks)))
 
 
 def frobenius(h) -> float:
-    """Frobenius norm, sqrt(sum_k m_k ||B_k||_F^2): the Schur transform is
-    orthogonal, so block and dense forms give the same norm."""
+    """Frobenius norm of the held operator, sqrt(sum_k ||B_k||_F^2)."""
     op = BlockOp.of(h)
-    return math.sqrt(_wsum(op.mults, (np.vdot(b, b).real for b in op.blocks)))
+    return math.sqrt(sum(np.vdot(b, b).real for b in op.blocks))
 
 
 def identity_like(h):
@@ -203,9 +189,9 @@ class Spectrum(NamedTuple):
 
     def cut(self) -> float:
         """Eigenvalues at or below this are zero: lambda_max * d * eps_mach
-        over every block, with d the full dimension."""
+        over every block, with d the size of the held operator."""
         top = max((float(np.abs(w).max(initial=0.0)) for w, _ in self.eigs), default=0.0)
-        return top * self.op.dim * _EPS
+        return top * self.op.shape[0] * _EPS
 
     def apply(self, fn):
         """fn(w) on each block's eigenvectors, symmetrized (not re-validated),
@@ -229,7 +215,7 @@ def spectrum(h, vectors: bool = True) -> Spectrum:
 def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian operator."""
     s = spectrum(h, vectors=False)
-    return _wsum(s.op.mults, (np.abs(w).sum() for w, _ in s.eigs))
+    return float(sum(np.abs(w).sum() for w, _ in s.eigs))
 
 
 def trace_distance(a, b) -> float:
@@ -294,7 +280,7 @@ def ptrace(m, dims: tuple[int, int], axis: int) -> Array:
     return np.einsum(spec, np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2))
 
 
-# --- Schur-Weyl block form of qubit tensor powers -------------------------------
+# --- Schur-Weyl quotient of qubit tensor powers -------------------------------
 
 def _sym_power(a: Array, m: int) -> Array:
     """Sym^m(a) on the symmetric subspace of (C^2)^(x)m in the Dicke basis
@@ -313,45 +299,16 @@ def _sym_power(a: Array, m: int) -> Array:
 
 
 def schur_weyl_power(a, n: int) -> BlockOp:
-    """a^(x)n for a 2 x 2 matrix, in block form: block k = 0..n//2 is
-    det(a)^k Sym^(n-2k)(a), of size n - 2k + 1 and multiplicity
-    C(n, k) - C(n, k-1)."""
+    """The Schur-Weyl quotient of a^(x)n for a 2 x 2 matrix: block
+    k = 0..n//2 is pi_k(a) = det(a)^k Sym^(n-2k)(a), of size n - 2k + 1,
+    and a^(x)n acts as pi_k(a) on each of the C(n, k) - C(n, k-1) copies
+    of block k.  Unweighted, this is the form of an effect, a projector or
+    a unitary; a state's quotient weights block k by that multiplicity
+    (``boxes.tensor_box``)."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError(f"Schur-Weyl form needs a qubit operator, got {a.shape}")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    ks = range(n // 2 + 1)
-    return BlockOp([det ** k * _sym_power(a, n - 2 * k) for k in ks],
-                   [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in ks],
-                   n)
-
-
-@functools.lru_cache(maxsize=None)
-def _schur_transform(n: int) -> tuple[Array, ...]:
-    """Columns of the real orthogonal qubit Schur transform, one (2^n, s_k,
-    m_k) array per block: copy j of block k spans S_-^i v_kj, normalised,
-    where the v_kj are an orthonormal basis of the kernel of the total
-    raising operator S_+ = S_-^T on the weight space with k ones."""
-    dim = 2 ** n
-    x = np.arange(dim)
-    ones = np.array([bin(y).count("1") for y in x])
-    lower = np.zeros((dim, dim))               # S_- : x -> x with a 0 set
-    for q in range(n):
-        zero = x[(x >> q & 1) == 0]
-        lower[zero | 1 << q, zero] = 1.0
-    out = []
-    for k in range(n // 2 + 1):
-        weight, below = np.flatnonzero(ones == k), np.flatnonzero(ones == k - 1)
-        raise_k = lower[np.ix_(weight, below)].T
-        kernel = np.linalg.svd(raise_k)[2][len(below):].T if len(below) else np.eye(1)
-        top = np.zeros((dim, kernel.shape[1]))
-        top[weight] = kernel
-        cols = [top]
-        for _ in range(n - 2 * k):
-            nxt = lower @ cols[-1]
-            cols.append(nxt / np.linalg.norm(nxt, axis=0))
-        out.append(np.stack(cols, axis=1))
-        out[-1].flags.writeable = False     # cached: shared by every caller
-    return tuple(out)
+    return BlockOp([det ** k * _sym_power(a, n - 2 * k) for k in range(n // 2 + 1)], n)

@@ -9,14 +9,15 @@ conversion-error program with its scale as a variable (fixed here in closed
 form) and the conversion program into an orthogonal-pair golden unit with
 its dual are cross-check oracles in ``tests/oracles.py``.
 
-Exact tasks run block by block on boxes in block form (``tensor_box`` of a
-qubit box), witnesses included: those are measure-and-prepare maps whose
-effects or states keep the block form.  The programs take dense data: they
-materialise a block-form box once, where they read it.  A qubit box or
-qubit tensor power enters them in its real frame (``boxes.real_frame``):
-a unitary on the quantum register is free and reversible in both regimes,
-so the value is unchanged, and the program compiles real, with no complex
-embedding doubling its blocks.
+Exact tasks run block by block on the quotient box of a qubit tensor
+power (``tensor_box``), witnesses included; the programs read its
+block-diagonal matrix, of size floor((n+2)^2/4) instead of 2^n.  Witnesses
+act on the quotient: Lambda on it acts on (C^2)^(x)n as Lambda o E, E the
+pinch-and-trace map of ``linalg`` (built in ``tests/oracles.py``).  A qubit
+box or qubit tensor power enters the programs in its real frame
+(``boxes.real_frame``): a unitary on the quantum register is free and
+reversible in both regimes, so the value is unchanged, and the program
+compiles real, with no complex embedding doubling its blocks.
 """
 
 from __future__ import annotations
@@ -134,18 +135,13 @@ def _dense_weighted(b: QuantumBox) -> tuple[Array, Array]:
     return tuple(np.asarray(w) for w in b.weighted())
 
 
-def _is_real(b: QuantumBox) -> bool:
-    """True when no block of either state has an imaginary part."""
-    return not any(np.imag(x).any() for state in (b.rho0, b.rho1)
-                   for x in linalg.BlockOp.of(state).blocks)
-
-
-def _dense_unitary(u: Array | None, b: QuantumBox) -> Array:
-    """``real_frame``'s unitary on the dense space of b: U^(x)n on a qubit
-    tensor power, the identity where b was left as it was."""
+def _frame_unitary(u: Array | None, b: QuantumBox) -> Array:
+    """``real_frame``'s unitary on the states of b: pi(U) on the quotient of
+    a qubit tensor power, the identity where b was left as it was."""
     if u is None:
-        return np.eye(b.dim)
-    return linalg.tensor_power(u, b.qubit_power[2] if b.qubit_power else 1)
+        return np.eye(b.rho0.shape[0])
+    n = b.qubit_power[2] if b.qubit_power else 1
+    return np.asarray(linalg.schur_weyl_power(u, n))
 
 
 def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
@@ -173,11 +169,12 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     variables; the value is s* times its optimum, and ``diagnostics["s"]``
     is s*.
 
-    When both boxes have a real frame (``real_frame``: source b = U b' U^dag,
-    target c = V c' V^dag, U and V lifted to U^(x)n on a tensor power), the
-    real program b' -> c' is solved and each normalised Choi is mapped back
-    as J = (conj(U) (x) V) J' (U^T (x) V^dag), so the witness acts on b.
-    Otherwise both sides are solved as given."""
+    Both sides enter in their real frame (``real_frame``: source
+    b = U b' U^dag, target c = V c' V^dag, with pi(U) and pi(V) on a
+    quotient and the identity for a box left as it was); ``Model.compile``
+    solves the program real when both framed sides are real.  Each
+    normalised Choi is mapped back as J = (conj(U) (x) V) J' (U^T (x) V^dag),
+    so the witness acts on b."""
     _check_regime(regime)
     pe_target = p_err(target)
     if pe_target <= TOLS.infinite_perr:
@@ -199,14 +196,11 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
             return TaskResult(0.0, witness, {})
 
     (src, u), (tgt, v) = real_frame(source), real_frame(target)
-    if not (_is_real(src) and _is_real(tgt)):
-        # one complex side keeps the program complex: solve it as given
-        (src, u), (tgt, v) = (source, None), (target, None)
-    d_in, d_out = source.dim, target.dim
-    m = Model()
-    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(src), (d_in, d_out),
-                                       regime)
+    w0, w1 = _dense_weighted(src)
     sigma0, sigma1 = _dense_weighted(tgt)
+    d_in, d_out = len(w0), len(sigma0)
+    m = Model()
+    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
     b0, b1, c0, c1 = (m.psd_var(n, d_out) for n in ("b0", "b1", "c0", "c1"))
     m.eq(b0 - c0 - tau0, -sigma0)
     m.eq(b1 - c1 - tau1, -sigma1)
@@ -215,7 +209,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     res = model.require_optimal(m.solve(), "conversion-error program")
 
     names = ("om0", "om1") if regime == CDS else ("om0",)
-    frame = np.kron(_dense_unitary(u, source).conj(), _dense_unitary(v, target))
+    frame = np.kron(_frame_unitary(u, source).conj(), _frame_unitary(v, target))
     maps = [CpMap(frame @ c @ frame.conj().T, d_in, d_out) for c in
             _normalized_chois([res.primal[n] for n in names], d_in, d_out)]
     witness = CdsMap(*maps) if regime == CDS else maps[0]
@@ -262,9 +256,9 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1).
     They are constraints 0 and 1, and t enters them only as the
     coefficient of r0 and of r1 respectively (see ``_phase1_at``)."""
-    d = b.dim
     p = b.p
     w0, w1 = _dense_weighted(b)
+    d = len(w0)
     m = Model()
     lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
     s_extra = m.scalar("s0")       # s = 1 + s0

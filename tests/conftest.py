@@ -93,8 +93,13 @@ def lapack_calls(monkeypatch):
 
 
 def dense_box(b: QuantumBox) -> QuantumBox:
-    """The same box with its states as dense matrices."""
-    return QuantumBox(b.p, np.asarray(b.rho0), np.asarray(b.rho1))
+    """The same box on the full register, with dense states: a qubit tensor
+    power (``qubit_power``) gives the Kronecker powers of its one-copy
+    states, any other box its states as matrices."""
+    if b.qubit_power is None:
+        return QuantumBox(b.p, np.asarray(b.rho0), np.asarray(b.rho1))
+    a0, a1, n = b.qubit_power
+    return QuantumBox(b.p, linalg.tensor_power(a0, n), linalg.tensor_power(a1, n))
 
 
 def random_hermitian(d, rng, real=False):

@@ -18,12 +18,19 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 ``kron_left`` and ``kron_right`` (X -> K (x) X, X -> X (x) K) are the
 model expressions of the D' dual in ``conversion_error_to_infinite``.
 
+``schur_channels`` builds, from the real orthogonal qubit Schur transform
+(``schur_transform``), the two channels between (C^2)^(x)n and the
+Schur-Weyl quotient that ``boxes.tensor_box`` holds: the pinch-and-trace
+map E and its recovery map R.  ``lift`` turns a map on the quotient into
+the map Lambda o E on (C^2)^(x)n.
+
 The solver takes PSD blocks only, so each free Hermitian variable of the
 textbook programs is written as a bound minus a PSD block; the docstrings
-say why the bound loses nothing.  Like the library's programs, each takes
-dense data and materialises a box in block form once, on entry.
+say why the bound loses nothing.  Like the library's programs, each reads
+a quotient's block-diagonal matrix, sized by the states' shapes.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -31,6 +38,7 @@ import numpy as np
 
 from symdist import model
 from symdist.boxes import KET0, KET1, QuantumBox
+from symdist.channels import CdsMap, CpMap
 from symdist.config import TOLS
 from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
 from symdist.exceptions import ParameterRangeError
@@ -63,13 +71,81 @@ def kron_right(var: Var, k) -> Expr:
     return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
 
 
+@functools.lru_cache(maxsize=None)
+def schur_transform(n: int) -> tuple[np.ndarray, ...]:
+    """Columns of the real orthogonal qubit Schur transform, one (2^n, s_k,
+    m_k) array per block: copy j of block k spans S_-^i v_kj, normalised,
+    where the v_kj are an orthonormal basis of the kernel of the total
+    raising operator S_+ = S_-^T on the weight space with k ones."""
+    dim = 2 ** n
+    x = np.arange(dim)
+    ones = np.array([bin(y).count("1") for y in x])
+    lower = np.zeros((dim, dim))               # S_- : x -> x with a 0 set
+    for q in range(n):
+        zero = x[(x >> q & 1) == 0]
+        lower[zero | 1 << q, zero] = 1.0
+    out = []
+    for k in range(n // 2 + 1):
+        weight, below = np.flatnonzero(ones == k), np.flatnonzero(ones == k - 1)
+        raise_k = lower[np.ix_(weight, below)].T
+        kernel = np.linalg.svd(raise_k)[2][len(below):].T if len(below) else np.eye(1)
+        top = np.zeros((dim, kernel.shape[1]))
+        top[weight] = kernel
+        cols = [top]
+        for _ in range(n - 2 * k):
+            nxt = lower @ cols[-1]
+            cols.append(nxt / np.linalg.norm(nxt, axis=0))
+        out.append(np.stack(cols, axis=1))
+        out[-1].flags.writeable = False     # cached: shared by every caller
+    return tuple(out)
+
+
+def schur_channels(n: int) -> tuple[list, list]:
+    """Kraus operators (real) of the pinch-and-trace map E, X ->
+    (+)_k Tr_mult(P_k X P_k), from (C^2)^(x)n to the quotient, and of its
+    recovery map R, Y -> (+)_k Y_k (x) I_{m_k}/m_k.  Copy j of block k
+    gives K_kj = C_kj^T, placed in the rows of block k, for E and
+    K_kj^T/sqrt(m_k) for R, with C_kj its (2^n, s_k) columns of the Schur
+    transform."""
+    cols = schur_transform(n)
+    size = sum(c.shape[1] for c in cols)
+    e_kraus, r_kraus, at = [], [], 0
+    for c in cols:
+        s, m = c.shape[1:]
+        for j in range(m):
+            k = np.zeros((size, 2 ** n))
+            k[at:at + s] = c[:, :, j].T
+            e_kraus.append(k)
+            r_kraus.append(k.T / math.sqrt(m))
+        at += s
+    return e_kraus, r_kraus
+
+
+def apply_kraus(kraus: list, x) -> np.ndarray:
+    """sum_K K x K^dag."""
+    x = np.asarray(x)
+    return sum(k @ x @ k.conj().T for k in kraus)
+
+
+def lift(m: CpMap | CdsMap, n: int) -> CpMap | CdsMap:
+    """The map m o E on (C^2)^(x)n, for a map m on the quotient of n qubits
+    (each branch of a CDS map): its Choi matrix is
+    sum_K (K^T (x) I) J (conj(K) (x) I) over the Kraus operators K of E."""
+    if isinstance(m, CdsMap):
+        return CdsMap(lift(m.e0, n), lift(m.e1, n))
+    eye = np.eye(m.d_out)
+    choi = sum(np.kron(k.T, eye) @ m.choi @ np.kron(k, eye)
+               for k in schur_channels(n)[0])
+    return CpMap(choi, 2 ** n, m.d_out)
+
+
 def p_err_sdp(b: QuantumBox) -> float:
     """Greatest-lower-bound program max{Tr Y : Y <= p rho0, Y <= (1-p) rho1},
     with Y = p rho0 - Z: max{Tr(p rho0) - Tr Z : Z >= 0, Z >= p rho0 - (1-p) rho1}.
     Z >= 0 is the first bound itself, so the substitution loses nothing."""
     w0, w1 = _dense_weighted(b)
     m = Model()
-    z = m.psd_var("z", b.dim)
+    z = m.psd_var("z", len(w0))
     m.ge(z, w0 - w1)
     m.maximize(float(np.trace(w0).real) - trace(z))
     return model.require_optimal(m.solve(), "greatest-lower-bound program").value
@@ -84,9 +160,9 @@ def _scaled_trace_distance_rows(m: Model, tau0: Expr, tau1: Expr,
     with sigma_i the weighted branches.  The least Tr(D + E) is
     s ||sigma_0 - sigma_1||_1 = s (1 - 2 p_err(sigma)), so the D, E rows
     encode s >= 1/(2 p_err(sigma))."""
-    b0, b1, c0, c1, dv, ev = (m.psd_var(n, sigma.dim)
-                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
     s0, s1 = _dense_weighted(sigma)
+    b0, b1, c0, c1, dv, ev = (m.psd_var(n, len(s0))
+                              for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
     weight = s0 - s1
     m.eq(b0 - c0 - tau0 + times(s_extra, s0), -s0)
     m.eq(b1 - c1 - tau1 + times(s_extra, s1), -s1)
@@ -110,11 +186,11 @@ def conversion_error_program(source: QuantumBox, target: QuantumBox,
     _check_regime(regime)
     if p_err(target) <= TOLS.infinite_perr:
         raise ValueError("conversion_error_program needs p_err(target) > 0")
-    d_in, d_out = source.dim, target.dim
+    w0, w1 = _dense_weighted(source)
+    d_in, d_out = len(w0), target.rho0.shape[0]
     m = Model()
     s_extra = m.scalar("s0")  # s = 1 + s_extra
-    tau0, tau1, tp = _free_map_outputs(m, *_dense_weighted(source), (d_in, d_out),
-                                       regime)
+    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
     m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
     m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
     res = model.require_optimal(m.solve(), "conversion-error program")
@@ -137,8 +213,8 @@ def scaled_trace_distance_sdp(rho: QuantumBox, sigma: QuantumBox,
     """
     if p_err(sigma) <= TOLS.infinite_perr:
         raise ValueError("scaled_trace_distance_sdp needs p_err(sigma) > 0")
-    d = rho.dim
     r0, r1 = _dense_weighted(rho)
+    d = len(r0)
     s0, s1 = _dense_weighted(sigma)
     diff0, diff1 = r0 - s0, r1 - s1
     weight = s0 - s1
@@ -187,8 +263,8 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
     nothing."""
     _check_regime(regime)
     q = 0.5 if regime == CDS else b.p
-    d_in, d_out = b.dim, 2
     w0, w1 = _dense_weighted(b)
+    d_in, d_out = len(w0), 2
     t0 = q * KET0
     t1 = (1 - q) * KET1
 
@@ -236,9 +312,9 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     if regime == CDS and p_err(b) <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"reason": "infinite resource"})
 
-    d = b.dim
     p = b.p
     rho0, rho1 = np.asarray(b.rho0), np.asarray(b.rho1)
+    d = len(rho0)
     m = Model()
     r = m.scalar("r")
     m.le(r, 1.0)

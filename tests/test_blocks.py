@@ -1,4 +1,4 @@
-"""Schur-Weyl block form of qubit tensor powers against the dense form."""
+"""Schur-Weyl quotients of qubit tensor powers against the full register."""
 
 import json
 import math
@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from symdist import cli
+from symdist import cli, sdp
 from symdist import divergences as dv
 from symdist import linalg, tasks
 from symdist.boxes import (QuantumBox, box_from_json, box_to_json, golden_box,
                            random_box, tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
+from symdist.exceptions import DimensionMismatchError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import dense_box
-from oracles import p_err_sdp
+from oracles import apply_kraus, lift, p_err_sdp, schur_channels
 
 TOL = 1e-10
 
@@ -42,19 +43,52 @@ def _apply(witness, box):
 
 
 def test_block_layout_of_nine_qubits():
-    t = tensor_box(random_box(2, np.random.default_rng(7)), 9)
-    assert [len(b) for b in t.rho0.blocks] == [10, 8, 6, 4, 2]
-    assert t.rho0.mults == (1, 8, 27, 48, 42)
-    assert t.dim == 512
+    """Block k of a state is its multiplicity times pi_k(rho)."""
+    b = random_box(2, np.random.default_rng(7))
+    t = tensor_box(b, 9)
+    assert [len(x) for x in t.rho0.blocks] == [10, 8, 6, 4, 2]
+    pi = linalg.schur_weyl_power(b.rho0, 9)
+    for x, y, m in zip(t.rho0.blocks, pi.blocks, (1, 8, 27, 48, 42)):
+        assert np.abs(x - m * y).max() <= 1e-12
+    assert t.dim == 512 and t.rho0.shape == (30, 30)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_dense_form_is_the_kronecker_power(n):
+    """The recovery map R takes the quotient's block-diagonal matrix to the
+    Kronecker power."""
     b = random_box(2, np.random.default_rng(7))
     t = tensor_box(b, n)
-    for block_form, state in ((t.rho0, b.rho0), (t.rho1, b.rho1)):
-        dense = np.asarray(block_form)
+    r_kraus = schur_channels(n)[1]
+    for quotient, state in ((t.rho0, b.rho0), (t.rho1, b.rho1)):
+        dense = apply_kraus(r_kraus, quotient)
         assert np.abs(dense - linalg.tensor_power(state, n)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pinch_and_recovery_maps_are_channels_that_invert(n):
+    """E and R are CPTP (Kraus form, sum_K K^dag K = I), E takes rho^(x)n to
+    the quotient state and R takes it back."""
+    e_kraus, r_kraus = schur_channels(n)
+    for kraus in (e_kraus, r_kraus):
+        d = kraus[0].shape[1]
+        assert np.abs(sum(k.T @ k for k in kraus) - np.eye(d)).max() <= 1e-12
+    b = random_box(2, np.random.default_rng(7))
+    t = tensor_box(b, n)
+    for quotient, state in ((t.rho0, b.rho0), (t.rho1, b.rho1)):
+        power = linalg.tensor_power(state, n)
+        pinched = apply_kraus(e_kraus, power)
+        assert np.abs(pinched - np.asarray(quotient)).max() <= 1e-12
+        assert np.abs(apply_kraus(r_kraus, pinched) - power).max() <= 1e-12
+
+
+def test_tensor_box_of_a_tensor_power_is_the_longer_power():
+    b = random_box(2, np.random.default_rng(7))
+    got, want = tensor_box(tensor_box(b, 2), 3), tensor_box(b, 6)
+    assert got.dim == 64 and got.qubit_power[2] == 6
+    for x, y in ((got.rho0, want.rho0), (got.rho1, want.rho1)):
+        assert isinstance(x, linalg.BlockOp) and x.qubits == 6
+        assert all(np.array_equal(u, v) for u, v in zip(x.blocks, y.blocks))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -168,21 +202,23 @@ def test_programs_materialise_block_boxes_once():
     assert p_err_sdp(t) == pytest.approx(dv.p_err(t), abs=1e-6)
 
 
-@pytest.mark.parametrize("delta, equal", [(5e-11, True), (6.2e-11, False)])
+@pytest.mark.parametrize("delta, equal", [(3.2e-11, True), (3.5e-11, False)])
 def test_box_equality_is_the_same_in_block_and_dense_form(delta, equal):
     """scaled_trace_distance against a box with p_err = 0 is 0 for equal
-    boxes and inf otherwise.  Here the weighted states differ by 1.5 delta
-    in their largest entry and by about 1.73 delta in Frobenius norm, so at
-    delta = 6.2e-11 an entrywise test at 1e-10 would call them equal; the
-    Frobenius test reads the same in both forms."""
+    boxes and inf otherwise, by their c-q trace distance, here 3 delta to
+    first order.  The pinch-and-trace map preserves the trace norm of
+    block-form operators, so the test reads the same on the quotient and
+    on the full register; a full-register box against a quotient is a
+    dimension mismatch."""
     n = 3
     sigma = tensor_box(golden_box(math.inf, 0.5), n)
     rho = tensor_box(QuantumBox(0.5, np.diag([1 - delta, delta]),
                                 np.diag([delta, 1 - delta])), n)
     want = 0.0 if equal else math.inf
-    for r, s in ((rho, sigma), (dense_box(rho), dense_box(sigma)),
-                 (dense_box(rho), sigma)):
+    for r, s in ((rho, sigma), (dense_box(rho), dense_box(sigma))):
         assert dv.scaled_trace_distance(r, s) == want
+    with pytest.raises(DimensionMismatchError):
+        dv.scaled_trace_distance(dense_box(rho), sigma)
 
 
 def test_json_round_trip_keeps_the_block_form(tmp_path, capsys):
@@ -193,7 +229,7 @@ def test_json_round_trip_keeps_the_block_form(tmp_path, capsys):
     t = tensor_box(random_box(2, np.random.default_rng(7)), 4)
     back = box_from_json(box_to_json(t))
     for got, want in ((back.rho0, t.rho0), (back.rho1, t.rho1)):
-        assert got.mults == want.mults
+        assert [len(x) for x in got.blocks] == [len(x) for x in want.blocks]
         assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
     path = tmp_path / "box.json"
     path.write_text(box_to_json(t))
@@ -217,4 +253,77 @@ def test_json_tensor_power_field_is_checked():
     del data["tensor_power"]
     dense = box_from_json(json.dumps(data))
     assert isinstance(dense.rho0, np.ndarray)
-    assert np.abs(dense.rho0 - np.asarray(t.rho0)).max() <= 1e-15
+    assert np.abs(dense.rho0 - dense_box(t).rho0).max() <= 1e-15
+
+
+# --- programs on the quotient against the full register ---------------------------
+
+@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_conversion_from_a_quotient_matches_the_full_register(n, regime):
+    """min_conversion_error from b^(x)n agrees on the quotient and on the
+    Kronecker power (the argument is in
+    ``test_conversion_into_a_quotient_matches_the_full_register``), and the
+    quotient's witness, lifted to Lambda o E, reaches the value from the
+    Kronecker power."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), n)
+    target = random_box(2, np.random.default_rng(8))
+    res = tasks.min_conversion_error(t, target, regime)
+    full = dense_box(t)
+    assert res.value == pytest.approx(
+        tasks.min_conversion_error(full, target, regime).value, abs=1e-6)
+    out = _apply(lift(res.witness, n), full)
+    assert dv.scaled_trace_distance(out, target) <= res.value + 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_cost_approx_on_a_quotient_matches_the_full_register(n, regime):
+    """Dilution into the eps-ball of b^(x)n or of its quotient: R and E map
+    either ball into the other (see
+    ``test_conversion_into_a_quotient_matches_the_full_register``)."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), n)
+    assert tasks.cost_approx(t, 0.05, regime).value == pytest.approx(
+        tasks.cost_approx(dense_box(t), 0.05, regime).value, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_conversion_into_a_quotient_matches_the_full_register(n, regime):
+    """Converting into c^(x)n or into its quotient Q has the same least error.
+
+    E and R are channels on the quantum register, so free in both regimes,
+    and E(R(Y)) = Y on the quotient.  The error of a free map Lambda into a
+    target sigma is D'(Lambda(b) || sigma) = ||Lambda(b) - sigma||_1 /
+    (2 p_err(sigma)) (c-q trace norm).  The trace norm does not grow under
+    a channel, and p_err(R(Q)) = p_err(Q): it cannot fall under R, nor rise
+    under E, which undoes R.  So R o Lambda into R(Q) = c^(x)n errs at most
+    as much as Lambda into Q, and E o Lambda' into Q at most as much as
+    Lambda' into c^(x)n.  The same argument on the source side, with
+    Lambda o R and Lambda o E, covers conversion and dilution from b^(x)n.
+    """
+    source = random_box(2, np.random.default_rng(8))
+    t = tensor_box(random_box(2, np.random.default_rng(7), p=0.6), n)
+    assert tasks.min_conversion_error(source, t, regime).value == pytest.approx(
+        tasks.min_conversion_error(source, dense_box(t), regime).value, abs=1e-6)
+
+
+def test_conversion_from_five_copies_solves_on_the_quotient(monkeypatch):
+    """b^(x)5 enters the program as its 12 x 12 quotient, so the largest PSD
+    block is the real Choi variable of size 12 x 2, and no Kronecker power
+    is built."""
+    def refuse(*args):
+        raise AssertionError("Kronecker power built")
+
+    blocks = []
+    solve = sdp.solve
+
+    def recording_solve(problem, options=None):
+        blocks.extend(problem.blocks)
+        return solve(problem, options)
+
+    monkeypatch.setattr(linalg, "tensor_power", refuse)
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 5)
+    tasks.min_conversion_error(t, random_box(2, np.random.default_rng(8)), CDS)
+    assert 0 < max(blocks) <= 24

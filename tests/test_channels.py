@@ -22,7 +22,7 @@ from symdist.exceptions import (InfiniteResourceError, InvalidChannelError,
                                 NotInfiniteResourceError, NotPsdError,
                                 ParameterRangeError)
 
-from conftest import box_distance, dense_box
+from conftest import box_distance
 
 
 def test_apply_identity(rng):
@@ -331,21 +331,21 @@ def test_measure_prepare_matches_its_choi(d_in, d_out, real, rng):
 
 
 def test_block_measure_prepare_matches_its_dense_form():
-    """A map on b^(x)3 with block-form effects and states: applied to a
-    block-form input it agrees with its dense Choi matrix on the dense
-    input, and its Tr_out stays in block form."""
+    """A map on the quotient of b^(x)3 (size 6) with block-form effects and
+    states: applied to a block-form input it agrees with its dense Choi
+    matrix on the input's block-diagonal matrix, and its Tr_out stays in
+    block form."""
     t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
     lam = helstrom_povm(t)
     mp = measure_prepare([lam, linalg.identity_like(lam) - lam], [t.rho0, t.rho1])
-    cp = CpMap(mp.choi, 8, 8)
-    d = dense_box(t)
-    for block, dense in zip(t.weighted(), d.weighted()):
+    cp = CpMap(mp.choi, 6, 6)
+    for block in t.weighted():
         out = mp(block)
         assert isinstance(out, linalg.BlockOp)
-        assert np.abs(np.asarray(out) - cp(dense)).max() <= 1e-12
+        assert np.abs(np.asarray(out) - cp(np.asarray(block))).max() <= 1e-12
     tr_out = mp.tr_out()
     assert isinstance(tr_out, linalg.BlockOp)
-    assert np.abs(np.asarray(tr_out) - linalg.ptrace(mp.choi, (8, 8), axis=1)).max() <= 1e-12
+    assert np.abs(np.asarray(tr_out) - linalg.ptrace(mp.choi, (6, 6), axis=1)).max() <= 1e-12
 
 
 def test_measure_prepare_rejects_non_psd_effects_and_states():

@@ -147,7 +147,7 @@ def test_spectral_functions_reject_non_finite_entries(name, bad):
     pass validation (trace_norm of diag(nan, 1) was 0.0); it is rejected
     before any arithmetic that warns."""
     for h in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[1.0, bad], [0.0, 1.0]]),
-              linalg.BlockOp([np.diag([0.5, bad, 0.5]), np.eye(1)], (1, 1), 2)):
+              linalg.BlockOp([np.diag([0.5, bad, 0.5]), np.eye(1)], 2)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
