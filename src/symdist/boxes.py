@@ -75,15 +75,6 @@ class QuantumBox:
         """The subnormalized pair (p rho0, (1-p) rho1)."""
         return self.p * self.rho0, (1.0 - self.p) * self.rho1
 
-    def cq_operator(self) -> Array:
-        """Dense embedding p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1."""
-        w0, w1 = self.weighted()
-        d = w0.shape[0]
-        out = np.zeros((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = np.asarray(w0)
-        out[d:, d:] = np.asarray(w1)
-        return out
-
 
 @dataclass(frozen=True)
 class GoldenUnit:
@@ -112,12 +103,6 @@ def golden_to_box(g: GoldenUnit) -> QuantumBox:
 
 def golden_box(M: float, q: float = 0.5) -> QuantumBox:
     return golden_to_box(GoldenUnit(M, q))
-
-
-def is_infinite_resource(b: QuantumBox) -> bool:
-    """True iff p_err(b) is at most ``TOLS.infinite_perr``."""
-    from .divergences import p_err
-    return p_err(b) <= TOLS.infinite_perr
 
 
 def tensor_box(b: QuantumBox, n: int) -> QuantumBox:

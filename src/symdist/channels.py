@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .boxes import KET0, KET1, PAULI_X, QuantumBox
+from .boxes import KET0, KET1, QuantumBox
 from .config import TOLS
 from .exceptions import (DimensionMismatchError, InfiniteResourceError,
                          InvalidChannelError, MTooSmallError,
-                         NotInfiniteResourceError, NotMajorizedError,
-                         NotPsdError, ParameterRangeError)
+                         NotInfiniteResourceError, NotPsdError,
+                         ParameterRangeError)
 
 Array = np.ndarray
 
@@ -159,10 +159,6 @@ def cp_from_kraus(kraus: list[Array]) -> CpMap:
     return CpMap(kraus_to_choi(ks), ks[0].shape[1], ks[0].shape[0])
 
 
-def identity_map(d: int) -> CpMap:
-    return cp_from_kraus([np.eye(d)])
-
-
 def measure_prepare(effects: list, states: list,
                     weight: float = 1.0) -> MeasurePrepare:
     """E(rho) = weight * sum_k Tr(M_k rho) omega_k, the weight folded into
@@ -223,12 +219,6 @@ def helstrom_povm(b: QuantumBox):
     block by block; the weights of a quotient do not move it."""
     w0, w1 = b.weighted()
     return linalg.spectrum(w0 - w1).apply(lambda w: (w < 0.0).astype(float))
-
-
-def pgm(rho0: Array, rho1: Array) -> Array:
-    """Pretty good measurement effect for rho1: (r0+r1)^(-1/2) r1 (r0+r1)^(-1/2)."""
-    s = linalg.pseudo_inverse_sqrt(np.asarray(rho0) + np.asarray(rho1))
-    return linalg.hermitian(s @ rho1 @ s)
 
 
 # --- distillation channels ----------------------------------------------------
@@ -325,58 +315,3 @@ def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     states = [target.p * target.rho0, (1 - target.p) * target.rho1]
     return CdsMap(measure_prepare([lam, eye - lam], states),
                   measure_prepare([eye - lam, lam], states))
-
-
-def golden_majorize(M: float, q1: float, q2: float) -> CdsMap:
-    """CDS map sending the (M, q2) golden unit to the (M, q1) one.
-
-    Requires (q1, 1-q1) majorized by (q2, 1-q2)."""
-    if max(q1, 1 - q1) > max(q2, 1 - q2) + 1e-12:
-        raise NotMajorizedError(
-            f"({q1}, {1 - q1}) is not majorized by ({q2}, {1 - q2})")
-    if abs(2 * q2 - 1) < 1e-12:
-        lam = 1.0
-    else:
-        lam = (q1 + q2 - 1) / (2 * q2 - 1)
-    lam = min(max(lam, 0.0), 1.0)
-    flip = PAULI_X
-    e0 = CpMap(lam * kraus_to_choi([np.eye(2)]), 2, 2)
-    e1 = CpMap((1 - lam) * kraus_to_choi([flip]), 2, 2)
-    return CdsMap(e0, e1)
-
-
-# --- random channel generators (seeded; for property tests) -------------------
-
-def random_cptp(d_in: int, d_out: int, rng: np.random.Generator,
-                env: int | None = None) -> CpMap:
-    """Random channel from a Haar-ish isometry followed by an environment trace."""
-    env = env or d_in
-    g = rng.normal(size=(env * d_out, d_in)) + 1j * rng.normal(size=(env * d_out, d_in))
-    qmat, _ = np.linalg.qr(g)
-    kraus = list(qmat.reshape(env, d_out, d_in))
-    return cp_from_kraus(kraus)
-
-
-def random_cds(d_in: int, d_out: int, rng: np.random.Generator) -> CdsMap:
-    """Random CDS map: a random channel whose environment is measured with a
-    random two-outcome projective split deciding the classical flip."""
-    env = max(2, d_in)
-    total = random_cptp(d_in, d_out, rng, env=env)
-    kraus = _choi_to_kraus(total.choi, d_in, d_out)
-    cut = int(rng.integers(1, len(kraus)))
-    order = rng.permutation(len(kraus))
-    g0 = [kraus[i] for i in order[:cut]]
-    g1 = [kraus[i] for i in order[cut:]]
-    e0 = CpMap(kraus_to_choi(g0), d_in, d_out)
-    e1 = CpMap(kraus_to_choi(g1), d_in, d_out) if g1 else zero_map(d_in, d_out)
-    return CdsMap(e0, e1)
-
-
-def _choi_to_kraus(choi: Array, d_in: int, d_out: int) -> list[Array]:
-    w, v = np.linalg.eigh(linalg.hermitian(choi))
-    kraus = []
-    for i in range(len(w)):
-        if w[i] > 1e-12:
-            vec = v[:, i].reshape(d_in, d_out)
-            kraus.append(math.sqrt(w[i]) * vec.T)
-    return kraus

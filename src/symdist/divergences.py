@@ -325,48 +325,3 @@ def scaled_trace_distance(rho: "QuantumBox", sigma: "QuantumBox") -> float:
     if e <= TOLS.infinite_perr:
         return 0.0 if dist <= TOLS.box_equality else INF
     return _nonneg(dist / e)
-
-
-# --- smoothed Thompson construction -------------------------------------------
-
-class SmoothedThompson(NamedTuple):
-    omega0: Array
-    omega1: Array
-    value: float  # Thompson metric of the smoothed pair
-
-
-def smooth_thompson_witness(omega0: Array, omega1: Array,
-                            eps: float) -> SmoothedThompson:
-    """Constructive smoothing of a subnormalized pair.
-
-    Each smoothed operator stays within trace distance ``eps`` of its
-    input.  The generic construction guarantees a Thompson metric of at
-    most log2(4/eps) and preserves Tr w0 + Tr w1 = 1 when that holds; when
-    both inputs have unit trace an equal-trace variant achieving
-    log2(2/eps) is used instead.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    omega0 = linalg.hermitian(omega0)
-    omega1 = linalg.hermitian(omega1)
-    tr0 = linalg.trace(omega0)
-    tr1 = linalg.trace(omega1)
-
-    pos10 = linalg.positive_part(omega1 - omega0)
-    pos01 = linalg.positive_part(omega0 - omega1)
-
-    if abs(tr0 - 1.0) <= 1e-12 and abs(tr1 - 1.0) <= 1e-12:
-        lam = max(linalg.trace(pos01) / eps, 1.0)
-        shift = linalg.trace(pos01) / lam
-        w0 = (omega0 + pos10 / lam) / (1.0 + shift)
-        w1 = (omega1 + pos01 / lam) / (1.0 + shift)
-        return SmoothedThompson(w0, w1, thompson(w0, w1))
-
-    lam0 = max(2.0 * linalg.trace(pos10) / eps, 1.0)
-    lam1 = max(2.0 * linalg.trace(pos01) / eps, 1.0)
-    eps0 = linalg.trace(pos10) / lam0
-    eps1 = linalg.trace(pos01) / lam1
-    denom = 1.0 + eps0 + eps1
-    w0 = (omega0 + pos10 / lam0) / denom
-    w1 = (omega1 + pos01 / lam1) / denom
-    return SmoothedThompson(w0, w1, thompson(w0, w1))

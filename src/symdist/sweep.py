@@ -126,13 +126,6 @@ def _serialize(v: float) -> str:
     return format(v, ".17g")
 
 
-def parse_csv(text: str) -> SweepResult:
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return SweepResult(header, rows)
-
-
 def _rotated(state: np.ndarray, phi: float) -> np.ndarray:
     u = math.cos(phi) * np.eye(2) + 1j * math.sin(phi) * np.array([[0, 1], [1, 0]])
     return u @ state @ u.conj().T

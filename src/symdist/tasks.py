@@ -10,9 +10,12 @@ form) and the conversion program into an orthogonal-pair golden unit with
 its dual are cross-check oracles in ``tests/oracles.py``.
 
 Exact tasks run block by block on the quotient box of a qubit tensor
-power (``tensor_box``), witnesses included; the programs read its
-block-diagonal matrix, of size floor((n+2)^2/4) instead of 2^n.  Witnesses
-act on the quotient: Lambda on it acts on (C^2)^(x)n as Lambda o E, E the
+power (``tensor_box``), witnesses included, and so do the programs: each
+matrix variable is one block per block of the quotient (``_blocks``; a
+dense box is one block), and a conversion's Choi variable one block per
+pair of input and output blocks, at most 10 x 10 from b^(x)9 into c^(x)9
+where the quotient-sized variable is 900 x 900.  Witnesses act on the
+quotient: Lambda on it acts on (C^2)^(x)n as Lambda o E, E the
 pinch-and-trace map of ``linalg`` (built in ``tests/oracles.py``).  A qubit
 box or qubit tensor power enters the programs in its real frame
 (``boxes.real_frame``): a unitary on the quantum register is free and
@@ -22,7 +25,9 @@ compiles real, with no complex embedding doubling its blocks.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -130,9 +135,17 @@ def _exact_cptpA_conversion(source: QuantumBox,
     return measure_prepare([proj, eye - proj], [target.rho0, target.rho1])
 
 
-def _dense_weighted(b: QuantumBox) -> tuple[Array, Array]:
-    """The weighted pair as dense matrices, for a program's data."""
-    return tuple(np.asarray(w) for w in b.weighted())
+def _blocks(b: QuantumBox) -> list[tuple[Array, Array]]:
+    """The weighted pair block by block, as dense (w0_k, w1_k) for a
+    program's data; a dense box is a single block."""
+    w0, w1 = linalg.BlockOp.of(*b.weighted())
+    return [(np.asarray(x), np.asarray(y)) for x, y in zip(w0.blocks, w1.blocks)]
+
+
+def _sum(exprs) -> model.Expr:
+    """Left-to-right sum of one or more model expressions; unlike ``sum``
+    it adds no zero, so a single block's program is built as before."""
+    return functools.reduce(operator.add, exprs)
 
 
 def _frame_unitary(u: Array | None, b: QuantumBox) -> Array:
@@ -144,18 +157,38 @@ def _frame_unitary(u: Array | None, b: QuantumBox) -> Array:
     return np.asarray(linalg.schur_weyl_power(u, n))
 
 
-def _free_map_outputs(m: Model, w0: Array, w1: Array, dims: tuple[int, int],
-                      regime: str) -> tuple[model.Expr, model.Expr, model.Expr]:
-    """Free-map Choi variables om0 (and om1 under CDS) on in (x) out, as
-    (tau0, tau1, Tr_out): the images of the weighted branches w0, w1."""
-    om0 = m.psd_var("om0", dims[0] * dims[1])
-    if regime == CDS:
-        om1 = m.psd_var("om1", dims[0] * dims[1])
-        tau0 = channel_output(w0, om0, dims) + channel_output(w1, om1, dims)
-        tau1 = channel_output(w0, om1, dims) + channel_output(w1, om0, dims)
-        return tau0, tau1, ptrace_out(om0, dims) + ptrace_out(om1, dims)
-    return (channel_output(w0, om0, dims), channel_output(w1, om0, dims),
-            ptrace_out(om0, dims))
+def _free_map_outputs(m: Model, blocks: list[tuple[Array, Array]], d_out: list[int],
+                      regime: str) -> tuple[list, list, list, list]:
+    """Free-map Choi variables om_j (om0, and om1 under CDS, which flips the
+    label), one per input block k and output block l, on in_k (x) out_l.
+    Returns the images of the weighted branches block by block, tau0[l]
+    and tau1[l], the trace Tr_out of the map on each input block k, and
+    per branch the variables keyed by (k, l)."""
+    branches = (0, 1) if regime == CDS else (0,)
+    d_in = [len(w0) for w0, _ in blocks]
+    pairs = [(k, l) for k in range(len(d_in)) for l in range(len(d_out))]
+    om = [{(k, l): m.psd_var(f"om{j}_{k}_{l}", d_in[k] * d_out[l]) for k, l in pairs}
+          for j in branches]
+    # image i collects branch j applied to weighted branch i ^ j
+    tau = [[_sum(channel_output(blocks[k][i ^ j], om[j][k, l], (d_in[k], d_out[l]))
+                 for j in branches for k in range(len(d_in)))
+            for l in range(len(d_out))] for i in (0, 1)]
+    tp = [_sum(ptrace_out(om[j][k, l], (d_in[k], d_out[l]))
+               for j in branches for l in range(len(d_out)))
+          for k in range(len(d_in))]
+    return tau[0], tau[1], tp, om
+
+
+def _block_choi(parts: dict, d_in: list[int], d_out: list[int]) -> Array:
+    """The Choi matrix on in (x) out that is parts[k, l] on input block k
+    (x) output block l and zero off those blocks."""
+    at_in, at_out = np.cumsum([0, *d_in]), np.cumsum([0, *d_out])
+    out = np.zeros((at_in[-1], at_out[-1]) * 2,
+                   dtype=np.result_type(*parts.values()))
+    for (k, l), om in parts.items():
+        i, o = slice(at_in[k], at_in[k + 1]), slice(at_out[l], at_out[l + 1])
+        out[i, o, i, o] = om.reshape(d_in[k], d_out[l], d_in[k], d_out[l])
+    return out.reshape(at_in[-1] * at_out[-1], -1)
 
 
 def min_conversion_error(source: QuantumBox, target: QuantumBox,
@@ -169,10 +202,31 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     variables; the value is s* times its optimum, and ``diagnostics["s"]``
     is s*.
 
+    A qubit tensor power enters as its quotient Q, on either side, and
+    loses nothing.  The pinch-and-trace map E onto Q and its recovery map
+    R (E(R(Y)) = Y) are channels on the quantum register, so free in both
+    regimes.  The trace norm does not grow under a channel, and
+    p_err(R(Q)) = p_err(Q): it cannot fall under R, nor rise under E,
+    which undoes R.  So R o Lambda into R(Q) = c^(x)n errs at most as much
+    as Lambda into Q, and E o Lambda' into Q at most as much as Lambda'
+    into c^(x)n; Lambda o R and Lambda o E do the same on the source side.
+
+    The variables are block diagonal, and that loses nothing either.  The
+    states of each side commute with its block phases
+    P_theta = (+)_k e^{i theta_k} I.  Lambda o Ad(P_theta) keeps the images
+    of the source, and Ad(P_phi) o Lambda keeps each ||tau_i - sigma_i||_1,
+    as sigma is invariant; both keep Lambda free in either regime, and the
+    objective is convex, so averaging over theta and phi loses nothing
+    (Gatermann & Parrilo, J. Pure Appl. Algebra 192 (2004)).  The averaged
+    Choi matrix is (+)_{k,l} Omega_kl on in_k (x) out_l, trace preservation
+    is one row per input block, sum_l Tr_out Omega_kl = I, and B_i, C_i
+    split per output block.  A dense box is one block.
+
     Both sides enter in their real frame (``real_frame``: source
     b = U b' U^dag, target c = V c' V^dag, with pi(U) and pi(V) on a
     quotient and the identity for a box left as it was); ``Model.compile``
-    solves the program real when both framed sides are real.  Each
+    solves the program real when both framed sides are real.  The blocks
+    Omega_kl of each branch fill its quotient-sized Choi matrix, and each
     normalised Choi is mapped back as J = (conj(U) (x) V) J' (U^T (x) V^dag),
     so the witness acts on b."""
     _check_regime(regime)
@@ -196,22 +250,27 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
             return TaskResult(0.0, witness, {})
 
     (src, u), (tgt, v) = real_frame(source), real_frame(target)
-    w0, w1 = _dense_weighted(src)
-    sigma0, sigma1 = _dense_weighted(tgt)
-    d_in, d_out = len(w0), len(sigma0)
+    blocks, sigmas = _blocks(src), _blocks(tgt)
+    d_in, d_out = [len(w0) for w0, _ in blocks], [len(s0) for s0, _ in sigmas]
     m = Model()
-    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
-    b0, b1, c0, c1 = (m.psd_var(n, d_out) for n in ("b0", "b1", "c0", "c1"))
-    m.eq(b0 - c0 - tau0, -sigma0)
-    m.eq(b1 - c1 - tau1, -sigma1)
-    m.eq(tp, np.eye(d_in))
-    m.minimize(trace(b0) + trace(b1) + trace(c0) + trace(c1))
+    tau0, tau1, tp, om = _free_map_outputs(m, blocks, d_out, regime)
+    cost = []
+    for l, (sigma0, sigma1) in enumerate(sigmas):
+        b0, b1, c0, c1 = (m.psd_var(f"{n}_{l}", len(sigma0))
+                          for n in ("b0", "b1", "c0", "c1"))
+        m.eq(b0 - c0 - tau0[l], -sigma0)
+        m.eq(b1 - c1 - tau1[l], -sigma1)
+        cost.append(trace(b0) + trace(b1) + trace(c0) + trace(c1))
+    for tp_k, d_k in zip(tp, d_in):
+        m.eq(tp_k, np.eye(d_k))
+    m.minimize(_sum(cost))
     res = model.require_optimal(m.solve(), "conversion-error program")
 
-    names = ("om0", "om1") if regime == CDS else ("om0",)
+    chois = [_block_choi({kl: res.primal[x.name] for kl, x in branch.items()},
+                         d_in, d_out) for branch in om]
     frame = np.kron(_frame_unitary(u, source).conj(), _frame_unitary(v, target))
-    maps = [CpMap(frame @ c @ frame.conj().T, d_in, d_out) for c in
-            _normalized_chois([res.primal[n] for n in names], d_in, d_out)]
+    maps = [CpMap(frame @ c @ frame.conj().T, sum(d_in), sum(d_out)) for c in
+            _normalized_chois(chois, sum(d_in), sum(d_out))]
     witness = CdsMap(*maps) if regime == CDS else maps[0]
     s_star = 1.0 / (2.0 * pe_target)
     return TaskResult(max(s_star * res.value, 0.0), witness,
@@ -252,48 +311,45 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     Every inequality is relaxed by a common shift lambda = lam0 - 1 whose
     minimum is the (signed) infeasibility; this keeps a strict interior on
     both sides of the feasibility boundary, including at eps = 0 where the
-    error-ball constraints would otherwise pin variables to zero.  The two
-    M rows are divided by 2M - 1 = 1/t, so their coefficients stay O(1).
-    They are constraints 0 and 1, and t enters them only as the
-    coefficient of r0 and of r1 respectively (see ``_phase1_at``)."""
-    p = b.p
-    w0, w1 = _dense_weighted(b)
-    d = len(w0)
+    error-ball constraints would otherwise pin variables to zero.  Every
+    matrix variable is block diagonal, one per block of ``_blocks(b)``
+    (the block-phase argument of ``min_conversion_error``, on the states
+    only), and only the trace rows couple blocks.  The branch operators
+    r0, r1 enter with weights (1, 1) under CDS, where their traces sum to
+    s, and (p, 1 - p) under CPTP_A, where each has trace s.  The two M rows
+    of block k are divided by 2M - 1 = 1/t, so their coefficients stay
+    O(1).  They are constraints 2k and 2k + 1, and t enters them only as
+    the coefficient of r0 and of r1 of that block, listed in ``m.t_terms``
+    for ``_phase1_at``."""
+    blocks = _blocks(b)
+    a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
     m = Model()
     lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
     s_extra = m.scalar("s0")       # s = 1 + s0
-    bs = [m.psd_var(f"b{i}", d) for i in (0, 1)]
-    cs = [m.psd_var(f"c{i}", d) for i in (0, 1)]
-    dvar = m.psd_var("dv", d)
-    evar = m.psd_var("ev", d)
-    r0 = m.psd_var("r0", d)
-    r1 = m.psd_var("r1", d)
-    eye = np.eye(d)
-    m.ge(r1 - t * r0 + times(lam0, eye), eye)
-    m.ge(r0 - t * r1 + times(lam0, eye), eye)
-    if regime == CDS:
-        # r0, r1 are the weighted branch operators; traces sum to s
-        m.eq(bs[0] - cs[0] - times(s_extra, w0) + r0, w0)
-        m.eq(bs[1] - cs[1] - times(s_extra, w1) + r1, w1)
-        m.eq(dvar - evar - r0 + r1, 0.0 * eye)
-        m.eq(trace(r0) + trace(r1) - s_extra, 1.0)
-    else:
-        # r0, r1 are branch states scaled to trace s; prior fixed at p
-        m.eq(bs[0] - cs[0] - times(s_extra, w0) + p * r0, w0)
-        m.eq(bs[1] - cs[1] - times(s_extra, w1) + (1 - p) * r1, w1)
-        m.eq(dvar - evar - p * r0 + (1 - p) * r1, 0.0 * eye)
-        m.eq(trace(r0) - s_extra, 1.0)
-        m.eq(trace(r1) - s_extra, 1.0)
-    total_bc = trace(bs[0]) + trace(bs[1]) + trace(cs[0]) + trace(cs[1])
-    m.le(total_bc - lam0, eps - 1.0)
-    m.le(trace(dvar) + trace(evar) - s_extra - lam0, -1.0)
+    names = ("b0", "b1", "c0", "c1", "dv", "ev", "r0", "r1")
+    xs = [{n: m.psd_var(f"{n}_{k}", len(w0)) for n in names}
+          for k, (w0, _) in enumerate(blocks)]
+    for x in xs:
+        eye = np.eye(x["r0"].dim)
+        m.ge(x["r1"] - t * x["r0"] + times(lam0, eye), eye)
+        m.ge(x["r0"] - t * x["r1"] + times(lam0, eye), eye)
+    m.t_terms = [(2 * k + i, x[f"r{i}"].name) for k, x in enumerate(xs) for i in (0, 1)]
+    for x, (w0, w1) in zip(xs, blocks):
+        m.eq(x["b0"] - x["c0"] - times(s_extra, w0) + a0 * x["r0"], w0)
+        m.eq(x["b1"] - x["c1"] - times(s_extra, w1) + a1 * x["r1"], w1)
+        m.eq(x["dv"] - x["ev"] - a0 * x["r0"] + a1 * x["r1"], 0.0 * np.eye(len(w0)))
+    tr = {n: _sum(trace(x[n]) for x in xs) for n in names}
+    for row in ([tr["r0"] + tr["r1"]] if regime == CDS else [tr["r0"], tr["r1"]]):
+        m.eq(row - s_extra, 1.0)
+    m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] - lam0, eps - 1.0)
+    m.le(tr["dv"] + tr["ev"] - s_extra - lam0, -1.0)
     m.minimize(lam0)
     return m
 
 
 def _phase1_at(m: Model, compiled: tuple, t: float) -> tuple:
     """The compiled phase-I program at t, from ``m`` compiled at t = 1."""
-    return m.scaled(compiled, {(0, "r0"): t, (1, "r1"): t})
+    return m.scaled(compiled, dict.fromkeys(m.t_terms, t))
 
 
 def _phase1_shift(m: Model, compiled: tuple, t: float, stats: dict) -> float:
@@ -320,10 +376,11 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     maps that golden unit onto the box, to ``_M_TOL`` in M and returns
     its feasible end.  The phase-I program is built and compiled once per
     call, at t = 1, from the box in its real frame (``real_frame``), which
-    has the same cost; each step solves a copy with its two t blocks
-    rescaled.  No witness is returned, so no frame is mapped back; the
-    bracket end comes from b itself.  Diagnostics count the solves and, by
-    status, the non-optimal ones accepted for their residuals."""
+    has the same cost; each step solves a copy with the t coefficients of
+    every block's M rows rescaled.  No witness is returned, so no frame is
+    mapped back; the bracket end comes from b itself.  Diagnostics count
+    the solves and, by status, the non-optimal ones accepted for their
+    residuals."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")

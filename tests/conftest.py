@@ -109,9 +109,19 @@ def random_hermitian(d, rng, real=False):
     return (g + g.conj().T) / 2
 
 
+def cq_operator(b: QuantumBox) -> np.ndarray:
+    """Dense embedding p|0><0| (x) rho0 + (1-p)|1><1| (x) rho1."""
+    w0, w1 = b.weighted()
+    d = w0.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = np.asarray(w0)
+    out[d:, d:] = np.asarray(w1)
+    return out
+
+
 def box_distance(a: QuantumBox, b: QuantumBox) -> float:
     """Trace distance between the c-q embeddings."""
-    return 0.5 * linalg.trace_norm(a.cq_operator() - b.cq_operator())
+    return 0.5 * linalg.trace_norm(cq_operator(a) - cq_operator(b))
 
 
 def dilution_reproducer() -> QuantumBox:

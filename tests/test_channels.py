@@ -6,15 +6,14 @@ import pytest
 from scipy.linalg import block_diag
 
 from symdist import channels, linalg
-from symdist.boxes import (KET0, KET1, QuantumBox, golden_box, random_box,
-                           random_density, tensor_box)
+from symdist.boxes import (KET0, KET1, PAULI_X, QuantumBox, golden_box,
+                           random_box, random_density, tensor_box)
 from symdist.channels import (CdsMap, CpMap, MeasurePrepare, apply_cds,
-                              apply_cptp, cptp_as_cds, dilute_channel_cds,
-                              dilute_channel_cptpA, distill_channel_cds,
-                              distill_channel_cptpA, gad_channel,
-                              golden_majorize, helstrom_povm, identity_map,
-                              inf_to_any, measure_prepare, pgm, random_cds,
-                              random_cptp)
+                              apply_cptp, cp_from_kraus, cptp_as_cds,
+                              dilute_channel_cds, dilute_channel_cptpA,
+                              distill_channel_cds, distill_channel_cptpA,
+                              gad_channel, helstrom_povm, inf_to_any,
+                              kraus_to_choi, measure_prepare)
 from symdist.config import TOLS
 from symdist.divergences import p_err, q_max, q_max_star, q_min
 from symdist.exceptions import (InfiniteResourceError, InvalidChannelError,
@@ -23,6 +22,28 @@ from symdist.exceptions import (InfiniteResourceError, InvalidChannelError,
                                 ParameterRangeError)
 
 from conftest import box_distance
+from oracles import pgm, random_cds, random_cptp
+
+
+def identity_map(d: int) -> CpMap:
+    return cp_from_kraus([np.eye(d)])
+
+
+def golden_majorize(M: float, q1: float, q2: float) -> CdsMap:
+    """CDS map sending the (M, q2) golden unit to the (M, q1) one.
+
+    Requires (q1, 1-q1) majorized by (q2, 1-q2)."""
+    if max(q1, 1 - q1) > max(q2, 1 - q2) + 1e-12:
+        raise NotMajorizedError(
+            f"({q1}, {1 - q1}) is not majorized by ({q2}, {1 - q2})")
+    if abs(2 * q2 - 1) < 1e-12:
+        lam = 1.0
+    else:
+        lam = (q1 + q2 - 1) / (2 * q2 - 1)
+    lam = min(max(lam, 0.0), 1.0)
+    e0 = CpMap(lam * kraus_to_choi([np.eye(2)]), 2, 2)
+    e1 = CpMap((1 - lam) * kraus_to_choi([PAULI_X]), 2, 2)
+    return CdsMap(e0, e1)
 
 
 def test_apply_identity(rng):

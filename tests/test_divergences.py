@@ -9,11 +9,12 @@ from symdist import divergences as dv
 from symdist import linalg, tasks
 from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
-from symdist.channels import apply_cds, pgm, random_cds, random_cptp
+from symdist.channels import apply_cds
 from symdist.exceptions import NotPsdError
 
 from conftest import dense_box
-from oracles import distill_approx_program, p_err_sdp, scaled_trace_distance_sdp
+from oracles import (distill_approx_program, p_err_sdp, pgm, random_cds, random_cptp,
+                     scaled_trace_distance_sdp, smooth_thompson_witness)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -145,7 +146,7 @@ def test_state_functions_reject_non_finite_entries(bad):
     """d_max of diag(nan, 1) against I/2 was -inf, chernoff inf and q_min
     nan; each argument is now rejected, without a warning."""
     fns = [dv.q_min, dv.xi_min, dv.d_max, dv.thompson, dv.q_max, dv.xi_max,
-           dv.chernoff, lambda a, b: dv.smooth_thompson_witness(a, b, 0.1)]
+           dv.chernoff, lambda a, b: smooth_thompson_witness(a, b, 0.1)]
     h, rho = np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2) / 2
     for fn in fns:
         for args in ((h, rho), (rho, h)):
@@ -318,14 +319,14 @@ def test_d_prime_sdp_rejects_infinite_target(rng):
 
 def test_smooth_thompson_identity(rng):
     w = 0.6 * random_density(2, rng)
-    st = dv.smooth_thompson_witness(w, w, 0.3)
+    st = smooth_thompson_witness(w, w, 0.3)
     assert np.allclose(st.omega0, w, atol=1e-12)
     assert np.allclose(st.omega1, w, atol=1e-12)
     assert st.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_smooth_thompson_orthogonal_pure():
-    st = dv.smooth_thompson_witness(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5)
+    st = smooth_thompson_witness(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5)
     assert st.value <= 2.0 + 1e-9
     assert linalg.trace_distance(st.omega0, np.diag([1.0, 0.0])) <= 0.5 + 1e-12
     assert linalg.trace_distance(st.omega1, np.diag([0.0, 1.0])) <= 0.5 + 1e-12
@@ -334,7 +335,7 @@ def test_smooth_thompson_orthogonal_pure():
 def test_smooth_thompson_weighted_pair_trace_sum(rng):
     b = random_box(2, rng)
     w0, w1 = b.weighted()
-    st = dv.smooth_thompson_witness(w0, w1, 0.2)
+    st = smooth_thompson_witness(w0, w1, 0.2)
     assert (np.trace(st.omega0) + np.trace(st.omega1)).real == pytest.approx(
         1.0, abs=1e-10)
     assert st.value <= math.log2(4 / 0.2) + 1e-9

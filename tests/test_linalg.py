@@ -159,7 +159,6 @@ def test_spectral_functions_reject_non_finite_entries(name, bad):
 EIGEN_SITES = {
     "linalg.spectrum",
     "divergences.q_min", "divergences.q_min_eps.neg_r", "divergences._d_max",
-    "channels._choi_to_kraus",
     "sdp._nt_scaling", "sdp._max_step",
 }
 

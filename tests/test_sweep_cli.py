@@ -5,9 +5,16 @@ import pytest
 from symdist import cli, sweep
 from symdist.boxes import box_to_json, golden_box
 from symdist.config import TOLS
-from symdist.sweep import SweepSpec, parse_csv, run_sweep, to_svg
+from symdist.sweep import SweepResult, SweepSpec, run_sweep, to_svg
 
 from conftest import dilution_reproducer
+
+
+def parse_csv(text: str) -> SweepResult:
+    lines = [ln for ln in text.split("\n") if ln]
+    header = lines[0].split(",")
+    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    return SweepResult(header, rows)
 
 
 def _monotone_nonincreasing(col, slack=1e-6):

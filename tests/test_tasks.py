@@ -258,9 +258,11 @@ def test_conversion_at_closed_form_scale_matches_variable_scale(regime, dims, p)
 
 def test_conversion_program_shape(monkeypatch):
     """The 4 -> 4 cds conversion of a two-copy qubit box reaches the solver
-    as two Choi blocks (16 x 16 complex, embedded as 32) and four trace-
-    distance blocks (4 x 4, embedded as 8): 2 x 16 image rows and 16 trace-
-    preservation rows, and no scalar block for the scale."""
+    as one Choi block per branch and input block (the quotient's blocks of
+    sizes 3 and 1 against the dense 4 x 4 output: 12 x 12 and 4 x 4 complex,
+    embedded as 24 and 8) and four trace-distance blocks (4 x 4, embedded
+    as 8): 2 x 16 image rows and 9 + 1 trace-preservation rows, and no
+    scalar block for the scale."""
     shapes = []
     solve = sdp.solve
 
@@ -271,7 +273,7 @@ def test_conversion_program_shape(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording_solve)
     src = tensor_box(random_box(2, np.random.default_rng(7)), 2)
     tasks.min_conversion_error(src, random_box(4, np.random.default_rng(8)), CDS)
-    assert shapes == [(Counter({8: 4, 32: 2}), 48)]
+    assert shapes == [(Counter({8: 6, 24: 2}), 42)]
 
 
 def test_conversion_infinite_target_cases(rng):
@@ -420,25 +422,29 @@ def test_cost_approx_counts_solves():
 @pytest.mark.parametrize("real", [True, False])
 def test_phase1_program_rescaled_equals_fresh_compile(real, regime):
     """cost_approx compiles its phase-I program once, at t = 1; the copy
-    rescaled to t holds exactly the data of a program compiled at t."""
+    rescaled to t holds exactly the data of a program compiled at t, for a
+    qubit box and for the quotient of its third power, whose two blocks
+    each have their own M rows."""
     b = random_box(2, np.random.default_rng(11), real=real)
-    m = tasks._phase1_model(b, 0.05, regime, 1.0)
-    compiled = m.compile()
-    for t in (0.3, 0.7071067811865476, 1.0 / 3.0):
-        got, got_const = tasks._phase1_at(m, compiled, t)
-        want, want_const = tasks._phase1_model(b, 0.05, regime, t).compile()
-        assert got_const == want_const
-        assert got.blocks == want.blocks
-        assert all(np.array_equal(a, w) for a, w in zip(got.objective, want.objective))
-        assert len(got.constraints) == len(want.constraints)
-        for (mats, rhs), (mats_w, rhs_w) in zip(got.constraints, want.constraints):
-            assert rhs == rhs_w
-            assert all(np.array_equal(a, w) for a, w in zip(mats, mats_w))
-    # the compiled program at t = 1 is left as it was
-    again, _ = m.compile()
-    assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
-               zip(compiled[0].constraints, again.constraints)
-               for a, w in zip(mats, mats_w))
+    for box in (b, tensor_box(b, 3)):
+        m = tasks._phase1_model(box, 0.05, regime, 1.0)
+        compiled = m.compile()
+        for t in (0.3, 0.7071067811865476, 1.0 / 3.0):
+            got, got_const = tasks._phase1_at(m, compiled, t)
+            want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
+            assert got_const == want_const
+            assert got.blocks == want.blocks
+            assert all(np.array_equal(a, w)
+                       for a, w in zip(got.objective, want.objective))
+            assert len(got.constraints) == len(want.constraints)
+            for (mats, rhs), (mats_w, rhs_w) in zip(got.constraints, want.constraints):
+                assert rhs == rhs_w
+                assert all(np.array_equal(a, w) for a, w in zip(mats, mats_w))
+        # the compiled program at t = 1 is left as it was
+        again, _ = m.compile()
+        assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
+                   zip(compiled[0].constraints, again.constraints)
+                   for a, w in zip(mats, mats_w))
 
 
 @pytest.mark.parametrize("d,seed,p,regime", [
