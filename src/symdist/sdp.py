@@ -223,7 +223,6 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         d_res = [a + s - c * tau for a, s, c in zip(aty, S, ws.C)]
         cx = ws.inner(ws.C, X)
         by = float(ws.b @ y)
-        g_res = by - cx - kappa
         mu = (ws.inner(X, S) + tau * kappa) / (ws.n_tot + 1)
         if not (np.isfinite(mu) and np.isfinite(cx) and np.isfinite(by)
                 and mu > 0):
@@ -257,21 +256,28 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 break
 
         # NT scaling, factors and Schur complement, one batched call per
-        # block size; everything newton() reads but does not vary is here
+        # block size; everything newton() reads but does not vary is here.
+        # The step is eliminated around the current dual point: with
+        # dy = dy' + dtau y/tau, C enters as C' = C - A*(y)/tau =
+        # (S - d_res)/tau and the gap residual as -<C', X> - kappa.  C'
+        # shrinks with S, whereas W C W grows like 1/mu, so the dtau pivot
+        # c0 + (b - h).q formed from C cancels terms of that size
         try:
             W = [_nt_scaling(x, s) for x, s in zip(X, S)]
             factors = [_factor(x, s) for x, s in zip(X, S)]
             Sinv = [si for _, si in factors]
-            WCW = [w @ c @ w for w, c in zip(W, ws.C)]
+            C_y = [(s - dr) / tau for s, dr in zip(S, d_res)]
+            g_res = -ws.inner(C_y, X) - kappa
+            WCW = [w @ c @ w for w, c in zip(W, C_y)]
             M = sum(af @ (w @ a @ w).reshape(m, -1).T
                     for af, a, w in zip(ws.Af, ws.A, W))
             h = ws.apply_a(WCW)
             M = (M + M.T) / 2
             if not np.all(np.isfinite(M)):
                 raise np.linalg.LinAlgError("non-finite Newton system")
-            c0 = ws.inner(ws.C, WCW)
+            c0 = ws.inner(C_y, WCW)
             wdw = [w @ dr @ w for w, dr in zip(W, d_res)]
-            a_wdw, c_wdw = ws.apply_a(wdw), ws.inner(ws.C, wdw)
+            a_wdw, c_wdw = ws.apply_a(wdw), ws.inner(C_y, wdw)
             h_plus_b, b_minus_h = h + ws.b, ws.b - h
 
             def newton(eta_f, sigma, corr):
@@ -279,7 +285,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
                 rc_sc = sigma * mu - tau * kappa - corr
                 r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * a_wdw
-                r3 = (-eta_f * g_res + ws.inner(ws.C, rc_mat)
+                r3 = (-eta_f * g_res + ws.inner(C_y, rc_mat)
                       + eta_f * c_wdw + rc_sc / tau)
                 rhs = np.column_stack([r1, h_plus_b])
                 if not np.all(np.isfinite(rhs)):
@@ -302,10 +308,10 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 dtau = numer / denom if abs(denom) > 1e-300 else 0.0
                 dy = g + q * dtau
                 dS = [-eta_f * dr - a + c * dtau
-                      for dr, a, c in zip(d_res, ws.apply_at(dy), ws.C)]
+                      for dr, a, c in zip(d_res, ws.apply_at(dy), C_y)]
                 dX = [_sym(rc - w @ ds @ w) for rc, w, ds in zip(rc_mat, W, dS)]
                 dkappa = (rc_sc - kappa * dtau) / tau
-                return dX, dS, dy, dtau, dkappa
+                return dX, dS, dy + dtau / tau * y, dtau, dkappa
 
             def boundary(dX, dS, dtau, dkappa):
                 alpha = min([np.inf] + [_max_step(basis, np.concatenate([dx, ds]))

@@ -142,6 +142,17 @@ def _blocks(b: QuantumBox) -> list[tuple[Array, Array]]:
     return [(np.asarray(x), np.asarray(y)) for x, y in zip(w0.blocks, w1.blocks)]
 
 
+def _eigen_blocks(b: QuantumBox) -> tuple[list[tuple[Array, Array]], Array]:
+    """``_blocks(b)`` with block k turned to the eigenbasis R_k of
+    w0_k + w1_k, and R = (+)_k R_k, which turns them back: b is R b' R^dag.
+    R is real where the blocks are."""
+    w0, w1 = linalg.BlockOp.of(*b.weighted())
+    rs = [v for _, v in linalg.spectrum(w0 + w1).eigs]
+    turned = [tuple(linalg.hermitian(r.conj().T @ w @ r) for w in pair)
+              for r, pair in zip(rs, _blocks(b))]
+    return turned, np.asarray(w0.like(rs))
+
+
 def _sum(exprs) -> model.Expr:
     """Left-to-right sum of one or more model expressions; unlike ``sum``
     it adds no zero, so a single block's program is built as before."""
@@ -225,10 +236,15 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     Both sides enter in their real frame (``real_frame``: source
     b = U b' U^dag, target c = V c' V^dag, with pi(U) and pi(V) on a
     quotient and the identity for a box left as it was); ``Model.compile``
-    solves the program real when both framed sides are real.  The blocks
-    Omega_kl of each branch fill its quotient-sized Choi matrix, and each
-    normalised Choi is mapped back as J = (conj(U) (x) V) J' (U^T (x) V^dag),
-    so the witness acts on b."""
+    solves the program real when both framed sides are real.  Each block
+    is then turned to the eigenbasis of its w0_k + w1_k (``_eigen_blocks``),
+    one more free unitary, real where the block is: the first block of
+    c^(x)9 spans 13 decades, and in the computational basis its smallest
+    directions mix into every image row, so that the Schur complement is
+    singular to working precision and the solve stalls above 1e-8.  U and
+    V below include these turns.  The blocks Omega_kl of each branch fill
+    its quotient-sized Choi matrix, and each normalised Choi is mapped back
+    as J = (conj(U) (x) V) J' (U^T (x) V^dag), so the witness acts on b."""
     _check_regime(regime)
     pe_target = p_err(target)
     if pe_target <= TOLS.infinite_perr:
@@ -250,7 +266,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
             return TaskResult(0.0, witness, {})
 
     (src, u), (tgt, v) = real_frame(source), real_frame(target)
-    blocks, sigmas = _blocks(src), _blocks(tgt)
+    (blocks, r_src), (sigmas, r_tgt) = _eigen_blocks(src), _eigen_blocks(tgt)
     d_in, d_out = [len(w0) for w0, _ in blocks], [len(s0) for s0, _ in sigmas]
     m = Model()
     tau0, tau1, tp, om = _free_map_outputs(m, blocks, d_out, regime)
@@ -268,7 +284,8 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
 
     chois = [_block_choi({kl: res.primal[x.name] for kl, x in branch.items()},
                          d_in, d_out) for branch in om]
-    frame = np.kron(_frame_unitary(u, source).conj(), _frame_unitary(v, target))
+    frame = np.kron((_frame_unitary(u, source) @ r_src).conj(),
+                    _frame_unitary(v, target) @ r_tgt)
     maps = [CpMap(frame @ c @ frame.conj().T, sum(d_in), sum(d_out)) for c in
             _normalized_chois(chois, sum(d_in), sum(d_out))]
     witness = CdsMap(*maps) if regime == CDS else maps[0]
@@ -304,7 +321,8 @@ _PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
 _M_TOL = 1e-6       # width in M of the bracket cost_approx closes
 
 
-def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
+def _phase1_model(b: QuantumBox, eps: float, regime: str,
+                  t: float) -> tuple[Model, list[tuple[int, str]]]:
     """The phase-I program of approximate dilution at golden unit
     M = (1 + 1/t)/2, minimizing its signed infeasibility lambda.
 
@@ -319,8 +337,8 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     s, and (p, 1 - p) under CPTP_A, where each has trace s.  The two M rows
     of block k are divided by 2M - 1 = 1/t, so their coefficients stay
     O(1).  They are constraints 2k and 2k + 1, and t enters them only as
-    the coefficient of r0 and of r1 of that block, listed in ``m.t_terms``
-    for ``_phase1_at``."""
+    the coefficient of r0 and of r1 of that block; those (constraint,
+    variable) pairs are returned with the model, for ``_phase1_at``."""
     blocks = _blocks(b)
     a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
     m = Model()
@@ -333,7 +351,7 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
         eye = np.eye(x["r0"].dim)
         m.ge(x["r1"] - t * x["r0"] + times(lam0, eye), eye)
         m.ge(x["r0"] - t * x["r1"] + times(lam0, eye), eye)
-    m.t_terms = [(2 * k + i, x[f"r{i}"].name) for k, x in enumerate(xs) for i in (0, 1)]
+    t_terms = [(2 * k + i, x[f"r{i}"].name) for k, x in enumerate(xs) for i in (0, 1)]
     for x, (w0, w1) in zip(xs, blocks):
         m.eq(x["b0"] - x["c0"] - times(s_extra, w0) + a0 * x["r0"], w0)
         m.eq(x["b1"] - x["c1"] - times(s_extra, w1) + a1 * x["r1"], w1)
@@ -344,18 +362,20 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] - lam0, eps - 1.0)
     m.le(tr["dv"] + tr["ev"] - s_extra - lam0, -1.0)
     m.minimize(lam0)
-    return m
+    return m, t_terms
 
 
-def _phase1_at(m: Model, compiled: tuple, t: float) -> tuple:
-    """The compiled phase-I program at t, from ``m`` compiled at t = 1."""
-    return m.scaled(compiled, dict.fromkeys(m.t_terms, t))
+def _phase1_at(m: Model, t_terms: list, compiled: tuple, t: float) -> tuple:
+    """The compiled phase-I program at t, from ``m`` compiled at t = 1,
+    with ``t_terms`` the pairs ``_phase1_model`` returned with it."""
+    return m.scaled(compiled, dict.fromkeys(t_terms, t))
 
 
-def _phase1_shift(m: Model, compiled: tuple, t: float, stats: dict) -> float:
+def _phase1_shift(m: Model, t_terms: list, compiled: tuple, t: float,
+                  stats: dict) -> float:
     """Signed infeasibility lambda of the phase-I program ``m`` (compiled
     once at t = 1) at t; the solve is counted in ``stats``."""
-    res = m.solve(_PHASE1_OPTIONS, _phase1_at(m, compiled, t))
+    res = m.solve(_PHASE1_OPTIONS, _phase1_at(m, t_terms, compiled, t))
     stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
         # a root-finder step only needs ~1e-6 accuracy on lambda
@@ -391,14 +411,14 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
-    m = _phase1_model(real_frame(b)[0], eps, regime, 1.0)
+    m, t_terms = _phase1_model(real_frame(b)[0], eps, regime, 1.0)
     compiled = m.compile()
-    hi, f_hi = 1.0, _phase1_shift(m, compiled, 1.0, stats)
+    hi, f_hi = 1.0, _phase1_shift(m, t_terms, compiled, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})
     lo = 1.0 / (2.0 ** (exact + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
-        f_lo = min(_phase1_shift(m, compiled, lo, stats), 0.0)
+        f_lo = min(_phase1_shift(m, t_terms, compiled, lo, stats), 0.0)
     except SolverError:
         f_lo = 0.0
     side = 0        # the end that moved last; a repeat halves the other's value
@@ -406,7 +426,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         xtol = 2.0 * lo * lo * _M_TOL     # _M_TOL in M at the feasible end
         t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * xtol),
                 hi - 0.5 * xtol)
-        f = _phase1_shift(m, compiled, t, stats)
+        f = _phase1_shift(m, t_terms, compiled, t, stats)
         if f <= 0.0:
             f_hi *= 0.5 if side < 0 else 1.0
             lo, f_lo, side = t, f, -1

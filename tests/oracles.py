@@ -398,9 +398,11 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
 # --- test-only constructions -----------------------------------------------
 
 def pgm(rho0, rho1) -> np.ndarray:
-    """Pretty good measurement effect for rho1: (r0+r1)^(-1/2) r1 (r0+r1)^(-1/2)."""
-    s = linalg.pseudo_inverse_sqrt(np.asarray(rho0) + np.asarray(rho1))
-    return linalg.hermitian(s @ rho1 @ s)
+    """Pretty good measurement effect for rho1: (r0+r1)^(-1/2) r1 (r0+r1)^(-1/2);
+    quotient states enter as their dense block-diagonal matrices."""
+    r0, r1 = np.asarray(rho0), np.asarray(rho1)
+    s = linalg.pseudo_inverse_sqrt(r0 + r1)
+    return linalg.hermitian(s @ r1 @ s)
 
 
 def random_cptp(d_in: int, d_out: int, rng: np.random.Generator,

@@ -361,6 +361,22 @@ def test_block_conversion_matches_one_block(source, target, regime):
     assert dv.scaled_trace_distance(full, dense_box(tgt)) <= res.value + 1e-5
 
 
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_conversion_into_nine_copies_solves(regime):
+    """b -> c^(x)9 solves, and its witness, with R on the output, reaches
+    the value against the Kronecker power within 1e-5 either way.  Its
+    target's first block spans 13 decades; in the computational basis of
+    the blocks the program ended max_iterations under cds."""
+    src, tgt = _named("b"), _named("c9")
+    res = tasks.min_conversion_error(src, tgt, regime)
+    out = _apply(res.witness, src)
+    r_kraus = schur_channels(9)[1]
+    full = QuantumBox(out.p, apply_kraus(r_kraus, out.rho0),
+                      apply_kraus(r_kraus, out.rho1))
+    assert dv.scaled_trace_distance(full, dense_box(tgt)) == pytest.approx(
+        res.value, abs=1e-5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("regime", [CPTPA, CDS])
 def test_cost_approx_on_blocks_matches_one_block(n, regime):

@@ -124,6 +124,16 @@ def test_pgm(rng):
     assert np.trace(pgm(a, b) @ (a + b)).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pgm_on_quotient_states():
+    """Quotient states enter the pgm as their block-diagonal matrices, so
+    the two effects sum to the identity on the (full-rank) quotient."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), 3)
+    e0, e1 = pgm(t.rho1, t.rho0), pgm(t.rho0, t.rho1)
+    dense = [np.asarray(t.rho0), np.asarray(t.rho1)]
+    assert np.allclose(e1, pgm(*dense), atol=1e-12)
+    assert np.allclose(e0 + e1, np.eye(len(dense[0])), atol=1e-9)
+
+
 def test_distill_cptpA_fixed_point():
     g = golden_box(3, 0.4)
     ch = distill_channel_cptpA(g, q_min(g.rho0, g.rho1).minimizer)

@@ -427,11 +427,11 @@ def test_phase1_program_rescaled_equals_fresh_compile(real, regime):
     each have their own M rows."""
     b = random_box(2, np.random.default_rng(11), real=real)
     for box in (b, tensor_box(b, 3)):
-        m = tasks._phase1_model(box, 0.05, regime, 1.0)
+        m, t_terms = tasks._phase1_model(box, 0.05, regime, 1.0)
         compiled = m.compile()
         for t in (0.3, 0.7071067811865476, 1.0 / 3.0):
-            got, got_const = tasks._phase1_at(m, compiled, t)
-            want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
+            got, got_const = tasks._phase1_at(m, t_terms, compiled, t)
+            want, want_const = tasks._phase1_model(box, 0.05, regime, t)[0].compile()
             assert got_const == want_const
             assert got.blocks == want.blocks
             assert all(np.array_equal(a, w)
