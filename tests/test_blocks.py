@@ -385,6 +385,19 @@ def test_cost_approx_on_blocks_matches_one_block(n, regime):
         tasks.cost_approx(one_block(t), 0.05, regime).value, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_cost_approx_phase1_solves_end_optimal(n, regime):
+    """Every phase-I solve of cost_approx on b^(x)n, n <= 3, ends optimal,
+    so none is taken on its residuals alone.  With the tau pivot formed
+    from C rather than around the dual point, 1 to 8 solves per call
+    ended ill_conditioned or max_iterations."""
+    t = tensor_box(random_box(2, np.random.default_rng(7)), n)
+    diag = tasks.cost_approx(t, 0.05, regime).diagnostics
+    assert {k: v for k, v in diag.items() if k not in ("M", "solves")} == \
+        {"ill_conditioned": 0}
+
+
 def test_nine_to_nine_conversion_compiles_to_blocks(monkeypatch):
     """b^(x)9 -> c^(x)9 under cds compiles to one real Choi block per branch
     and pair of blocks (sizes 10, 8, 6, 4, 2 on each side), the largest
