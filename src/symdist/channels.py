@@ -86,7 +86,8 @@ class CpMap:
 class MeasurePrepare:
     """E(rho) = sum_k Tr(M_k rho) omega_k with PSD effects M_k and states
     omega_k (not normalized), each validated by one spectrum and stored
-    validated, in its own kind (dense or block form)."""
+    validated, in its own kind (dense or block form).  An operator given
+    as the ``linalg.Spectrum`` that validated it is not decomposed again."""
     effects: tuple
     states: tuple
     d_in: int
@@ -96,7 +97,8 @@ class MeasurePrepare:
         if len(self.effects) != len(self.states):
             raise DimensionMismatchError("one state per effect")
         for what, d in (("effect", self.d_in), ("state", self.d_out)):
-            ops = [linalg.spectrum(x, vectors=False) for x in getattr(self, what + "s")]
+            ops = [x if isinstance(x, linalg.Spectrum) else linalg.spectrum(x, vectors=False)
+                   for x in getattr(self, what + "s")]
             for s in ops:
                 if s.op.shape != (d, d):
                     raise DimensionMismatchError(f"{what} has shape {s.op.shape}")
@@ -162,9 +164,13 @@ def cp_from_kraus(kraus: list[Array]) -> CpMap:
 def measure_prepare(effects: list, states: list,
                     weight: float = 1.0) -> MeasurePrepare:
     """E(rho) = weight * sum_k Tr(M_k rho) omega_k, the weight folded into
-    the states; effects or states may be in block form."""
-    return MeasurePrepare(tuple(effects), tuple(weight * w for w in states),
-                          effects[0].shape[0], states[0].shape[0])
+    the states; effects or states may be in block form, and at weight 1 a
+    state may be its validating ``linalg.Spectrum`` (``MeasurePrepare``)."""
+    if weight != 1.0:
+        states = [weight * w for w in states]
+    d_out = states[0].op.shape[0] if isinstance(states[0], linalg.Spectrum) \
+        else states[0].shape[0]
+    return MeasurePrepare(tuple(effects), tuple(states), effects[0].shape[0], d_out)
 
 
 def zero_map(d_in: int, d_out: int) -> MeasurePrepare:
@@ -245,13 +251,17 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
 
 # --- dilution channels ----------------------------------------------------------
 
-def _clamped_state(m):
+def _clamped_state(m) -> linalg.Spectrum:
     """m with its negative eigenvalues (at most 1e-8 deep; deeper means M is
-    below the exact cost) set to zero, at unit trace; block by block."""
+    below the exact cost) set to zero, at unit trace; block by block.  It
+    is returned with its spectrum, so ``MeasurePrepare`` takes it as
+    validated: the one ``eigh`` per block here is its only decomposition."""
     s = linalg.spectrum(m)
     s.least(1e-8, MTooSmallError, "prepared state")
     out = s.apply(lambda w: np.maximum(w, 0.0))
-    return out / linalg.trace(out)
+    tr = linalg.trace(out)
+    return linalg.Spectrum(linalg.BlockOp.of(out / tr),
+                           [(np.maximum(w, 0.0) / tr, v) for w, v in s.eigs])
 
 
 def dilute_channel_cptpA(target: QuantumBox, M: float) -> MeasurePrepare:

@@ -158,6 +158,11 @@ def hermitian(a):
     user data rather than silently averaging it away.
     """
     op = BlockOp.of(a)
+    return op.like(_hermitian_blocks(op))
+
+
+def _hermitian_blocks(op: BlockOp) -> list:
+    """``hermitian`` block by block; each block keeps its dtype."""
     out, scale, asym = [], 1.0, 0.0
     for b in op.blocks:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -171,7 +176,7 @@ def hermitian(a):
         out.append((b + bh) / 2)
     if asym > TOLS.asymmetry * scale:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {asym:.3e}")
-    return op.like(out)
+    return out
 
 
 class Spectrum(NamedTuple):
@@ -205,8 +210,11 @@ class Spectrum(NamedTuple):
 
 def spectrum(h, vectors: bool = True) -> Spectrum:
     """Validate h (``hermitian``) and decompose each block: ``eigh``, or
-    ``eigvalsh`` alone when ``vectors`` is false."""
-    op = BlockOp.of(hermitian(h))
+    ``eigvalsh`` alone when ``vectors`` is false.  A dense matrix is
+    decomposed complex (``BlockOp.of``); the blocks of a ``BlockOp`` keep
+    their dtype, so real blocks are decomposed real."""
+    op = BlockOp.of(h)
+    op = BlockOp(_hermitian_blocks(op), op.qubits)
     if vectors:
         return Spectrum(op, [np.linalg.eigh(b) for b in op.blocks])
     return Spectrum(op, [(np.linalg.eigvalsh(b), None) for b in op.blocks])

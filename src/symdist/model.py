@@ -15,6 +15,7 @@ which doubles every block and halves the data so optimal values match;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,12 +186,17 @@ def ptrace_out(choi_var: Var, dims: tuple[int, int]) -> Expr:
 
 @dataclass
 class ModelSolution:
+    """A solve's result; ``dual`` and ``blocks`` are the solver's y and
+    primal blocks in compiled space (embedded for a complex program), None
+    with ``primal`` empty when the solver's point is not finite."""
     status: sdp.SdpStatus
     value: float
     primal: dict[str, Array]
     gap: float
     iterations: int
     diagnostics: dict
+    dual: Array | None = None
+    blocks: list[Array] | None = None
 
 
 class Model:
@@ -312,6 +318,31 @@ class Model:
         return sdp.SdpProblem(problem.blocks, problem.objective,
                               constraints), obj_const
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def slope(self, compiled: tuple[sdp.SdpProblem, float], res: ModelSolution,
+              pairs: list[tuple[int, str]]) -> float:
+        """d value / df for ``scaled(compiled, dict.fromkeys(pairs, f))``
+        at the f where ``res`` was solved, ``compiled`` this model's last
+        :meth:`compile`; nan when ``res`` holds no finite point.
+
+        The optimal value's sensitivity to its data (Boyd & Vandenberghe,
+        Convex Optimization, 5.6): scaling the rows A_i of each pair by f
+        moves the value by -sum_i y_i <A_i, X>, summed over those rows and
+        blocks at the solver's optimal X and y.  The sum is taken in
+        compiled space, where a complex program is embedded."""
+        if res.dual is None:
+            return math.nan
+        problem, _ = compiled
+        block = {v.name: j for j, v in enumerate(self._psd)}
+        total = 0.0
+        for k, v in pairs:
+            j = block[v]
+            rows = self._rows[k]
+            a = np.array([problem.constraints[i][0][j] for i in rows])
+            total += float(res.dual[rows.start:rows.stop]
+                           @ np.tensordot(a, res.blocks[j], axes=2))
+        return -self._sense * total
+
     def solve(self, options: sdp.SolverOptions | None = None,
               compiled: tuple[sdp.SdpProblem, float] | None = None) -> ModelSolution:
         """Solve the program; ``compiled`` is this model's compiled form
@@ -321,11 +352,13 @@ class Model:
         value = self._sense * sol.value + obj_const if np.isfinite(sol.value) \
             else self._sense * sol.value
         primal: dict[str, Array] = {}
+        dual = blocks = None
         if np.all(np.isfinite(sol.y)) and sol.x_blocks:
-            for x, v in zip(sol.x_blocks, self._psd):
+            dual, blocks = sol.y, sol.x_blocks
+            for x, v in zip(blocks, self._psd):
                 primal[v.name] = _unembed(x, v.dim) if self._with_imag else x
         return ModelSolution(sol.status, value, primal, sol.gap,
-                             sol.iterations, sol.residuals)
+                             sol.iterations, sol.residuals, dual, blocks)
 
 
 def require_optimal(res: ModelSolution, what: str) -> ModelSolution:

@@ -90,8 +90,8 @@ def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
     """Exact dilution cost xi_max (cptpA) or xi_max_star (cds) with its
     dilution channel.  The Thompson metric is evaluated once (per block,
     two ``eigh`` and two ``eigvalsh``); the witness adds one ``eigh`` per
-    block of each prepared state and the PSD test (one ``eigvalsh`` per
-    block) of each of its effects and states."""
+    block of each prepared state, which also validates it for every branch,
+    and the PSD test (one ``eigvalsh`` per block) of each of its effects."""
     _check_regime(regime)
     if regime == CPTPA:
         if b.p <= 0.0 or b.p >= 1.0:
@@ -135,22 +135,30 @@ def _exact_cptpA_conversion(source: QuantumBox,
     return measure_prepare([proj, eye - proj], [target.rho0, target.rho1])
 
 
+def _real_if_exact(a: Array) -> Array:
+    """a as a real array when every imaginary part is exactly zero."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def _blocks(b: QuantumBox) -> list[tuple[Array, Array]]:
     """The weighted pair block by block, as dense (w0_k, w1_k) for a
-    program's data; a dense box is a single block."""
+    program's data, real where they are (a box in its real frame); a dense
+    box is a single block."""
     w0, w1 = linalg.BlockOp.of(*b.weighted())
-    return [(np.asarray(x), np.asarray(y)) for x, y in zip(w0.blocks, w1.blocks)]
+    return [(_real_if_exact(x), _real_if_exact(y)) for x, y in zip(w0.blocks, w1.blocks)]
 
 
 def _eigen_blocks(b: QuantumBox) -> tuple[list[tuple[Array, Array]], Array]:
     """``_blocks(b)`` with block k turned to the eigenbasis R_k of
     w0_k + w1_k, and R = (+)_k R_k, which turns them back: b is R b' R^dag.
-    R is real where the blocks are."""
-    w0, w1 = linalg.BlockOp.of(*b.weighted())
-    rs = [v for _, v in linalg.spectrum(w0 + w1).eigs]
-    turned = [tuple(linalg.hermitian(r.conj().T @ w @ r) for w in pair)
-              for r, pair in zip(rs, _blocks(b))]
-    return turned, np.asarray(w0.like(rs))
+    R and the turned blocks are real where the blocks are."""
+    blocks = _blocks(b)
+    layout = linalg.BlockOp.of(b.rho0)
+    sums = linalg.BlockOp([w0 + w1 for w0, w1 in blocks], layout.qubits)
+    rs = [v for _, v in linalg.spectrum(sums).eigs]
+    turned = [tuple(_real_if_exact(linalg.hermitian(r.conj().T @ w @ r)) for w in pair)
+              for r, pair in zip(rs, blocks)]
+    return turned, np.asarray(layout.like(rs))
 
 
 def _sum(exprs) -> model.Expr:
@@ -372,9 +380,11 @@ def _phase1_at(m: Model, t_terms: list, compiled: tuple, t: float) -> tuple:
 
 
 def _phase1_shift(m: Model, t_terms: list, compiled: tuple, t: float,
-                  stats: dict) -> float:
+                  stats: dict) -> tuple[float, float]:
     """Signed infeasibility lambda of the phase-I program ``m`` (compiled
-    once at t = 1) at t; the solve is counted in ``stats``."""
+    once at t = 1) at t, and its slope d lambda / dt from the same solve
+    (``Model.slope``, nan without a finite point); the solve is counted in
+    ``stats``."""
     res = m.solve(_PHASE1_OPTIONS, _phase1_at(m, t_terms, compiled, t))
     stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
@@ -383,20 +393,27 @@ def _phase1_shift(m: Model, t_terms: list, compiled: tuple, t: float,
         if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
-    return res.value - 1.0
+    return res.value - 1.0, m.slope(compiled, res, t_terms)
 
 
 def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     """Smallest golden unit diluting to the eps-ball of the box.
 
     For fixed M the program is linear and its phase-I shift lambda rises
-    with t = 1/(2M - 1).  Illinois regula falsi closes a bracket on the root,
-    from t = 1 (M = 1) to the exact cost ``xi_max`` (cptpA) or
-    ``xi_max_star`` (cds), feasible because ``cost_exact``'s dilution channel
-    maps that golden unit onto the box, to ``_M_TOL`` in M and returns
-    its feasible end.  The phase-I program is built and compiled once per
-    call, at t = 1, from the box in its real frame (``real_frame``), which
-    has the same cost; each step solves a copy with the t coefficients of
+    with t = 1/(2M - 1).  A safeguarded Newton iteration closes a bracket
+    on the root, from t = 1 (M = 1) to the exact cost ``xi_max`` (cptpA)
+    or ``xi_max_star`` (cds), feasible because ``cost_exact``'s dilution
+    channel maps that golden unit onto the box, to ``_M_TOL`` in M, and
+    returns its feasible end.  Each solve also gives the slope
+    d lambda / dt from its dual (``Model.slope``); the next t is the Newton
+    point of the newest solve when that slope is finite and positive and
+    the point lies inside the bracket, and the Illinois regula falsi point
+    otherwise.  Either is kept _M_TOL/2 in M inside the ends, so a Newton
+    step that lands on the root closes the bracket with one more solve.
+    Feasibility is decided by the sign of each solve's lambda alone, never
+    by a slope.  The phase-I program is built and compiled once per call,
+    at t = 1, from the box in its real frame (``real_frame``), which has
+    the same cost; each step solves a copy with the t coefficients of
     every block's M rows rescaled.  No witness is returned, so no frame is
     mapped back; the bracket end comes from b itself.  Diagnostics count
     the solves and, by status, the non-optimal ones accepted for their
@@ -413,20 +430,23 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     stats = {"solves": 0, "ill_conditioned": 0}
     m, t_terms = _phase1_model(real_frame(b)[0], eps, regime, 1.0)
     compiled = m.compile()
-    hi, f_hi = 1.0, _phase1_shift(m, t_terms, compiled, 1.0, stats)
+    hi, (f_hi, _) = 1.0, _phase1_shift(m, t_terms, compiled, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})
     lo = 1.0 / (2.0 ** (exact + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
-        f_lo = min(_phase1_shift(m, t_terms, compiled, lo, stats), 0.0)
+        f_lo, slope = _phase1_shift(m, t_terms, compiled, lo, stats)
+        f_lo = min(f_lo, 0.0)
     except SolverError:
-        f_lo = 0.0
+        f_lo, slope = 0.0, math.nan
+    t, f = lo, f_lo     # the newest solve; slope is its d lambda / dt
     side = 0        # the end that moved last; a repeat halves the other's value
     while 0.5 / lo - 0.5 / hi > _M_TOL:
         xtol = 2.0 * lo * lo * _M_TOL     # _M_TOL in M at the feasible end
-        t = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * xtol),
-                hi - 0.5 * xtol)
-        f = _phase1_shift(m, t_terms, compiled, t, stats)
+        newton = t - f / slope if math.isfinite(slope) and slope > 0.0 else lo
+        t = newton if lo < newton < hi else hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        t = min(max(t, lo + 0.5 * xtol), hi - 0.5 * xtol)
+        f, slope = _phase1_shift(m, t_terms, compiled, t, stats)
         if f <= 0.0:
             f_hi *= 0.5 if side < 0 else 1.0
             lo, f_lo, side = t, f, -1

@@ -37,7 +37,7 @@ def test_tracer_counts_match_compiled_programs(monkeypatch):
         t.uninstall()
     metrics = t.metrics(big_dim=256)
 
-    assert metrics["sdp.solves"] == 9
+    assert metrics["sdp.solves"] == 7
     assert metrics["model.compiles"] == len(compiled) == 1
     assert metrics["sdp.max_m"] == max(len(p.constraints) for p in compiled) == 18
     assert metrics["sdp.max_block"] == max(max(p.blocks) for p in compiled) == 2
