@@ -15,7 +15,6 @@ which doubles every block and halves the data so optimal values match;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -253,8 +252,7 @@ class Model:
     # compile and solve -----------------------------------------------------
     def compile(self) -> tuple[sdp.SdpProblem, float]:
         """The program in the solver's equality form, and the constant of
-        its objective.  The rows of each constraint, in the order the
-        constraints were added, are recorded for :meth:`scaled`."""
+        its objective."""
         if self._obj is None:
             raise SolverError("objective not set")
         self._with_imag = not self._data_is_real()
@@ -273,7 +271,6 @@ class Model:
             return [to_real(a) for a in psd]
 
         constraints: list[tuple[list[Array], float]] = []
-        self._rows: list[range] = []
         for expr, const in self._cons:
             e_stack = hermitian_basis(expr.dim, self._with_imag)
             psd = rows(expr, e_stack)
@@ -283,70 +280,19 @@ class Model:
                 keep |= a.reshape(len(keep), -1).any(axis=1)
             if np.any(np.abs(bvals[~keep]) > 1e-12):
                 raise SolverError("inconsistent constant constraint row")
-            start = len(constraints)
             for i in np.flatnonzero(keep):
                 constraints.append(([a[i] for a in psd], float(bvals[i])))
-            self._rows.append(range(start, len(constraints)))
 
         psd = rows(self._obj, hermitian_basis(1))
         problem = sdp.SdpProblem([a.shape[-1] for a in psd],
                                  [self._sense * a[0] for a in psd], constraints)
         return problem, float(np.real(self._obj._const()[0, 0]))
 
-    def scaled(self, compiled: tuple[sdp.SdpProblem, float],
-               factors: dict[tuple[int, str], float]) -> tuple[sdp.SdpProblem, float]:
-        """A copy of ``compiled``, this model's last :meth:`compile`, in
-        which the block of the variable named v in the rows of constraint k
-        (counted in the order added) is multiplied by ``factors[k, v]``.
-
-        Up to rounding, this is a compile with every term of v in
-        constraint k multiplied by its factor.  It is the same bit for bit
-        when v enters constraint k through one term with an exactly
-        Hermitian coefficient stack, as ``c * v`` does: scaling commutes
-        with symmetrising and embedding such a stack, which only halve.
-        A factor must be nonzero, since compile drops an all-zero row."""
-        problem, obj_const = compiled
-        block = {v.name: j for j, v in enumerate(self._psd)}
-        constraints = list(problem.constraints)
-        for (k, v), factor in factors.items():
-            j = block[v]
-            for i in self._rows[k]:
-                mats, b = constraints[i]
-                mats = list(mats)
-                mats[j] = factor * mats[j]
-                constraints[i] = (mats, b)
-        return sdp.SdpProblem(problem.blocks, problem.objective,
-                              constraints), obj_const
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def slope(self, compiled: tuple[sdp.SdpProblem, float], res: ModelSolution,
-              pairs: list[tuple[int, str]]) -> float:
-        """d value / df for ``scaled(compiled, dict.fromkeys(pairs, f))``
-        at the f where ``res`` was solved, ``compiled`` this model's last
-        :meth:`compile`; nan when ``res`` holds no finite point.
-
-        The optimal value's sensitivity to its data (Boyd & Vandenberghe,
-        Convex Optimization, 5.6): scaling the rows A_i of each pair by f
-        moves the value by -sum_i y_i <A_i, X>, summed over those rows and
-        blocks at the solver's optimal X and y.  The sum is taken in
-        compiled space, where a complex program is embedded."""
-        if res.dual is None:
-            return math.nan
-        problem, _ = compiled
-        block = {v.name: j for j, v in enumerate(self._psd)}
-        total = 0.0
-        for k, v in pairs:
-            j = block[v]
-            rows = self._rows[k]
-            a = np.array([problem.constraints[i][0][j] for i in rows])
-            total += float(res.dual[rows.start:rows.stop]
-                           @ np.tensordot(a, res.blocks[j], axes=2))
-        return -self._sense * total
-
     def solve(self, options: sdp.SolverOptions | None = None,
               compiled: tuple[sdp.SdpProblem, float] | None = None) -> ModelSolution:
-        """Solve the program; ``compiled`` is this model's compiled form
-        (from :meth:`compile` or :meth:`scaled`), compiled here if omitted."""
+        """Solve the program; ``compiled`` is a compiled form with this
+        model's blocks (as :meth:`compile` returns), compiled here if
+        omitted."""
         problem, obj_const = compiled if compiled is not None else self.compile()
         sol = sdp.solve(problem, options)
         value = self._sense * sol.value + obj_const if np.isfinite(sol.value) \

@@ -25,9 +25,7 @@ compiles real, with no complex embedding doubling its blocks.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,7 +40,7 @@ from .divergences import (_support_if_orthogonal, chernoff, p_err, q_max,
                           xi_max_star, xi_of)
 from .exceptions import ParameterRangeError, SolverError
 from .model import Model, channel_output, ptrace_out, times, trace
-from .sdp import SdpStatus, SolverOptions
+from .sdp import SdpProblem, SdpStatus, SolverOptions
 
 Array = np.ndarray
 INF = math.inf
@@ -161,12 +159,6 @@ def _eigen_blocks(b: QuantumBox) -> tuple[list[tuple[Array, Array]], Array]:
     return turned, np.asarray(layout.like(rs))
 
 
-def _sum(exprs) -> model.Expr:
-    """Left-to-right sum of one or more model expressions; unlike ``sum``
-    it adds no zero, so a single block's program is built as before."""
-    return functools.reduce(operator.add, exprs)
-
-
 def _frame_unitary(u: Array | None, b: QuantumBox) -> Array:
     """``real_frame``'s unitary on the states of b: pi(U) on the quotient of
     a qubit tensor power, the identity where b was left as it was."""
@@ -189,11 +181,11 @@ def _free_map_outputs(m: Model, blocks: list[tuple[Array, Array]], d_out: list[i
     om = [{(k, l): m.psd_var(f"om{j}_{k}_{l}", d_in[k] * d_out[l]) for k, l in pairs}
           for j in branches]
     # image i collects branch j applied to weighted branch i ^ j
-    tau = [[_sum(channel_output(blocks[k][i ^ j], om[j][k, l], (d_in[k], d_out[l]))
-                 for j in branches for k in range(len(d_in)))
+    tau = [[sum(channel_output(blocks[k][i ^ j], om[j][k, l], (d_in[k], d_out[l]))
+                for j in branches for k in range(len(d_in)))
             for l in range(len(d_out))] for i in (0, 1)]
-    tp = [_sum(ptrace_out(om[j][k, l], (d_in[k], d_out[l]))
-               for j in branches for l in range(len(d_out)))
+    tp = [sum(ptrace_out(om[j][k, l], (d_in[k], d_out[l]))
+              for j in branches for l in range(len(d_out)))
           for k in range(len(d_in))]
     return tau[0], tau[1], tp, om
 
@@ -287,7 +279,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
         cost.append(trace(b0) + trace(b1) + trace(c0) + trace(c1))
     for tp_k, d_k in zip(tp, d_in):
         m.eq(tp_k, np.eye(d_k))
-    m.minimize(_sum(cost))
+    m.minimize(sum(cost))
     res = model.require_optimal(m.solve(), "conversion-error program")
 
     chois = [_block_choi({kl: res.primal[x.name] for kl, x in branch.items()},
@@ -329,8 +321,7 @@ _PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
 _M_TOL = 1e-6       # width in M of the bracket cost_approx closes
 
 
-def _phase1_model(b: QuantumBox, eps: float, regime: str,
-                  t: float) -> tuple[Model, list[tuple[int, str]]]:
+def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     """The phase-I program of approximate dilution at golden unit
     M = (1 + 1/t)/2, minimizing its signed infeasibility lambda.
 
@@ -344,9 +335,8 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str,
     r0, r1 enter with weights (1, 1) under CDS, where their traces sum to
     s, and (p, 1 - p) under CPTP_A, where each has trace s.  The two M rows
     of block k are divided by 2M - 1 = 1/t, so their coefficients stay
-    O(1).  They are constraints 2k and 2k + 1, and t enters them only as
-    the coefficient of r0 and of r1 of that block; those (constraint,
-    variable) pairs are returned with the model, for ``_phase1_at``."""
+    O(1), and t enters them only as the coefficient of r0 and of r1 of
+    that block: the data are affine in t (``_phase1_family``)."""
     blocks = _blocks(b)
     a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
     m = Model()
@@ -359,33 +349,50 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str,
         eye = np.eye(x["r0"].dim)
         m.ge(x["r1"] - t * x["r0"] + times(lam0, eye), eye)
         m.ge(x["r0"] - t * x["r1"] + times(lam0, eye), eye)
-    t_terms = [(2 * k + i, x[f"r{i}"].name) for k, x in enumerate(xs) for i in (0, 1)]
     for x, (w0, w1) in zip(xs, blocks):
         m.eq(x["b0"] - x["c0"] - times(s_extra, w0) + a0 * x["r0"], w0)
         m.eq(x["b1"] - x["c1"] - times(s_extra, w1) + a1 * x["r1"], w1)
         m.eq(x["dv"] - x["ev"] - a0 * x["r0"] + a1 * x["r1"], 0.0 * np.eye(len(w0)))
-    tr = {n: _sum(trace(x[n]) for x in xs) for n in names}
+    tr = {n: sum(trace(x[n]) for x in xs) for n in names}
     for row in ([tr["r0"] + tr["r1"]] if regime == CDS else [tr["r0"], tr["r1"]]):
         m.eq(row - s_extra, 1.0)
     m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] - lam0, eps - 1.0)
     m.le(tr["dv"] + tr["ev"] - s_extra - lam0, -1.0)
     m.minimize(lam0)
-    return m, t_terms
+    return m
 
 
-def _phase1_at(m: Model, t_terms: list, compiled: tuple, t: float) -> tuple:
-    """The compiled phase-I program at t, from ``m`` compiled at t = 1,
-    with ``t_terms`` the pairs ``_phase1_model`` returned with it."""
-    return m.scaled(compiled, dict.fromkeys(t_terms, t))
+def _phase1_family(b: QuantumBox, eps: float, regime: str) -> tuple:
+    """``_phase1_model`` as the affine family P0 + t D: the model, its
+    compile P0 at t = 0, and (j, rows, D_j) for each PSD block j that moves
+    in the compile P1 at t = 1, D_j = P1 - P0 on the rows where it does.
+    P0 + t D is the compile at t bit for bit (t only scales exactly
+    Hermitian coefficient stacks, which compiling at most halves)."""
+    m = _phase1_model(b, eps, regime, 0.0)
+    (p0, const), (p1, _) = m.compile(), _phase1_model(b, eps, regime, 1.0).compile()
+    deltas = []
+    for j in range(len(p0.blocks)):
+        d = np.array([a1[j] - a0[j] for (a0, _), (a1, _) in zip(p0.constraints, p1.constraints)])
+        rows = np.flatnonzero(d.reshape(len(d), -1).any(axis=1))
+        if len(rows):
+            deltas.append((j, rows, d[rows]))
+    return m, (p0, const), deltas
 
 
-def _phase1_shift(m: Model, t_terms: list, compiled: tuple, t: float,
-                  stats: dict) -> tuple[float, float]:
-    """Signed infeasibility lambda of the phase-I program ``m`` (compiled
-    once at t = 1) at t, and its slope d lambda / dt from the same solve
-    (``Model.slope``, nan without a finite point); the solve is counted in
-    ``stats``."""
-    res = m.solve(_PHASE1_OPTIONS, _phase1_at(m, t_terms, compiled, t))
+def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
+    """Signed infeasibility lambda of the phase-I program P0 + t D of a
+    ``_phase1_family``, and its slope from the same solve, nan without a
+    finite point; the solve is counted in ``stats``.  The slope is the
+    optimal value's sensitivity to its data (Boyd & Vandenberghe, Convex
+    Optimization, 5.6), d lambda / dt = -sum_j y[rows_j] . <D_j, X_j> at the
+    solver's y and X, in compiled space, where a complex program is embedded."""
+    m, (p0, const), deltas = family
+    constraints = list(p0.constraints)
+    for j, rows, stack in deltas:
+        for i, d in zip(rows, stack):
+            mats, rhs = constraints[i]
+            constraints[i] = ([*mats[:j], mats[j] + t * d, *mats[j + 1:]], rhs)
+    res = m.solve(_PHASE1_OPTIONS, (SdpProblem(p0.blocks, p0.objective, constraints), const))
     stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
         # a root-finder step only needs ~1e-6 accuracy on lambda
@@ -393,7 +400,11 @@ def _phase1_shift(m: Model, t_terms: list, compiled: tuple, t: float,
         if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
-    return res.value - 1.0, m.slope(compiled, res, t_terms)
+    with np.errstate(over="ignore", invalid="ignore"):   # block by block, in order
+        slope = math.nan if res.dual is None else -sum(
+            float(res.dual[rows] @ np.tensordot(stack, res.blocks[j], axes=2))
+            for j, rows, stack in deltas)
+    return res.value - 1.0, slope
 
 
 def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
@@ -405,19 +416,18 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     or ``xi_max_star`` (cds), feasible because ``cost_exact``'s dilution
     channel maps that golden unit onto the box, to ``_M_TOL`` in M, and
     returns its feasible end.  Each solve also gives the slope
-    d lambda / dt from its dual (``Model.slope``); the next t is the Newton
+    d lambda / dt from its dual (``_phase1_shift``); the next t is the Newton
     point of the newest solve when that slope is finite and positive and
     the point lies inside the bracket, and the Illinois regula falsi point
     otherwise.  Either is kept _M_TOL/2 in M inside the ends, so a Newton
     step that lands on the root closes the bracket with one more solve.
     Feasibility is decided by the sign of each solve's lambda alone, never
-    by a slope.  The phase-I program is built and compiled once per call,
-    at t = 1, from the box in its real frame (``real_frame``), which has
-    the same cost; each step solves a copy with the t coefficients of
-    every block's M rows rescaled.  No witness is returned, so no frame is
-    mapped back; the bracket end comes from b itself.  Diagnostics count
-    the solves and, by status, the non-optimal ones accepted for their
-    residuals."""
+    by a slope.  The phase-I program, built from the box in its real frame
+    (``real_frame``), which has the same cost, is affine in t: it is
+    compiled at t = 0 and t = 1 (``_phase1_family``), and each step solves
+    P0 + t D.  No witness is returned, so no frame is mapped back; the
+    bracket end comes from b itself.  Diagnostics count the solves and, by
+    status, the non-optimal ones accepted for their residuals."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
@@ -428,14 +438,13 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
-    m, t_terms = _phase1_model(real_frame(b)[0], eps, regime, 1.0)
-    compiled = m.compile()
-    hi, (f_hi, _) = 1.0, _phase1_shift(m, t_terms, compiled, 1.0, stats)
+    family = _phase1_family(real_frame(b)[0], eps, regime)
+    hi, (f_hi, _) = 1.0, _phase1_shift(family, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})
     lo = 1.0 / (2.0 ** (exact + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
-        f_lo, slope = _phase1_shift(m, t_terms, compiled, lo, stats)
+        f_lo, slope = _phase1_shift(family, lo, stats)
         f_lo = min(f_lo, 0.0)
     except SolverError:
         f_lo, slope = 0.0, math.nan
@@ -446,7 +455,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         newton = t - f / slope if math.isfinite(slope) and slope > 0.0 else lo
         t = newton if lo < newton < hi else hi - f_hi * (hi - lo) / (f_hi - f_lo)
         t = min(max(t, lo + 0.5 * xtol), hi - 0.5 * xtol)
-        f, slope = _phase1_shift(m, t_terms, compiled, t, stats)
+        f, slope = _phase1_shift(family, t, stats)
         if f <= 0.0:
             f_hi *= 0.5 if side < 0 else 1.0
             lo, f_lo, side = t, f, -1

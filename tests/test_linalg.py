@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from symdist import linalg
 from symdist.exceptions import NotPsdError
+from symdist.model import Model, trace
 
 from conftest import random_hermitian
 
@@ -188,6 +189,23 @@ def test_no_global_statements():
              for path in Path(linalg.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_no_module_but_model_reads_model_state():
+    """No module but ``model.py`` reads a private attribute of a ``Model``:
+    the attributes are those a compiled model holds, so the set follows
+    the class."""
+    m = Model()
+    m.minimize(trace(m.psd_var("x", 2)))
+    m.compile()
+    private = {a for a in vars(m) if a.startswith("_")}
+    assert {"_psd", "_cons", "_with_imag"} <= private
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in Path(linalg.__file__).parent.glob("*.py")
+             if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in private]
     assert found == []
 
 

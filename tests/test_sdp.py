@@ -394,7 +394,7 @@ def test_each_iteration_factors_once_per_block_size(lapack_calls):
     cholesky and one inv per block size > 1 (one inv for 1 x 1 blocks), and
     each of its two or three step tests one eigvalsh per block size > 1."""
     b = random_box(2, np.random.default_rng(3), real=True)
-    m, _ = tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0)
+    m = tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0)
     problem, _ = m.compile()
     lapack_calls.clear()
     res = sdp.solve(problem, tasks._PHASE1_OPTIONS)

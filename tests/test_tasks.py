@@ -8,11 +8,11 @@ import pytest
 from scipy.optimize import linprog
 
 from symdist import divergences as dv
-from symdist import model, sdp, tasks
+from symdist import sdp, tasks
 from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            real_frame, tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
-from symdist.exceptions import ParameterRangeError
+from symdist.exceptions import ParameterRangeError, SolverError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, dense_box, dilution_reproducer, figure4_boxes
@@ -433,14 +433,13 @@ def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
          "quotient": real_frame(tensor_box(random_box(2, np.random.default_rng(7)),
                                            2))[0],
          "complex": random_box(3, np.random.default_rng(5))}[kind]
-    m, t_terms = tasks._phase1_model(b, 0.05, regime, 1.0)
-    compiled = m.compile()
-    assert max(compiled[0].blocks) == {"real qubit": 2, "quotient": 3,
-                                       "complex": 6}[kind]
+    family = tasks._phase1_family(b, 0.05, regime)
+    assert max(family[1][0].blocks) == {"real qubit": 2, "quotient": 3,
+                                        "complex": 6}[kind]
     exact = dv.xi_max(b.rho0, b.rho1) if regime == CPTPA else dv.xi_max_star(b)
     t = 0.5 * (1.0 + 1.0 / (2.0 ** (exact + 1.0) - 1.0))
     stats = {"solves": 0, "ill_conditioned": 0}
-    shift = functools.partial(tasks._phase1_shift, m, t_terms, compiled, stats=stats)
+    shift = functools.partial(tasks._phase1_shift, family, stats=stats)
     _, slope = shift(t)
     h = 1e-4 * t
     central = (shift(t + h)[0] - shift(t - h)[0]) / (2.0 * h)
@@ -455,27 +454,62 @@ def test_cost_approx_without_a_slope_takes_illinois_steps(monkeypatch, slope):
     more solves to the same value."""
     b = random_box(2, np.random.default_rng(3))
     newton = tasks.cost_approx(b, 0.05, CPTPA)
-    monkeypatch.setattr(model.Model, "slope", lambda self, *args: slope)
+    shift = tasks._phase1_shift
+    monkeypatch.setattr(tasks, "_phase1_shift",
+                        lambda *args: (shift(*args)[0], slope))
     illinois = tasks.cost_approx(b, 0.05, CPTPA)
     assert (illinois.diagnostics["solves"], newton.diagnostics["solves"]) == (8, 6)
     assert illinois.value == pytest.approx(newton.value, abs=1e-6)
 
 
+@pytest.mark.parametrize("regime,eps", [(CPTPA, 0.05), (CDS, 0.05), (CPTPA, 0.0)])
+def test_cost_approx_without_the_lo_solve(monkeypatch, regime, eps):
+    """The solve at the bracket's feasible end only supplies an
+    interpolation value: when it raises, the call takes lambda = 0 there,
+    with no slope, and reaches the same value."""
+    b = random_box(2, np.random.default_rng(3))
+    want = tasks.cost_approx(b, eps, regime).value
+    shift, ts = tasks._phase1_shift, []
+
+    def failing_lo(family, t, stats):
+        out = shift(family, t, stats)
+        ts.append(t)
+        if len(ts) == 2:
+            raise SolverError("lo solve failed")
+        return out
+
+    monkeypatch.setattr(tasks, "_phase1_shift", failing_lo)
+    got = tasks.cost_approx(b, eps, regime)
+    assert len(ts) > 2 and got.diagnostics["solves"] == len(ts)
+    assert got.value == pytest.approx(want, abs=1e-6)
+
+
 @pytest.mark.parametrize("regime", [CPTPA, CDS])
 @pytest.mark.parametrize("real", [True, False])
-def test_phase1_program_rescaled_equals_fresh_compile(real, regime):
-    """cost_approx compiles its phase-I program once, at t = 1; the copy
-    rescaled to t holds exactly the data of a program compiled at t, for a
-    qubit box and for the quotient of its third power, whose two blocks
-    each have their own M rows."""
+def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime):
+    """cost_approx compiles its phase-I program at t = 0 and t = 1; the
+    program P0 + t D each step solves holds exactly the data of a program
+    compiled at t, for a qubit box and for the quotient of its third power,
+    whose two blocks each have their own M rows."""
+    class Solved(Exception):
+        pass
+
+    def capture(problem, options=None):
+        solved.append(problem)
+        raise Solved
+
     b = random_box(2, np.random.default_rng(11), real=real)
     for box in (b, tensor_box(b, 3)):
-        m, t_terms = tasks._phase1_model(box, 0.05, regime, 1.0)
-        compiled = m.compile()
+        family = tasks._phase1_family(box, 0.05, regime)
         for t in (0.3, 0.7071067811865476, 1.0 / 3.0):
-            got, got_const = tasks._phase1_at(m, t_terms, compiled, t)
-            want, want_const = tasks._phase1_model(box, 0.05, regime, t)[0].compile()
-            assert got_const == want_const
+            solved = []
+            with monkeypatch.context() as patch:
+                patch.setattr(sdp, "solve", capture)
+                with pytest.raises(Solved):
+                    tasks._phase1_shift(family, t, {"solves": 0})
+            (got,) = solved
+            want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
+            assert family[1][1] == want_const
             assert got.blocks == want.blocks
             assert all(np.array_equal(a, w)
                        for a, w in zip(got.objective, want.objective))
@@ -483,10 +517,10 @@ def test_phase1_program_rescaled_equals_fresh_compile(real, regime):
             for (mats, rhs), (mats_w, rhs_w) in zip(got.constraints, want.constraints):
                 assert rhs == rhs_w
                 assert all(np.array_equal(a, w) for a, w in zip(mats, mats_w))
-        # the compiled program at t = 1 is left as it was
-        again, _ = m.compile()
+        # the compiled program at t = 0 is left as it was
+        again, _ = tasks._phase1_model(box, 0.05, regime, 0.0).compile()
         assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
-                   zip(compiled[0].constraints, again.constraints)
+                   zip(family[1][0].constraints, again.constraints)
                    for a, w in zip(mats, mats_w))
 
 
