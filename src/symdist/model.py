@@ -259,33 +259,40 @@ class Model:
         to_real = _embed if self._with_imag else np.real
         psd_index = {v.name: i for i, v in enumerate(self._psd)}
 
-        def rows(expr: Expr, e_stack: Array) -> list[Array]:
+        def rows(expr: Expr, e_stack: Array) -> dict[int, Array]:
             """Coefficients of <E_r, expr> for each E_r in e_stack: one real
-            stack per PSD block."""
-            r = e_stack.shape[0]
-            psd = [np.zeros((r, v.dim, v.dim), dtype=complex) for v in self._psd]
+            stack per PSD block that the terms of expr touch."""
+            psd: dict[int, Array] = {}
             for name, c, adjoint, _ in expr.terms:
                 coef = c * adjoint(e_stack)
                 coef = (coef + np.conj(np.transpose(coef, (0, 2, 1)))) / 2
-                psd[psd_index[name]] += coef
-            return [to_real(a) for a in psd]
+                j = psd_index[name]
+                psd[j] = psd[j] + coef if j in psd else coef
+            return {j: to_real(a) for j, a in psd.items()}
+
+        # untouched blocks of every row share one read-only zero per block
+        zeros = [to_real(np.zeros((1, v.dim, v.dim)))[0] for v in self._psd]
+        for z in zeros:
+            z.flags.writeable = False
 
         constraints: list[tuple[list[Array], float]] = []
         for expr, const in self._cons:
             e_stack = hermitian_basis(expr.dim, self._with_imag)
             psd = rows(expr, e_stack)
             bvals = np.real(np.einsum("rij,ij->r", e_stack.conj(), const))
-            keep = np.zeros(len(bvals), dtype=bool)
-            for a in psd:
-                keep |= a.reshape(len(keep), -1).any(axis=1)
+            flat = [a.reshape(len(bvals), -1) for a in psd.values()]
+            keep = (np.concatenate(flat, axis=1).any(axis=1) if flat
+                    else np.zeros(len(bvals), dtype=bool))
             if np.any(np.abs(bvals[~keep]) > 1e-12):
                 raise SolverError("inconsistent constant constraint row")
             for i in np.flatnonzero(keep):
-                constraints.append(([a[i] for a in psd], float(bvals[i])))
+                constraints.append(([psd[j][i] if j in psd else z
+                                     for j, z in enumerate(zeros)], float(bvals[i])))
 
         psd = rows(self._obj, hermitian_basis(1))
-        problem = sdp.SdpProblem([a.shape[-1] for a in psd],
-                                 [self._sense * a[0] for a in psd], constraints)
+        problem = sdp.SdpProblem([z.shape[-1] for z in zeros],
+                                 [self._sense * psd[j][0] if j in psd else z
+                                  for j, z in enumerate(zeros)], constraints)
         return problem, float(np.real(self._obj._const()[0, 0]))
 
     def solve(self, options: sdp.SolverOptions | None = None,

@@ -14,19 +14,34 @@ cast.
 The algorithm is a primal-dual path-following method with Nesterov-Todd
 scaling on the homogeneous self-dual embedding: an unbounded or infeasible
 instance surfaces as a certificate, never as a diverging iterate.  A
-Mehrotra-style adaptive centering parameter is used; only the tau/kappa
-second-order correction is applied (matrix corrections buy little at these
-block sizes).  The Newton system is the m x m Schur complement.  Blocks of
-one size are stacked into one (n, d, d) array, so each step makes one
-batched LAPACK or BLAS call per block size.
+Mehrotra predictor-corrector is used (Mehrotra, SIAM J. Optim. 2 (1992);
+Todd, Toh & Tutuncu, SIAM J. Optim. 8 (1998)): the corrector carries the
+second-order term of the tau/kappa pair and, for each matrix block, the
+term G Z G^T of the NT factor G (W = G G^T), with
+Z_ij = (A B + B A)_ij / (v_i + v_j), A = G^-1 dX G^-T and B = G^T dS G
+from the predictor, and G^-1 X G^-T = G^T S G = diag(v).  When the
+corrector jams at the boundary, a first-order recentering step replaces
+it.  The Newton system is the m x m Schur complement M.  Blocks of one
+size are stacked into one (n, d, d) array, so each step makes one batched
+LAPACK or BLAS call per block size.
 
 Each iteration factors its iterates once per block size: one Cholesky
 factorisation of the stack concat[X, S] and one inversion of those factors
-together with S.  The two or three step-length tests of the iteration
-(predictor, corrector, and a recentering step when the corrector jams)
-reuse them, one ``eigvalsh`` per block size each; 1 x 1 blocks take a
+together with S.  G comes from the same factor: with X = L L^T and
+L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2), one ``eigh`` per
+block size and none for 1 x 1 blocks.  The two or three step-length tests
+of the iteration (predictor, corrector, and the recentering step) reuse
+the factors, one ``eigvalsh`` per block size each; 1 x 1 blocks take a
 ratio test.  Everything the Newton solves of an iteration share but do
 not vary is computed once before them.
+
+Each Newton direction takes one solve with M.  The corrector and the
+recentering direction are then made primal-consistent: the miss
+e = A(dX) - b dtau + eta p_res of the linearised primal rows is removed by
+one more solve M delta = -e, kept only if it shrinks e.  A solve ends
+``ill_conditioned`` when rounding stalls it: its residuals, which every
+exact step shrinks, have not reached a new low in ``_STALL_ITERATIONS``
+iterations.
 """
 
 from __future__ import annotations
@@ -57,6 +72,11 @@ class SolverOptions:
 
 
 _STEP_FRACTION = 0.98    # fraction-to-boundary
+# In exact arithmetic every step shrinks the embedding's residuals
+# A(X) - b tau and A*(y) + S - C tau by the same factor, infeasible
+# instances included; a solve whose residuals have not reached a new low
+# in this many iterations has stalled on rounding error.
+_STALL_ITERATIONS = 10
 
 
 @dataclass(eq=False)
@@ -87,18 +107,6 @@ def _sym(a: Array) -> Array:
     return (a + np.swapaxes(a, -1, -2)) / 2
 
 
-def _nt_scaling(x: Array, s: Array) -> Array:
-    """W with W S W = X, for stacks of symmetric positive definite pairs."""
-    wx, vx = np.linalg.eigh(x)
-    wx = np.maximum(wx, 1e-300)
-    xh = (vx * np.sqrt(wx)[..., None, :]) @ np.swapaxes(vx, -1, -2)
-    t = xh @ s @ xh
-    wt, vt = np.linalg.eigh(_sym(t))
-    wt = np.maximum(wt, 1e-300)
-    tih = (vt / np.sqrt(wt)[..., None, :]) @ np.swapaxes(vt, -1, -2)
-    return _sym(xh @ tih @ xh)
-
-
 def _ridged_cholesky(x: Array) -> Array:
     """Cholesky factors of a stack (n, d, d); if one block fails, of each
     block ridged by its own trace."""
@@ -110,11 +118,12 @@ def _ridged_cholesky(x: Array) -> Array:
         return np.linalg.cholesky(x + ridge[:, None, None] * np.eye(d))
 
 
-def _factor(x: Array, s: Array) -> tuple[Array, Array]:
-    """Factors of one block size's iterates, shared by every step test of
-    an iteration: ``(basis, s^-1)``.  ``basis`` holds the inverse Cholesky
-    factors of the stack concat[x, s], or for 1 x 1 blocks, whose step
-    test is a ratio, that stack itself.
+def _factor(x: Array, s: Array) -> tuple[Array, Array, Array]:
+    """Factors of one block size's iterates, shared by every step test and
+    by the NT scaling of an iteration: ``(basis, s^-1, l)``.  ``basis``
+    holds the inverse Cholesky factors of the stack concat[x, s] and ``l``
+    the Cholesky factors of x; for 1 x 1 blocks, whose step test is a
+    ratio, ``basis`` is that stack itself and ``l`` is sqrt(x).
 
     Both stacks are factored by one ``cholesky`` call, and the factors are
     inverted with s by one ``inv`` call; if the joint factorisation fails,
@@ -122,13 +131,41 @@ def _factor(x: Array, s: Array) -> tuple[Array, Array]:
     """
     xs = np.concatenate([x, s])
     if x.shape[-1] == 1:
-        return xs, np.linalg.inv(s)
+        return xs, np.linalg.inv(s), np.sqrt(x)
     try:
         chol = np.linalg.cholesky(xs)
     except np.linalg.LinAlgError:
         chol = np.concatenate([_ridged_cholesky(x), _ridged_cholesky(s)])
     inv = np.linalg.inv(np.concatenate([chol, s]))
-    return inv[:len(xs)], inv[len(xs):]
+    return inv[:len(xs)], inv[len(xs):], chol[:len(x)]
+
+
+def _nt_scaling(s: Array, basis: Array, l: Array) -> tuple[Array, Array, Array, Array]:
+    """NT factors ``(w, g, g^-1, v)`` of one block size from its
+    :func:`_factor` output: W = G G^T with W S W = X and
+    G^-1 X G^-T = G^T S G = diag(v).
+
+    With X = L L^T and L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2),
+    so one ``eigh`` per block size; 1 x 1 blocks need none.
+    """
+    if s.shape[-1] == 1:
+        g = np.sqrt(l / np.sqrt(s))
+        return g * g, g, 1.0 / g, (l * np.sqrt(s))[:, :, 0]
+    lt = np.swapaxes(l, 1, 2)
+    d, q = np.linalg.eigh(_sym(lt @ s @ l))
+    d = np.maximum(d, 1e-300)
+    g = l @ q * d[:, None, :] ** -0.25
+    g_inv = d[:, :, None] ** 0.25 * (np.swapaxes(q, 1, 2) @ basis[:len(s)])
+    return _sym(g @ np.swapaxes(g, 1, 2)), g, g_inv, np.sqrt(d)
+
+
+def _second_order(g: Array, g_inv: Array, v: Array, dx: Array, ds: Array) -> Array:
+    """Mehrotra's second-order term G Z G^T of one block size for the
+    predictor step (dx, ds): Z_ij = (AB + BA)_ij / (v_i + v_j) with the
+    scaled steps A = G^-1 dx G^-T and B = G^T ds G."""
+    ab = (g_inv @ dx @ np.swapaxes(g_inv, 1, 2)) @ (np.swapaxes(g, 1, 2) @ ds @ g)
+    z = (ab + np.swapaxes(ab, 1, 2)) / (v[:, :, None] + v[:, None, :])
+    return _sym(g @ z @ np.swapaxes(g, 1, 2))
 
 
 def _max_step(basis: Array, dxs: Array) -> float:
@@ -214,6 +251,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
 
     best = None
     best_metric = np.inf
+    least_res, stalled = np.inf, 0
 
     status = SdpStatus.MAX_ITERATIONS
     it = 0
@@ -255,6 +293,13 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 status = SdpStatus.DUAL_INFEASIBLE
                 break
 
+        res = tau * max(rel_p, rel_d)    # the embedding's, not divided by tau
+        stalled = 0 if res < least_res else stalled + 1
+        least_res = min(least_res, res)
+        if stalled == _STALL_ITERATIONS:
+            status = SdpStatus.ILL_CONDITIONED
+            break
+
         # NT scaling, factors and Schur complement, one batched call per
         # block size; everything newton() reads but does not vary is here.
         # The step is eliminated around the current dual point: with
@@ -263,9 +308,10 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         # shrinks with S, whereas W C W grows like 1/mu, so the dtau pivot
         # c0 + (b - h).q formed from C cancels terms of that size
         try:
-            W = [_nt_scaling(x, s) for x, s in zip(X, S)]
             factors = [_factor(x, s) for x, s in zip(X, S)]
-            Sinv = [si for _, si in factors]
+            nt = [_nt_scaling(s, basis, l) for s, (basis, _, l) in zip(S, factors)]
+            W = [w for w, *_ in nt]
+            Sinv = [si for _, si, _ in factors]
             C_y = [(s - dr) / tau for s, dr in zip(S, d_res)]
             g_res = -ws.inner(C_y, X) - kappa
             WCW = [w @ c @ w for w, c in zip(W, C_y)]
@@ -280,9 +326,12 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             a_wdw, c_wdw = ws.apply_a(wdw), ws.inner(C_y, wdw)
             h_plus_b, b_minus_h = h + ws.b, ws.b - h
 
-            def newton(eta_f, sigma, corr):
-                # rhs of the eliminated system
+            def newton(eta_f, sigma, corr, second=None):
+                # rhs of the eliminated system; ``second`` is the matrix
+                # part of Mehrotra's correction, G Z G^T per block size
                 rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
+                if second is not None:
+                    rc_mat = [rc - z for rc, z in zip(rc_mat, second)]
                 rc_sc = sigma * mu - tau * kappa - corr
                 r1 = -eta_f * p_res - ws.apply_a(rc_mat) - eta_f * a_wdw
                 r3 = (-eta_f * g_res + ws.inner(C_y, rc_mat)
@@ -292,9 +341,6 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                     raise np.linalg.LinAlgError("non-finite Newton system")
                 try:
                     sols = np.linalg.solve(M, rhs)
-                    # one refinement step: near a degenerate optimum M is
-                    # singular to working precision
-                    sols = sols + np.linalg.solve(M, rhs - M @ sols)
                 except np.linalg.LinAlgError:
                     sols = np.full_like(rhs, np.nan)
                 if not np.all(np.isfinite(sols)):
@@ -313,9 +359,31 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 dkappa = (rc_sc - kappa * dtau) / tau
                 return dX, dS, dy + dtau / tau * y, dtau, dkappa
 
+            def consistent(eta_f, step):
+                # Near a degenerate optimum M is singular to working
+                # precision and dX misses A(dX) - b dtau = -eta_f p_res.
+                # With that miss e, M delta = -e moves (dy, dS, dX) along
+                # (delta, -A*(delta), W A*(delta) W), which keeps the dual
+                # and complementarity rows; kept only if the miss falls.
+                dX, dS, dy, dtau, dkappa = step
+                e = ws.apply_a(dX) - ws.b * dtau + eta_f * p_res
+                try:
+                    delta = np.linalg.solve(M, -e)
+                except np.linalg.LinAlgError:
+                    return step
+                if not np.all(np.isfinite(delta)):
+                    return step
+                atd = ws.apply_at(delta)
+                dX2 = [dx + _sym(w @ a @ w) for dx, w, a in zip(dX, W, atd)]
+                e2 = ws.apply_a(dX2) - ws.b * dtau + eta_f * p_res
+                if not np.linalg.norm(e2) < np.linalg.norm(e):
+                    return step
+                return (dX2, [ds - a for ds, a in zip(dS, atd)], dy + delta,
+                        dtau, dkappa)
+
             def boundary(dX, dS, dtau, dkappa):
                 alpha = min([np.inf] + [_max_step(basis, np.concatenate([dx, ds]))
-                                        for (basis, _), dx, ds
+                                        for (basis, *_), dx, ds
                                         in zip(factors, dX, dS)])
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
@@ -336,11 +404,15 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             ratio = min(gap_aff / (mu * (ws.n_tot + 1)), 1.0)
             sigma = min(0.99, max(1e-9, ratio ** 3))
             corr = dtaua * dkappaa
-            dX, dS, dy, dtau, dkappa = newton(1.0 - sigma, sigma, corr)
+            second = [_second_order(g, gi, v, dx, ds)
+                      for (_, g, gi, v), dx, ds in zip(nt, dXa, dSa)]
+            dX, dS, dy, dtau, dkappa = consistent(
+                1.0 - sigma, newton(1.0 - sigma, sigma, corr, second))
             alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
             if alpha < 0.05:
                 # jammed near the boundary: take a recentering step instead
-                dX, dS, dy, dtau, dkappa = newton(1.0 - 0.8, 0.8, 0.0)
+                dX, dS, dy, dtau, dkappa = consistent(
+                    1.0 - 0.8, newton(1.0 - 0.8, 0.8, 0.0))
                 alpha = min(1.0, _STEP_FRACTION * boundary(dX, dS, dtau, dkappa))
         except np.linalg.LinAlgError:
             status = SdpStatus.ILL_CONDITIONED

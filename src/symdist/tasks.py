@@ -395,7 +395,10 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
     res = m.solve(_PHASE1_OPTIONS, (SdpProblem(p0.blocks, p0.objective, constraints), const))
     stats["solves"] += 1
     if res.status is not SdpStatus.OPTIMAL:
-        # a root-finder step only needs ~1e-6 accuracy on lambda
+        # accepted on residuals of 1e-6, which catch a failed solve; the
+        # sign test near the root needs lambda to about slope * xtol
+        # (about 3e-10 on the dilution reproducer), which is why
+        # _PHASE1_OPTIONS is tighter than the default
         diag = res.diagnostics
         if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")

@@ -74,9 +74,9 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Record ``np.linalg`` cholesky/inv/eigvalsh calls as (name, size) in
-    call order, so a test can pin how often the solver factors per
-    iteration."""
+    """Record ``np.linalg`` cholesky/inv/eigh/eigvalsh/solve calls as
+    (name, size) in call order, so a test can pin how often the solver
+    factors and solves per iteration."""
     calls = []
 
     def counted(name):
@@ -87,7 +87,7 @@ def lapack_calls(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("cholesky", "inv", "eigvalsh"):
+    for name in ("cholesky", "inv", "eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     return calls
 

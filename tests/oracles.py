@@ -33,6 +33,10 @@ textbook programs is written as a bound minus a PSD block; the docstrings
 say why the bound loses nothing.  Each reads a quotient's block-diagonal
 matrix (``dense_weighted``), sized by the states' shapes.
 
+``nt_second_order`` is the oracle for the solver's Mehrotra term: it
+takes the symmetric square root of the NT scaling point in place of the
+solver's Cholesky-based factor and solves the Lyapunov equation densely.
+
 Test-only constructions close the module: the pretty good measurement
 ``pgm`` (dense states), the seeded random channels ``random_cptp`` and
 ``random_cds``, and the constructive smoothing ``smooth_thompson_witness``.
@@ -393,6 +397,29 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     if r_star <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"r": r_star})
     return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
+
+
+def nt_second_order(x, s, dx, ds) -> np.ndarray:
+    """Mehrotra's second-order term G Z G^T of the NT direction for one
+    real block, from the closed-form scaling point
+    W = X^1/2 (X^1/2 S X^1/2)^-1/2 X^1/2 and its symmetric root G = W^1/2.
+    Then V = G^-1 X G^-1 = G S G is not diagonal, and Z solves the
+    Lyapunov equation V Z + Z V = A B + B A, with A = G^-1 dx G^-1 and
+    B = G ds G, as the Kronecker sum (I (x) V + V (x) I) vec Z.  The term
+    does not depend on which factor G with G G^T = W is taken."""
+    def power(a, t):
+        w, u = np.linalg.eigh(a)
+        return (u * w ** t) @ u.T
+
+    xh = power(x, 0.5)
+    w = xh @ power(xh @ s @ xh, -0.5) @ xh
+    g, gi = power(w, 0.5), power(w, -0.5)
+    v = g @ s @ g
+    a, b = gi @ dx @ gi, g @ ds @ g
+    d = len(x)
+    kron_sum = np.kron(np.eye(d), v) + np.kron(v, np.eye(d))
+    z = np.linalg.solve(kron_sum, (a @ b + b @ a).reshape(-1)).reshape(d, d)
+    return g @ z @ g
 
 
 # --- test-only constructions -----------------------------------------------

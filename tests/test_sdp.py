@@ -10,8 +10,8 @@ from symdist.model import (Model, channel_output, hermitian_basis, inner,
                            ptrace_out, times, trace)
 from symdist.sdp import SdpStatus, SolverOptions
 
-from conftest import random_hermitian
-from oracles import kron_left, kron_right
+from conftest import figure4_boxes, random_hermitian
+from oracles import kron_left, kron_right, nt_second_order
 
 
 def test_trace_normalized_psd():
@@ -313,7 +313,7 @@ def _step_by_eigh(x, dx):
 def _max_step(x, s, dx, ds):
     """The step test of one block size: the largest alpha with x + alpha*dx
     and s + alpha*ds both >= 0, from the factors of the iterate pair."""
-    basis, _ = sdp._factor(x, s)
+    basis, _, _ = sdp._factor(x, s)
     return sdp._max_step(basis, np.concatenate([dx, ds]))
 
 
@@ -381,7 +381,7 @@ def test_factor_ridges_only_the_stack_that_fails():
     s = np.stack([(q * [1.0, 2.0, -1e-14]) @ q.T, _random_pd(rng, 1, 3)[0]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(s)
-    basis, sinv = sdp._factor(x, s)
+    basis, sinv, _ = sdp._factor(x, s)
     assert np.array_equal(basis[:2], np.linalg.inv(np.linalg.cholesky(x)))
     ridge = np.trace(s, axis1=1, axis2=2) / 3 * 1e-12
     ridged = np.linalg.cholesky(s + ridge[:, None, None] * np.eye(3))
@@ -389,16 +389,111 @@ def test_factor_ridges_only_the_stack_that_fails():
     assert np.array_equal(sinv, np.linalg.inv(s))
 
 
+def _near_singular_pair(rng, n, d):
+    """Random positive definite stacks x, s of n blocks; x's first block has
+    smallest eigenvalue 1e-10 of its largest."""
+    x, s = _random_pd(rng, n, d), _random_pd(rng, n, d)
+    w, v = np.linalg.eigh(x[0])
+    w[0] = 1e-10 * w[-1]
+    x[0] = (v * w) @ v.T
+    return x, s
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nt_factors_from_the_cholesky_factor(d):
+    """The NT factors built from the Cholesky factor of X satisfy
+    G G^T = W, W S W = X and G^-1 X G^-T = G^T S G = diag(v), block by
+    block to 1e-10 relative, a near-singular block included."""
+    rng = np.random.default_rng(30 + d)
+    x, s = _near_singular_pair(rng, 4, d)
+    basis, _, l = sdp._factor(x, s)
+    w, g, g_inv, v = sdp._nt_scaling(s, basis, l)
+    gt, g_invt = g.transpose(0, 2, 1), g_inv.transpose(0, 2, 1)
+    for j in range(len(x)):
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+        assert close(g[j] @ gt[j], w[j])
+        assert close(w[j] @ s[j] @ w[j], x[j])
+        assert close(g_inv[j] @ x[j] @ g_invt[j], np.diag(v[j]))
+        assert close(gt[j] @ s[j] @ g[j], np.diag(v[j]))
+        assert close(g_inv[j] @ g[j], np.eye(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_second_order_term_matches_the_kronecker_oracle(d):
+    """Mehrotra's term G Z G^T, with Z from the solver's diagonal scaling,
+    equals the oracle's dense Lyapunov solve in the symmetric-root frame."""
+    rng = np.random.default_rng(40 + d)
+    x, s = _random_pd(rng, 3, d), _random_pd(rng, 3, d)
+    dx, ds = _random_sym(rng, 3, d), _random_sym(rng, 3, d)
+    basis, _, l = sdp._factor(x, s)
+    _, g, g_inv, v = sdp._nt_scaling(s, basis, l)
+    got = sdp._second_order(g, g_inv, v, dx, ds)
+    for j in range(3):
+        ref = nt_second_order(x[j], s[j], dx[j], ds[j])
+        assert np.allclose(got[j], ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
+
+
+def _record_solves(monkeypatch) -> list:
+    """The results of every sdp.solve call from here on, in call order."""
+    results = []
+    solve = sdp.solve
+
+    def recording(*args):
+        results.append(solve(*args))
+        return results[-1]
+    monkeypatch.setattr(sdp, "solve", recording)
+    return results
+
+
+def _phase1_problem():
+    b = random_box(2, np.random.default_rng(3), real=True)
+    return tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0).compile()[0]
+
+
+# iterations to optimal with the Mehrotra corrector; without its matrix term
+# these programs take 16, 21, 13, 12 and 19
+@pytest.mark.parametrize("point, iterations", [(5, 9), (15, 10), (25, 10), (35, 10),
+                                               ("phase-I", 12)])
+def test_corrector_iteration_counts(monkeypatch, point, iterations):
+    """The four figure-4 conversion programs at grid points 5, 15, 25 and 35
+    of 41, and the phase-I program of a qubit box, end optimal within the
+    iterations they take with the corrector."""
+    if point == "phase-I":
+        results = [sdp.solve(_phase1_problem(), tasks._PHASE1_OPTIONS)]
+    else:
+        results = _record_solves(monkeypatch)
+        tasks.min_conversion_error(*figure4_boxes(point * np.pi / 80), tasks.CDS)
+    assert [r.status for r in results] == [SdpStatus.OPTIMAL]
+    assert results[0].iterations <= iterations
+
+
+def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
+    """At eps = 0 the last phase-I solve of cost_approx sits on the
+    feasibility boundary, where rounding keeps its residuals above the
+    tolerances.  It ends ill_conditioned once they stop reaching new lows,
+    instead of wandering to max_iterations; run on, that solve took 168
+    iterations."""
+    results = _record_solves(monkeypatch)
+    tasks.cost_approx(random_box(2, np.random.default_rng(3)), 0.0, tasks.CPTPA)
+    assert [r.status for r in results] == [SdpStatus.OPTIMAL] * 2 + [
+        SdpStatus.ILL_CONDITIONED]
+    assert results[-1].iterations <= 23
+
+
 def test_each_iteration_factors_once_per_block_size(lapack_calls):
     """One phase-I solve: every iteration that takes a step makes one
-    cholesky and one inv per block size > 1 (one inv for 1 x 1 blocks), and
-    each of its two or three step tests one eigvalsh per block size > 1."""
-    b = random_box(2, np.random.default_rng(3), real=True)
-    m = tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0)
-    problem, _ = m.compile()
+    cholesky, one inv and one eigh (the NT scaling) per block size > 1 and
+    one inv for 1 x 1 blocks.  Its Newton directions make one solve each,
+    and the final one (corrector, or recentering when the corrector jams)
+    one more for its primal-consistent step: 3 or 5 solves where two per
+    direction made 4 or 6.  Each of the two or three step tests makes one
+    eigvalsh per block size > 1."""
+    problem = _phase1_problem()
     lapack_calls.clear()
     res = sdp.solve(problem, tasks._PHASE1_OPTIONS)
     assert res.status is SdpStatus.OPTIMAL
+    assert res.iterations <= 12
     sizes = sorted(set(problem.blocks))
     big = [d for d in sizes if d > 1]
     assert sizes[0] == 1 and big
@@ -406,13 +501,14 @@ def test_each_iteration_factors_once_per_block_size(lapack_calls):
     # last iteration stops at the convergence test, before factoring
     starts = [i for i, c in enumerate(lapack_calls) if c == ("inv", 1)]
     assert starts[0] == 0 and len(starts) == res.iterations - 1
+    factors = [("inv", 1)] + [c for d in big for c in (("cholesky", d), ("inv", d))]
+    scaling = [("eigh", d) for d in big]
+    test = [("eigvalsh", d) for d in big]
+    solve = [("solve", len(problem.constraints))]
+    predictor, final = solve + test, solve * 2 + test
     for a, z in zip(starts, starts[1:] + [len(lapack_calls)]):
-        calls = lapack_calls[a:z]
-        factors = [("inv", 1)] + [c for d in big for c in (("cholesky", d), ("inv", d))]
-        assert calls[:len(factors)] == factors
-        tests = calls[len(factors):]
-        assert tests in ([("eigvalsh", d) for d in big] * 2,
-                         [("eigvalsh", d) for d in big] * 3)
+        assert lapack_calls[a:z] in (factors + scaling + predictor + final,
+                                     factors + scaling + predictor + final * 2)
 
 
 def test_max_iterations_status():
