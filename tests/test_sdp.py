@@ -451,8 +451,8 @@ def _phase1_problem():
     return tasks._phase1_model(b, 0.05, tasks.CPTPA, 1.0).compile()[0]
 
 
-# iterations to optimal with the Mehrotra corrector; without its matrix term
-# these programs take 16, 21, 13, 12 and 19
+# iterations to optimal with the Mehrotra corrector; before the corrector had
+# its matrix term, these programs took 16, 21, 13, 12 and 19
 @pytest.mark.parametrize("point, iterations", [(5, 9), (15, 10), (25, 10), (35, 10),
                                                ("phase-I", 12)])
 def test_corrector_iteration_counts(monkeypatch, point, iterations):
