@@ -123,7 +123,7 @@ def tensor_box(b: QuantumBox, n: int) -> QuantumBox:
 def _qubit_power_box(p: float, a0, a1, n: int) -> QuantumBox:
     """The quotient box of (p, a0^(x)n, a1^(x)n): block k of each state is
     m_k pi_k(a), m_k = C(n, k) - C(n, k-1) the multiplicity of block k."""
-    a0, a1 = np.asarray(a0, dtype=complex), np.asarray(a1, dtype=complex)
+    a0, a1 = linalg.matrix(a0), linalg.matrix(a1)
 
     def quotient(a):
         pi = linalg.schur_weyl_power(a, n)

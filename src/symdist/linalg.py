@@ -7,7 +7,9 @@ Tr_mult(P_k X P_k), keeps one copy of each irreducible block, and R,
 Y -> (+)_k Y_k (x) I_{m_k}/m_k, undoes it.  ``BlockOp.of`` holds a dense
 matrix as its single block, so every function here is one plain sum over
 blocks, with results in the kind of its argument; operators in different
-layouts do not mix.  The dense form of a block operator is its
+layouts do not mix.  Data are stored real where every imaginary part is
+exactly zero (``matrix``), so real blocks are decomposed and multiplied
+real.  The dense form of a block operator is its
 block-diagonal matrix (``np.asarray``).  Bipartite operators (``tensor``,
 ``ptrace``) are dense: channels on quotient spaces are held as effects and
 states (``channels.MeasurePrepare``).
@@ -37,6 +39,15 @@ _EPS = float(np.finfo(float).eps)
 PSD_SLACK = 1e-10       # a PSD argument's least eigenvalue may dip this far
 
 
+def matrix(a) -> Array:
+    """a as an array, float when every imaginary part is exactly zero and
+    complex otherwise."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(complex, copy=False)
+    return np.asarray(a.real, dtype=float)
+
+
 class BlockOp:
     """The block-diagonal operator (+)_k B_k: the Schur-Weyl quotient of
     (C^2)^(x)``qubits`` (``schur_weyl_power``), or with ``qubits=None`` a
@@ -53,8 +64,7 @@ class BlockOp:
         """Coerce operators to ``BlockOp``: a dense matrix is its single
         block.  One argument gives one ``BlockOp``, several a tuple, which
         must share one layout (``qubits``) or ``DimensionMismatchError``."""
-        ops = [h if isinstance(h, BlockOp)
-               else BlockOp((np.asarray(h, dtype=complex),)) for h in hs]
+        ops = [h if isinstance(h, BlockOp) else BlockOp((matrix(h),)) for h in hs]
         if len(ops) == 1:
             return ops[0]
         if any(o.qubits != ops[0].qubits for o in ops[1:]):
@@ -77,7 +87,7 @@ class BlockOp:
         """The block-diagonal matrix."""
         if self.qubits is None:
             return self.blocks[0]
-        out = np.zeros(self.shape, dtype=complex)
+        out = np.zeros(self.shape, dtype=np.result_type(*self.blocks))
         at = 0
         for b in self.blocks:
             out[at:at + len(b), at:at + len(b)] = b
@@ -210,9 +220,8 @@ class Spectrum(NamedTuple):
 
 def spectrum(h, vectors: bool = True) -> Spectrum:
     """Validate h (``hermitian``) and decompose each block: ``eigh``, or
-    ``eigvalsh`` alone when ``vectors`` is false.  A dense matrix is
-    decomposed complex (``BlockOp.of``); the blocks of a ``BlockOp`` keep
-    their dtype, so real blocks are decomposed real."""
+    ``eigvalsh`` alone when ``vectors`` is false.  Each block keeps its
+    dtype, so real blocks are decomposed real."""
     op = BlockOp.of(h)
     op = BlockOp(_hermitian_blocks(op), op.qubits)
     if vectors:
@@ -233,11 +242,6 @@ def trace_distance(a, b) -> float:
 
 def positive_part(h):
     return spectrum(h).apply(lambda w: np.maximum(w, 0.0))
-
-
-def negative_part(h):
-    """Negative part, so that h = positive_part(h) - negative_part(h)."""
-    return spectrum(h).apply(lambda w: np.maximum(-w, 0.0))
 
 
 def support_projector(h):
@@ -285,7 +289,7 @@ def ptrace(m, dims: tuple[int, int], axis: int) -> Array:
         raise ValueError("axis must be 0 or 1")
     d1, d2 = dims
     spec = "iaib->ab" if axis == 0 else "aibi->ab"
-    return np.einsum(spec, np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2))
+    return np.einsum(spec, np.asarray(m).reshape(d1, d2, d1, d2))
 
 
 # --- Schur-Weyl quotient of qubit tensor powers -------------------------------
@@ -319,4 +323,4 @@ def schur_weyl_power(a, n: int) -> BlockOp:
     if a.shape != (2, 2):
         raise ValueError(f"Schur-Weyl form needs a qubit operator, got {a.shape}")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return BlockOp([det ** k * _sym_power(a, n - 2 * k) for k in range(n // 2 + 1)], n)
+    return BlockOp([matrix(det ** k * _sym_power(a, n - 2 * k)) for k in range(n // 2 + 1)], n)

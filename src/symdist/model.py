@@ -15,6 +15,7 @@ which doubles every block and halves the data so optimal values match;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +27,10 @@ from .exceptions import SolverError
 Array = np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
 def hermitian_basis(d: int, include_imag: bool = True) -> Array:
-    """Orthonormal basis of d x d Hermitian matrices, deterministic order.
+    """Orthonormal basis of d x d Hermitian matrices, deterministic order,
+    as a read-only stack cached per (d, include_imag).
 
     With ``include_imag=False`` only the real symmetric part is returned;
     real-data programs stay real that way (their optimum is attained on
@@ -49,7 +52,9 @@ def hermitian_basis(d: int, include_imag: bool = True) -> Array:
                 m[i, j] = -1j / np.sqrt(2)
                 m[j, i] = 1j / np.sqrt(2)
                 mats.append(m)
-    return np.stack(mats)
+    out = np.stack(mats)
+    out.flags.writeable = False
+    return out
 
 
 def _embed(h: Array) -> Array:

@@ -210,8 +210,8 @@ class _Workspace:
         self.n_tot = sum(self.dims)
         with np.errstate(over="ignore"):
             self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-            self.norm_c = max(1.0, max(float(np.linalg.norm(c, axis=(1, 2)).max())
-                                       for c in self.C))
+            # the whole objective's norm, the same however it is split into blocks
+            self.norm_c = max(1.0, float(np.linalg.norm([np.linalg.norm(c) for c in self.C])))
         if not (np.isfinite(self.norm_b) and np.isfinite(self.norm_c)):
             raise SolverError("problem data norm overflows")
 

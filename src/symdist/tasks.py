@@ -11,10 +11,11 @@ its dual are cross-check oracles in ``tests/oracles.py``.
 
 Exact tasks run block by block on the quotient box of a qubit tensor
 power (``tensor_box``), witnesses included, and so do the programs: each
-matrix variable is one block per block of the quotient (``_blocks``; a
-dense box is one block), and a conversion's Choi variable one block per
-pair of input and output blocks, at most 10 x 10 from b^(x)9 into c^(x)9
-where the quotient-sized variable is 900 x 900.  Witnesses act on the
+matrix variable is one block per block of the quotient
+(``_program_blocks``; a dense box is one block), and a conversion's Choi
+variable, and its witness, one block per pair of input and output blocks,
+at most 10 x 10 from b^(x)9 into c^(x)9 where the quotient-sized variable
+is 900 x 900.  Witnesses act on the
 quotient: Lambda on it acts on (C^2)^(x)n as Lambda o E, E the
 pinch-and-trace map of ``linalg`` (built in ``tests/oracles.py``).  A qubit
 box or qubit tensor power enters the programs in its real frame
@@ -108,15 +109,6 @@ def cost_exact(b: QuantumBox, regime: str) -> TaskResult:
 
 # --- minimum conversion error ---------------------------------------------------
 
-def _normalized_chois(chois: list[Array], d_in: int, d_out: int) -> list[Array]:
-    """Rescale branch Chois so their sum is exactly trace preserving."""
-    chois = [linalg.positive_part(c) for c in chois]
-    total = linalg.ptrace(sum(chois), (d_in, d_out), axis=1)
-    g = linalg.pseudo_inverse_sqrt(total)
-    corr = np.kron(g, np.eye(d_out))
-    return [corr @ c @ corr.conj().T for c in chois]
-
-
 def _exact_cptpA_conversion(source: QuantumBox,
                             target: QuantumBox) -> MeasurePrepare | None:
     """Exact prior-preserving channel source -> target, or None."""
@@ -133,39 +125,19 @@ def _exact_cptpA_conversion(source: QuantumBox,
     return measure_prepare([proj, eye - proj], [target.rho0, target.rho1])
 
 
-def _real_if_exact(a: Array) -> Array:
-    """a as a real array when every imaginary part is exactly zero."""
-    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
-
-
-def _blocks(b: QuantumBox) -> list[tuple[Array, Array]]:
-    """The weighted pair block by block, as dense (w0_k, w1_k) for a
-    program's data, real where they are (a box in its real frame); a dense
-    box is a single block."""
-    w0, w1 = linalg.BlockOp.of(*b.weighted())
-    return [(_real_if_exact(x), _real_if_exact(y)) for x, y in zip(w0.blocks, w1.blocks)]
-
-
-def _eigen_blocks(b: QuantumBox) -> tuple[list[tuple[Array, Array]], Array]:
-    """``_blocks(b)`` with block k turned to the eigenbasis R_k of
-    w0_k + w1_k, and R = (+)_k R_k, which turns them back: b is R b' R^dag.
-    R and the turned blocks are real where the blocks are."""
-    blocks = _blocks(b)
-    layout = linalg.BlockOp.of(b.rho0)
-    sums = linalg.BlockOp([w0 + w1 for w0, w1 in blocks], layout.qubits)
-    rs = [v for _, v in linalg.spectrum(sums).eigs]
-    turned = [tuple(_real_if_exact(linalg.hermitian(r.conj().T @ w @ r)) for w in pair)
-              for r, pair in zip(rs, blocks)]
-    return turned, np.asarray(layout.like(rs))
-
-
-def _frame_unitary(u: Array | None, b: QuantumBox) -> Array:
-    """``real_frame``'s unitary on the states of b: pi(U) on the quotient of
-    a qubit tensor power, the identity where b was left as it was."""
+def _program_blocks(b: QuantumBox) -> tuple[list[tuple[Array, Array]], list[Array]]:
+    """b in its real frame (``real_frame``: b = U b' U^dag) as a program's
+    data: the weighted pair block by block, (w0_k, w1_k), real where the
+    framed box is, and pi_k(U) for each block (``linalg.schur_weyl_power``
+    on a quotient, U on a qubit box and the identity for a box that
+    ``real_frame`` leaves as it is).  A dense box is a single block."""
+    framed, u = real_frame(b)
+    w0, w1 = linalg.BlockOp.of(*framed.weighted())
     if u is None:
-        return np.eye(b.rho0.shape[0])
-    n = b.qubit_power[2] if b.qubit_power else 1
-    return np.asarray(linalg.schur_weyl_power(u, n))
+        pis = [np.eye(len(x)) for x in w0.blocks]
+    else:
+        pis = list(linalg.schur_weyl_power(u, b.qubit_power[2] if b.qubit_power else 1).blocks)
+    return list(zip(w0.blocks, w1.blocks)), pis
 
 
 def _free_map_outputs(m: Model, blocks: list[tuple[Array, Array]], d_out: list[int],
@@ -190,16 +162,16 @@ def _free_map_outputs(m: Model, blocks: list[tuple[Array, Array]], d_out: list[i
     return tau[0], tau[1], tp, om
 
 
-def _block_choi(parts: dict, d_in: list[int], d_out: list[int]) -> Array:
-    """The Choi matrix on in (x) out that is parts[k, l] on input block k
-    (x) output block l and zero off those blocks."""
+def _block_choi(parts: dict, d_in: list[int], d_out: list[int]) -> CpMap:
+    """The map whose Choi matrix on in (x) out is parts[k, l] on input block
+    k (x) output block l and zero off those blocks."""
     at_in, at_out = np.cumsum([0, *d_in]), np.cumsum([0, *d_out])
     out = np.zeros((at_in[-1], at_out[-1]) * 2,
                    dtype=np.result_type(*parts.values()))
     for (k, l), om in parts.items():
         i, o = slice(at_in[k], at_in[k + 1]), slice(at_out[l], at_out[l + 1])
         out[i, o, i, o] = om.reshape(d_in[k], d_out[l], d_in[k], d_out[l])
-    return out.reshape(at_in[-1] * at_out[-1], -1)
+    return CpMap(out.reshape(at_in[-1] * at_out[-1], -1), sum(d_in), sum(d_out))
 
 
 def min_conversion_error(source: QuantumBox, target: QuantumBox,
@@ -233,18 +205,15 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     is one row per input block, sum_l Tr_out Omega_kl = I, and B_i, C_i
     split per output block.  A dense box is one block.
 
-    Both sides enter in their real frame (``real_frame``: source
-    b = U b' U^dag, target c = V c' V^dag, with pi(U) and pi(V) on a
-    quotient and the identity for a box left as it was); ``Model.compile``
-    solves the program real when both framed sides are real.  Each block
-    is then turned to the eigenbasis of its w0_k + w1_k (``_eigen_blocks``),
-    one more free unitary, real where the block is: the first block of
-    c^(x)9 spans 13 decades, and in the computational basis its smallest
-    directions mix into every image row, so that the Schur complement is
-    singular to working precision and the solve stalls above 1e-8.  U and
-    V below include these turns.  The blocks Omega_kl of each branch fill
-    its quotient-sized Choi matrix, and each normalised Choi is mapped back
-    as J = (conj(U) (x) V) J' (U^T (x) V^dag), so the witness acts on b."""
+    Both sides enter in their real frame (``_program_blocks``: source
+    b = U b' U^dag, target c = V c' V^dag, block k of a side framed by
+    pi_k(U), the identity for a box left as it was); ``Model.compile``
+    solves the program real when both framed sides are real.  The witness
+    is built one block pair at a time.  Each branch's Omega_kl is made PSD,
+    P_kl; input block k is normalised by g_k = (sum_{j,l} Tr_out P_kl)^(-1/2)
+    over the branches j, so the branches sum to a trace-preserving map; and
+    F_kl P_kl F_kl^dag, F_kl = conj(pi_k(U)) g_k (x) pi_l(V), is block
+    (k, l) of the branch's Choi matrix, which maps b, not b'."""
     _check_regime(regime)
     pe_target = p_err(target)
     if pe_target <= TOLS.infinite_perr:
@@ -265,8 +234,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
         if witness is not None:
             return TaskResult(0.0, witness, {})
 
-    (src, u), (tgt, v) = real_frame(source), real_frame(target)
-    (blocks, r_src), (sigmas, r_tgt) = _eigen_blocks(src), _eigen_blocks(tgt)
+    (blocks, us), (sigmas, vs) = _program_blocks(source), _program_blocks(target)
     d_in, d_out = [len(w0) for w0, _ in blocks], [len(s0) for s0, _ in sigmas]
     m = Model()
     tau0, tau1, tp, om = _free_map_outputs(m, blocks, d_out, regime)
@@ -282,12 +250,15 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     m.minimize(sum(cost))
     res = model.require_optimal(m.solve(), "conversion-error program")
 
-    chois = [_block_choi({kl: res.primal[x.name] for kl, x in branch.items()},
-                         d_in, d_out) for branch in om]
-    frame = np.kron((_frame_unitary(u, source) @ r_src).conj(),
-                    _frame_unitary(v, target) @ r_tgt)
-    maps = [CpMap(frame @ c @ frame.conj().T, sum(d_in), sum(d_out)) for c in
-            _normalized_chois(chois, sum(d_in), sum(d_out))]
+    parts = [{kl: linalg.positive_part(res.primal[x.name]) for kl, x in branch.items()}
+             for branch in om]
+    gs = [linalg.pseudo_inverse_sqrt(sum(linalg.ptrace(part[k, l], (d_k, d_l), axis=1)
+                                         for part in parts for l, d_l in enumerate(d_out)))
+          for k, d_k in enumerate(d_in)]
+    frames = {(k, l): np.kron(u_k.conj() @ g_k, v_l)
+              for k, (u_k, g_k) in enumerate(zip(us, gs)) for l, v_l in enumerate(vs)}
+    maps = [_block_choi({kl: f @ part[kl] @ f.conj().T for kl, f in frames.items()},
+                        d_in, d_out) for part in parts]
     witness = CdsMap(*maps) if regime == CDS else maps[0]
     s_star = 1.0 / (2.0 * pe_target)
     return TaskResult(max(s_star * res.value, 0.0), witness,
@@ -329,7 +300,7 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     minimum is the (signed) infeasibility; this keeps a strict interior on
     both sides of the feasibility boundary, including at eps = 0 where the
     error-ball constraints would otherwise pin variables to zero.  Every
-    matrix variable is block diagonal, one per block of ``_blocks(b)``
+    matrix variable is block diagonal, one per block of ``_program_blocks(b)``
     (the block-phase argument of ``min_conversion_error``, on the states
     only), and only the trace rows couple blocks.  The branch operators
     r0, r1 enter with weights (1, 1) under CDS, where their traces sum to
@@ -337,7 +308,7 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     of block k are divided by 2M - 1 = 1/t, so their coefficients stay
     O(1), and t enters them only as the coefficient of r0 and of r1 of
     that block: the data are affine in t (``_phase1_family``)."""
-    blocks = _blocks(b)
+    blocks, _ = _program_blocks(b)
     a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
     m = Model()
     lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
@@ -426,7 +397,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     step that lands on the root closes the bracket with one more solve.
     Feasibility is decided by the sign of each solve's lambda alone, never
     by a slope.  The phase-I program, built from the box in its real frame
-    (``real_frame``), which has the same cost, is affine in t: it is
+    (``_program_blocks``), which has the same cost, is affine in t: it is
     compiled at t = 0 and t = 1 (``_phase1_family``), and each step solves
     P0 + t D.  No witness is returned, so no frame is mapped back; the
     bracket end comes from b itself.  Diagnostics count the solves and, by
@@ -441,7 +412,7 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
     stats = {"solves": 0, "ill_conditioned": 0}
-    family = _phase1_family(real_frame(b)[0], eps, regime)
+    family = _phase1_family(b, eps, regime)
     hi, (f_hi, _) = 1.0, _phase1_shift(family, 1.0, stats)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
         return TaskResult(0.0, None, {"M": 1.0, **stats})

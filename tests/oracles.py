@@ -33,13 +33,18 @@ textbook programs is written as a bound minus a PSD block; the docstrings
 say why the bound loses nothing.  Each reads a quotient's block-diagonal
 matrix (``dense_weighted``), sized by the states' shapes.
 
+``dense_witness_chois`` builds the conversion witness at the quotient
+size from a solve's blocks Omega_kl, the reference for the block pair by
+block pair witness of ``tasks.min_conversion_error``.
+
 ``nt_second_order`` is the oracle for the solver's Mehrotra term: it
 takes the symmetric square root of the NT scaling point in place of the
 solver's Cholesky-based factor and solves the Lyapunov equation densely.
 
-Test-only constructions close the module: the pretty good measurement
-``pgm`` (dense states), the seeded random channels ``random_cptp`` and
-``random_cds``, and the constructive smoothing ``smooth_thompson_witness``.
+Test-only constructions close the module: the negative part
+``negative_part``, the pretty good measurement ``pgm`` (dense states), the
+seeded random channels ``random_cptp`` and ``random_cds``, and the
+constructive smoothing ``smooth_thompson_witness``.
 """
 
 import functools
@@ -399,6 +404,35 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
 
 
+def _inclusions(dims: list[int]) -> list[np.ndarray]:
+    """The isometries J_k (columns of the identity) of blocks of these
+    sizes into their direct sum."""
+    eye, at = np.eye(sum(dims)), np.cumsum([0, *dims])
+    return [eye[:, at[k]:at[k + 1]] for k in range(len(dims))]
+
+
+def dense_witness_chois(parts: list[dict], d_in: list[int], d_out: list[int],
+                        us: list, vs: list) -> list[np.ndarray]:
+    """The conversion witness's Choi matrices, one per branch, built at the
+    quotient size from the branches' blocks parts[j][k, l] = Omega_kl: each
+    branch's Choi matrix J_j = sum_kl (J_k (x) J_l) Omega_kl (J_k (x) J_l)^T
+    is replaced by its positive part, rescaled by (g (x) I) ... (g (x) I),
+    g = (Tr_out sum_j J_j)^(-1/2), so the branches sum to a trace-preserving
+    map, and mapped back as (conj(U) (x) V) J (U^T (x) V^dag), with
+    U = (+)_k us[k] and V = (+)_l vs[l]."""
+    ins, outs = _inclusions(d_in), _inclusions(d_out)
+    chois = [linalg.positive_part(sum(
+        np.kron(ins[k], outs[l]) @ om @ np.kron(ins[k], outs[l]).T
+        for (k, l), om in part.items())) for part in parts]
+    dims = (sum(d_in), sum(d_out))
+    corr = np.kron(linalg.pseudo_inverse_sqrt(linalg.ptrace(sum(chois), dims, axis=1)),
+                   np.eye(dims[1]))
+    u = sum(j @ x @ j.T for j, x in zip(ins, us))
+    v = sum(j @ x @ j.T for j, x in zip(outs, vs))
+    frame = np.kron(u.conj(), v) @ corr
+    return [frame @ c @ frame.conj().T for c in chois]
+
+
 def nt_second_order(x, s, dx, ds) -> np.ndarray:
     """Mehrotra's second-order term G Z G^T of the NT direction for one
     real block, from the closed-form scaling point
@@ -423,6 +457,11 @@ def nt_second_order(x, s, dx, ds) -> np.ndarray:
 
 
 # --- test-only constructions -----------------------------------------------
+
+def negative_part(h):
+    """Negative part, so that h = positive_part(h) - negative_part(h)."""
+    return linalg.spectrum(h).apply(lambda w: np.maximum(-w, 0.0))
+
 
 def pgm(rho0, rho1) -> np.ndarray:
     """Pretty good measurement effect for rho1: (r0+r1)^(-1/2) r1 (r0+r1)^(-1/2);

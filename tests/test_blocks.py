@@ -8,15 +8,16 @@ import pytest
 
 from symdist import cli, sdp
 from symdist import divergences as dv
-from symdist import linalg, tasks
+from symdist import linalg, model, tasks
 from symdist.boxes import (QuantumBox, box_from_json, box_to_json, golden_box,
-                           random_box, tensor_box)
+                           random_box, real_frame, tensor_box)
 from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.exceptions import DimensionMismatchError
 from symdist.tasks import CDS, CPTPA
 
 from conftest import dense_box
-from oracles import apply_kraus, lift, one_block, p_err_sdp, schur_channels
+from oracles import (apply_kraus, dense_witness_chois, lift, one_block, p_err_sdp,
+                     schur_channels)
 
 TOL = 1e-10
 
@@ -365,8 +366,9 @@ def test_block_conversion_matches_one_block(source, target, regime):
 def test_conversion_into_nine_copies_solves(regime):
     """b -> c^(x)9 solves, and its witness, with R on the output, reaches
     the value against the Kronecker power within 1e-5 either way.  Its
-    target's first block spans 13 decades; in the computational basis of
-    the blocks the program ended max_iterations under cds."""
+    target's first block spans 13 decades.  Before the solver's Mehrotra
+    corrector, the program in the computational basis of the blocks ended
+    max_iterations under cds; it now solves in that basis."""
     src, tgt = _named("b"), _named("c9")
     res = tasks.min_conversion_error(src, tgt, regime)
     out = _apply(res.witness, src)
@@ -419,3 +421,61 @@ def test_nine_to_nine_conversion_compiles_to_blocks(monkeypatch):
     (problem,) = problems
     assert max(problem.blocks) <= 100 and 900 not in problem.blocks
     assert (len(problem.blocks), len(problem.constraints)) == (70, 375)
+
+
+def test_real_data_stay_real_from_the_source():
+    """Data whose imaginary parts are all exactly zero are stored real where
+    they enter, so the programs read real blocks; complex data stay
+    complex."""
+    assert linalg.BlockOp.of(np.diag([0.25, 0.75]).astype(complex)).blocks[0].dtype == float
+    b = random_box(2, np.random.default_rng(7))
+    framed = tensor_box(real_frame(b)[0], 3)
+    assert all(x.dtype == float for r in (framed.rho0, framed.rho1) for x in r.blocks)
+    back = box_from_json(box_to_json(random_box(2, np.random.default_rng(14), real=True)))
+    assert back.rho0.dtype == float and back.rho1.dtype == float
+    for box in (b, *(tensor_box(b, n) for n in (1, 4, 9))):
+        blocks, _ = tasks._program_blocks(box)
+        assert all(x.dtype == float for pair in blocks for x in pair)
+    blocks, pis = tasks._program_blocks(random_box(3, np.random.default_rng(5)))
+    assert [x.dtype for x in blocks[0]] == [complex, complex]
+    assert len(pis) == 1 and np.array_equal(pis[0], np.eye(3))
+
+
+@pytest.mark.parametrize("source, target", [
+    *((f"b{n}", f"c{m}") for n in (1, 2, 3) for m in (1, 2, 3)), ("d3", "c")])
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_block_witness_matches_the_dense_witness(monkeypatch, source, target, regime):
+    """The witness built one block pair at a time has the Choi matrices of
+    the witness built at the quotient size (``dense_witness_chois``) from
+    the same solve's blocks Omega_kl, with each side's frame pi_k(U); "d3"
+    is a complex qutrit box, which keeps the program complex and is left
+    unframed."""
+    solves = []
+    require = model.require_optimal
+    monkeypatch.setattr(model, "require_optimal",
+                        lambda res, what: solves.append(res) or require(res, what))
+    src = random_box(3, np.random.default_rng(5)) if source == "d3" else _named(source)
+    tgt = _named(target)
+    witness = tasks.min_conversion_error(src, tgt, regime).witness
+    (blocks, us), (sigmas, vs) = tasks._program_blocks(src), tasks._program_blocks(tgt)
+    d_in, d_out = [len(w0) for w0, _ in blocks], [len(s0) for s0, _ in sigmas]
+    (res,) = solves
+    parts = [{(k, l): res.primal[f"om{j}_{k}_{l}"]
+              for k in range(len(d_in)) for l in range(len(d_out))}
+             for j in ((0, 1) if regime == CDS else (0,))]
+    maps = (witness.e0, witness.e1) if regime == CDS else (witness,)
+    for got, want in zip(maps, dense_witness_chois(parts, d_in, d_out, us, vs),
+                         strict=True):
+        assert np.abs(got.choi - want).max() <= 1e-10
+
+
+def test_conversion_witness_decomposes_block_pairs_only(decompositions):
+    """b^(x)5 -> c^(x)5 (quotient size 12, blocks 6, 4, 2 on each side)
+    makes no eigh larger than the largest block pair, 6 x 6 = 36: the
+    witness is made PSD and normalised one block pair at a time.  Only the
+    validating eigvalsh of each branch's CpMap sees its 144 x 144 Choi
+    matrix."""
+    tasks.min_conversion_error(_named("b5"), _named("c5"), CDS)
+    assert max(size for name, size in decompositions if name == "eigh") <= 36
+    assert {key: n for key, n in decompositions.items() if key[1] > 36} == \
+        {("eigvalsh", 144): 2}

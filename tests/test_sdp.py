@@ -229,6 +229,8 @@ def test_hermitian_basis_orthonormal():
     assert np.allclose(gram, np.eye(9), atol=1e-12)
     real_basis = hermitian_basis(3, include_imag=False)
     assert real_basis.shape[0] == 6
+    # built once per (d, include_imag) and shared by every constraint
+    assert hermitian_basis(3) is basis and not basis.flags.writeable
 
 
 def test_model_with_kron_terms():
@@ -300,6 +302,18 @@ def test_interleaved_block_sizes_keep_caller_order():
     assert res_p.value == pytest.approx(res.value, abs=1e-9)
     for pos, j in enumerate(perm):
         assert np.allclose(res_p.x_blocks[pos], res.x_blocks[j], atol=1e-6)
+
+
+def test_objective_norm_does_not_depend_on_the_block_split():
+    """The start point and the scale of the dual residual read the whole
+    objective's Frobenius norm, so a program and the same program with a
+    block-diagonal variable split into its blocks start alike and are held
+    to the same dual tolerance."""
+    c1, c2 = np.diag([3.0, 1.0]), np.array([[2.0]])
+    split = sdp.SdpProblem([2, 1], [c1, c2], [([np.eye(2), np.eye(1)], 1.0)])
+    merged = sdp.SdpProblem([3], [np.diag([3.0, 1.0, 2.0])], [([np.eye(3)], 1.0)])
+    assert sdp._Workspace(split).norm_c == pytest.approx(np.sqrt(14.0), rel=1e-15)
+    assert sdp._Workspace(merged).norm_c == pytest.approx(np.sqrt(14.0), rel=1e-15)
 
 
 def _step_by_eigh(x, dx):
