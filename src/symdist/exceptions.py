@@ -37,9 +37,5 @@ class InfiniteResourceError(SymdistError):
     """Box has zero discrimination error; use the exact infinite-resource map."""
 
 
-class NotMajorizedError(SymdistError):
-    """Requested golden-unit prior is not majorized by the source prior."""
-
-
 class SolverError(SymdistError):
     """Semi-definite solve failed or returned an unusable status."""

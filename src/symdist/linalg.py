@@ -266,15 +266,15 @@ def pseudo_inverse_sqrt(h):
 
 
 def tensor(a, b) -> Array:
-    """Dense Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Dense Kronecker product, real when both factors are (``matrix``)."""
+    return np.kron(matrix(a), matrix(b))
 
 
 def tensor_power(a: Array, n: int) -> Array:
-    """Dense n-fold Kronecker power."""
+    """Dense n-fold Kronecker power, real when a is (``matrix``)."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
-    out = np.asarray(a, dtype=complex)
+    a = out = matrix(a)
     for _ in range(n - 1):
         out = np.kron(out, a)
     return out

@@ -188,21 +188,6 @@ def ptrace_out(choi_var: Var, dims: tuple[int, int]) -> Expr:
 
 # --- model ------------------------------------------------------------------
 
-@dataclass
-class ModelSolution:
-    """A solve's result; ``dual`` and ``blocks`` are the solver's y and
-    primal blocks in compiled space (embedded for a complex program), None
-    with ``primal`` empty when the solver's point is not finite."""
-    status: sdp.SdpStatus
-    value: float
-    primal: dict[str, Array]
-    gap: float
-    iterations: int
-    diagnostics: dict
-    dual: Array | None = None
-    blocks: list[Array] | None = None
-
-
 class Model:
     def __init__(self):
         self._psd: list[Var] = []
@@ -301,25 +286,24 @@ class Model:
         return problem, float(np.real(self._obj._const()[0, 0]))
 
     def solve(self, options: sdp.SolverOptions | None = None,
-              compiled: tuple[sdp.SdpProblem, float] | None = None) -> ModelSolution:
+              compiled: tuple[sdp.SdpProblem, float] | None = None) -> sdp.SdpSolution:
         """Solve the program; ``compiled`` is a compiled form with this
         model's blocks (as :meth:`compile` returns), compiled here if
-        omitted."""
+        omitted.  Returns the solver's record with ``value`` in this model's
+        sense, its objective constant added, and ``primal`` filled: the
+        blocks by variable name, Hermitian for a complex program.
+        ``x_blocks`` and ``y`` stay in compiled space, embedded for a
+        complex program."""
         problem, obj_const = compiled if compiled is not None else self.compile()
         sol = sdp.solve(problem, options)
-        value = self._sense * sol.value + obj_const if np.isfinite(sol.value) \
-            else self._sense * sol.value
-        primal: dict[str, Array] = {}
-        dual = blocks = None
-        if np.all(np.isfinite(sol.y)) and sol.x_blocks:
-            dual, blocks = sol.y, sol.x_blocks
-            for x, v in zip(blocks, self._psd):
-                primal[v.name] = _unembed(x, v.dim) if self._with_imag else x
-        return ModelSolution(sol.status, value, primal, sol.gap,
-                             sol.iterations, sol.residuals, dual, blocks)
+        sol.value = self._sense * sol.value + obj_const
+        if np.all(np.isfinite(sol.y)):
+            sol.primal = {v.name: _unembed(x, v.dim) if self._with_imag else x
+                          for x, v in zip(sol.x_blocks, self._psd)}
+        return sol
 
 
-def require_optimal(res: ModelSolution, what: str) -> ModelSolution:
+def require_optimal(res: sdp.SdpSolution, what: str) -> sdp.SdpSolution:
     if res.status is not sdp.SdpStatus.OPTIMAL:
         raise SolverError(f"{what}: solver returned {res.status.value} "
                           f"(gap={res.gap:.2e}, iters={res.iterations})")

@@ -38,10 +38,12 @@ not vary is computed once before them.
 Each Newton direction takes one solve with M.  The corrector and the
 recentering direction are then made primal-consistent: the miss
 e = A(dX) - b dtau + eta p_res of the linearised primal rows is removed by
-one more solve M delta = -e, kept only if it shrinks e.  A solve ends
-``ill_conditioned`` when rounding stalls it: its residuals, which every
-exact step shrinks, have not reached a new low in ``_STALL_ITERATIONS``
-iterations.
+one more solve M delta = -e, kept only if it shrinks e.  A Newton solve
+that fails or gives a non-finite direction ends the solve
+``ill_conditioned``, with no retry.  A solve also ends ``ill_conditioned``
+when rounding stalls it: its residuals, which every exact step shrinks,
+have not reached a new low in ``_STALL_ITERATIONS`` iterations.  Either
+way, and at ``_MAX_ITERATIONS``, the returned point is the best iterate.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ class SdpStatus(Enum):
 
 @dataclass
 class SolverOptions:
-    max_iterations: int = 200
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
 
 
+_MAX_ITERATIONS = 200
 _STEP_FRACTION = 0.98    # fraction-to-boundary
 # In exact arithmetic every step shrinks the embedding's residuals
 # A(X) - b tau and A*(y) + S - C tau by the same factor, infeasible
@@ -94,6 +96,13 @@ class SdpProblem:
 
 @dataclass(eq=False)
 class SdpSolution:
+    """The record of one solve.  ``x_blocks`` and ``y`` are the solver's
+    point, in block order; ``residuals`` holds the final relative residuals
+    and objectives, or an infeasibility certificate.  :meth:`Model.solve
+    <symdist.model.Model.solve>` shifts ``value`` to the model's objective
+    and fills ``primal``, the blocks by variable name, mapped back from the
+    embedding of a complex program; it stays empty when ``y`` is not
+    finite."""
     status: SdpStatus
     value: float
     x_blocks: list[Array]
@@ -101,6 +110,7 @@ class SdpSolution:
     gap: float
     iterations: int
     residuals: dict = field(default_factory=dict)
+    primal: dict[str, Array] = field(default_factory=dict)
 
 
 def _sym(a: Array) -> Array:
@@ -255,7 +265,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
 
     status = SdpStatus.MAX_ITERATIONS
     it = 0
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         p_res = ws.apply_a(X) - ws.b * tau
         aty = ws.apply_at(y)
         d_res = [a + s - c * tau for a, s, c in zip(aty, S, ws.C)]
@@ -339,15 +349,9 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 rhs = np.column_stack([r1, h_plus_b])
                 if not np.all(np.isfinite(rhs)):
                     raise np.linalg.LinAlgError("non-finite Newton system")
-                try:
-                    sols = np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    sols = np.full_like(rhs, np.nan)
+                sols = np.linalg.solve(M, rhs)
                 if not np.all(np.isfinite(sols)):
-                    ridge = 1e-12 * (1 + abs(np.trace(M)) / m)
-                    sols = np.linalg.solve(M + ridge * np.eye(m), rhs)
-                    if not np.all(np.isfinite(sols)):
-                        raise np.linalg.LinAlgError("singular Newton system")
+                    raise np.linalg.LinAlgError("singular Newton system")
                 g, q = sols[:, 0], sols[:, 1]
                 denom = float(b_minus_h @ q) + c0 + kappa / tau
                 numer = r3 - float(b_minus_h @ g)
@@ -364,15 +368,11 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 # precision and dX misses A(dX) - b dtau = -eta_f p_res.
                 # With that miss e, M delta = -e moves (dy, dS, dX) along
                 # (delta, -A*(delta), W A*(delta) W), which keeps the dual
-                # and complementarity rows; kept only if the miss falls.
+                # and complementarity rows; kept only if the miss falls,
+                # which a non-finite delta never makes it do.
                 dX, dS, dy, dtau, dkappa = step
                 e = ws.apply_a(dX) - ws.b * dtau + eta_f * p_res
-                try:
-                    delta = np.linalg.solve(M, -e)
-                except np.linalg.LinAlgError:
-                    return step
-                if not np.all(np.isfinite(delta)):
-                    return step
+                delta = np.linalg.solve(M, -e)
                 atd = ws.apply_at(delta)
                 dX2 = [dx + _sym(w @ a @ w) for dx, w, a in zip(dX, W, atd)]
                 e2 = ws.apply_a(dX2) - ws.b * dtau + eta_f * p_res

@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tasks
-from .boxes import QuantumBox
+from .boxes import KET0, KET1, PAULI_X, QuantumBox
 from .channels import gad_channel
 from .divergences import sd, xi_max, xi_max_star, xi_min
 from .exceptions import SymdistError
 
-KET0D = np.diag([1.0, 0.0]).astype(complex)
-KET1D = np.diag([0.0, 1.0]).astype(complex)
 
 FAMILIES = ("gad-gamma", "gad-phi", "conversion-phi")
 # each quantity's value at a grid point, from the spec and the point's
@@ -127,7 +125,7 @@ def _serialize(v: float) -> str:
 
 
 def _rotated(state: np.ndarray, phi: float) -> np.ndarray:
-    u = math.cos(phi) * np.eye(2) + 1j * math.sin(phi) * np.array([[0, 1], [1, 0]])
+    u = math.cos(phi) * np.eye(2) + 1j * math.sin(phi) * PAULI_X
     return u @ state @ u.conj().T
 
 
@@ -135,14 +133,14 @@ def _boxes_at(spec: SweepSpec, x: float):
     """Source box (and target box for conversion families) at grid point x."""
     if spec.family == "gad-gamma":
         ch = gad_channel(x, spec.N)
-        return QuantumBox(spec.q, ch(KET0D), ch(KET1D)), None
+        return QuantumBox(spec.q, ch(KET0), ch(KET1)), None
     if spec.family == "gad-phi":
         ch = gad_channel(spec.gamma, spec.N)
-        return QuantumBox(spec.q, ch(KET0D), _rotated(ch(KET1D), x)), None
+        return QuantumBox(spec.q, ch(KET0), _rotated(ch(KET1), x)), None
     ch1 = gad_channel(spec.gamma1, spec.N1)
     ch2 = gad_channel(spec.gamma2, spec.N2)
-    source = QuantumBox(spec.q, ch1(KET0D), ch1(KET1D))
-    target = QuantumBox(spec.q_target, ch2(KET0D), _rotated(ch2(KET1D), x))
+    source = QuantumBox(spec.q, ch1(KET0), ch1(KET1))
+    target = QuantumBox(spec.q_target, ch2(KET0), _rotated(ch2(KET1), x))
     return source, target
 
 

@@ -370,13 +370,13 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
         # sign test near the root needs lambda to about slope * xtol
         # (about 3e-10 on the dilution reproducer), which is why
         # _PHASE1_OPTIONS is tighter than the default
-        diag = res.diagnostics
+        diag = res.residuals
         if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
     with np.errstate(over="ignore", invalid="ignore"):   # block by block, in order
-        slope = math.nan if res.dual is None else -sum(
-            float(res.dual[rows] @ np.tensordot(stack, res.blocks[j], axes=2))
+        slope = math.nan if not res.primal else -sum(
+            float(res.y[rows] @ np.tensordot(stack, res.x_blocks[j], axes=2))
             for j, rows, stack in deltas)
     return res.value - 1.0, slope
 

@@ -79,6 +79,21 @@ def test_tensor_box_shapes_and_values(rng):
     assert np.allclose(t5.rho0, combined, atol=1e-12)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_tensor_box_dense_path_keeps_the_kind(real):
+    """A box of dimension 3 takes the dense Kronecker path: its powers are
+    np.kron of its states (up to the box's own normalisation), built real
+    from real states and complex from complex ones."""
+    b = random_box(3, np.random.default_rng(5), real=real)
+    t = tensor_box(b, 2)
+    assert t.qubit_power is None and t.dim == 9
+    kind = float if real else complex
+    for a, power in ((b.rho0, t.rho0), (b.rho1, t.rho1)):
+        assert linalg.tensor_power(a, 2).dtype == kind
+        assert np.asarray(power).dtype == kind
+        assert np.abs(power - np.kron(a, a)).max() <= 1e-15
+
+
 def test_tensor_box_cap():
     b = golden_box(2, 0.5)
     with pytest.raises(DimensionCapError):

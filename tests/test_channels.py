@@ -17,9 +17,8 @@ from symdist.channels import (CdsMap, CpMap, MeasurePrepare, apply_cds,
 from symdist.config import TOLS
 from symdist.divergences import p_err, q_max, q_max_star, q_min
 from symdist.exceptions import (InfiniteResourceError, InvalidChannelError,
-                                MTooSmallError, NotMajorizedError,
-                                NotInfiniteResourceError, NotPsdError,
-                                ParameterRangeError)
+                                MTooSmallError, NotInfiniteResourceError,
+                                NotPsdError, ParameterRangeError, SymdistError)
 
 from conftest import box_distance
 from oracles import pgm, random_cds, random_cptp
@@ -27,6 +26,10 @@ from oracles import pgm, random_cds, random_cptp
 
 def identity_map(d: int) -> CpMap:
     return cp_from_kraus([np.eye(d)])
+
+
+class NotMajorizedError(SymdistError):
+    """Requested golden-unit prior is not majorized by the source prior."""
 
 
 def golden_majorize(M: float, q1: float, q2: float) -> CdsMap:

@@ -8,7 +8,7 @@ from symdist.exceptions import SolverError
 from symdist.boxes import random_box
 from symdist.model import (Model, channel_output, hermitian_basis, inner,
                            ptrace_out, times, trace)
-from symdist.sdp import SdpStatus, SolverOptions
+from symdist.sdp import SdpStatus
 
 from conftest import figure4_boxes, random_hermitian
 from oracles import kron_left, kron_right, nt_second_order
@@ -102,8 +102,8 @@ def test_weak_duality_and_gap_at_solution():
         m.eq(trace(x), 1.0)
         res = m.solve()
         assert res.status is SdpStatus.OPTIMAL
-        pobj = res.diagnostics["primal_objective"]
-        dobj = res.diagnostics["dual_objective"]
+        pobj = res.residuals["primal_objective"]
+        dobj = res.residuals["dual_objective"]
         assert dobj <= pobj + 1e-7
         assert abs(pobj - dobj) <= 1e-7 * (1 + abs(res.value))
         # analytic optimum: the smallest eigenvalue
@@ -525,12 +525,13 @@ def test_each_iteration_factors_once_per_block_size(lapack_calls):
                                      factors + scaling + predictor + final * 2)
 
 
-def test_max_iterations_status():
+def test_max_iterations_status(monkeypatch):
+    monkeypatch.setattr(sdp, "_MAX_ITERATIONS", 2)
     m = Model()
     x = m.psd_var("x", 2)
     m.minimize(trace(x))
     m.eq(trace(x), 1.0)
     prob, _ = m.compile()
-    res = sdp.solve(prob, SolverOptions(max_iterations=2))
+    res = sdp.solve(prob)
     assert res.status in (SdpStatus.MAX_ITERATIONS, SdpStatus.OPTIMAL)
     assert res.iterations <= 2

@@ -289,6 +289,52 @@ def test_conversion_infinite_target_cases(rng):
     assert math.isinf(tasks.min_conversion_error(orth, orth2, CPTPA).value)
 
 
+def _case_table_boxes():
+    rng = np.random.default_rng(4)
+    r0, r1 = random_density(2, rng), random_density(2, rng)
+    plus = np.full((2, 2), 0.5)
+    return {"orth": QuantumBox(0.4, np.diag([1.0, 0]), np.diag([0, 1.0])),
+            "orth'": QuantumBox(0.7, np.diag([0, 1.0]), np.diag([1.0, 0])),
+            "finite": random_box(2, rng, p=0.4),
+            "p=0": QuantumBox(0.0, r0, r1), "p=0'": QuantumBox(0.0, r1, r0),
+            "p=1": QuantumBox(1.0, r0, r1), "p=1'": QuantumBox(1.0, r1, r0),
+            "not nested": QuantumBox(0.4, np.diag([1.0, 0]), plus)}
+
+
+@pytest.mark.parametrize("source, target, regime, value", [
+    ("orth", "orth'", CDS, 0.0),            # infinite source and target
+    ("orth", "finite", CPTPA, 0.0),         # infinite source, same prior
+    ("p=0", "p=0'", CPTPA, 0.0),            # singular target prior
+    ("p=1", "p=1'", CPTPA, 0.0),
+    ("finite", "orth", CPTPA, math.inf),    # same prior, supports overlap
+])
+def test_conversion_exact_cases(no_solver, source, target, regime, value):
+    """The cases of min_conversion_error decided without a program; where
+    the value is 0, the witness maps the source onto the target."""
+    boxes = _case_table_boxes()
+    source, target = boxes[source], boxes[target]
+    res = tasks.min_conversion_error(source, target, regime)
+    assert res.value == value
+    if value == 0.0:
+        assert box_distance(_apply_witness(res.witness, source), target) <= 1e-10
+    else:
+        assert res.witness is None
+
+
+@pytest.mark.parametrize("task, box, value, reason", [
+    (lambda b: tasks.distill_approx(b, 0.1, CPTPA), "p=0", math.inf, "singular prior"),
+    (lambda b: tasks.distill_approx(b, 0.1, CPTPA), "orth", math.inf, "orthogonal supports"),
+    (lambda b: tasks.cost_approx(b, 0.1, CPTPA), "p=1", 0.0, "singular prior"),
+    (lambda b: tasks.cost_exact(b, CPTPA), "not nested", math.inf, None),
+], ids=["distill_approx-singular", "distill_approx-orthogonal",
+        "cost_approx-singular", "cost_exact-not-nested"])
+def test_cptpA_exact_cases(no_solver, task, box, value, reason):
+    """The cases of the CPTP_A tasks decided in closed form, with no solve."""
+    res = task(_case_table_boxes()[box])
+    assert res.value == value and res.witness is None
+    assert res.diagnostics.get("reason") == reason
+
+
 def test_conversion_to_best_golden_is_free(rng):
     b = random_box(2, rng)
     star = tasks.distill_exact(b, CDS).value
@@ -460,6 +506,34 @@ def test_cost_approx_without_a_slope_takes_illinois_steps(monkeypatch, slope):
     illinois = tasks.cost_approx(b, 0.05, CPTPA)
     assert (illinois.diagnostics["solves"], newton.diagnostics["solves"]) == (8, 6)
     assert illinois.value == pytest.approx(newton.value, abs=1e-6)
+
+
+@pytest.mark.parametrize("residuals", [{"rel_primal": 1e-3},
+                                       {"rel_primal": 1e-7, "rel_gap": 1e-7}],
+                         ids=["raises", "accepted"])
+def test_phase1_shift_accepts_a_non_optimal_solve_on_its_residuals(monkeypatch,
+                                                                   residuals):
+    """A phase-I solve that ends ill_conditioned raises SolverError naming
+    its status when a residual is above 1e-6; otherwise it is accepted,
+    counted by status, and gives the shift and slope of its point."""
+    family = tasks._phase1_family(random_box(2, np.random.default_rng(3)), 0.05, CPTPA)
+    want = tasks._phase1_shift(family, 0.5, {"solves": 0})
+    solve = sdp.solve
+
+    def ill_conditioned(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.status = sdp.SdpStatus.ILL_CONDITIONED
+        res.residuals.update(residuals)
+        return res
+
+    monkeypatch.setattr(sdp, "solve", ill_conditioned)
+    stats = {"solves": 0, "ill_conditioned": 0}
+    if residuals["rel_primal"] > 1e-6:
+        with pytest.raises(SolverError, match="ill_conditioned"):
+            tasks._phase1_shift(family, 0.5, stats)
+    else:
+        assert tasks._phase1_shift(family, 0.5, stats) == want
+        assert stats == {"solves": 1, "ill_conditioned": 1}
 
 
 @pytest.mark.parametrize("regime,eps", [(CPTPA, 0.05), (CDS, 0.05), (CPTPA, 0.0)])
