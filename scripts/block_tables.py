@@ -5,13 +5,13 @@ b = random_box(2, default_rng(7)) and c = random_box(2, default_rng(8)),
 with their powers from ``tensor_box`` (Schur-Weyl quotients):
 
 - conversion rows: min_conversion_error(b^(x)n -> c^(x)m) for n, m <= N;
-- cost rows: cost_approx(b^(x)n, eps) for n <= N;
+- cost rows: cost_approx(b^(x)n, 0.05) for n <= N;
 
 each in both regimes.  A row gives the value (or the error raised), the
 number of SDP solves, their statuses and the wall time.  The solver runs
 on one BLAS thread, as the benchmark's does, so values repeat to the bit.
 
-Usage: python scripts/block_tables.py [N] [--eps EPS] > tables.csv
+Usage: python scripts/block_tables.py [N] > tables.csv
 """
 
 import os
@@ -34,6 +34,7 @@ from symdist import sdp, tasks  # noqa: E402
 from symdist.boxes import random_box, tensor_box  # noqa: E402
 from symdist.exceptions import SymdistError  # noqa: E402
 
+EPS = 0.05   # the cost rows' eps
 STATUSES: list[str] = []     # the status of each solve of the current row
 
 
@@ -61,7 +62,6 @@ def _row(writer, task: str, regime: str, n: int, m, call) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("N", nargs="?", type=int, default=3)
-    ap.add_argument("--eps", type=float, default=0.05)
     args = ap.parse_args()
 
     sdp.solve = _recording(sdp.solve)
@@ -80,7 +80,7 @@ def main() -> int:
     for regime in (tasks.CPTPA, tasks.CDS):
         for n, source in bs.items():
             _row(writer, "cost_approx", regime, n, "",
-                 lambda: tasks.cost_approx(source, args.eps, regime))
+                 lambda: tasks.cost_approx(source, EPS, regime))
     return 0
 
 

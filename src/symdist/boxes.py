@@ -12,7 +12,6 @@ b^(x)n for free (``linalg``), so every monotone and task agrees on both.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -181,10 +180,8 @@ def box_to_json(b: QuantumBox) -> str:
         return json.dumps({"p": b.p, "rho0": _matrix_to_json(np.asarray(b.rho0)),
                            "rho1": _matrix_to_json(np.asarray(b.rho1))})
     a0, a1, n = b.qubit_power
-    # complex powers, whose signed imaginary zeros this JSON has always held
-    rho0, rho1 = (functools.reduce(np.kron, [a.astype(complex)] * n) for a in (a0, a1))
-    return json.dumps({"p": b.p, "rho0": _matrix_to_json(rho0),
-                       "rho1": _matrix_to_json(rho1),
+    return json.dumps({"p": b.p, "rho0": _matrix_to_json(linalg.tensor_power(a0, n)),
+                       "rho1": _matrix_to_json(linalg.tensor_power(a1, n)),
                        "tensor_power": {"n": n, "rho0": _matrix_to_json(a0),
                                         "rho1": _matrix_to_json(a1)}})
 

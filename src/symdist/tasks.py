@@ -375,7 +375,7 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
     with np.errstate(over="ignore", invalid="ignore"):   # block by block, in order
-        slope = math.nan if not res.primal else -sum(
+        slope = math.nan if not np.all(np.isfinite(res.y)) else -sum(
             float(res.y[rows] @ np.tensordot(stack, res.x_blocks[j], axes=2))
             for j, rows, stack in deltas)
     return res.value - 1.0, slope
