@@ -76,7 +76,7 @@ class CpMap:
         return np.einsum("ki,kaib->ab", np.asarray(rho, dtype=complex), c)
 
     def tr_out(self) -> Array:
-        return linalg.ptrace(self.choi, (self.d_in, self.d_out), axis=1)
+        return linalg.ptrace(self.choi, (self.d_in, self.d_out))
 
     def is_trace_preserving(self) -> bool:
         return _trace_preserving(self.tr_out(), self.d_in)
@@ -161,13 +161,10 @@ def cp_from_kraus(kraus: list[Array]) -> CpMap:
     return CpMap(kraus_to_choi(ks), ks[0].shape[1], ks[0].shape[0])
 
 
-def measure_prepare(effects: list, states: list,
-                    weight: float = 1.0) -> MeasurePrepare:
-    """E(rho) = weight * sum_k Tr(M_k rho) omega_k, the weight folded into
-    the states; effects or states may be in block form, and at weight 1 a
-    state may be its validating ``linalg.Spectrum`` (``MeasurePrepare``)."""
-    if weight != 1.0:
-        states = [weight * w for w in states]
+def measure_prepare(effects: list, states: list) -> MeasurePrepare:
+    """E(rho) = sum_k Tr(M_k rho) omega_k; effects or states may be in block
+    form, and a state may be its validating ``linalg.Spectrum``
+    (``MeasurePrepare``)."""
     d_out = states[0].op.shape[0] if isinstance(states[0], linalg.Spectrum) \
         else states[0].shape[0]
     return MeasurePrepare(tuple(effects), tuple(states), effects[0].shape[0], d_out)
@@ -244,8 +241,8 @@ def distill_channel_cds(b: QuantumBox) -> CdsMap:
             "box has p_err = 0; use inf_to_any for the exact conversion")
     lam = helstrom_povm(b)
     eye = linalg.identity_like(lam)
-    e0 = measure_prepare([eye - lam, lam], [KET0, KET1], weight=0.5)
-    e1 = measure_prepare([eye - lam, lam], [KET1, KET0], weight=0.5)
+    e0 = measure_prepare([eye - lam, lam], [0.5 * KET0, 0.5 * KET1])
+    e1 = measure_prepare([eye - lam, lam], [0.5 * KET1, 0.5 * KET0])
     return CdsMap(e0, e1)
 
 

@@ -113,9 +113,6 @@ class BlockOp:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __rsub__(self, other):
-        return self._binary(other, lambda x, y: y - x)
-
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
@@ -127,9 +124,6 @@ class BlockOp:
         if not np.isscalar(c):
             return NotImplemented
         return self.like([b / c for b in self.blocks])
-
-    def __neg__(self):
-        return self.like([-b for b in self.blocks])
 
 
 def trace(h) -> float:
@@ -280,16 +274,11 @@ def tensor_power(a: Array, n: int) -> Array:
     return out
 
 
-def ptrace(m, dims: tuple[int, int], axis: int) -> Array:
-    """Partial trace of a dense operator on a bipartite space.
-
-    ``axis=0`` traces out the first tensor factor, ``axis=1`` the second.
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
+def ptrace(m, dims: tuple[int, int]) -> Array:
+    """Partial trace over the second factor of a dense operator on a
+    bipartite space of dimensions ``dims``."""
     d1, d2 = dims
-    spec = "iaib->ab" if axis == 0 else "aibi->ab"
-    return np.einsum(spec, np.asarray(m).reshape(d1, d2, d1, d2))
+    return np.einsum("aibi->ab", np.asarray(m).reshape(d1, d2, d1, d2))
 
 
 # --- Schur-Weyl quotient of qubit tensor powers -------------------------------

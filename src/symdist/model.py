@@ -6,8 +6,11 @@ program in the inequality standard form  max <A, X> : Phi(X) <= B, X >= 0
 compiles directly to the solver's equality form.  Matrix equalities are
 expanded over an orthonormal Hermitian basis of the constraint space.
 
-Whether a program is complex is decided here, once, from its data.  Real
-programs compile to real symmetric blocks.  Complex programs compile
+Every datum enters through ``linalg.matrix``, which stores it real when
+every imaginary part is exactly zero and complex otherwise; that is the
+one realness rule from box to solver.  A program is complex exactly when
+some coefficient or constant is.  Real programs compile, in real
+arithmetic throughout, to real symmetric blocks.  Complex programs compile
 through the real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] / 2,
 which doubles every block and halves the data so optimal values match;
 :meth:`Model.solve` maps the primal blocks back.
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import sdp
+from . import linalg, sdp
 from .exceptions import SolverError
 
 Array = np.ndarray
@@ -32,26 +35,25 @@ def hermitian_basis(d: int, include_imag: bool = True) -> Array:
     """Orthonormal basis of d x d Hermitian matrices, deterministic order,
     as a read-only stack cached per (d, include_imag).
 
-    With ``include_imag=False`` only the real symmetric part is returned;
-    real-data programs stay real that way (their optimum is attained on
-    real symmetric matrices, and imaginary-part rows would be identically
-    zero for the real solver).
+    With ``include_imag=False`` only the real symmetric part is returned,
+    as a float stack; real-data programs stay real that way (their optimum
+    is attained on real symmetric matrices, and imaginary-part rows would
+    be identically zero for the real solver).
     """
     mats = []
     for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
+        m = np.zeros((d, d))
         m[i, i] = 1.0
         mats.append(m)
     for i in range(d):
         for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
+            m = np.zeros((d, d))
             m[i, j] = m[j, i] = 1 / np.sqrt(2)
             mats.append(m)
             if include_imag:
-                m = np.zeros((d, d), dtype=complex)
-                m[i, j] = -1j / np.sqrt(2)
-                m[j, i] = 1j / np.sqrt(2)
-                mats.append(m)
+                m = np.zeros((d, d))
+                m[i, j], m[j, i] = -1 / np.sqrt(2), 1 / np.sqrt(2)
+                mats.append(m * 1j)
     out = np.stack(mats)
     out.flags.writeable = False
     return out
@@ -76,7 +78,7 @@ def _unembed(x: Array, d: int) -> Array:
 # A linear term is ``(variable name, coefficient, adjoint, payload)``: it maps
 # the variable X to ``coefficient * L(X)``.  ``adjoint`` applies L* to a stack
 # (r, out_dim, out_dim) of Hermitians; ``payload`` is the data matrix of L
-# (None for a data-free map), which decides whether a program is real.
+# (None for a data-free map), whose kind counts towards the program's.
 
 Term = tuple[str, float, Callable[[Array], Array], Array | None]
 
@@ -93,7 +95,7 @@ class Expr:
 
     def _const(self) -> Array:
         if self.const is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
+            return np.zeros((self.dim, self.dim))
         return self.const
 
     @staticmethod
@@ -102,8 +104,8 @@ class Expr:
             return x
         if np.isscalar(x):
             d = dim or 1
-            return Expr(d, [], complex(x) * np.eye(d))
-        arr = np.asarray(x, dtype=complex)
+            return Expr(d, [], linalg.matrix(x * np.eye(d)))
+        arr = linalg.matrix(x)
         return Expr(arr.shape[0], [], arr)
 
     def __add__(self, other):
@@ -141,7 +143,7 @@ class Var(Expr):
 
 def inner(h, var: Var) -> Expr:
     """X -> [[<H, X>]] (scalar-valued)."""
-    h = np.asarray(h, dtype=complex)
+    h = linalg.matrix(h)
 
     def adjoint(e):
         return np.einsum("r,ij->rij", e[:, 0, 0], h)
@@ -155,7 +157,7 @@ def trace(var: Var) -> Expr:
 
 def times(var: Var, h) -> Expr:
     """Scalar variable times a fixed matrix: t -> t * H."""
-    h = np.asarray(h, dtype=complex)
+    h = linalg.matrix(h)
 
     def adjoint(e):
         return np.einsum("ij,rij->r", h.conj(), e).reshape(-1, 1, 1)
@@ -165,7 +167,7 @@ def times(var: Var, h) -> Expr:
 
 def channel_output(k, choi_var: Var, dims: tuple[int, int]) -> Expr:
     """Tr_in[(K^T (x) I) Omega] for a Choi-matrix variable on in (x) out."""
-    k = np.asarray(k, dtype=complex)
+    k = linalg.matrix(k)
     d1, d2 = dims
 
     def adjoint(e):
@@ -233,19 +235,16 @@ class Model:
         self._obj = Expr.wrap(e)
         self._sense = -1.0
 
-    def _data_is_real(self) -> bool:
-        exprs = [e for e, _ in self._cons] + [self._obj]
-        mats = [c for _, c in self._cons] + [e._const() for e in exprs]
-        mats += [h for e in exprs for *_, h in e.terms if h is not None]
-        return all(np.abs(np.imag(m)).max(initial=0.0) < 1e-14 for m in mats)
-
     # compile and solve -----------------------------------------------------
     def compile(self) -> tuple[sdp.SdpProblem, float]:
         """The program in the solver's equality form, and the constant of
         its objective."""
         if self._obj is None:
             raise SolverError("objective not set")
-        self._with_imag = not self._data_is_real()
+        exprs = [e for e, _ in self._cons] + [self._obj]
+        data = [c for _, c in self._cons] + [self._obj._const()]
+        data += [h for e in exprs for *_, h in e.terms]
+        self._with_imag = any(np.iscomplexobj(h) for h in data)
         to_real = _embed if self._with_imag else np.real
         psd_index = {v.name: i for i, v in enumerate(self._psd)}
 
@@ -279,23 +278,21 @@ class Model:
                 constraints.append(([psd[j][i] if j in psd else z
                                      for j, z in enumerate(zeros)], float(bvals[i])))
 
-        psd = rows(self._obj, hermitian_basis(1))
+        psd = rows(self._obj, hermitian_basis(1, self._with_imag))
         problem = sdp.SdpProblem([z.shape[-1] for z in zeros],
                                  [self._sense * psd[j][0] if j in psd else z
                                   for j, z in enumerate(zeros)], constraints)
         return problem, float(np.real(self._obj._const()[0, 0]))
 
-    def solve(self, options: sdp.SolverOptions | None = None,
-              compiled: tuple[sdp.SdpProblem, float] | None = None) -> sdp.SdpSolution:
-        """Solve the program; ``compiled`` is a compiled form with this
-        model's blocks (as :meth:`compile` returns), compiled here if
-        omitted.  Returns the solver's record with ``value`` in this model's
+    def solve(self) -> sdp.SdpSolution:
+        """Compile the program and hand it to ``sdp.solve`` with the default
+        options.  Returns the solver's record with ``value`` in this model's
         sense, its objective constant added, and ``primal`` filled: the
         blocks by variable name, Hermitian for a complex program.
         ``x_blocks`` and ``y`` stay in compiled space, embedded for a
         complex program."""
-        problem, obj_const = compiled if compiled is not None else self.compile()
-        sol = sdp.solve(problem, options)
+        problem, obj_const = self.compile()
+        sol = sdp.solve(problem)
         sol.value = self._sense * sol.value + obj_const
         if np.all(np.isfinite(sol.y)):
             sol.primal = {v.name: _unembed(x, v.dim) if self._with_imag else x

@@ -20,6 +20,7 @@ import numpy as np
 from . import tasks
 from .boxes import KET0, KET1, PAULI_X, QuantumBox
 from .channels import gad_channel
+from .config import TOLS
 from .divergences import sd, xi_max, xi_max_star, xi_min
 from .exceptions import SymdistError
 
@@ -158,13 +159,21 @@ def _evaluate(spec: SweepSpec, x: float) -> tuple[list[float], dict]:
     return values, errors
 
 
+def _use_tolerances(tols: dict) -> None:
+    """Pool initializer: a worker takes the caller's tolerances, which a
+    worker started by ``spawn`` or ``forkserver`` would not inherit."""
+    vars(TOLS).update(tols)
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid; rows are ordered by grid index regardless of the
-    worker pool's completion order."""
+    worker pool's completion order.  Pool workers use the caller's
+    ``TOLS``, whatever the start method."""
     header = [spec.parameter_name()] + list(spec.quantities)
     points = [float(x) for x in spec.grid()]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_use_tolerances,
+                                 initargs=(dict(vars(TOLS)),)) as pool:
             outcomes = list(pool.map(_evaluate, [spec] * len(points), points))
     else:
         outcomes = [_evaluate(spec, x) for x in points]

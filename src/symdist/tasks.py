@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channels, linalg, model
+from . import channels, linalg, model, sdp
 from .boxes import QuantumBox, golden_box, real_frame
 from .channels import CdsMap, CpMap, MeasurePrepare, measure_prepare
 from .config import TOLS
@@ -41,7 +41,6 @@ from .divergences import (_support_if_orthogonal, chernoff, p_err, q_max,
                           xi_max_star, xi_of)
 from .exceptions import ParameterRangeError, SolverError
 from .model import Model, channel_output, ptrace_out, times, trace
-from .sdp import SdpProblem, SdpStatus, SolverOptions
 
 Array = np.ndarray
 INF = math.inf
@@ -252,7 +251,7 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
 
     parts = [{kl: linalg.positive_part(res.primal[x.name]) for kl, x in branch.items()}
              for branch in om]
-    gs = [linalg.pseudo_inverse_sqrt(sum(linalg.ptrace(part[k, l], (d_k, d_l), axis=1)
+    gs = [linalg.pseudo_inverse_sqrt(sum(linalg.ptrace(part[k, l], (d_k, d_l))
                                          for part in parts for l, d_l in enumerate(d_out)))
           for k, d_k in enumerate(d_in)]
     frames = {(k, l): np.kron(u_k.conj() @ g_k, v_l)
@@ -288,7 +287,7 @@ def distill_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
 
 # --- approximate dilution (bracketed root-finder over M) -------------------------
 
-_PHASE1_OPTIONS = SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
+_PHASE1_OPTIONS = sdp.SolverOptions(gap_tol=1e-10, feas_tol=1e-9)
 _M_TOL = 1e-6       # width in M of the bracket cost_approx closes
 
 
@@ -334,38 +333,40 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
 
 
 def _phase1_family(b: QuantumBox, eps: float, regime: str) -> tuple:
-    """``_phase1_model`` as the affine family P0 + t D: the model, its
-    compile P0 at t = 0, and (j, rows, D_j) for each PSD block j that moves
-    in the compile P1 at t = 1, D_j = P1 - P0 on the rows where it does.
-    P0 + t D is the compile at t bit for bit (t only scales exactly
-    Hermitian coefficient stacks, which compiling at most halves)."""
-    m = _phase1_model(b, eps, regime, 0.0)
-    (p0, const), (p1, _) = m.compile(), _phase1_model(b, eps, regime, 1.0).compile()
+    """``_phase1_model`` as the affine family P0 + t D: its compile P0 at
+    t = 0, and (j, rows, D_j) for each PSD block j that moves in the
+    compile P1 at t = 1, D_j = P1 - P0 on the rows where it does.  P0 + t D
+    is the compile at t bit for bit (t only scales exactly Hermitian
+    coefficient stacks, which compiling at most halves).  The objective,
+    lam0, has no constant, so P0's optimal value is the model's."""
+    (p0, _), (p1, _) = (_phase1_model(b, eps, regime, t).compile() for t in (0.0, 1.0))
     deltas = []
     for j in range(len(p0.blocks)):
         d = np.array([a1[j] - a0[j] for (a0, _), (a1, _) in zip(p0.constraints, p1.constraints)])
         rows = np.flatnonzero(d.reshape(len(d), -1).any(axis=1))
         if len(rows):
             deltas.append((j, rows, d[rows]))
-    return m, (p0, const), deltas
+    return p0, deltas
 
 
 def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
     """Signed infeasibility lambda of the phase-I program P0 + t D of a
     ``_phase1_family``, and its slope from the same solve, nan without a
-    finite point; the solve is counted in ``stats``.  The slope is the
+    finite point; the solve is counted in ``stats``.  The program is
+    handed to ``sdp.solve`` directly, with ``_PHASE1_OPTIONS``: no model
+    is involved, and lambda is the solver's value less 1.  The slope is the
     optimal value's sensitivity to its data (Boyd & Vandenberghe, Convex
     Optimization, 5.6), d lambda / dt = -sum_j y[rows_j] . <D_j, X_j> at the
     solver's y and X, in compiled space, where a complex program is embedded."""
-    m, (p0, const), deltas = family
+    p0, deltas = family
     constraints = list(p0.constraints)
     for j, rows, stack in deltas:
         for i, d in zip(rows, stack):
             mats, rhs = constraints[i]
             constraints[i] = ([*mats[:j], mats[j] + t * d, *mats[j + 1:]], rhs)
-    res = m.solve(_PHASE1_OPTIONS, (SdpProblem(p0.blocks, p0.objective, constraints), const))
+    res = sdp.solve(sdp.SdpProblem(p0.blocks, p0.objective, constraints), _PHASE1_OPTIONS)
     stats["solves"] += 1
-    if res.status is not SdpStatus.OPTIMAL:
+    if res.status is not sdp.SdpStatus.OPTIMAL:
         # accepted on residuals of 1e-6, which catch a failed solve; the
         # sign test near the root needs lambda to about slope * xtol
         # (about 3e-10 on the dilution reproducer), which is why

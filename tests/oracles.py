@@ -68,7 +68,7 @@ INF = math.inf
 
 def kron_left(k, var: Var) -> Expr:
     """X -> K (x) X."""
-    k = np.asarray(k, dtype=complex)
+    k = linalg.matrix(k)
     dk, dx = k.shape[0], var.dim
 
     def adjoint(e):
@@ -79,7 +79,7 @@ def kron_left(k, var: Var) -> Expr:
 
 def kron_right(var: Var, k) -> Expr:
     """X -> X (x) K."""
-    k = np.asarray(k, dtype=complex)
+    k = linalg.matrix(k)
     dk, dx = k.shape[0], var.dim
 
     def adjoint(e):
@@ -425,7 +425,7 @@ def dense_witness_chois(parts: list[dict], d_in: list[int], d_out: list[int],
         np.kron(ins[k], outs[l]) @ om @ np.kron(ins[k], outs[l]).T
         for (k, l), om in part.items())) for part in parts]
     dims = (sum(d_in), sum(d_out))
-    corr = np.kron(linalg.pseudo_inverse_sqrt(linalg.ptrace(sum(chois), dims, axis=1)),
+    corr = np.kron(linalg.pseudo_inverse_sqrt(linalg.ptrace(sum(chois), dims)),
                    np.eye(dims[1]))
     u = sum(j @ x @ j.T for j, x in zip(ins, us))
     v = sum(j @ x @ j.T for j, x in zip(outs, vs))

@@ -84,7 +84,7 @@ def test_gad_examples(rng):
         ch = gad_channel(gamma, n)
         assert np.allclose(ch(KET1),
                            np.diag([gamma * (1 - n), 1 - gamma * (1 - n)]))
-        tr_out = linalg.ptrace(ch.choi, (2, 2), axis=1)
+        tr_out = linalg.ptrace(ch.choi, (2, 2))
         assert np.abs(tr_out - np.eye(2)).max() <= 1e-10
     with pytest.raises(ParameterRangeError):
         gad_channel(1.2, 0.0)
@@ -233,6 +233,10 @@ def test_inf_to_any(rng):
     assert box_distance(out, target) <= 1e-9
     with pytest.raises(NotInfiniteResourceError):
         inf_to_any(random_box(2, rng), target)
+    # and so is one with p = 1, whose every input is label 0
+    sing1 = QuantumBox(1.0, random_density(2, rng), random_density(2, rng))
+    out = apply_cds(inf_to_any(sing1, target), sing1)
+    assert box_distance(out, target) <= 1e-9
 
 
 def test_golden_majorize():
@@ -263,7 +267,7 @@ def test_random_channels_valid(rng):
         assert np.linalg.eigvalsh(e.choi).min() >= -1e-10
         m = random_cds(3, 2, rng)
         total = m.e0.choi + m.e1.choi
-        tr_out = linalg.ptrace(total, (3, 2), axis=1)
+        tr_out = linalg.ptrace(total, (3, 2))
         assert np.abs(tr_out - np.eye(3)).max() <= 1e-8
 
 
@@ -352,14 +356,13 @@ def test_measure_prepare_matches_its_choi(d_in, d_out, real, rng):
     dense Choi matrix built on request."""
     for k in (1, 2, 3):
         mp = measure_prepare([_random_psd(d_in, rng, real) for _ in range(k)],
-                             [_random_psd(d_out, rng, real) for _ in range(k)],
-                             weight=0.7)
+                             [0.7 * _random_psd(d_out, rng, real) for _ in range(k)])
         assert isinstance(mp, MeasurePrepare)
         cp = CpMap(mp.choi, d_in, d_out)
         for _ in range(3):
             rho = random_density(d_in, rng, real)
             assert np.abs(mp(rho) - cp(rho)).max() <= 1e-12
-        tr_out = linalg.ptrace(mp.choi, (d_in, d_out), axis=1)
+        tr_out = linalg.ptrace(mp.choi, (d_in, d_out))
         assert np.abs(mp.tr_out() - tr_out).max() <= 1e-12
         assert np.abs(cp.tr_out() - tr_out).max() <= 1e-12
 
@@ -379,7 +382,7 @@ def test_block_measure_prepare_matches_its_dense_form():
         assert np.abs(np.asarray(out) - cp(np.asarray(block))).max() <= 1e-12
     tr_out = mp.tr_out()
     assert isinstance(tr_out, linalg.BlockOp)
-    assert np.abs(np.asarray(tr_out) - linalg.ptrace(mp.choi, (6, 6), axis=1)).max() <= 1e-12
+    assert np.abs(np.asarray(tr_out) - linalg.ptrace(mp.choi, (6, 6))).max() <= 1e-12
 
 
 def test_measure_prepare_rejects_non_psd_effects_and_states():
@@ -394,11 +397,11 @@ def test_measure_prepare_rejects_non_psd_effects_and_states():
 
 
 def test_cds_map_of_measure_prepare_branches_must_be_trace_preserving():
-    keep = measure_prepare([KET0, KET1], [KET0, KET1], weight=0.5)
-    flip = measure_prepare([KET0, KET1], [KET1, KET0], weight=0.5)
+    keep = measure_prepare([KET0, KET1], [0.5 * KET0, 0.5 * KET1])
+    flip = measure_prepare([KET0, KET1], [0.5 * KET1, 0.5 * KET0])
     assert CdsMap(keep, flip).d_in == 2
     with pytest.raises(InvalidChannelError):
-        CdsMap(keep, measure_prepare([KET0], [KET1], weight=0.5))
+        CdsMap(keep, measure_prepare([KET0], [0.5 * KET1]))
     with pytest.raises(InvalidChannelError):
         CdsMap(keep, channels.zero_map(2, 2))
     with pytest.raises(InvalidChannelError):

@@ -1,10 +1,15 @@
+import functools
+import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from symdist import cli, sweep
+from symdist import cli, sweep, tasks
 from symdist.boxes import box_to_json, golden_box
 from symdist.config import TOLS
+from symdist.exceptions import SolverError
 from symdist.sweep import SweepResult, SweepSpec, run_sweep, to_svg
 
 from conftest import dilution_reproducer
@@ -89,17 +94,38 @@ def test_worker_pool_matches_serial():
     assert serial.rows == pooled.rows
 
 
+def test_pooled_sweep_keeps_the_tolerances(monkeypatch):
+    """Pool workers use the caller's tolerances whatever the start method:
+    a ``spawn`` (or ``forkserver``) worker imports ``config`` afresh and
+    takes TOLS from the pool's initializer."""
+    spec = SweepSpec("gad-gamma", steps=5, N=0.0, quantities=("xi_max", "xi_min"))
+    default = run_sweep(spec).rows
+    monkeypatch.setattr(TOLS, "support", 0.5)
+    serial = run_sweep(spec).rows
+    assert serial != default
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    assert run_sweep(spec, jobs=2).rows == serial
+
+
 def test_svg_output():
     spec = SweepSpec(family="gad-gamma", start=0.1, stop=1.0, steps=4,
                      quantities=("sd",))
     svg = to_svg(run_sweep(spec))
     assert svg.startswith("<svg")
     assert "polyline" in svg
+    # a series with no finite value draws no line; a flat one draws its line
+    empty = to_svg(SweepResult(["x", "y"], [[0.0, math.nan], [1.0, math.inf]]))
+    assert empty.startswith("<svg") and "polyline" not in empty
+    flat = to_svg(SweepResult(["x", "y"], [[0.0, 0.0], [1.0, 0.0]]))
+    assert flat.count("polyline") == 1
 
 
 def test_cli_golden_values(capsys):
     assert cli.main(["sd", "--golden", "4,0.5"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    assert cli.main(["sd", "--golden", "inf,0.5"]) == 0
+    assert capsys.readouterr().out == "inf\n"
     assert cli.main(["perr", "--golden", "4,0.5"]) == 0
     assert capsys.readouterr().out.strip() == "0.125"
     assert cli.main(["chernoff", "--golden", "1,0.5"]) == 0
@@ -129,7 +155,7 @@ def test_cli_dilute_reproducer_tiny_eps(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(8.1951040515, abs=1e-5)
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"p": 0.5, "rho0": [[1, 0]], "rho1": [[[1, 0]]]}')
     assert cli.main(["perr", str(bad)]) == 2
@@ -138,6 +164,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["perr", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # a solver failure exits 3 and prints no value
+    box = tmp_path / "g2.json"
+    box.write_text(box_to_json(golden_box(2, 0.5)))
+    monkeypatch.setattr(tasks, "min_conversion_error", _failing_task)
+    assert cli.main(["convert", str(box), str(box)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("solver failure: ")
 
 
 def test_cli_rejects_non_finite_input(tmp_path, capsys):
@@ -180,6 +213,28 @@ def test_cli_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert parsed.header == ["gamma", "sd", "xi_max_star"]
     assert len(parsed.rows) == 3
     assert svg.read_text().startswith("<svg")
+
+
+def _failing_task(*args):
+    raise SolverError("conversion-error program: solver returned max_iterations")
+
+
+def test_cli_sweep_records_failed_cells(tmp_path, capsys, monkeypatch):
+    """A cell whose task raises SolverError is written as nan, its message
+    goes to the .failures.json sidecar, and the command says how many
+    cells failed."""
+    monkeypatch.setattr(tasks, "min_conversion_error", _failing_task)
+    out = tmp_path / "fig4.csv"
+    assert cli.main(["sweep", "--family", "conversion-phi", "--steps", "3",
+                     "--out", str(out)]) == 0
+    sidecar = tmp_path / "fig4.failures.json"
+    assert capsys.readouterr().out == f"wrote {out} (3 failed cells, see {sidecar})\n"
+    parsed = parse_csv(out.read_text())
+    assert parsed.header == ["phi", "min_conversion_error"]
+    assert all(math.isnan(v) for v in parsed.column("min_conversion_error"))
+    assert json.loads(sidecar.read_text()) == {
+        str(i): {"min_conversion_error": "conversion-error program: solver "
+                                         "returned max_iterations"} for i in range(3)}
 
 
 def test_cli_sweep_defaults_match_spec(tmp_path, capsys):

@@ -35,6 +35,9 @@ def test_distill_exact_values(rng):
     assert tasks.distill_exact(b, CDS).value == pytest.approx(dv.sd(b), abs=1e-12)
     g = golden_box(4, 0.3)
     assert tasks.distill_exact(g, CPTPA).value == pytest.approx(2.0, abs=1e-7)
+    # orthogonal supports distill without limit under CPTP_A too
+    o = QuantumBox(0.3, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert math.isinf(tasks.distill_exact(o, CPTPA).value)
 
 
 def test_distill_exact_singular_prior(rng):
@@ -480,7 +483,7 @@ def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
                                            2))[0],
          "complex": random_box(3, np.random.default_rng(5))}[kind]
     family = tasks._phase1_family(b, 0.05, regime)
-    assert max(family[1][0].blocks) == {"real qubit": 2, "quotient": 3,
+    assert max(family[0].blocks) == {"real qubit": 2, "quotient": 3,
                                         "complex": 6}[kind]
     exact = dv.xi_max(b.rho0, b.rho1) if regime == CPTPA else dv.xi_max_star(b)
     t = 0.5 * (1.0 + 1.0 / (2.0 ** (exact + 1.0) - 1.0))
@@ -583,7 +586,7 @@ def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime)
                     tasks._phase1_shift(family, t, {"solves": 0})
             (got,) = solved
             want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
-            assert family[1][1] == want_const
+            assert want_const == 0.0
             assert got.blocks == want.blocks
             assert all(np.array_equal(a, w)
                        for a, w in zip(got.objective, want.objective))
@@ -594,7 +597,7 @@ def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime)
         # the compiled program at t = 0 is left as it was
         again, _ = tasks._phase1_model(box, 0.05, regime, 0.0).compile()
         assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
-                   zip(family[1][0].constraints, again.constraints)
+                   zip(family[0].constraints, again.constraints)
                    for a, w in zip(mats, mats_w))
 
 
