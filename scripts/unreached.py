@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Print the library statements that a run never reaches.
 
-Runs tier-1 (in-process ``pytest``, extra arguments passed on) or one pass
-of each perfbench workload's ops under ``sys.settrace``, limited to
-``src/symdist``, and prints each statement (found with ``ast``) that never
-ran as ``file:line``, then a count per file.  Subprocess CLI runs and pool
-workers are not traced, so what only they reach shows as unreached.
+Runs tier-1 (in-process ``pytest``) or what a checked benchmark run does
+in-process for each perfbench workload (warm-up, one pass of the ops, the
+probes, the CLI cases' inputs) under ``sys.settrace``, limited to
+``src/symdist``; prints each statement (found with ``ast``) that never ran as
+``file:line``, then a count per file.  Subprocess CLI runs (the CLI cases
+themselves) and pool workers are not traced: what only they reach is listed.
 
-Usage: python scripts/unreached.py {tests [PYTEST_ARGS...] | workloads}
+Usage: python scripts/unreached.py {tests | workloads}
 """
 
 import os
@@ -42,37 +43,36 @@ def statements(path: Path) -> dict[int, range]:
                 isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
             continue        # docstrings are not executed
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-        body = getattr(node, "body", None)
-        out[node.lineno] = range(first, max(body[0].lineno if body else node.end_lineno + 1,
-                                            first + 1))
+        stop = node.body[0].lineno if getattr(node, "body", None) else node.end_lineno + 1
+        out[node.lineno] = range(first, max(stop, first + 1))
     return out
 
 
-def run(mode: str, args: list[str]) -> int:
+def run(mode: str) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.settrace(_call)
-    try:
-        if mode == "tests":
-            import pytest
-            return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
-        import workloads
-        for make in workloads.WORKLOADS.values():
-            for op in make(workloads.load_references()).ops:
-                op.run()
-        return 0
-    finally:
-        sys.settrace(None)
+    if mode == "tests":
+        import pytest
+        return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    import workloads
+    for make in workloads.WORKLOADS.values():
+        work = make(workloads.load_references())
+        work.warmup()
+        for p in work.probes:
+            p.run()
+        work.cli_cases({op.id: op.run() for op in work.ops})
+    return 0
 
 
 def main() -> int:
-    if sys.argv[1:2] not in (["tests"], ["workloads"]):
+    if sys.argv[1:] not in (["tests"], ["workloads"]):
         sys.exit(__doc__.split("Usage: ")[1])
-    code = run(sys.argv[1], sys.argv[2:])
+    code = run(sys.argv[1])
+    sys.settrace(None)
     for path in sorted(SRC.glob("*.py")):
-        missed = [n for n, lines in sorted(statements(path).items())
-                  if not any((str(path), i) in HIT for i in lines)]
-        print("".join(f"{path.relative_to(ROOT)}:{n}\n" for n in missed)
-              + f"# {path.name}: {len(missed)} unreached")
+        missed = [f"{path.relative_to(ROOT)}:{n}\n" for n, at in sorted(statements(path).items())
+                  if not any((str(path), i) in HIT for i in at)]
+        print("".join(missed) + f"# {path.name}: {len(missed)} unreached")
     return code
 
 

@@ -51,9 +51,10 @@ def hermitian_basis(d: int, include_imag: bool = True) -> Array:
             m[i, j] = m[j, i] = 1 / np.sqrt(2)
             mats.append(m)
             if include_imag:
-                m = np.zeros((d, d))
-                m[i, j], m[j, i] = -1 / np.sqrt(2), 1 / np.sqrt(2)
-                mats.append(m * 1j)
+                m = np.zeros((d, d), dtype=complex)
+                m[i, j] = -1j / np.sqrt(2)
+                m[j, i] = 1j / np.sqrt(2)
+                mats.append(m)
     out = np.stack(mats)
     out.flags.writeable = False
     return out
@@ -278,7 +279,7 @@ class Model:
                 constraints.append(([psd[j][i] if j in psd else z
                                      for j, z in enumerate(zeros)], float(bvals[i])))
 
-        psd = rows(self._obj, hermitian_basis(1, self._with_imag))
+        psd = rows(self._obj, hermitian_basis(1))
         problem = sdp.SdpProblem([z.shape[-1] for z in zeros],
                                  [self._sense * psd[j][0] if j in psd else z
                                   for j, z in enumerate(zeros)], constraints)
