@@ -30,6 +30,7 @@ import numpy as np
 from . import linalg
 from .boxes import KET0, KET1, QuantumBox
 from .config import TOLS
+from .divergences import _support_if_orthogonal, p_err
 from .exceptions import (DimensionMismatchError, InfiniteResourceError,
                          InvalidChannelError, MTooSmallError,
                          NotInfiniteResourceError, NotPsdError,
@@ -235,7 +236,6 @@ def distill_channel_cptpA(b: QuantumBox, lam: Array) -> MeasurePrepare:
 
 def distill_channel_cds(b: QuantumBox) -> CdsMap:
     """Label-flipping protocol reaching the golden unit with M = 1/(2 p_err)."""
-    from .divergences import p_err
     if p_err(b) <= TOLS.infinite_perr:
         raise InfiniteResourceError(
             "box has p_err = 0; use inf_to_any for the exact conversion")
@@ -305,7 +305,6 @@ def dilute_channel_cds(target: QuantumBox, M: float) -> CdsMap:
 
 def inf_to_any(source: QuantumBox, target: QuantumBox) -> CdsMap:
     """Exact CDS conversion from an infinite-resource box to any box."""
-    from .divergences import _support_if_orthogonal, p_err
     if p_err(source) > TOLS.infinite_perr:
         raise NotInfiniteResourceError("source box has positive p_err")
     # lam accepts label 0: the support of rho0 when the branch states are

@@ -23,14 +23,6 @@ from .divergences import chernoff, p_err, sd
 from .exceptions import ParameterRangeError, SolverError, SymdistError
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".12g")
-
-
 def _parse_golden(text: str) -> QuantumBox:
     try:
         m_str, q_str = text.split(",")
@@ -119,27 +111,28 @@ def _run(args) -> int:
 
     cmd = args.command
     if cmd == "perr":
-        print(_fmt(p_err(_load_box(args))))
+        print(sweep_mod._serialize(p_err(_load_box(args)), 12))
     elif cmd == "sd":
-        print(_fmt(sd(_load_box(args))))
+        print(sweep_mod._serialize(sd(_load_box(args)), 12))
     elif cmd == "chernoff":
         b = _load_box(args)
-        print(_fmt(chernoff(b.rho0, b.rho1)))
+        print(sweep_mod._serialize(chernoff(b.rho0, b.rho1), 12))
     elif cmd == "rates":
         r = tasks.asymptotic_rates(_load_box(args))
-        print("distill", _fmt(r.distill))
-        print("exact_cost", _fmt(r.exact_cost))
-        print("approx_cost", _fmt(r.approx_cost))
+        print("distill", sweep_mod._serialize(r.distill, 12))
+        print("exact_cost", sweep_mod._serialize(r.exact_cost, 12))
+        print("approx_cost", sweep_mod._serialize(r.approx_cost, 12))
     elif cmd in _ONE_SHOT:
         _, exact, approx = _ONE_SHOT[cmd]
         b = _load_box(args)
         res = exact(b, args.regime) if args.eps == 0 \
             else approx(b, args.eps, args.regime)
-        print(_fmt(res.value))
+        print(sweep_mod._serialize(res.value, 12))
     elif cmd == "convert":
         source = box_from_json(Path(args.source).read_text())
         target = box_from_json(Path(args.target).read_text())
-        print(_fmt(tasks.min_conversion_error(source, target, args.regime).value))
+        res = tasks.min_conversion_error(source, target, args.regime)
+        print(sweep_mod._serialize(res.value, 12))
     elif cmd == "sweep":
         spec = sweep_mod.SweepSpec(args.family, **{
             name: getattr(args, name) for name in _SPEC_OPTIONS

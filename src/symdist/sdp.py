@@ -29,11 +29,10 @@ Each iteration factors its iterates once per block size: one Cholesky
 factorisation of the stack concat[X, S] and one inversion of those factors
 together with S.  G comes from the same factor: with X = L L^T and
 L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2), one ``eigh`` per
-block size and none for 1 x 1 blocks.  The two or three step-length tests
-of the iteration (predictor, corrector, and the recentering step) reuse
-the factors, one ``eigvalsh`` per block size each; 1 x 1 blocks take a
-ratio test.  Everything the Newton solves of an iteration share but do
-not vary is computed once before them.
+block size.  The two or three step-length tests of the iteration
+(predictor, corrector, and the recentering step) reuse the factors, one
+``eigvalsh`` per block size each.  Everything the Newton solves of an
+iteration share but do not vary is computed once before them.
 
 Each Newton direction takes one solve with M.  The corrector and the
 recentering direction are then made primal-consistent: the miss
@@ -132,16 +131,13 @@ def _factor(x: Array, s: Array) -> tuple[Array, Array, Array]:
     """Factors of one block size's iterates, shared by every step test and
     by the NT scaling of an iteration: ``(basis, s^-1, l)``.  ``basis``
     holds the inverse Cholesky factors of the stack concat[x, s] and ``l``
-    the Cholesky factors of x; for 1 x 1 blocks, whose step test is a
-    ratio, ``basis`` is that stack itself and ``l`` is sqrt(x).
+    the Cholesky factors of x.
 
     Both stacks are factored by one ``cholesky`` call, and the factors are
     inverted with s by one ``inv`` call; if the joint factorisation fails,
     each stack is factored on its own by :func:`_ridged_cholesky`.
     """
     xs = np.concatenate([x, s])
-    if x.shape[-1] == 1:
-        return xs, np.linalg.inv(s), np.sqrt(x)
     try:
         chol = np.linalg.cholesky(xs)
     except np.linalg.LinAlgError:
@@ -156,11 +152,8 @@ def _nt_scaling(s: Array, basis: Array, l: Array) -> tuple[Array, Array, Array, 
     G^-1 X G^-T = G^T S G = diag(v).
 
     With X = L L^T and L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2),
-    so one ``eigh`` per block size; 1 x 1 blocks need none.
+    so one ``eigh`` per block size.
     """
-    if s.shape[-1] == 1:
-        g = np.sqrt(l / np.sqrt(s))
-        return g * g, g, 1.0 / g, (l * np.sqrt(s))[:, :, 0]
     lt = np.swapaxes(l, 1, 2)
     d, q = np.linalg.eigh(_sym(lt @ s @ l))
     d = np.maximum(d, 1e-300)
@@ -182,9 +175,6 @@ def _max_step(basis: Array, dxs: Array) -> float:
     """Largest alpha with xs_j + alpha*dxs_j >= 0 for every block j of a
     stack (n, d, d), for xs > 0 given by its step basis (see
     :func:`_factor`)."""
-    if dxs.shape[-1] == 1:
-        neg = dxs[:, 0, 0] < 0
-        return float(np.min(-basis[neg, 0, 0] / dxs[neg, 0, 0], initial=np.inf))
     lam = np.linalg.eigvalsh(_sym(basis @ dxs @ np.swapaxes(basis, 1, 2))).min()
     if lam >= 0:
         return np.inf

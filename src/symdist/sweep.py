@@ -113,16 +113,16 @@ class SweepResult:
     def to_csv(self) -> str:
         lines = [",".join(self.header)]
         for row in self.rows:
-            lines.append(",".join(_serialize(v) for v in row))
+            lines.append(",".join(_serialize(v, 17) for v in row))
         return "\n".join(lines) + "\n"
 
 
-def _serialize(v: float) -> str:
+def _serialize(v: float, digits: int) -> str:
     if math.isnan(v):
         return "nan"
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(v, f".{digits}g")
 
 
 def _rotated(state: np.ndarray, phi: float) -> np.ndarray:
@@ -196,6 +196,8 @@ def to_svg(result: SweepResult) -> str:
     if ymax - ymin < 1e-12:
         ymax = ymin + 1.0
     xmin, xmax = min(xs), max(xs)
+    if xmax - xmin < 1e-12:
+        xmax = xmin + 1.0
 
     def px(x):
         return margin + (x - xmin) / (xmax - xmin) * (width - 2 * margin)

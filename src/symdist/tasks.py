@@ -215,23 +215,20 @@ def min_conversion_error(source: QuantumBox, target: QuantumBox,
     (k, l) of the branch's Choi matrix, which maps b, not b'."""
     _check_regime(regime)
     pe_target = p_err(target)
-    if pe_target <= TOLS.infinite_perr:
-        # infinite-resource target: exact conversion or nothing
+    inf_source = p_err(source) <= TOLS.infinite_perr
+    inf_target = pe_target <= TOLS.infinite_perr
+    if inf_source or inf_target:
+        # an infinite-resource side: an exact conversion, or none at all to
+        # an infinite target
         if regime == CDS:
-            if p_err(source) <= TOLS.infinite_perr:
+            if inf_source:
                 return TaskResult(0.0, channels.inf_to_any(source, target), {})
             return TaskResult(INF, None, {"reason": "finite to infinite"})
         witness = _exact_cptpA_conversion(source, target)
         if witness is not None:
             return TaskResult(0.0, witness, {})
-        return TaskResult(INF, None, {"reason": "no exact prior-preserving map"})
-    if p_err(source) <= TOLS.infinite_perr:
-        # infinite-resource source converts exactly
-        if regime == CDS:
-            return TaskResult(0.0, channels.inf_to_any(source, target), {})
-        witness = _exact_cptpA_conversion(source, target)
-        if witness is not None:
-            return TaskResult(0.0, witness, {})
+        if inf_target:
+            return TaskResult(INF, None, {"reason": "no exact prior-preserving map"})
 
     (blocks, us), (sigmas, vs) = _program_blocks(source), _program_blocks(target)
     d_in, d_out = [len(w0) for w0, _ in blocks], [len(s0) for s0, _ in sigmas]

@@ -497,27 +497,26 @@ def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
 
 def test_each_iteration_factors_once_per_block_size(lapack_calls):
     """One phase-I solve: every iteration that takes a step makes one
-    cholesky, one inv and one eigh (the NT scaling) per block size > 1 and
-    one inv for 1 x 1 blocks.  Its Newton directions make one solve each,
-    and the final one (corrector, or recentering when the corrector jams)
-    one more for its primal-consistent step: 3 or 5 solves where two per
-    direction made 4 or 6.  Each of the two or three step tests makes one
-    eigvalsh per block size > 1."""
+    cholesky, one inv and one eigh (the NT scaling) per block size, 1 x 1
+    blocks included.  Its Newton directions make one solve each, and the
+    final one (corrector, or recentering when the corrector jams) one more
+    for its primal-consistent step: 3 or 5 solves where two per direction
+    made 4 or 6.  Each of the two or three step tests makes one eigvalsh
+    per block size."""
     problem = _phase1_problem()
     lapack_calls.clear()
     res = sdp.solve(problem, tasks._PHASE1_OPTIONS)
     assert res.status is SdpStatus.OPTIMAL
     assert res.iterations <= 12
     sizes = sorted(set(problem.blocks))
-    big = [d for d in sizes if d > 1]
-    assert sizes[0] == 1 and big
+    assert sizes[0] == 1 and len(sizes) > 1
     # an iteration's calls start with the factors of its 1 x 1 blocks; the
     # last iteration stops at the convergence test, before factoring
-    starts = [i for i, c in enumerate(lapack_calls) if c == ("inv", 1)]
+    starts = [i for i, c in enumerate(lapack_calls) if c == ("cholesky", 1)]
     assert starts[0] == 0 and len(starts) == res.iterations - 1
-    factors = [("inv", 1)] + [c for d in big for c in (("cholesky", d), ("inv", d))]
-    scaling = [("eigh", d) for d in big]
-    test = [("eigvalsh", d) for d in big]
+    factors = [c for d in sizes for c in (("cholesky", d), ("inv", d))]
+    scaling = [("eigh", d) for d in sizes]
+    test = [("eigvalsh", d) for d in sizes]
     solve = [("solve", len(problem.constraints))]
     predictor, final = solve + test, solve * 2 + test
     for a, z in zip(starts, starts[1:] + [len(lapack_calls)]):

@@ -119,6 +119,9 @@ def test_svg_output():
     assert empty.startswith("<svg") and "polyline" not in empty
     flat = to_svg(SweepResult(["x", "y"], [[0.0, 0.0], [1.0, 0.0]]))
     assert flat.count("polyline") == 1
+    # a zero-width x range draws its line too
+    point = to_svg(SweepResult(["x", "y"], [[0.5, 1.0], [0.5, 2.0]]))
+    assert point.count("polyline") == 1
 
 
 def test_cli_golden_values(capsys):
@@ -289,7 +292,8 @@ def test_cli_has_no_seed_option(capsys):
 
 
 def test_serialization_of_inf_and_nan():
-    row = sweep._serialize
+    def row(v):
+        return sweep._serialize(v, 17)
     assert row(math.inf) == "inf"
     assert row(-math.inf) == "-inf"
     assert row(math.nan) == "nan"
