@@ -21,25 +21,33 @@ term G Z G^T of the NT factor G (W = G G^T), with
 Z_ij = (A B + B A)_ij / (v_i + v_j), A = G^-1 dX G^-T and B = G^T dS G
 from the predictor, and G^-1 X G^-T = G^T S G = diag(v).  When the
 corrector jams at the boundary, a first-order recentering step replaces
-it.  The Newton system is the m x m Schur complement M.  Blocks of one
+it.  The Newton system is the m x m Schur complement M.  Matrices of one
 size are stacked into one (n, d, d) array, so each step makes one batched
-LAPACK or BLAS call per block size.
+LAPACK or BLAS call per stack.  When the largest block has at most
+``_PACK_MAX`` rows, the smaller blocks are first packed, first-fit
+decreasing, onto the diagonals of bins of that size, if that leaves fewer
+sizes to stack; otherwise each block is a matrix of its own.  The packed
+program is the same program: its data are zero off the blocks, the start
+point eta I and the barrier degree are those of the blocks, and each block
+comes back as a view of its bin's diagonal.
 
-Each iteration factors its iterates once per block size: one Cholesky
+Each iteration factors its iterates once per stack: one Cholesky
 factorisation of the stack concat[X, S] and one inversion of those factors
 together with S.  G comes from the same factor: with X = L L^T and
 L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2), one ``eigh`` per
-block size.  The two or three step-length tests of the iteration
-(predictor, corrector, and the recentering step) reuse the factors, one
-``eigvalsh`` per block size each.  Everything the Newton solves of an
-iteration share but do not vary is computed once before them.
+stack.  The two or three step-length tests of the iteration (predictor,
+corrector, and the recentering step) reuse the factors, one ``eigvalsh``
+per stack each.  Everything the Newton solves of an iteration share but do
+not vary is computed once before them.
 
 Each Newton direction takes one solve with M.  The corrector and the
 recentering direction are then made primal-consistent: the miss
 e = A(dX) - b dtau + eta p_res of the linearised primal rows is removed by
-one more solve M delta = -e, kept only if it shrinks e.  A Newton solve
-that fails or gives a non-finite direction ends the solve
-``ill_conditioned``, with no retry.  A solve also ends ``ill_conditioned``
+one more solve M delta = -e, kept only if it shrinks e.  Where M has an
+exactly zero pivot, which near a degenerate optimum rounding can give, each
+of these solves takes the least-squares solution instead; a Newton system
+or direction that is not finite ends the solve ``ill_conditioned``, with no
+retry.  A solve also ends ``ill_conditioned``
 when rounding stalls it: its residuals, which every exact step shrinks,
 have not reached a new low in ``_STALL_ITERATIONS`` iterations.  Either
 way, and at ``_MAX_ITERATIONS``, the returned point is the best iterate.
@@ -78,6 +86,10 @@ _STEP_FRACTION = 0.98    # fraction-to-boundary
 # instances included; a solve whose residuals have not reached a new low
 # in this many iterations has stalled on rounding error.
 _STALL_ITERATIONS = 10
+# Smaller blocks are packed into bins of the largest block's size only up to
+# this size: above it the bins' zero off-diagonal parts cost more flops than
+# one batched call set per block size saves (see :func:`_layout`).
+_PACK_MAX = 16
 
 
 @dataclass(eq=False)
@@ -117,8 +129,8 @@ def _sym(a: Array) -> Array:
 
 
 def _ridged_cholesky(x: Array) -> Array:
-    """Cholesky factors of a stack (n, d, d); if one block fails, of each
-    block ridged by its own trace."""
+    """Cholesky factors of a stack (n, d, d); if one matrix fails, of each
+    matrix ridged by its own trace."""
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -128,7 +140,7 @@ def _ridged_cholesky(x: Array) -> Array:
 
 
 def _factor(x: Array, s: Array) -> tuple[Array, Array, Array]:
-    """Factors of one block size's iterates, shared by every step test and
+    """Factors of one stack's iterates, shared by every step test and
     by the NT scaling of an iteration: ``(basis, s^-1, l)``.  ``basis``
     holds the inverse Cholesky factors of the stack concat[x, s] and ``l``
     the Cholesky factors of x.
@@ -147,12 +159,12 @@ def _factor(x: Array, s: Array) -> tuple[Array, Array, Array]:
 
 
 def _nt_scaling(s: Array, basis: Array, l: Array) -> tuple[Array, Array, Array, Array]:
-    """NT factors ``(w, g, g^-1, v)`` of one block size from its
+    """NT factors ``(w, g, g^-1, v)`` of one stack from its
     :func:`_factor` output: W = G G^T with W S W = X and
     G^-1 X G^-T = G^T S G = diag(v).
 
     With X = L L^T and L^T S L = Q D Q^T, G = L Q D^(-1/4) and v = D^(1/2),
-    so one ``eigh`` per block size.
+    so one ``eigh`` per stack.
     """
     lt = np.swapaxes(l, 1, 2)
     d, q = np.linalg.eigh(_sym(lt @ s @ l))
@@ -163,12 +175,20 @@ def _nt_scaling(s: Array, basis: Array, l: Array) -> tuple[Array, Array, Array, 
 
 
 def _second_order(g: Array, g_inv: Array, v: Array, dx: Array, ds: Array) -> Array:
-    """Mehrotra's second-order term G Z G^T of one block size for the
+    """Mehrotra's second-order term G Z G^T of one stack for the
     predictor step (dx, ds): Z_ij = (AB + BA)_ij / (v_i + v_j) with the
     scaled steps A = G^-1 dx G^-T and B = G^T ds G."""
     ab = (g_inv @ dx @ np.swapaxes(g_inv, 1, 2)) @ (np.swapaxes(g, 1, 2) @ ds @ g)
     z = (ab + np.swapaxes(ab, 1, 2)) / (v[:, :, None] + v[:, None, :])
     return _sym(g @ z @ np.swapaxes(g, 1, 2))
+
+
+def _solve_m(M: Array, r: Array) -> Array:
+    """M^-1 r; where M has an exactly zero pivot, a least-squares solution."""
+    try:
+        return np.linalg.solve(M, r)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, r, rcond=None)[0]
 
 
 def _max_step(basis: Array, dxs: Array) -> float:
@@ -181,12 +201,48 @@ def _max_step(basis: Array, dxs: Array) -> float:
     return -1.0 / lam
 
 
+def _layout(dims: list[int]) -> list[list[list[int]]]:
+    """The stacks of a program: per bin size, ascending, the bins of that
+    size, each the list of blocks on its diagonal.
+
+    When the largest block has at most ``_PACK_MAX`` rows, the smaller
+    blocks are packed first-fit decreasing into block-diagonal bins of that
+    block's size, each bin as large as the blocks in it; the packing is kept
+    if it leaves fewer sizes than the blocks have.  Otherwise, or with no
+    gain, every block is a bin of its own and the stacks are the blocks of
+    one size, in block order.
+    """
+    big = max(dims, default=0)
+    packed: list[list[int]] = []
+    fill: list[int] = []
+    for j in sorted((j for j, d in enumerate(dims) if d < big), key=lambda j: -dims[j]):
+        k = next((k for k, f in enumerate(fill) if f + dims[j] <= big), len(fill))
+        if k == len(fill):
+            packed.append([])
+            fill.append(0)
+        packed[k].append(j)
+        fill[k] += dims[j]
+    if big <= _PACK_MAX and len(set(fill) | {big}) < len(set(dims)):
+        bins = [[j] for j, d in enumerate(dims) if d == big] + packed
+    else:
+        bins = [[j] for j in range(len(dims))]
+    sizes = [sum(dims[j] for j in b) for b in bins]
+    return [[b for b, s in zip(bins, sizes) if s == d] for d in sorted(set(sizes))]
+
+
 class _Workspace:
     """Mutable per-solve state; one instance per concurrent solve.
 
-    Blocks of one size form a group, held as one stack: C as (n_g, d, d),
-    A as (m, n_g, d, d) with the flat view Af (m, n_g*d*d).  Iterates are
-    lists of stacks in group order; :meth:`unstack` restores block order.
+    Blocks are laid out on the diagonals of bins (see :func:`_layout`), and
+    bins of one size form a stack: C as (n_g, d, d), A as (m, n_g, d, d)
+    with the flat view Af (m, n_g*d*d).  Iterates are lists of stacks in
+    stack order; :meth:`unstack` returns each block, as a view of its bin's
+    diagonal, in block order.
+
+    A packed program is the original one: C and every A_i are zero off the
+    blocks, so S and every dS are too, and the data see only the diagonal
+    blocks of X, each PSD when its bin is.  The start point eta I and the
+    barrier degree n_tot, and so mu, are those of the blocks.
     """
 
     def __init__(self, prob: SdpProblem):
@@ -194,18 +250,31 @@ class _Workspace:
         self.m = len(prob.constraints)
         if self.m == 0:
             raise SolverError("problem must have at least one constraint")
-        self.groups = [[j for j, dj in enumerate(self.dims) if dj == d]
-                       for d in sorted(set(self.dims))]
-        self.C = [np.array([prob.objective[j] for j in g]) for g in self.groups]
-        self.b = np.array([b for _, b in prob.constraints], dtype=float)
-        self.A = [np.array([[mats[j] for j in g] for mats, _ in prob.constraints])
-                  for g in self.groups]
-        self.Af = [a.reshape(self.m, -1) for a in self.A]
-        data = [*self.C, self.b, *self.A]
-        if any(np.iscomplexobj(x) for x in data):
+        # refused before the copy into real bins, which would drop the
+        # imaginary part
+        if any(np.iscomplexobj(x) for x in (
+                *prob.objective, *(b for _, b in prob.constraints),
+                *(a for mats, _ in prob.constraints for a in mats))):
             raise SolverError("problem data is complex; Model.compile embeds "
                               "complex programs in real symmetric form")
-        if not all(np.all(np.isfinite(x)) for x in data):
+        self.C, self.A = [], []
+        # (stack, bin, diagonal slice) of every block, in block order
+        self.slots: list[tuple[int, int, slice]] = [None] * len(self.dims)
+        for g, bins in enumerate(_layout(self.dims)):
+            d = sum(self.dims[j] for j in bins[0])
+            self.C.append(np.zeros((len(bins), d, d)))
+            self.A.append(np.zeros((self.m, len(bins), d, d)))
+            for k, b in enumerate(bins):
+                off = 0
+                for j in b:
+                    sl = slice(off, off + self.dims[j])
+                    self.slots[j] = (g, k, sl)
+                    off += self.dims[j]
+                    self.C[g][k, sl, sl] = prob.objective[j]
+                    self.A[g][:, k, sl, sl] = [mats[j] for mats, _ in prob.constraints]
+        self.b = np.array([b for _, b in prob.constraints], dtype=float)
+        self.Af = [a.reshape(self.m, -1) for a in self.A]
+        if not all(np.all(np.isfinite(x)) for x in [*self.C, self.b, *self.A]):
             raise SolverError("problem data has a non-finite entry")
         self.n_tot = sum(self.dims)
         with np.errstate(over="ignore"):
@@ -227,11 +296,7 @@ class _Workspace:
         return float(sum(np.vdot(x, y).real for x, y in zip(xs, ys)))
 
     def unstack(self, xs: list[Array]) -> list[Array]:
-        out: list[Array] = [None] * len(self.dims)
-        for g, x in zip(self.groups, xs):
-            for jj, j in enumerate(g):
-                out[j] = x[jj]
-        return out
+        return [xs[g][k, sl, sl] for g, k, sl in self.slots]
 
 
 # A diverging iterate overflows; the non-finite Newton system or step that
@@ -301,7 +366,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
             break
 
         # NT scaling, factors and Schur complement, one batched call per
-        # block size; everything newton() reads but does not vary is here.
+        # stack; everything newton() reads but does not vary is here.
         # The step is eliminated around the current dual point: with
         # dy = dy' + dtau y/tau, C enters as C' = C - A*(y)/tau =
         # (S - d_res)/tau and the gap residual as -<C', X> - kappa.  C'
@@ -328,7 +393,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
 
             def newton(eta_f, sigma, corr, second=None):
                 # rhs of the eliminated system; ``second`` is the matrix
-                # part of Mehrotra's correction, G Z G^T per block size
+                # part of Mehrotra's correction, G Z G^T per stack
                 rc_mat = [sigma * mu * si - x for si, x in zip(Sinv, X)]
                 if second is not None:
                     rc_mat = [rc - z for rc, z in zip(rc_mat, second)]
@@ -339,7 +404,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 rhs = np.column_stack([r1, h_plus_b])
                 if not np.all(np.isfinite(rhs)):
                     raise np.linalg.LinAlgError("non-finite Newton system")
-                sols = np.linalg.solve(M, rhs)
+                sols = _solve_m(M, rhs)
                 if not np.all(np.isfinite(sols)):
                     raise np.linalg.LinAlgError("singular Newton system")
                 g, q = sols[:, 0], sols[:, 1]
@@ -362,7 +427,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
                 # which a non-finite delta never makes it do.
                 dX, dS, dy, dtau, dkappa = step
                 e = ws.apply_a(dX) - ws.b * dtau + eta_f * p_res
-                delta = np.linalg.solve(M, -e)
+                delta = _solve_m(M, -e)
                 atd = ws.apply_at(delta)
                 dX2 = [dx + _sym(w @ a @ w) for dx, w, a in zip(dX, W, atd)]
                 e2 = ws.apply_a(dX2) - ws.b * dtau + eta_f * p_res

@@ -137,12 +137,15 @@ def test_compile_embeds_complex_data(c, value, blocks):
 
 def test_solver_rejects_complex_data():
     """The solver takes real data only; it refuses complex data instead of
-    dropping the imaginary part."""
+    dropping the imaginary part, also in a program whose blocks it would
+    pack into real bins."""
     c = 0.5 * np.eye(2) + 0.3 * np.array([[0, -1j], [1j, 0]])
-    prob = sdp.SdpProblem(blocks=[2], objective=[c],
-                          constraints=[([np.eye(2)], 1.0)])
-    with pytest.raises(SolverError, match="complex"):
-        sdp.solve(prob)
+    for blocks in ([2], [2, 1, 1]):
+        prob = sdp.SdpProblem(blocks=blocks, objective=[c] + [np.eye(1)] * (len(blocks) - 1),
+                              constraints=[([np.eye(d) for d in blocks], 1.0)])
+        assert len(sdp._layout(blocks)) == 1
+        with pytest.raises(SolverError, match="complex"):
+            sdp.solve(prob)
 
 
 def _ptrace_out(x):
@@ -496,32 +499,99 @@ def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
 
 
 def test_each_iteration_factors_once_per_block_size(lapack_calls):
-    """One phase-I solve: every iteration that takes a step makes one
-    cholesky, one inv and one eigh (the NT scaling) per block size, 1 x 1
-    blocks included.  Its Newton directions make one solve each, and the
-    final one (corrector, or recentering when the corrector jams) one more
-    for its primal-consistent step: 3 or 5 solves where two per direction
-    made 4 or 6.  Each of the two or three step tests makes one eigvalsh
-    per block size."""
+    """One phase-I solve.  Its 1 x 1 blocks are packed in pairs into 2 x 2
+    bins, so every block sits in one stack of size 2: every iteration that
+    takes a step makes one cholesky, one inv and one eigh (the NT scaling),
+    all of size 2.  Its Newton directions make one solve each, and the final
+    one (corrector, or recentering when the corrector jams) one more for its
+    primal-consistent step: 3 or 5 solves where two per direction made 4 or
+    6.  Each of the two or three step tests makes one eigvalsh of size 2."""
     problem = _phase1_problem()
     lapack_calls.clear()
     res = sdp.solve(problem, tasks._PHASE1_OPTIONS)
     assert res.status is SdpStatus.OPTIMAL
     assert res.iterations <= 12
-    sizes = sorted(set(problem.blocks))
-    assert sizes[0] == 1 and len(sizes) > 1
-    # an iteration's calls start with the factors of its 1 x 1 blocks; the
-    # last iteration stops at the convergence test, before factoring
-    starts = [i for i, c in enumerate(lapack_calls) if c == ("cholesky", 1)]
+    assert sorted(set(problem.blocks)) == [1, 2]
+    # the last iteration stops at the convergence test, before factoring
+    starts = [i for i, c in enumerate(lapack_calls) if c[0] == "cholesky"]
     assert starts[0] == 0 and len(starts) == res.iterations - 1
-    factors = [c for d in sizes for c in (("cholesky", d), ("inv", d))]
-    scaling = [("eigh", d) for d in sizes]
-    test = [("eigvalsh", d) for d in sizes]
+    factors = [("cholesky", 2), ("inv", 2), ("eigh", 2)]
     solve = [("solve", len(problem.constraints))]
-    predictor, final = solve + test, solve * 2 + test
+    predictor, final = solve + [("eigvalsh", 2)], solve * 2 + [("eigvalsh", 2)]
     for a, z in zip(starts, starts[1:] + [len(lapack_calls)]):
-        assert lapack_calls[a:z] in (factors + scaling + predictor + final,
-                                     factors + scaling + predictor + final * 2)
+        assert lapack_calls[a:z] in (factors + predictor + final,
+                                     factors + predictor + final * 2)
+
+
+def _figure4_problem(monkeypatch):
+    """The compiled conversion program of figure 4 at grid point 15 of 41:
+    blocks of 2 x 2 and 4 x 4."""
+    problems = []
+    solve = sdp.solve
+
+    def recording(prob, *args):
+        problems.append(prob)
+        return solve(prob, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "solve", recording)
+        tasks.min_conversion_error(*figure4_boxes(15 * np.pi / 80), tasks.CDS)
+    return problems[0]
+
+
+@pytest.mark.parametrize("program", ["phase-I", "figure-4"])
+def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
+    """The smaller blocks of both programs are packed into bins of the
+    largest block's size, one stack in all.  Packed or left as they are
+    (``_PACK_MAX`` = 0), each program reaches the same status, value, dual
+    objective and primal blocks, and the figure-4 program the same y.  The
+    phase-I program's dual optimum is not unique: scaling its b by
+    1 + 2^-50 moves the unpacked y by 2e-5, so y is not compared there."""
+    if program == "phase-I":
+        prob, options = _phase1_problem(), tasks._PHASE1_OPTIONS
+    else:
+        prob, options = _figure4_problem(monkeypatch), None
+    assert len(sdp._layout(prob.blocks)) == 1
+    packed = sdp.solve(prob, options)
+    monkeypatch.setattr(sdp, "_PACK_MAX", 0)
+    assert len(sdp._layout(prob.blocks)) == 2
+    plain = sdp.solve(prob, options)
+    assert packed.status is plain.status is SdpStatus.OPTIMAL
+    assert packed.value == pytest.approx(plain.value, abs=1e-8)
+    assert packed.residuals["dual_objective"] == pytest.approx(
+        plain.residuals["dual_objective"], abs=1e-8)
+    if program == "figure-4":
+        assert np.allclose(packed.y, plain.y, rtol=0, atol=1e-8)
+    assert len(packed.x_blocks) == len(plain.x_blocks) == len(prob.blocks)
+    for x, x_plain, d in zip(packed.x_blocks, plain.x_blocks, prob.blocks):
+        assert x.shape == x_plain.shape == (d, d)
+        assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
+
+
+def test_packed_blocks_keep_caller_order(monkeypatch):
+    """Blocks of sizes [1, 3, 1, 2] pack into two stacks, bins of 3 rows
+    and one of 1; the solution lists the blocks in the caller's order and
+    shapes, as the unpacked solve does."""
+    dims = [1, 3, 1, 2]
+    assert sdp._layout(dims) == [[[2]], [[1], [3, 0]]]
+    prob = _per_block_problem(dims, 23)
+    packed = sdp.solve(prob)
+    monkeypatch.setattr(sdp, "_PACK_MAX", 0)
+    plain = sdp.solve(prob)
+    assert packed.status is plain.status is SdpStatus.OPTIMAL
+    assert [x.shape for x in packed.x_blocks] == [(d, d) for d in dims]
+    for k, (x, x_plain) in enumerate(zip(packed.x_blocks, plain.x_blocks)):
+        assert np.trace(x) == pytest.approx(k + 1.0, abs=1e-6)
+        assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 2], [24, 8, 24, 8, 8, 8]],
+                         ids=["no-size-removed", "above-pack-max"])
+def test_unpacked_programs_keep_the_grouping_by_size(dims):
+    """Where packing would leave as many sizes as there are, or the largest
+    block exceeds ``_PACK_MAX``, each block is a bin of its own and the
+    stacks are the blocks of one size, in block order."""
+    by_size = [[[j] for j, dj in enumerate(dims) if dj == d] for d in sorted(set(dims))]
+    assert sdp._layout(dims) == by_size
 
 
 def test_max_iterations_status(monkeypatch):
