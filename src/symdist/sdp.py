@@ -24,12 +24,11 @@ corrector jams at the boundary, a first-order recentering step replaces
 it.  The Newton system is the m x m Schur complement M.  Matrices of one
 size are stacked into one (n, d, d) array, so each step makes one batched
 LAPACK or BLAS call per stack.  When the largest block has at most
-``_PACK_MAX`` rows, the smaller blocks are first packed, first-fit
-decreasing, onto the diagonals of bins of that size, if that leaves fewer
-sizes to stack; otherwise each block is a matrix of its own.  The packed
-program is the same program: its data are zero off the blocks, the start
-point eta I and the barrier degree are those of the blocks, and each block
-comes back as a view of its bin's diagonal.
+``_PACK_MAX`` rows, the blocks are first packed, first-fit decreasing,
+onto the diagonals of bins of that size; otherwise each block is a matrix
+of its own.  The packed program is the same program: its data are zero
+off the blocks, the start point eta I and the barrier degree are those of
+the blocks, and each block comes back as a view of its bin's diagonal.
 
 Each iteration factors its iterates once per stack: one Cholesky
 factorisation of the stack concat[X, S] and one inversion of those factors
@@ -205,27 +204,23 @@ def _layout(dims: list[int]) -> list[list[list[int]]]:
     """The stacks of a program: per bin size, ascending, the bins of that
     size, each the list of blocks on its diagonal.
 
-    When the largest block has at most ``_PACK_MAX`` rows, the smaller
-    blocks are packed first-fit decreasing into block-diagonal bins of that
-    block's size, each bin as large as the blocks in it; the packing is kept
-    if it leaves fewer sizes than the blocks have.  Otherwise, or with no
-    gain, every block is a bin of its own and the stacks are the blocks of
-    one size, in block order.
+    When the largest block has at most ``_PACK_MAX`` rows, the blocks are
+    packed first-fit decreasing into block-diagonal bins of that block's
+    size, each bin as large as the blocks in it.  Otherwise every block is a
+    bin of its own and the stacks are the blocks of one size, in block order.
     """
     big = max(dims, default=0)
-    packed: list[list[int]] = []
-    fill: list[int] = []
-    for j in sorted((j for j, d in enumerate(dims) if d < big), key=lambda j: -dims[j]):
-        k = next((k for k, f in enumerate(fill) if f + dims[j] <= big), len(fill))
-        if k == len(fill):
-            packed.append([])
-            fill.append(0)
-        packed[k].append(j)
-        fill[k] += dims[j]
-    if big <= _PACK_MAX and len(set(fill) | {big}) < len(set(dims)):
-        bins = [[j] for j, d in enumerate(dims) if d == big] + packed
-    else:
+    if big > _PACK_MAX:
         bins = [[j] for j in range(len(dims))]
+    else:
+        bins, fill = [], []
+        for j in sorted(range(len(dims)), key=lambda j: -dims[j]):
+            k = next((k for k, f in enumerate(fill) if f + dims[j] <= big), len(fill))
+            if k == len(fill):
+                bins.append([])
+                fill.append(0)
+            bins[k].append(j)
+            fill[k] += dims[j]
     sizes = [sum(dims[j] for j in b) for b in bins]
     return [[b for b, s in zip(bins, sizes) if s == d] for d in sorted(set(sizes))]
 

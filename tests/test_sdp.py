@@ -282,11 +282,13 @@ def _per_block_problem(dims, seed):
     return sdp.SdpProblem(list(dims), objective, rows)
 
 
-def test_interleaved_block_sizes_keep_caller_order():
-    """Same-size blocks are stacked inside the solver; the solution still
-    lists the blocks in the caller's order, and reordering the blocks only
-    reorders the solution."""
+def test_interleaved_block_sizes_keep_caller_order(monkeypatch):
+    """Inside the solver the blocks are packed into bins of 3 rows, one
+    stack; the solution still lists the blocks in the caller's order and
+    shapes, reordering the blocks only reorders the solution, and the solve
+    with the blocks left unpacked (``_PACK_MAX`` = 0) agrees."""
     dims = [1, 3, 2, 3, 1, 2]
+    assert sdp._layout(dims) == [[[1], [3], [2, 0], [5, 4]]]
     prob = _per_block_problem(dims, 21)
     res = sdp.solve(prob)
     assert res.status is SdpStatus.OPTIMAL
@@ -305,6 +307,12 @@ def test_interleaved_block_sizes_keep_caller_order():
     assert res_p.value == pytest.approx(res.value, abs=1e-9)
     for pos, j in enumerate(perm):
         assert np.allclose(res_p.x_blocks[pos], res.x_blocks[j], atol=1e-6)
+
+    monkeypatch.setattr(sdp, "_PACK_MAX", 0)
+    plain = sdp.solve(prob)
+    assert plain.status is SdpStatus.OPTIMAL
+    for x, x_plain in zip(res.x_blocks, plain.x_blocks):
+        assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
 
 
 def test_objective_norm_does_not_depend_on_the_block_split():
@@ -451,16 +459,18 @@ def test_second_order_term_matches_the_kronecker_oracle(d):
         assert np.allclose(got[j], ref, rtol=1e-8, atol=1e-10 * np.abs(ref).max())
 
 
-def _record_solves(monkeypatch) -> list:
-    """The results of every sdp.solve call from here on, in call order."""
-    results = []
+def _record_solves(monkeypatch) -> tuple[list, list]:
+    """The problems and the results of every sdp.solve call from here on,
+    in call order."""
+    problems, results = [], []
     solve = sdp.solve
 
-    def recording(*args):
-        results.append(solve(*args))
+    def recording(prob, *args):
+        problems.append(prob)
+        results.append(solve(prob, *args))
         return results[-1]
     monkeypatch.setattr(sdp, "solve", recording)
-    return results
+    return problems, results
 
 
 def _phase1_problem():
@@ -479,7 +489,7 @@ def test_corrector_iteration_counts(monkeypatch, point, iterations):
     if point == "phase-I":
         results = [sdp.solve(_phase1_problem(), tasks._PHASE1_OPTIONS)]
     else:
-        results = _record_solves(monkeypatch)
+        _, results = _record_solves(monkeypatch)
         tasks.min_conversion_error(*figure4_boxes(point * np.pi / 80), tasks.CDS)
     assert [r.status for r in results] == [SdpStatus.OPTIMAL]
     assert results[0].iterations <= iterations
@@ -491,7 +501,7 @@ def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
     tolerances.  It ends ill_conditioned once they stop reaching new lows,
     instead of wandering to max_iterations; run on, that solve took 168
     iterations."""
-    results = _record_solves(monkeypatch)
+    _, results = _record_solves(monkeypatch)
     tasks.cost_approx(random_box(2, np.random.default_rng(3)), 0.0, tasks.CPTPA)
     assert [r.status for r in results] == [SdpStatus.OPTIMAL] * 2 + [
         SdpStatus.ILL_CONDITIONED]
@@ -526,14 +536,8 @@ def test_each_iteration_factors_once_per_block_size(lapack_calls):
 def _figure4_problem(monkeypatch):
     """The compiled conversion program of figure 4 at grid point 15 of 41:
     blocks of 2 x 2 and 4 x 4."""
-    problems = []
-    solve = sdp.solve
-
-    def recording(prob, *args):
-        problems.append(prob)
-        return solve(prob, *args)
     with monkeypatch.context() as patch:
-        patch.setattr(sdp, "solve", recording)
+        problems, _ = _record_solves(patch)
         tasks.min_conversion_error(*figure4_boxes(15 * np.pi / 80), tasks.CDS)
     return problems[0]
 
@@ -545,11 +549,13 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
     (``_PACK_MAX`` = 0), each program reaches the same status, value, dual
     objective and primal blocks, and the figure-4 program the same y.  The
     phase-I program's dual optimum is not unique: scaling its b by
-    1 + 2^-50 moves the unpacked y by 2e-5, so y is not compared there."""
+    1 + 2^-50 moves the unpacked y by 2e-5, so there the packed y is checked
+    to be a dual optimum instead: C - A*(y) is PSD to the solver's
+    tolerance, and b.y is the unpacked dual objective."""
     if program == "phase-I":
         prob, options = _phase1_problem(), tasks._PHASE1_OPTIONS
     else:
-        prob, options = _figure4_problem(monkeypatch), None
+        prob, options = _figure4_problem(monkeypatch), sdp.SolverOptions()
     assert len(sdp._layout(prob.blocks)) == 1
     packed = sdp.solve(prob, options)
     monkeypatch.setattr(sdp, "_PACK_MAX", 0)
@@ -557,8 +563,12 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
     plain = sdp.solve(prob, options)
     assert packed.status is plain.status is SdpStatus.OPTIMAL
     assert packed.value == pytest.approx(plain.value, abs=1e-8)
-    assert packed.residuals["dual_objective"] == pytest.approx(
-        plain.residuals["dual_objective"], abs=1e-8)
+    b = np.array([bi for _, bi in prob.constraints])
+    assert b @ packed.y == pytest.approx(plain.residuals["dual_objective"], abs=1e-8)
+    norm_c = max(1.0, np.linalg.norm([np.linalg.norm(c) for c in prob.objective]))
+    for j, (c, d) in enumerate(zip(prob.objective, prob.blocks)):
+        slack = c - sum(yi * mats[j] for yi, (mats, _) in zip(packed.y, prob.constraints))
+        assert np.linalg.eigvalsh(slack).min() >= -d * options.feas_tol * norm_c
     if program == "figure-4":
         assert np.allclose(packed.y, plain.y, rtol=0, atol=1e-8)
     assert len(packed.x_blocks) == len(plain.x_blocks) == len(prob.blocks)
@@ -567,31 +577,33 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
         assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
 
 
-def test_packed_blocks_keep_caller_order(monkeypatch):
-    """Blocks of sizes [1, 3, 1, 2] pack into two stacks, bins of 3 rows
-    and one of 1; the solution lists the blocks in the caller's order and
-    shapes, as the unpacked solve does."""
-    dims = [1, 3, 1, 2]
-    assert sdp._layout(dims) == [[[2]], [[1], [3, 0]]]
-    prob = _per_block_problem(dims, 23)
-    packed = sdp.solve(prob)
-    monkeypatch.setattr(sdp, "_PACK_MAX", 0)
-    plain = sdp.solve(prob)
-    assert packed.status is plain.status is SdpStatus.OPTIMAL
-    assert [x.shape for x in packed.x_blocks] == [(d, d) for d in dims]
-    for k, (x, x_plain) in enumerate(zip(packed.x_blocks, plain.x_blocks)):
-        assert np.trace(x) == pytest.approx(k + 1.0, abs=1e-6)
-        assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
+@pytest.mark.parametrize("dims, layout", [
+    ([1, 1, 3], [[[0, 1]], [[2]]]),
+    ([2, 3, 2], [[[0], [2]], [[1]]]),
+    ([24, 8, 24, 8, 8, 8], [[[1], [3], [4], [5]], [[0], [2]]]),
+], ids=["packed", "packed-alone", "above-pack-max"])
+def test_layout_packs_up_to_pack_max(dims, layout):
+    """Up to ``_PACK_MAX`` rows the blocks are packed into bins of the
+    largest block's size, also where that leaves as many sizes ([1, 1, 3])
+    or every smaller block alone in its bin ([2, 3, 2]).  Above it each
+    block is a bin of its own and the stacks are the blocks of one size, in
+    block order."""
+    assert sdp._layout(dims) == layout
 
 
-@pytest.mark.parametrize("dims", [[2, 3, 2], [24, 8, 24, 8, 8, 8]],
-                         ids=["no-size-removed", "above-pack-max"])
-def test_unpacked_programs_keep_the_grouping_by_size(dims):
-    """Where packing would leave as many sizes as there are, or the largest
-    block exceeds ``_PACK_MAX``, each block is a bin of its own and the
-    stacks are the blocks of one size, in block order."""
-    by_size = [[[j] for j, dj in enumerate(dims) if dj == d] for d in sorted(set(dims))]
-    assert sdp._layout(dims) == by_size
+def test_solve_m_falls_back_to_least_squares_on_a_zero_pivot():
+    """A nonsingular M is solved by ``np.linalg.solve``, bit for bit; an
+    exactly singular one, on which that raises, by ``np.linalg.lstsq``."""
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal((3, 2))
+    m = rng.standard_normal((3, 3))
+    m = m @ m.T + np.eye(3)
+    assert np.array_equal(sdp._solve_m(m, r), np.linalg.solve(m, r))
+    singular = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, r)
+    assert np.array_equal(sdp._solve_m(singular, r),
+                          np.linalg.lstsq(singular, r, rcond=None)[0])
 
 
 def test_max_iterations_status(monkeypatch):
