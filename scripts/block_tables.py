@@ -8,8 +8,9 @@ with their powers from ``tensor_box`` (Schur-Weyl quotients):
 - cost rows: cost_approx(b^(x)n, 0.05) for n <= N;
 
 each in both regimes.  A row gives the value (or the error raised), the
-number of SDP solves, their statuses and the wall time.  The solver runs
-on one BLAS thread, as the benchmark's does, so values repeat to the bit.
+number of SDP solves, their statuses, their total solver iterations and
+the wall time.  The solver runs on one BLAS thread, as the benchmark's
+does, so values repeat to the bit.
 
 Usage: python scripts/block_tables.py [N] > tables.csv
 """
@@ -35,27 +36,29 @@ from symdist.boxes import random_box, tensor_box  # noqa: E402
 from symdist.exceptions import SymdistError  # noqa: E402
 
 EPS = 0.05   # the cost rows' eps
-STATUSES: list[str] = []     # the status of each solve of the current row
+SOLVES: list[tuple[str, int]] = []   # (status, iterations) of each solve of the current row
 
 
 def _recording(solve):
     def wrapped(*args, **kwargs):
         res = solve(*args, **kwargs)
-        STATUSES.append(res.status.value)
+        SOLVES.append((res.status.value, res.iterations))
         return res
     return wrapped
 
 
 def _row(writer, task: str, regime: str, n: int, m, call) -> None:
-    STATUSES.clear()
+    SOLVES.clear()
     t0 = time.perf_counter()
     try:
         value = repr(call().value)
     except SymdistError as exc:
         value = f"{type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - t0
-    statuses = ";".join(f"{k}:{v}" for k, v in sorted(Counter(STATUSES).items()))
-    writer.writerow([task, regime, n, m, value, len(STATUSES), statuses, f"{seconds:.2f}"])
+    statuses = ";".join(f"{k}:{v}" for k, v in sorted(Counter(s for s, _ in SOLVES).items()))
+    iterations = sum(i for _, i in SOLVES)
+    writer.writerow([task, regime, n, m, value, len(SOLVES), statuses, iterations,
+                     f"{seconds:.2f}"])
     sys.stdout.flush()
 
 
@@ -71,7 +74,8 @@ def main() -> int:
     cs = {m: tensor_box(c, m) for m in range(1, args.N + 1)}
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["task", "regime", "n", "m", "value", "solves", "statuses", "seconds"])
+    writer.writerow(["task", "regime", "n", "m", "value", "solves", "statuses", "iterations",
+                     "seconds"])
     for regime in (tasks.CPTPA, tasks.CDS):
         for n, source in bs.items():
             for m, target in cs.items():

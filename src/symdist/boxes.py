@@ -188,6 +188,8 @@ def box_to_json(b: QuantumBox) -> str:
 
 def box_from_json(text: str) -> QuantumBox:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("box JSON: expected an object")
     for key in ("p", "rho0", "rho1"):
         if key not in data:
             raise ValueError(f"field {key!r} missing from box JSON")

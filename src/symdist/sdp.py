@@ -12,10 +12,11 @@ by :meth:`symdist.model.Model.compile`; complex data here is refused, never
 cast.
 
 The algorithm is a primal-dual path-following method with Nesterov-Todd
-scaling on the homogeneous self-dual embedding: an unbounded or infeasible
-instance surfaces as a certificate, never as a diverging iterate.  A
-Mehrotra predictor-corrector is used (Mehrotra, SIAM J. Optim. 2 (1992);
-Todd, Toh & Tutuncu, SIAM J. Optim. 8 (1998)): the corrector carries the
+scaling on the homogeneous self-dual embedding.  An infeasible or
+unbounded program is not detected, and none is built by a task: its solve
+ends ``ill_conditioned`` or at ``_MAX_ITERATIONS``.  A Mehrotra
+predictor-corrector is used (Mehrotra, SIAM J. Optim. 2 (1992); Todd, Toh
+& Tutuncu, SIAM J. Optim. 8 (1998)): the corrector carries the
 second-order term of the tau/kappa pair and, for each matrix block, the
 term G Z G^T of the NT factor G (W = G G^T), with
 Z_ij = (A B + B A)_ij / (v_i + v_j), A = G^-1 dX G^-T and B = G^T dS G
@@ -44,10 +45,10 @@ recentering direction are then made primal-consistent: the miss
 e = A(dX) - b dtau + eta p_res of the linearised primal rows is removed by
 one more solve M delta = -e, kept only if it shrinks e.  Where M has an
 exactly zero pivot, which near a degenerate optimum rounding can give, each
-of these solves takes the least-squares solution instead; a Newton system
-or direction that is not finite ends the solve ``ill_conditioned``, with no
-retry.  A solve also ends ``ill_conditioned``
-when rounding stalls it: its residuals, which every exact step shrinks,
+of these solves takes the least-squares solution instead.  A failed
+factorisation, a Newton system or direction that is not finite, or a step
+below 1e-14 ends the solve ``ill_conditioned``, with no retry.  So does
+rounding that stalls it: its residuals, which every exact step shrinks,
 have not reached a new low in ``_STALL_ITERATIONS`` iterations.  Either
 way, and at ``_MAX_ITERATIONS``, the returned point is the best iterate.
 """
@@ -66,8 +67,6 @@ Array = np.ndarray
 
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
-    PRIMAL_INFEASIBLE = "primal_infeasible"
-    DUAL_INFEASIBLE = "dual_infeasible"
     MAX_ITERATIONS = "max_iterations"
     ILL_CONDITIONED = "ill_conditioned"
 
@@ -108,11 +107,10 @@ class SdpProblem:
 class SdpSolution:
     """The record of one solve.  ``x_blocks`` and ``y`` are the solver's
     point, in block order; ``residuals`` holds the final relative residuals
-    and objectives, or an infeasibility certificate.  :meth:`Model.solve
-    <symdist.model.Model.solve>` shifts ``value`` to the model's objective
-    and fills ``primal``, the blocks by variable name, mapped back from the
-    embedding of a complex program; it stays empty when ``y`` is not
-    finite."""
+    and objectives.  :meth:`Model.solve <symdist.model.Model.solve>` shifts
+    ``value`` to the model's objective and fills ``primal``, the blocks by
+    variable name, mapped back from the embedding of a complex program; it
+    stays empty when ``y`` is not finite."""
     status: SdpStatus
     value: float
     x_blocks: list[Array]
@@ -127,32 +125,18 @@ def _sym(a: Array) -> Array:
     return (a + np.swapaxes(a, -1, -2)) / 2
 
 
-def _ridged_cholesky(x: Array) -> Array:
-    """Cholesky factors of a stack (n, d, d); if one matrix fails, of each
-    matrix ridged by its own trace."""
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        d = x.shape[-1]
-        ridge = np.trace(x, axis1=1, axis2=2) / d * 1e-12
-        return np.linalg.cholesky(x + ridge[:, None, None] * np.eye(d))
-
-
 def _factor(x: Array, s: Array) -> tuple[Array, Array, Array]:
     """Factors of one stack's iterates, shared by every step test and
     by the NT scaling of an iteration: ``(basis, s^-1, l)``.  ``basis``
     holds the inverse Cholesky factors of the stack concat[x, s] and ``l``
     the Cholesky factors of x.
 
-    Both stacks are factored by one ``cholesky`` call, and the factors are
-    inverted with s by one ``inv`` call; if the joint factorisation fails,
-    each stack is factored on its own by :func:`_ridged_cholesky`.
+    Both stacks are factored by one ``cholesky`` call, which raises
+    ``LinAlgError`` on a matrix that is not positive definite, and the
+    factors are inverted with s by one ``inv`` call.
     """
     xs = np.concatenate([x, s])
-    try:
-        chol = np.linalg.cholesky(xs)
-    except np.linalg.LinAlgError:
-        chol = np.concatenate([_ridged_cholesky(x), _ridged_cholesky(s)])
+    chol = np.linalg.cholesky(xs)
     inv = np.linalg.inv(np.concatenate([chol, s]))
     return inv[:len(xs)], inv[len(xs):], chol[:len(x)]
 
@@ -317,8 +301,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     it = 0
     for it in range(1, _MAX_ITERATIONS + 1):
         p_res = ws.apply_a(X) - ws.b * tau
-        aty = ws.apply_at(y)
-        d_res = [a + s - c * tau for a, s, c in zip(aty, S, ws.C)]
+        d_res = [a + s - c * tau for a, s, c in zip(ws.apply_at(y), S, ws.C)]
         cx = ws.inner(ws.C, X)
         by = float(ws.b @ y)
         mu = (ws.inner(X, S) + tau * kappa) / (ws.n_tot + 1)
@@ -340,18 +323,6 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         if rel_p <= opts.feas_tol and rel_d <= opts.feas_tol and rel_g <= opts.gap_tol:
             status = SdpStatus.OPTIMAL
             break
-
-        # infeasibility certificates from the homogeneous embedding
-        if by > 0:
-            dual_slack = max(np.abs(a + s).max() for a, s in zip(aty, S))
-            if dual_slack <= opts.feas_tol * by * ws.norm_c:
-                status = SdpStatus.PRIMAL_INFEASIBLE
-                break
-        if cx < 0:
-            prim_act = np.linalg.norm(ws.apply_a(X))
-            if prim_act <= opts.feas_tol * (-cx) * ws.norm_b:
-                status = SdpStatus.DUAL_INFEASIBLE
-                break
 
         res = tau * max(rel_p, rel_d)    # the embedding's, not divided by tau
         stalled = 0 if res < least_res else stalled + 1
@@ -479,18 +450,8 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    if status in (SdpStatus.MAX_ITERATIONS, SdpStatus.ILL_CONDITIONED) and best is not None:
+    if status is not SdpStatus.OPTIMAL and best is not None:
         X, y, tau, rel_p, rel_d, rel_g = best
-
-    if status is SdpStatus.PRIMAL_INFEASIBLE:
-        scale = float(ws.b @ y)
-        return SdpSolution(status, np.inf, ws.unstack([x / max(tau, 1e-300) for x in X]),
-                           y / scale, np.inf, it,
-                           {"certificate": "b.y = 1, A*(y) <= 0"})
-    if status is SdpStatus.DUAL_INFEASIBLE:
-        cx = ws.inner(ws.C, X)
-        return SdpSolution(status, -np.inf, ws.unstack([x / (-cx) for x in X]), y,
-                           -np.inf, it, {"certificate": "C.X = -1, A(X) = 0, X >= 0"})
 
     xs = [x / tau for x in X]
     ys = y / tau

@@ -368,8 +368,7 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
         # sign test near the root needs lambda to about slope * xtol
         # (about 3e-10 on the dilution reproducer), which is why
         # _PHASE1_OPTIONS is tighter than the default
-        diag = res.residuals
-        if diag.get("rel_primal", 1.0) > 1e-6 or diag.get("rel_gap", 1.0) > 1e-6:
+        if res.residuals["rel_primal"] > 1e-6 or res.residuals["rel_gap"] > 1e-6:
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
     with np.errstate(over="ignore", invalid="ignore"):   # block by block, in order

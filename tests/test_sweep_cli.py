@@ -176,6 +176,18 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and captured.err.startswith("solver failure: ")
 
 
+@pytest.mark.parametrize("text", ["5", "null", '["p", "rho0", "rho1"]', '"p rho0 rho1"'],
+                         ids=["number", "null", "list", "string"])
+def test_cli_box_json_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    """A box file holding valid JSON other than an object is a domain error
+    (exit 2), not a TypeError traceback."""
+    box = tmp_path / "box.json"
+    box.write_text(text)
+    assert cli.main(["sd", str(box)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected an object" in captured.err
+
+
 def test_cli_rejects_non_finite_input(tmp_path, capsys):
     """NaN box entries, non-finite eps and a non-positive or non-finite
     --tol are domain errors (exit 2), not printed values or tracebacks."""

@@ -470,6 +470,27 @@ def test_cost_approx_counts_solves():
     assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
 
 
+def test_cost_approx_accepts_a_solve_ended_on_a_tiny_step(monkeypatch):
+    """At eps = 1 the reproducer is feasible at M = 1, and its one phase-I
+    solve ends ill_conditioned on a step below 1e-14 at iteration 14, where
+    rel_primal is 1.4e-9; without that exit it runs on to iteration 21 and
+    ends on the same best iterate.  Its residuals are below 1e-6, so the
+    solve is accepted and counted: cost 0 bits."""
+    results = []
+    solve = sdp.solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    res = tasks.cost_approx(dilution_reproducer(), 1.0, CDS)
+    assert res.value == 0.0
+    assert res.diagnostics == {"M": 1.0, "solves": 1, "ill_conditioned": 1}
+    assert [r.status for r in results] == [sdp.SdpStatus.ILL_CONDITIONED]
+    assert results[0].iterations <= 14
+
+
 @pytest.mark.parametrize("regime", [CPTPA, CDS])
 @pytest.mark.parametrize("kind", ["real qubit", "quotient", "complex"])
 def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
