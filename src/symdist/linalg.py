@@ -113,6 +113,9 @@ class BlockOp:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
+    def __rsub__(self, other):
+        return self._binary(other, lambda x, y: y - x)
+
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented

@@ -238,14 +238,14 @@ class Model:
 
     # compile and solve -----------------------------------------------------
     def compile(self) -> tuple[sdp.SdpProblem, float]:
-        """The program in the solver's equality form, and the constant of
-        its objective."""
+        """The program in the solver's equality form, a row for every basis
+        direction of every constraint, each row and the objective naming only
+        the blocks their terms touch; and the constant of its objective."""
         if self._obj is None:
             raise SolverError("objective not set")
-        exprs = [e for e, _ in self._cons] + [self._obj]
-        data = [c for _, c in self._cons] + [self._obj._const()]
-        data += [h for e in exprs for *_, h in e.terms]
-        self._with_imag = any(np.iscomplexobj(h) for h in data)
+        pairs = [*self._cons, (self._obj, self._obj._const())]
+        self._with_imag = any(np.iscomplexobj(h) for e, c in pairs
+                              for h in [c, *(payload for *_, payload in e.terms)])
         to_real = _embed if self._with_imag else np.real
         psd_index = {v.name: i for i, v in enumerate(self._psd)}
 
@@ -260,29 +260,17 @@ class Model:
                 psd[j] = psd[j] + coef if j in psd else coef
             return {j: to_real(a) for j, a in psd.items()}
 
-        # untouched blocks of every row share one read-only zero per block
-        zeros = [to_real(np.zeros((1, v.dim, v.dim)))[0] for v in self._psd]
-        for z in zeros:
-            z.flags.writeable = False
-
-        constraints: list[tuple[list[Array], float]] = []
+        constraints: list[tuple[dict[int, Array], float]] = []
         for expr, const in self._cons:
             e_stack = hermitian_basis(expr.dim, self._with_imag)
             psd = rows(expr, e_stack)
             bvals = np.real(np.einsum("rij,ij->r", e_stack.conj(), const))
-            flat = [a.reshape(len(bvals), -1) for a in psd.values()]
-            keep = (np.concatenate(flat, axis=1).any(axis=1) if flat
-                    else np.zeros(len(bvals), dtype=bool))
-            if np.any(np.abs(bvals[~keep]) > 1e-12):
-                raise SolverError("inconsistent constant constraint row")
-            for i in np.flatnonzero(keep):
-                constraints.append(([psd[j][i] if j in psd else z
-                                     for j, z in enumerate(zeros)], float(bvals[i])))
+            constraints += [({j: a[i] for j, a in psd.items()}, float(b))
+                            for i, b in enumerate(bvals)]
 
         psd = rows(self._obj, hermitian_basis(1))
-        problem = sdp.SdpProblem([z.shape[-1] for z in zeros],
-                                 [self._sense * psd[j][0] if j in psd else z
-                                  for j, z in enumerate(zeros)], constraints)
+        problem = sdp.SdpProblem([v.dim * (2 if self._with_imag else 1) for v in self._psd],
+                                 {j: self._sense * a[0] for j, a in psd.items()}, constraints)
         return problem, float(np.real(self._obj._const()[0, 0]))
 
     def solve(self) -> sdp.SdpSolution:

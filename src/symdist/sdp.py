@@ -94,13 +94,13 @@ _PACK_MAX = 16
 class SdpProblem:
     """Block SDP in equality standard form (sense: minimize), PSD blocks only.
 
-    ``constraints`` holds pairs ``(mats, b)`` where ``mats`` lists one real
-    symmetric matrix per block.
+    ``objective`` and the ``mats`` of each row ``(mats, b)`` map a block
+    index to its real symmetric matrix; a block left out of them is zero.
     """
 
     blocks: list[int]
-    objective: list[Array]
-    constraints: list[tuple[list[Array], float]]
+    objective: dict[int, Array]
+    constraints: list[tuple[dict[int, Array], float]]
 
 
 @dataclass(eq=False)
@@ -216,7 +216,7 @@ class _Workspace:
     bins of one size form a stack: C as (n_g, d, d), A as (m, n_g, d, d)
     with the flat view Af (m, n_g*d*d).  Iterates are lists of stacks in
     stack order; :meth:`unstack` returns each block, as a view of its bin's
-    diagonal, in block order.
+    diagonal, in block order (for A, a view of every row).
 
     A packed program is the original one: C and every A_i are zero off the
     blocks, so S and every dS are too, and the data see only the diagonal
@@ -232,8 +232,8 @@ class _Workspace:
         # refused before the copy into real bins, which would drop the
         # imaginary part
         if any(np.iscomplexobj(x) for x in (
-                *prob.objective, *(b for _, b in prob.constraints),
-                *(a for mats, _ in prob.constraints for a in mats))):
+                *prob.objective.values(), *(b for _, b in prob.constraints),
+                *(a for mats, _ in prob.constraints for a in mats.values()))):
             raise SolverError("problem data is complex; Model.compile embeds "
                               "complex programs in real symmetric form")
         self.C, self.A = [], []
@@ -246,11 +246,14 @@ class _Workspace:
             for k, b in enumerate(bins):
                 off = 0
                 for j in b:
-                    sl = slice(off, off + self.dims[j])
-                    self.slots[j] = (g, k, sl)
+                    self.slots[j] = (g, k, slice(off, off + self.dims[j]))
                     off += self.dims[j]
-                    self.C[g][k, sl, sl] = prob.objective[j]
-                    self.A[g][:, k, sl, sl] = [mats[j] for mats, _ in prob.constraints]
+        c_blocks, a_blocks = self.unstack(self.C), self.unstack(self.A)
+        for j, c in prob.objective.items():
+            c_blocks[j][...] = c
+        for i, (mats, _) in enumerate(prob.constraints):
+            for j, a in mats.items():
+                a_blocks[j][i] = a
         self.b = np.array([b for _, b in prob.constraints], dtype=float)
         self.Af = [a.reshape(self.m, -1) for a in self.A]
         if not all(np.all(np.isfinite(x)) for x in [*self.C, self.b, *self.A]):
@@ -275,7 +278,7 @@ class _Workspace:
         return float(sum(np.vdot(x, y).real for x, y in zip(xs, ys)))
 
     def unstack(self, xs: list[Array]) -> list[Array]:
-        return [xs[g][k, sl, sl] for g, k, sl in self.slots]
+        return [xs[g][..., k, sl, sl] for g, k, sl in self.slots]
 
 
 # A diverging iterate overflows; the non-finite Newton system or step that

@@ -12,7 +12,6 @@ solver failures recorded as ``nan`` plus a diagnostics sidecar entry.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,13 +165,17 @@ def _use_tolerances(tols: dict) -> None:
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid; rows are ordered by grid index regardless of the
-    worker pool's completion order.  Pool workers use the caller's
-    ``TOLS``, whatever the start method."""
+    """Evaluate the grid, in this process for ``jobs`` = 1 and otherwise on
+    min(jobs, grid size) pool workers, which use the caller's ``TOLS``
+    whatever the start method; rows are in grid order.  jobs < 1 raises."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     header = [spec.parameter_name()] + list(spec.quantities)
     points = [float(x) for x in spec.grid()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_use_tolerances,
+    if jobs > 1:    # a grid has at least 2 points
+        # imported here: multiprocessing is slow to import, and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points)), initializer=_use_tolerances,
                                  initargs=(dict(vars(TOLS)),)) as pool:
             outcomes = list(pool.map(_evaluate, [spec] * len(points), points))
     else:

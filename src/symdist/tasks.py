@@ -331,19 +331,21 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
 
 def _phase1_family(b: QuantumBox, eps: float, regime: str) -> tuple:
     """``_phase1_model`` as the affine family P0 + t D: its compile P0 at
-    t = 0, and (j, rows, D_j) for each PSD block j that moves in the
-    compile P1 at t = 1, D_j = P1 - P0 on the rows where it does.  P0 + t D
-    is the compile at t bit for bit (t only scales exactly Hermitian
-    coefficient stacks, which compiling at most halves).  The objective,
-    lam0, has no constant, so P0's optimal value is the model's."""
+    t = 0, and (j, rows, D_j) in ascending j for each PSD block j that moves
+    in the compile P1 at t = 1, D_j = P1 - P0 on the rows where it does.
+    Both compiles have a row per basis direction of every constraint, and
+    each row names the same blocks in both.  P0 + t D is the compile at t
+    bit for bit (t only scales exactly Hermitian coefficient stacks, which
+    compiling at most halves).  The objective, lam0, has no constant, so
+    P0's optimal value is the model's."""
     (p0, _), (p1, _) = (_phase1_model(b, eps, regime, t).compile() for t in (0.0, 1.0))
-    deltas = []
-    for j in range(len(p0.blocks)):
-        d = np.array([a1[j] - a0[j] for (a0, _), (a1, _) in zip(p0.constraints, p1.constraints)])
-        rows = np.flatnonzero(d.reshape(len(d), -1).any(axis=1))
-        if len(rows):
-            deltas.append((j, rows, d[rows]))
-    return p0, deltas
+    moved: dict[int, dict[int, Array]] = {}
+    for i, ((a0, _), (a1, _)) in enumerate(zip(p0.constraints, p1.constraints)):
+        for j, a in a1.items():
+            if (d := a - a0[j]).any():
+                moved.setdefault(j, {})[i] = d
+    return p0, [(j, np.array(list(moved[j])), np.array(list(moved[j].values())))
+                for j in sorted(moved)]
 
 
 def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
@@ -360,7 +362,7 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
     for j, rows, stack in deltas:
         for i, d in zip(rows, stack):
             mats, rhs = constraints[i]
-            constraints[i] = ([*mats[:j], mats[j] + t * d, *mats[j + 1:]], rhs)
+            constraints[i] = ({**mats, j: mats[j] + t * d}, rhs)
     res = sdp.solve(sdp.SdpProblem(p0.blocks, p0.objective, constraints), _PHASE1_OPTIONS)
     stats["solves"] += 1
     if res.status is not sdp.SdpStatus.OPTIMAL:

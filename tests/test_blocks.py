@@ -223,6 +223,17 @@ def test_box_equality_is_the_same_in_block_and_dense_form(delta, equal):
         dv.scaled_trace_distance(dense_box(rho), sigma)
 
 
+def test_a_quotient_and_a_dense_box_of_one_shape_are_a_dimension_mismatch():
+    """The quotient of b^(x)2 and a dense box on C^4 hold 4 x 4 states in
+    different layouts; comparing them raises in either order."""
+    q = tensor_box(random_box(2, np.random.default_rng(7)), 2)
+    d = random_box(4, np.random.default_rng(8))
+    assert q.rho0.shape == d.rho0.shape
+    for a, b in ((q, d), (d, q)):
+        with pytest.raises(DimensionMismatchError):
+            dv.scaled_trace_distance(a, b)
+
+
 def test_json_round_trip_keeps_the_block_form(tmp_path, capsys):
     """box_to_json of a qubit tensor power records its one-copy states, so
     box_from_json rebuilds the same blocks and the CLI prints the library's

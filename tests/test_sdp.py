@@ -52,7 +52,7 @@ def test_overflowing_data_raises_solver_error(c, b):
     """Finite data whose norm overflows would start from an infinite point
     and break the first iteration; the solver refuses it up front."""
     with pytest.raises(SolverError, match="overflows"):
-        sdp.solve(sdp.SdpProblem([2], [c], [([np.eye(2)], b)]))
+        sdp.solve(sdp.SdpProblem([2], {0: c}, [({0: np.eye(2)}, b)]))
 
 
 @pytest.mark.parametrize("sign, a, b", [(1.0, np.eye(2), -1.0),
@@ -142,8 +142,9 @@ def test_solver_rejects_complex_data():
     pack into real bins."""
     c = 0.5 * np.eye(2) + 0.3 * np.array([[0, -1j], [1j, 0]])
     for blocks in ([2], [2, 1, 1]):
-        prob = sdp.SdpProblem(blocks=blocks, objective=[c] + [np.eye(1)] * (len(blocks) - 1),
-                              constraints=[([np.eye(d) for d in blocks], 1.0)])
+        prob = sdp.SdpProblem(blocks=blocks,
+                              objective={0: c, **{j: np.eye(1) for j in range(1, len(blocks))}},
+                              constraints=[({j: np.eye(d) for j, d in enumerate(blocks)}, 1.0)])
         assert len(sdp._layout(blocks)) == 1
         with pytest.raises(SolverError, match="complex"):
             sdp.solve(prob)
@@ -220,10 +221,63 @@ def test_scaled_partial_trace_compiles_real():
     m.minimize(trace(om))
     prob, _ = m.compile()
     assert prob.blocks == [4]
-    assert not any(np.iscomplexobj(a) for a in prob.objective)
+    assert not any(np.iscomplexobj(a) for a in prob.objective.values())
     res = m.solve()
     assert res.status is SdpStatus.OPTIMAL
     assert res.value == pytest.approx(2.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_every_basis_direction_is_a_row_naming_the_blocks_it_touches(real):
+    """A d x d matrix equality compiles to d(d+1)/2 rows when the program is
+    real and d^2 when it is complex, one per basis direction, and each row,
+    like the objective, names only the blocks that its terms touch."""
+    h = random_hermitian(3, np.random.default_rng(4))
+    h = h.real if real else h
+    m = Model()
+    x, y, z = m.psd_var("x", 3), m.psd_var("y", 2), m.psd_var("z", 3)
+    m.eq(x + 0.5 * z, h + 4 * np.eye(3))
+    m.eq(y, np.eye(2))
+    m.minimize(trace(x))
+    prob, _ = m.compile()
+    n3, n2 = (6, 3) if real else (9, 4)
+    assert len(prob.constraints) == n3 + n2
+    assert [sorted(mats) for mats, _ in prob.constraints] == [[0, 2]] * n3 + [[1]] * n2
+    assert list(prob.objective) == [0]
+    assert prob.blocks == ([3, 2, 3] if real else [6, 4, 6])
+
+
+def _with_constant_row(b):
+    """min Tr X : Tr X = 1, X >= 0 (2 x 2), and with b not None one more
+    row 0 * Tr X = b, which names X with a zero matrix."""
+    m = Model()
+    x = m.psd_var("x", 2)
+    m.minimize(trace(x))
+    m.eq(trace(x), 1.0)
+    if b is not None:
+        m.eq(0.0 * trace(x), b)
+    return m
+
+
+def test_a_zero_row_solves_like_the_program_without_it():
+    """Compile keeps a row whose coefficients are all zero; with b = 0 the
+    Schur complement is singular, and the Newton solves take its
+    least-squares solution, so the solve goes as without the row."""
+    plain, zero = _with_constant_row(None), _with_constant_row(0.0)
+    assert len(zero.compile()[0].constraints) == len(plain.compile()[0].constraints) + 1
+    a, b = plain.solve(), zero.solve()
+    assert a.status is b.status is SdpStatus.OPTIMAL
+    assert b.value == pytest.approx(a.value, abs=1e-8)
+    assert b.iterations == a.iterations
+
+
+def test_an_inconsistent_constant_row_ends_non_optimal():
+    """A zero row with b = 1 cannot hold; the solve ends non-optimal and
+    ``require_optimal`` raises."""
+    res = _with_constant_row(1.0).solve()
+    assert res.status is not SdpStatus.OPTIMAL
+    with pytest.raises(SolverError):
+        require_optimal(res, "inconsistent program")
 
 
 def test_hermitian_basis_orthonormal():
@@ -274,11 +328,9 @@ def _per_block_problem(dims, seed):
     """min sum_k <C_k, X_k> s.t. Tr X_k = k + 1 and one row coupling every
     block, with a strictly feasible interior."""
     rng = np.random.default_rng(seed)
-    objective = [random_hermitian(d, rng).real for d in dims]
-    rows = [([np.eye(d) if j == k else np.zeros((d, d)) for j, d in enumerate(dims)],
-             k + 1.0)
-            for k in range(len(dims))]
-    rows.append(([np.diag(np.arange(1.0, d + 1)) for d in dims],
+    objective = {j: random_hermitian(d, rng).real for j, d in enumerate(dims)}
+    rows = [({k: np.eye(d)}, k + 1.0) for k, d in enumerate(dims)]
+    rows.append(({j: np.diag(np.arange(1.0, d + 1)) for j, d in enumerate(dims)},
                  1.5 * sum(k + 1.0 for k in range(len(dims)))))
     return sdp.SdpProblem(list(dims), objective, rows)
 
@@ -300,8 +352,8 @@ def test_interleaved_block_sizes_keep_caller_order(monkeypatch):
 
     perm = [4, 2, 0, 5, 3, 1]
     permuted = sdp.SdpProblem([dims[j] for j in perm],
-                              [prob.objective[j] for j in perm],
-                              [([mats[j] for j in perm], b)
+                              {pos: prob.objective[j] for pos, j in enumerate(perm)},
+                              [({pos: mats[j] for pos, j in enumerate(perm) if j in mats}, b)
                                for mats, b in prob.constraints])
     res_p = sdp.solve(permuted)
     assert res_p.status is SdpStatus.OPTIMAL
@@ -322,8 +374,8 @@ def test_objective_norm_does_not_depend_on_the_block_split():
     block-diagonal variable split into its blocks start alike and are held
     to the same dual tolerance."""
     c1, c2 = np.diag([3.0, 1.0]), np.array([[2.0]])
-    split = sdp.SdpProblem([2, 1], [c1, c2], [([np.eye(2), np.eye(1)], 1.0)])
-    merged = sdp.SdpProblem([3], [np.diag([3.0, 1.0, 2.0])], [([np.eye(3)], 1.0)])
+    split = sdp.SdpProblem([2, 1], {0: c1, 1: c2}, [({0: np.eye(2), 1: np.eye(1)}, 1.0)])
+    merged = sdp.SdpProblem([3], {0: np.diag([3.0, 1.0, 2.0])}, [({0: np.eye(3)}, 1.0)])
     assert sdp._Workspace(split).norm_c == pytest.approx(np.sqrt(14.0), rel=1e-15)
     assert sdp._Workspace(merged).norm_c == pytest.approx(np.sqrt(14.0), rel=1e-15)
 
@@ -532,9 +584,10 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
     assert packed.value == pytest.approx(plain.value, abs=1e-8)
     b = np.array([bi for _, bi in prob.constraints])
     assert b @ packed.y == pytest.approx(plain.residuals["dual_objective"], abs=1e-8)
-    norm_c = max(1.0, np.linalg.norm([np.linalg.norm(c) for c in prob.objective]))
-    for j, (c, d) in enumerate(zip(prob.objective, prob.blocks)):
-        slack = c - sum(yi * mats[j] for yi, (mats, _) in zip(packed.y, prob.constraints))
+    norm_c = max(1.0, np.linalg.norm([np.linalg.norm(c) for c in prob.objective.values()]))
+    for j, d in enumerate(prob.blocks):
+        slack = prob.objective.get(j, np.zeros((d, d))) - sum(
+            yi * mats[j] for yi, (mats, _) in zip(packed.y, prob.constraints) if j in mats)
         assert np.linalg.eigvalsh(slack).min() >= -d * options.feas_tol * norm_c
     if program == "figure-4":
         assert np.allclose(packed.y, plain.y, rtol=0, atol=1e-8)

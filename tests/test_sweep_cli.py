@@ -1,8 +1,15 @@
+import concurrent.futures
+import contextlib
 import functools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -103,9 +110,62 @@ def test_pooled_sweep_keeps_the_tolerances(monkeypatch):
     monkeypatch.setattr(TOLS, "support", 0.5)
     serial = run_sweep(spec).rows
     assert serial != default
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
     assert run_sweep(spec, jobs=2).rows == serial
+
+
+def _in_process_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that records each pool's
+    max_workers in ``sizes`` and maps in this process, so a test of the
+    pool's size starts no process."""
+    @contextlib.contextmanager
+    def pool(max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+        yield types.SimpleNamespace(map=map)
+    return pool
+
+
+def test_sweep_starts_at_most_one_worker_per_grid_point(monkeypatch):
+    """--jobs caps the pool, and so does the grid: a 3-point sweep starts at
+    most 3 workers however many jobs are asked for, and one job none."""
+    spec = SweepSpec(family="gad-gamma", steps=3, quantities=("sd",))
+    serial = run_sweep(spec).rows
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(sizes))
+    assert run_sweep(spec, jobs=2).rows == serial
+    assert sizes == [2]     # the stand-in is in use before a large pool is asked for
+    for jobs in (3, 100_000, 1):
+        assert run_sweep(spec, jobs=jobs).rows == serial
+    assert sizes == [2, 3, 3]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    """Fewer than one job is a domain error (exit 2 from the CLI), not a
+    serial sweep."""
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(sizes))
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(SweepSpec(family="gad-gamma", steps=3), jobs=jobs)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--family", "gad-gamma", "--steps", "3",
+                     "--jobs", str(jobs), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "jobs" in captured.err
+    assert not out.exists() and sizes == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """Only a pooled sweep imports the process pool, so importing the CLI
+    in a fresh interpreter does not import multiprocessing."""
+    src = Path(sweep.__file__).resolve().parent.parent
+    code = ("import sys, symdist.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_svg_output():
@@ -167,6 +227,9 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["perr", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    assert cli.main(["sd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "provide a box JSON file or --golden" in captured.err
     # a solver failure exits 3 and prints no value
     box = tmp_path / "g2.json"
     box.write_text(box_to_json(golden_box(2, 0.5)))
@@ -186,6 +249,21 @@ def test_cli_box_json_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     assert cli.main(["sd", str(box)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected an object" in captured.err
+
+
+@pytest.mark.parametrize("option, value", [("--N", "1.5"), ("--gamma", "-0.5"),
+                                           ("--q", "1"), ("--q-target", "0"),
+                                           ("--eps", "-0.1"),
+                                           ("--quantities", "min_conversion_error")])
+def test_cli_sweep_spec_outside_its_domain_exits_2(tmp_path, capsys, option, value):
+    """Fixed sweep parameters outside their ranges, and a conversion error
+    asked of a family without a target, are domain errors."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--family", "gad-gamma", "--steps", "3", option, value,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_rejects_non_finite_input(tmp_path, capsys):

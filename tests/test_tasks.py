@@ -40,6 +40,17 @@ def test_distill_exact_values(rng):
     assert math.isinf(tasks.distill_exact(o, CPTPA).value)
 
 
+def test_an_unknown_regime_raises():
+    b, c = golden_box(2, 0.5), golden_box(3, 0.5)
+    for call in (lambda r: tasks.distill_exact(b, r), lambda r: tasks.cost_exact(b, r),
+                 lambda r: tasks.distill_approx(b, 0.1, r),
+                 lambda r: tasks.cost_approx(b, 0.1, r),
+                 lambda r: tasks.min_conversion_error(b, c, r),
+                 lambda r: tasks.transform_rate(b, c, r)):
+        with pytest.raises(ParameterRangeError, match="regime"):
+            call("cptp")
+
+
 def test_distill_exact_singular_prior(rng):
     rho = random_density(2, rng)
     b = QuantumBox(0.0, rho, random_density(2, rng))
@@ -582,6 +593,13 @@ def test_cost_approx_without_the_lo_solve(monkeypatch, regime, eps):
     assert got.value == pytest.approx(want, abs=1e-6)
 
 
+def _same_blocks(got: dict, want: dict) -> bool:
+    """Two compiled rows (or objectives) name the same blocks with the same
+    matrices, bit for bit."""
+    return got.keys() == want.keys() and all(np.array_equal(got[j], w)
+                                             for j, w in want.items())
+
+
 @pytest.mark.parametrize("regime", [CPTPA, CDS])
 @pytest.mark.parametrize("real", [True, False])
 def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime):
@@ -609,17 +627,16 @@ def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime)
             want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
             assert want_const == 0.0
             assert got.blocks == want.blocks
-            assert all(np.array_equal(a, w)
-                       for a, w in zip(got.objective, want.objective))
+            assert _same_blocks(got.objective, want.objective)
             assert len(got.constraints) == len(want.constraints)
             for (mats, rhs), (mats_w, rhs_w) in zip(got.constraints, want.constraints):
                 assert rhs == rhs_w
-                assert all(np.array_equal(a, w) for a, w in zip(mats, mats_w))
+                assert _same_blocks(mats, mats_w)
         # the compiled program at t = 0 is left as it was
         again, _ = tasks._phase1_model(box, 0.05, regime, 0.0).compile()
-        assert all(np.array_equal(a, w) for (mats, _), (mats_w, _) in
-                   zip(family[0].constraints, again.constraints)
-                   for a, w in zip(mats, mats_w))
+        assert len(family[0].constraints) == len(again.constraints)
+        assert all(_same_blocks(mats, mats_w) for (mats, _), (mats_w, _) in
+                   zip(family[0].constraints, again.constraints))
 
 
 @pytest.mark.parametrize("d,seed,p,regime", [
