@@ -5,7 +5,8 @@ each benchmark workload as JSON.
 For each workload of ``perfbench/workloads.py`` the script runs, in this
 order, the warm-up, every op once in input-set order and every probe, and
 records each call of ``sdp.solve`` in that order: status, iterations,
-value (``repr``), a SHA-256 of ``y``'s bytes, ``m`` and the blocks.  An op
+value (``repr``), a SHA-256 of ``y``'s bytes, ``m``, the blocks and
+whether the solve was started warm (given a ``start``).  An op
 output is the tuple of ``repr``s of its floats, or the error it raised; a
 probe's is the string it returns.  The solver runs on one BLAS thread, as
 the benchmark's does, so two runs of the same code repeat to the bit and
@@ -39,10 +40,12 @@ SOLVES: list[dict] = []   # the records of the current phase's solves
 def _recording(solve):
     def wrapped(prob, *args, **kwargs):
         res = solve(prob, *args, **kwargs)
+        start = args[1] if len(args) > 1 else kwargs.get("start")
         SOLVES.append({"status": res.status.value, "iterations": res.iterations,
                        "value": repr(res.value),
                        "y": hashlib.sha256(res.y.tobytes()).hexdigest(),
-                       "m": len(prob.constraints), "blocks": list(prob.blocks)})
+                       "m": len(prob.constraints), "blocks": list(prob.blocks),
+                       "warm": start is not None})
         return res
     return wrapped
 

@@ -28,8 +28,15 @@ LAPACK or BLAS call per stack.  When the largest block has at most
 ``_PACK_MAX`` rows, the blocks are first packed, first-fit decreasing,
 onto the diagonals of bins of that size; otherwise each block is a matrix
 of its own.  The packed program is the same program: its data are zero
-off the blocks, the start point eta I and the barrier degree are those of
-the blocks, and each block comes back as a view of its bin's diagonal.
+off the blocks, the start point and the barrier degree are those of the
+blocks, and each block comes back as a view of its bin's diagonal.
+
+A solve starts cold at eta I, or warm from the record of an earlier solve
+of a program with the same blocks and m (``start``): 0.99 of that point
+(``_WARM_SHARE``) blended with 0.01 of eta I, so that a sequence of
+nearby programs, like the phase-I programs of one ``cost_approx`` call,
+takes fewer iterations.  The record carries X and S by block, so a start
+does not depend on the packing.
 
 Each iteration factors its iterates once per stack: one Cholesky
 factorisation of the stack concat[X, S] and one inversion of those factors
@@ -88,6 +95,9 @@ _STALL_ITERATIONS = 10
 # this size: above it the bins' zero off-diagonal parts cost more flops than
 # one batched call set per block size saves (see :func:`_layout`).
 _PACK_MAX = 16
+# A warm start keeps this share of the given solution and takes the rest
+# from the cold start eta I, so it stays interior (see :func:`solve`).
+_WARM_SHARE = 0.99
 
 
 @dataclass(eq=False)
@@ -105,15 +115,21 @@ class SdpProblem:
 
 @dataclass(eq=False)
 class SdpSolution:
-    """The record of one solve.  ``x_blocks`` and ``y`` are the solver's
-    point, in block order; ``residuals`` holds the final relative residuals
-    and objectives.  :meth:`Model.solve <symdist.model.Model.solve>` shifts
+    """The record of one solve.  ``x_blocks``, ``s_blocks`` and ``y`` are
+    the solver's point, X, S = C - A*(y) to its residual and y, in block
+    order, so the record can start a solve of a program with the same blocks
+    and m (:func:`solve`'s ``start``, which keeps 0.99 of it,
+    ``_WARM_SHARE``).  ``tasks.cost_approx`` starts only from records that
+    ended ``optimal``, and solves a warm program that fails its acceptance
+    test again cold.  ``residuals`` holds the final relative residuals and
+    objectives.  :meth:`Model.solve <symdist.model.Model.solve>` shifts
     ``value`` to the model's objective and fills ``primal``, the blocks by
     variable name, mapped back from the embedding of a complex program; it
     stays empty when ``y`` is not finite."""
     status: SdpStatus
     value: float
     x_blocks: list[Array]
+    s_blocks: list[Array]
     y: Array
     gap: float
     iterations: int
@@ -220,7 +236,8 @@ class _Workspace:
 
     A packed program is the original one: C and every A_i are zero off the
     blocks, so S and every dS are too, and the data see only the diagonal
-    blocks of X, each PSD when its bin is.  The start point eta I and the
+    blocks of X, each PSD when its bin is.  The start point, cold eta I or
+    a warm blend of a record's blocks into it (:meth:`warm`), and the
     barrier degree n_tot, and so mu, are those of the blocks.
     """
 
@@ -280,12 +297,32 @@ class _Workspace:
     def unstack(self, xs: list[Array]) -> list[Array]:
         return [xs[g][..., k, sl, sl] for g, k, sl in self.slots]
 
+    def warm(self, cold: list[Array], blocks: list[Array]) -> list[Array]:
+        """The stacks (1 - beta) cold + beta blocks, beta = ``_WARM_SHARE``,
+        for ``blocks`` in block order."""
+        if [x.shape for x in blocks] != [(d, d) for d in self.dims]:
+            raise SolverError("start is not a point of a program with these blocks")
+        out = [(1.0 - _WARM_SHARE) * c for c in cold]
+        for view, x in zip(self.unstack(out), blocks):
+            view += _WARM_SHARE * x
+        return out
+
 
 # A diverging iterate overflows; the non-finite Newton system or step that
 # follows ends the solve ill_conditioned, so numpy need not warn about it.
 @np.errstate(over="ignore", invalid="ignore")
-def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
-    """Solve a real block SDP; deterministic for fixed inputs."""
+def solve(prob: SdpProblem, options: SolverOptions | None = None,
+          start: SdpSolution | None = None) -> SdpSolution:
+    """Solve a real block SDP; deterministic for fixed inputs.
+
+    A cold solve starts at X = S = eta I, y = 0 and tau = kappa = 1.
+    ``start``, the record of a solve of a program with the same blocks and
+    m, starts it warm from that point (X*, S*, y*), following the
+    homogeneous self-dual warm start of Skajaa, Andersen & Ye (Math.
+    Program. Comput. 5 (2013)): X = beta X* + (1 - beta) eta I, S likewise,
+    y = beta y*, tau = 1 and kappa = <X, S>/n_tot, with beta =
+    ``_WARM_SHARE``.  The eta I part keeps the start interior, and kappa
+    puts the tau/kappa pair on the central path's mu."""
     opts = options or SolverOptions()
     ws = _Workspace(prob)
     m = ws.m
@@ -295,6 +332,12 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     S = list(X)
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
+    if start is not None:
+        if len(start.y) != m:
+            raise SolverError("start is not a point of a program with this m")
+        X, S = ws.warm(X, start.x_blocks), ws.warm(S, start.s_blocks)
+        y = _WARM_SHARE * start.y
+        kappa = ws.inner(X, S) / ws.n_tot
 
     best = None
     best_metric = np.inf
@@ -321,7 +364,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         if metric < best_metric:
             # every update rebinds the iterates, so references suffice
             best_metric = metric
-            best = (X, y, tau, rel_p, rel_d, rel_g)
+            best = (X, S, y, tau, rel_p, rel_d, rel_g)
 
         if rel_p <= opts.feas_tol and rel_d <= opts.feas_tol and rel_g <= opts.gap_tol:
             status = SdpStatus.OPTIMAL
@@ -454,7 +497,7 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
         kappa += alpha * dkappa
 
     if status is not SdpStatus.OPTIMAL and best is not None:
-        X, y, tau, rel_p, rel_d, rel_g = best
+        X, S, y, tau, rel_p, rel_d, rel_g = best
 
     xs = [x / tau for x in X]
     ys = y / tau
@@ -462,4 +505,5 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SdpSolution
     dobj_f = float(ws.b @ ys)
     res = {"rel_primal": rel_p, "rel_dual": rel_d, "rel_gap": rel_g,
            "primal_objective": pobj_f, "dual_objective": dobj_f}
-    return SdpSolution(status, pobj_f, ws.unstack(xs), ys, pobj_f - dobj_f, it, res)
+    return SdpSolution(status, pobj_f, ws.unstack(xs), ws.unstack([s / tau for s in S]),
+                       ys, pobj_f - dobj_f, it, res)

@@ -348,7 +348,16 @@ def _phase1_family(b: QuantumBox, eps: float, regime: str) -> tuple:
                 for j in sorted(moved)]
 
 
-def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
+def _accepted(res: sdp.SdpSolution) -> bool:
+    """Whether a phase-I solve is taken: optimal, or ended otherwise with its
+    relative primal, dual and gap residuals at most 1e-6, which catch a
+    failed solve.  The dual one counts too, as the slope is read from y."""
+    return res.status is sdp.SdpStatus.OPTIMAL or all(
+        res.residuals[k] <= 1e-6 for k in ("rel_primal", "rel_dual", "rel_gap"))
+
+
+def _phase1_shift(family: tuple, t: float, stats: dict,
+                  solved: list | None = None) -> tuple[float, float]:
     """Signed infeasibility lambda of the phase-I program P0 + t D of a
     ``_phase1_family``, and its slope from the same solve, nan without a
     finite point; the solve is counted in ``stats``.  The program is
@@ -356,21 +365,37 @@ def _phase1_shift(family: tuple, t: float, stats: dict) -> tuple[float, float]:
     is involved, and lambda is the solver's value less 1.  The slope is the
     optimal value's sensitivity to its data (Boyd & Vandenberghe, Convex
     Optimization, 5.6), d lambda / dt = -sum_j y[rows_j] . <D_j, X_j> at the
-    solver's y and X, in compiled space, where a complex program is embedded."""
+    solver's y and X, in compiled space, where a complex program is embedded.
+
+    ``solved``, when given, lists the earlier solves of the same family,
+    oldest first, and each solve made here is appended to it.  The solve
+    then starts warm from the newest ``optimal`` one, never from one taken
+    on its residuals (``sdp.solve``'s ``start``), and cold when there is
+    none.  A warm solve that ``_accepted`` refuses is solved again cold;
+    both solves are counted, and the retry in ``stats["retried"]``."""
     p0, deltas = family
     constraints = list(p0.constraints)
     for j, rows, stack in deltas:
         for i, d in zip(rows, stack):
             mats, rhs = constraints[i]
             constraints[i] = ({**mats, j: mats[j] + t * d}, rhs)
-    res = sdp.solve(sdp.SdpProblem(p0.blocks, p0.objective, constraints), _PHASE1_OPTIONS)
+    prob = sdp.SdpProblem(p0.blocks, p0.objective, constraints)
+    start = next((r for r in reversed(solved or []) if r.status is sdp.SdpStatus.OPTIMAL),
+                 None)
+    res = sdp.solve(prob, _PHASE1_OPTIONS, start=start)
     stats["solves"] += 1
+    if start is not None and not _accepted(res):
+        solved.append(res)
+        stats["retried"] = stats.get("retried", 0) + 1
+        res = sdp.solve(prob, _PHASE1_OPTIONS)
+        stats["solves"] += 1
+    if solved is not None:
+        solved.append(res)
     if res.status is not sdp.SdpStatus.OPTIMAL:
-        # accepted on residuals of 1e-6, which catch a failed solve; the
-        # sign test near the root needs lambda to about slope * xtol
+        # the sign test near the root needs lambda to about slope * xtol
         # (about 3e-10 on the dilution reproducer), which is why
         # _PHASE1_OPTIONS is tighter than the default
-        if res.residuals["rel_primal"] > 1e-6 or res.residuals["rel_gap"] > 1e-6:
+        if not _accepted(res):
             raise SolverError(f"phase-I feasibility solve returned {res.status.value}")
         stats[res.status.value] = stats.get(res.status.value, 0) + 1
     with np.errstate(over="ignore", invalid="ignore"):   # block by block, in order
@@ -399,8 +424,17 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     (``_program_blocks``), which has the same cost, is affine in t: it is
     compiled at t = 0 and t = 1 (``_phase1_family``), and each step solves
     P0 + t D.  No witness is returned, so no frame is mapped back; the
-    bracket end comes from b itself.  Diagnostics count the solves and, by
-    status, the non-optimal ones accepted for their residuals."""
+    bracket end comes from b itself.
+
+    Each solve after the first starts warm from the newest ``optimal``
+    solve of the call (``_phase1_shift``): the programs differ only in t.
+    The start blends that solution with share 0.99 (``sdp._WARM_SHARE``)
+    into the cold start eta I; a solve accepted only on its residuals is
+    never a start, and a warm solve that fails the acceptance test is
+    solved again cold.  Nothing is kept past the call, so its value does not
+    depend on earlier calls.  Diagnostics count the solves, their summed
+    ``iterations``, by status the non-optimal ones accepted for their
+    residuals, and the warm solves ``retried`` cold."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")
@@ -410,14 +444,21 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     if math.isinf(exact):
         # the eps-ball around an infinite-resource box is the box itself
         return TaskResult(INF, None, {"reason": "infinite resource"})
-    stats = {"solves": 0, "ill_conditioned": 0}
+    stats = {"solves": 0, "ill_conditioned": 0, "retried": 0}
+    solved = []     # this call's solves, oldest first
     family = _phase1_family(b, eps, regime)
-    hi, (f_hi, _) = 1.0, _phase1_shift(family, 1.0, stats)
+
+    def result(big_m: float) -> TaskResult:
+        iterations = sum(r.iterations for r in solved)
+        return TaskResult(math.log2(big_m), None,
+                          {"M": big_m, **stats, "iterations": iterations})
+
+    hi, (f_hi, _) = 1.0, _phase1_shift(family, 1.0, stats, solved)
     if f_hi <= 1e-8:        # free within the phase-I solve's accuracy
-        return TaskResult(0.0, None, {"M": 1.0, **stats})
+        return result(1.0)
     lo = 1.0 / (2.0 ** (exact + 1.0) - 1.0)
     try:        # lo is feasible; its solve only supplies an interpolation value
-        f_lo, slope = _phase1_shift(family, lo, stats)
+        f_lo, slope = _phase1_shift(family, lo, stats, solved)
         f_lo = min(f_lo, 0.0)
     except SolverError:
         f_lo, slope = 0.0, math.nan
@@ -428,15 +469,14 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
         newton = t - f / slope if math.isfinite(slope) and slope > 0.0 else lo
         t = newton if lo < newton < hi else hi - f_hi * (hi - lo) / (f_hi - f_lo)
         t = min(max(t, lo + 0.5 * xtol), hi - 0.5 * xtol)
-        f, slope = _phase1_shift(family, t, stats)
+        f, slope = _phase1_shift(family, t, stats, solved)
         if f <= 0.0:
             f_hi *= 0.5 if side < 0 else 1.0
             lo, f_lo, side = t, f, -1
         else:
             f_lo *= 0.5 if side > 0 else 1.0
             hi, f_hi, side = t, f, 1
-    big_m = 0.5 * (1.0 + 1.0 / lo)
-    return TaskResult(math.log2(big_m), None, {"M": big_m, **stats})
+    return result(0.5 * (1.0 + 1.0 / lo))
 
 
 # --- asymptotic rates ----------------------------------------------------------

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -483,9 +484,9 @@ def _record_solves(monkeypatch) -> tuple[list, list]:
     problems, results = [], []
     solve = sdp.solve
 
-    def recording(prob, *args):
+    def recording(prob, *args, **kwargs):
         problems.append(prob)
-        results.append(solve(prob, *args))
+        results.append(solve(prob, *args, **kwargs))
         return results[-1]
     monkeypatch.setattr(sdp, "solve", recording)
     return problems, results
@@ -516,15 +517,20 @@ def test_corrector_iteration_counts(monkeypatch, point, iterations):
 def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
     """At eps = 0 the last phase-I solve of cost_approx sits on the
     feasibility boundary, where rounding keeps its residuals above the
-    tolerances.  It ends ill_conditioned at iteration 18, when the Cholesky
-    factorisation of an iterate fails, before its residuals stall and
-    instead of wandering to max_iterations; run on, that solve took 168
-    iterations.  This is the test of the failed-factorisation exit."""
-    _, results = _record_solves(monkeypatch)
+    tolerances.  In the call it starts warm and ends ill_conditioned at
+    iteration 14, on a Newton solve that is not finite.  Started cold, it
+    ends ill_conditioned at iteration 18, when the Cholesky factorisation
+    of an iterate fails, before its residuals stall and instead of
+    wandering to max_iterations; run on, that solve took 168 iterations.
+    This is the test of the failed-factorisation exit."""
+    problems, results = _record_solves(monkeypatch)
     tasks.cost_approx(random_box(2, np.random.default_rng(3)), 0.0, tasks.CPTPA)
     assert [r.status for r in results] == [SdpStatus.OPTIMAL] * 2 + [
         SdpStatus.ILL_CONDITIONED]
     assert results[-1].iterations <= 23
+    cold = sdp.solve(problems[-1], tasks._PHASE1_OPTIONS)
+    assert cold.status is SdpStatus.ILL_CONDITIONED
+    assert cold.iterations <= 23
 
 
 def test_each_iteration_factors_once_per_block_size(lapack_calls):
@@ -595,6 +601,33 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
     for x, x_plain, d in zip(packed.x_blocks, plain.x_blocks, prob.blocks):
         assert x.shape == x_plain.shape == (d, d)
         assert np.allclose(x, x_plain, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("program", ["phase-I", "figure-4"])
+def test_a_solve_started_from_its_own_optimum(monkeypatch, program):
+    """The record of an optimal solve starts a solve of the same program:
+    it ends optimal in fewer iterations than the cold solve, at its value
+    within 1e-8.  The record's S is the dual slack C - A*(y) of its y, block
+    by block, to the solver's tolerance, and a start that does not fit the
+    program's blocks or m is refused."""
+    if program == "phase-I":
+        prob, options = _phase1_problem(), tasks._PHASE1_OPTIONS
+    else:
+        prob, options = _figure4_problem(monkeypatch), sdp.SolverOptions()
+    cold = sdp.solve(prob, options)
+    warm = sdp.solve(prob, options, start=cold)
+    assert cold.status is warm.status is SdpStatus.OPTIMAL
+    assert warm.iterations < cold.iterations
+    assert warm.value == pytest.approx(cold.value, abs=1e-8)
+    norm_c = max(1.0, np.linalg.norm([np.linalg.norm(c) for c in prob.objective.values()]))
+    for j, (s, d) in enumerate(zip(cold.s_blocks, prob.blocks)):
+        slack = prob.objective.get(j, np.zeros((d, d))) - sum(
+            yi * mats[j] for yi, (mats, _) in zip(cold.y, prob.constraints) if j in mats)
+        assert s.shape == (d, d)
+        assert np.abs(s - slack).max() <= options.feas_tol * norm_c
+    for bad in (replace(cold, y=cold.y[:-1]), replace(cold, x_blocks=cold.x_blocks[:-1])):
+        with pytest.raises(SolverError, match="start is not a point"):
+            sdp.solve(prob, options, start=bad)
 
 
 @pytest.mark.parametrize("dims, layout", [

@@ -282,9 +282,9 @@ def test_conversion_program_shape(monkeypatch):
     shapes = []
     solve = sdp.solve
 
-    def recording_solve(problem, options=None):
+    def recording_solve(problem, options=None, start=None):
         shapes.append((Counter(problem.blocks), len(problem.constraints)))
-        return solve(problem, options)
+        return solve(problem, options, start)
 
     monkeypatch.setattr(sdp, "solve", recording_solve)
     src = tensor_box(random_box(2, np.random.default_rng(7)), 2)
@@ -470,15 +470,19 @@ def test_cost_approx_reproducer_eps_zero():
 
 def test_cost_approx_counts_solves():
     """The solver is deterministic, so the counts of a fixed call repeat
-    exactly; an accepted ill_conditioned solve is counted, not silent."""
+    exactly; an accepted ill_conditioned solve is counted, not silent, and
+    so are the iterations of every solve and the warm solves retried cold.
+    Started cold, the same solves took 71 and 40 iterations."""
     b = random_box(2, np.random.default_rng(3))
     diag = tasks.cost_approx(b, 0.05, CPTPA).diagnostics
-    assert set(diag) == {"M", "solves", "ill_conditioned"}
+    assert set(diag) == {"M", "solves", "ill_conditioned", "retried", "iterations"}
     assert (diag["solves"], diag["ill_conditioned"]) == (6, 0)
+    assert (diag["iterations"], diag["retried"]) == (49, 0)
     assert diag["solves"] <= 6
     assert type(diag["M"]) is float
     diag = tasks.cost_approx(b, 0.0, CPTPA).diagnostics
     assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
+    assert (diag["iterations"], diag["retried"]) == (35, 0)
 
 
 def test_cost_approx_accepts_a_solve_ended_on_a_tiny_step(monkeypatch):
@@ -497,7 +501,8 @@ def test_cost_approx_accepts_a_solve_ended_on_a_tiny_step(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording_solve)
     res = tasks.cost_approx(dilution_reproducer(), 1.0, CDS)
     assert res.value == 0.0
-    assert res.diagnostics == {"M": 1.0, "solves": 1, "ill_conditioned": 1}
+    assert res.diagnostics == {"M": 1.0, "solves": 1, "ill_conditioned": 1, "retried": 0,
+                               "iterations": results[0].iterations}
     assert [r.status for r in results] == [sdp.SdpStatus.ILL_CONDITIONED]
     assert results[0].iterations <= 14
 
@@ -509,7 +514,9 @@ def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
     central difference of lambda(t) at the middle of cost_approx's first
     bracket: on a qubit box in its real frame, on the quotient of b^(x)2
     (blocks of size 3 and 1) and on a complex d = 3 box, whose program is
-    embedded, so its slope is taken in the embedded space."""
+    embedded, so its slope is taken in the embedded space.  Started warm,
+    as in cost_approx, from the solve at t = 1 and then from each newest
+    one, the solves give the same slope."""
     b = {"real qubit": real_frame(random_box(2, np.random.default_rng(3)))[0],
          "quotient": real_frame(tensor_box(random_box(2, np.random.default_rng(7)),
                                            2))[0],
@@ -519,13 +526,16 @@ def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
                                         "complex": 6}[kind]
     exact = dv.xi_max(b.rho0, b.rho1) if regime == CPTPA else dv.xi_max_star(b)
     t = 0.5 * (1.0 + 1.0 / (2.0 ** (exact + 1.0) - 1.0))
-    stats = {"solves": 0, "ill_conditioned": 0}
-    shift = functools.partial(tasks._phase1_shift, family, stats=stats)
-    _, slope = shift(t)
-    h = 1e-4 * t
-    central = (shift(t + h)[0] - shift(t - h)[0]) / (2.0 * h)
-    assert slope == pytest.approx(central, rel=1e-4)
-    assert stats == {"solves": 3, "ill_conditioned": 0}
+    for solved in (None, []):       # cold, then warm as in cost_approx
+        if solved is not None:
+            tasks._phase1_shift(family, 1.0, {"solves": 0}, solved)
+        stats = {"solves": 0, "ill_conditioned": 0}
+        shift = functools.partial(tasks._phase1_shift, family, stats=stats, solved=solved)
+        _, slope = shift(t)
+        h = 1e-4 * t
+        central = (shift(t + h)[0] - shift(t - h)[0]) / (2.0 * h)
+        assert slope == pytest.approx(central, rel=1e-4)
+        assert stats == {"solves": 3, "ill_conditioned": 0}
 
 
 @pytest.mark.parametrize("slope", [0.0, math.nan])
@@ -543,14 +553,15 @@ def test_cost_approx_without_a_slope_takes_illinois_steps(monkeypatch, slope):
     assert illinois.value == pytest.approx(newton.value, abs=1e-6)
 
 
-@pytest.mark.parametrize("residuals", [{"rel_primal": 1e-3},
+@pytest.mark.parametrize("residuals", [{"rel_primal": 1e-3}, {"rel_dual": 1e-3},
                                        {"rel_primal": 1e-7, "rel_gap": 1e-7}],
-                         ids=["raises", "accepted"])
+                         ids=["raises", "raises-dual", "accepted"])
 def test_phase1_shift_accepts_a_non_optimal_solve_on_its_residuals(monkeypatch,
                                                                    residuals):
     """A phase-I solve that ends ill_conditioned raises SolverError naming
-    its status when a residual is above 1e-6; otherwise it is accepted,
-    counted by status, and gives the shift and slope of its point."""
+    its status when a residual is above 1e-6, the dual one included, since
+    the slope is read from y; otherwise it is accepted, counted by status,
+    and gives the shift and slope of its point."""
     family = tasks._phase1_family(random_box(2, np.random.default_rng(3)), 0.05, CPTPA)
     want = tasks._phase1_shift(family, 0.5, {"solves": 0})
     solve = sdp.solve
@@ -563,12 +574,90 @@ def test_phase1_shift_accepts_a_non_optimal_solve_on_its_residuals(monkeypatch,
 
     monkeypatch.setattr(sdp, "solve", ill_conditioned)
     stats = {"solves": 0, "ill_conditioned": 0}
-    if residuals["rel_primal"] > 1e-6:
+    if max(residuals.values()) > 1e-6:
         with pytest.raises(SolverError, match="ill_conditioned"):
             tasks._phase1_shift(family, 0.5, stats)
     else:
         assert tasks._phase1_shift(family, 0.5, stats) == want
         assert stats == {"solves": 1, "ill_conditioned": 1}
+
+
+def test_cost_approx_starts_only_from_optimal_solves(monkeypatch):
+    """Each phase-I solve of a call after the first starts from the newest
+    earlier solve that ended optimal.  A solve accepted on its residuals,
+    here the one at the bracket's feasible end, marked ill_conditioned, is
+    never a start."""
+    calls = []
+    solve = sdp.solve
+
+    def recording(prob, options=None, start=None):
+        res = solve(prob, options, start)
+        if len(calls) == 1:
+            res.status = sdp.SdpStatus.ILL_CONDITIONED
+        calls.append((start, res))
+        return res
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    diag = tasks.cost_approx(random_box(2, np.random.default_rng(3)), 0.05, CPTPA).diagnostics
+    assert (diag["ill_conditioned"], diag["retried"]) == (1, 0)
+    assert len(calls) == diag["solves"] > 3
+    assert calls[2][0] is calls[0][1]
+    newest = None
+    for start, res in calls:
+        assert start is newest
+        if res.status is sdp.SdpStatus.OPTIMAL:
+            newest = res
+
+
+def test_cost_approx_retries_a_failed_warm_solve_cold(monkeypatch):
+    """A warm solve that fails the acceptance test, here on its dual
+    residual, is solved again cold and counted as retried.  When every warm
+    solve fails, the call makes the solves of an all-cold call, one retry
+    after each, and returns its value, bit for bit."""
+    b = random_box(2, np.random.default_rng(3))
+    solve = sdp.solve
+
+    def run(stand_in):
+        results = []
+
+        def recording(prob, options=None, start=None):
+            results.append(stand_in(prob, options, start))
+            return results[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "solve", recording)
+            return tasks.cost_approx(b, 0.05, CPTPA), results
+
+    def failing_warm(prob, options, start):
+        res = solve(prob, options, start)
+        if start is not None:
+            res.status = sdp.SdpStatus.ILL_CONDITIONED
+            res.residuals["rel_dual"] = 1e-3
+        return res
+
+    cold, cold_solves = run(lambda prob, options, start: solve(prob, options))
+    got, solves = run(failing_warm)
+    n = len(cold_solves)
+    assert n == cold.diagnostics["solves"] > 3
+    assert got.value == cold.value
+    assert got.diagnostics == {**cold.diagnostics, "solves": 2 * n - 1, "retried": n - 1,
+                               "iterations": sum(r.iterations for r in solves)}
+    kept = [solves[0], *solves[2::2]]
+    assert [(r.status, r.iterations, r.y.tobytes()) for r in kept] == \
+        [(r.status, r.iterations, r.y.tobytes()) for r in cold_solves]
+
+
+def test_cost_approx_does_not_depend_on_earlier_calls():
+    """No solve outlives its call: a call returns the same value and
+    diagnostics, bit for bit, whether it runs first or after calls on other
+    boxes, so the order the benchmark shuffles does not matter."""
+    b = random_box(2, np.random.default_rng(3))
+    first = tasks.cost_approx(b, 0.05, CDS)
+    tasks.cost_approx(dilution_reproducer(), 0.05, CPTPA)
+    tasks.cost_approx(random_box(2, np.random.default_rng(8)), 0.05, CDS)
+    again = tasks.cost_approx(b, 0.05, CDS)
+    assert again.value == first.value
+    assert again.diagnostics == first.diagnostics
 
 
 @pytest.mark.parametrize("regime,eps", [(CPTPA, 0.05), (CDS, 0.05), (CPTPA, 0.0)])
@@ -580,8 +669,8 @@ def test_cost_approx_without_the_lo_solve(monkeypatch, regime, eps):
     want = tasks.cost_approx(b, eps, regime).value
     shift, ts = tasks._phase1_shift, []
 
-    def failing_lo(family, t, stats):
-        out = shift(family, t, stats)
+    def failing_lo(family, t, stats, solved=None):
+        out = shift(family, t, stats, solved)
         ts.append(t)
         if len(ts) == 2:
             raise SolverError("lo solve failed")
@@ -610,7 +699,7 @@ def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime)
     class Solved(Exception):
         pass
 
-    def capture(problem, options=None):
+    def capture(problem, options=None, start=None):
         solved.append(problem)
         raise Solved
 
