@@ -57,6 +57,10 @@ def sd(b: "QuantumBox") -> float:
 
 # --- Q_min ------------------------------------------------------------------
 
+_NEAR = 4e-16   # test offset from a breakpoint: b -/+ _NEAR bracket a jump in 1e-15
+_MERGE = 1e-12  # breakpoints closer than this form one cluster
+
+
 class QMinResult(NamedTuple):
     value: float
     minimizer: Array  # POVM effect achieving the minimum
@@ -64,35 +68,107 @@ class QMinResult(NamedTuple):
 
 def q_min(rho0: Array, rho1: Array) -> QMinResult:
     """2 min{Tr(L rho0) : Tr(L sigma) = 1, 0 <= L <= 1}, sigma = rho0 + rho1,
-    and a minimizer, by bisection on the slope 1 - Tr(P_mu sigma) of the dual
-    2 max_{mu in [0, 1]} [mu - Tr(rho0 - mu sigma)_-], P_mu the projector onto
-    the negative eigenspace of rho0 - mu sigma.  The slope never increases: it
-    is 1 at mu = 0 (P_0 = 0) and 1 - Tr sigma <= 0 at mu = 1 (P_1 = I, as
-    rho0 - sigma = -rho1).  L = (1 - t) P_lo + t P_hi on the final 1e-15
+    and a minimizer, from the root of the slope s(mu) = Tr(P_mu sigma) of the
+    dual 2 max_{mu in [0, 1]} [mu - Tr(rho0 - mu sigma)_-], P_mu the projector
+    onto the negative eigenspace of rho0 - mu sigma.
+
+    s never decreases: it is 0 at mu = 0 (P_0 = 0) and Tr sigma >= 1 at
+    mu = 1 (P_1 = I, as rho0 - sigma = -rho1).  It jumps only at the
+    breakpoints, the generalized eigenvalues of (rho0, sigma) on supp sigma,
+    read off one ``eigh`` of sigma and one ``eigvalsh`` of the whitened rho0
+    per block, and is smooth between them.  The search keeps a bracket with
+    s(lo) < 1 <= s(hi).  A binary search over the points b -/+ 4e-16 around
+    the breakpoints b (a cluster closer than 1e-12 is tested at its ends)
+    either closes it on a jump or leaves a piece between jumps.  There,
+    steps from the end with the shorter ``_newton_step``, kept 4e-16 inside
+    the bracket, close it; a step not below half the one before last is
+    replaced by bisection.  Each step is one ``eigh`` per block: with the
+    breakpoints, about four rounds per call on the figure grids and 4-12 on
+    b^(x)1..9, against 50 for plain bisection (``q_min_bisection`` in
+    ``tests/oracles.py``).  L = (1 - t) P_lo + t P_hi on the final 1e-15
     bracket, with Tr(L sigma) = 1, lies in the POVM interval exactly.  The
-    program is ``distill_approx_program(b, 0, "cptpA")`` in ``tests/oracles.py``
-    with states swapped."""
+    program is ``distill_approx_program(b, 0, "cptpA")`` in
+    ``tests/oracles.py`` with states swapped."""
     rho0 = linalg.hermitian(rho0)
     sigma = rho0 + linalg.hermitian(rho1)
     r0, sg = BlockOp.of(rho0, sigma)
-    lo, p_lo, s_lo = 0.0, [np.zeros_like(x) for x in sg.blocks], 0.0
-    hi, p_hi, s_hi = 1.0, [np.eye(len(x)) for x in sg.blocks], linalg.trace(sigma)
+    spec = linalg.Spectrum(sg, [np.linalg.eigh(x) for x in sg.blocks])
+    cut, bps = spec.cut(), []
+    for r, (w, v) in zip(r0.blocks, spec.eigs):
+        white = v[:, w > cut] * w[w > cut] ** -0.5
+        bps.extend(np.linalg.eigvalsh(white.conj().T @ r @ white).tolist())
+    clusters = []
+    for b in sorted(bps):
+        if clusters and b - clusters[-1][1] <= _MERGE:
+            clusters[-1][1] = b
+        else:
+            clusters.append([b, b])
+    tests = [t for a, b in clusters for t in (a - _NEAR, b + _NEAR) if 0.0 < t < 1.0]
+    i, j = -1, len(tests)  # lo = tests[i] or 0, hi = tests[j] or 1
+    # each end: mu, s, per block (w, v, n, g) as below, its step (None until needed)
+    lo, s_lo, e_lo, d_lo = 0.0, 0.0, [(None, x[:, :0], 0, None) for x in sg.blocks], INF
+    hi, s_hi, e_hi, d_hi = 1.0, linalg.trace(sigma), \
+        [(None, np.eye(len(x)), len(x), None) for x in sg.blocks], INF
     pairs = list(zip(r0.blocks, sg.blocks))
+    last = before = INF  # the last two step lengths
     while hi - lo > 1e-15:
-        mu = 0.5 * (lo + hi)
-        proj, s = [], 0.0
+        k = (i + j) // 2 if j - i > 1 else None
+        if k is not None:
+            mu = tests[k]
+        else:
+            d_lo = _newton_step(s_lo, e_lo, cut) if d_lo is None else d_lo
+            d_hi = _newton_step(s_hi, e_hi, cut) if d_hi is None else d_hi
+            step = max(min(d_lo, d_hi), 2.0 * _NEAR)
+            mu = min(max(lo + step if d_lo <= d_hi else hi - step, lo + _NEAR), hi - _NEAR)
+            if step >= 0.5 * before:
+                step, mu = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            before, last = last, step
+        eigs, s = [], 0.0
         for r, x in pairs:
             w, v = np.linalg.eigh(r - mu * x)
-            neg = v[:, w < 0.0]
-            proj.append(neg @ neg.conj().T)
-            s += float(np.vdot(proj[-1], x).real)
+            n = int(np.searchsorted(w, 0.0))  # w ascends: n negative eigenvalues
+            g = v.conj().T @ x @ v  # sigma in the eigenbasis
+            eigs.append((w, v, n, g))
+            s += float(g.diagonal()[:n].real.sum())
         if s < 1.0:
-            lo, p_lo, s_lo = mu, proj, s
+            lo, s_lo, e_lo, d_lo = mu, s, eigs, None
+            i = i if k is None else k
         else:
-            hi, p_hi, s_hi = mu, proj, s
+            hi, s_hi, e_hi, d_hi = mu, s, eigs, None
+            j = j if k is None else k
     t = (1.0 - s_lo) / (s_hi - s_lo)  # s_lo < 1 <= s_hi
-    effect = sg.like([(1.0 - t) * a + t * b for a, b in zip(p_lo, p_hi)])
+    effect = sg.like([(1.0 - t) * (a[:, :m] @ a[:, :m].conj().T)
+                      + t * (b[:, :n] @ b[:, :n].conj().T)
+                      for (_, a, m, _), (_, b, n, _) in zip(e_lo, e_hi)])
     return QMinResult(_nonneg(2.0 * linalg.inner(effect, r0)), effect)
+
+
+def _newton_step(s: float, eigs: list, cut: float) -> float:
+    """Distance from an end mu of the ``q_min`` bracket towards the root of
+    s - 1: the Newton step, or just past the nearest jump that takes s
+    across 1 when that comes first.
+
+    ``eigs`` holds per block the ascending eigenvalues w of rho0 - mu sigma,
+    their eigenvectors v, the number n of negative ones and g = v^dag sigma v.
+    Eigenvalue k moves at -c_k = -g_kk and crosses 0 near mu + w_k / c_k,
+    where s jumps by c_k; between jumps
+    s' = 2 sum_{w_i < 0 <= w_j} |g_ij|^2 / (w_j - w_i).  Directions with
+    c_k, and pairs with w_j - w_i, at or below the cut are left out: there
+    the first-order picture is rounding noise."""
+    ds, at, size = 0.0, [], []
+    for w, _, n, g in eigs:
+        c = g.diagonal().real
+        gap = w[n:] - w[:n, None]
+        ds += 2.0 * float(np.divide(np.abs(g[:n, n:]) ** 2, gap, where=gap > cut,
+                                    out=np.zeros(gap.shape)).sum())
+        at.append(w[c > cut] / c[c > cut])
+        size.append(c[c > cut])
+    at, size = np.concatenate(at), np.concatenate(size)
+    if s < 1.0:
+        jump = at[(at >= 0.0) & (size >= 1.0 - s)].min(initial=INF)
+    else:
+        jump = -at[(at < 0.0) & (size > s - 1.0)].max(initial=-INF)
+    return min(abs(1.0 - s) / ds if ds > 0.0 else INF, float(jump) + _NEAR)
 
 
 def q_min_eps(b: "QuantumBox", eps: float) -> float:

@@ -14,6 +14,9 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 - ``distill_approx_program``: one-shot approximate distillation in both
   regimes (``tasks.distill_approx``; ``divergences.q_min`` at eps = 0 under
   CPTP_A).
+- ``q_min_bisection``: ``divergences.q_min`` by plain bisection on the
+  slope of its dual, one eigendecomposition per block and step, about 50
+  steps; the reference for the breakpoint-and-Newton search.
 
 ``kron_left`` and ``kron_right`` (X -> K (x) X, X -> X (x) K) are the
 model expressions of the D' dual in ``conversion_error_to_infinite``.
@@ -58,7 +61,8 @@ from symdist.boxes import KET0, KET1, QuantumBox, real_frame
 from symdist.channels import (CdsMap, CpMap, cp_from_kraus, kraus_to_choi,
                               zero_map)
 from symdist.config import TOLS
-from symdist.divergences import _nonneg, _support_if_orthogonal, p_err, thompson
+from symdist.divergences import (QMinResult, _nonneg, _support_if_orthogonal, p_err,
+                                 thompson)
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Expr, Model, Var, inner, times, trace
 from symdist.tasks import CDS, CPTPA, TaskResult, _check_regime, _free_map_outputs
@@ -402,6 +406,34 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     if r_star <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"r": r_star})
     return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
+
+
+def q_min_bisection(rho0, rho1):
+    """``divergences.q_min`` by bisection on mu in [0, 1] down to a 1e-15
+    bracket: the slope s(mu) = Tr(P_mu sigma), P_mu the projector onto the
+    negative eigenspace of rho0 - mu sigma, is below 1 at lo and at least 1
+    at hi, and the minimizer is (1 - t) P_lo + t P_hi with Tr(L sigma) = 1."""
+    rho0 = linalg.hermitian(rho0)
+    sigma = rho0 + linalg.hermitian(rho1)
+    r0, sg = linalg.BlockOp.of(rho0, sigma)
+    lo, p_lo, s_lo = 0.0, [np.zeros_like(x) for x in sg.blocks], 0.0
+    hi, p_hi, s_hi = 1.0, [np.eye(len(x)) for x in sg.blocks], linalg.trace(sigma)
+    pairs = list(zip(r0.blocks, sg.blocks))
+    while hi - lo > 1e-15:
+        mu = 0.5 * (lo + hi)
+        proj, s = [], 0.0
+        for r, x in pairs:
+            w, v = np.linalg.eigh(r - mu * x)
+            neg = v[:, w < 0.0]
+            proj.append(neg @ neg.conj().T)
+            s += float(np.vdot(proj[-1], x).real)
+        if s < 1.0:
+            lo, p_lo, s_lo = mu, proj, s
+        else:
+            hi, p_hi, s_hi = mu, proj, s
+    t = (1.0 - s_lo) / (s_hi - s_lo)
+    effect = sg.like([(1.0 - t) * a + t * b for a, b in zip(p_lo, p_hi)])
+    return QMinResult(_nonneg(2.0 * linalg.inner(effect, r0)), effect)
 
 
 def _inclusions(dims: list[int]) -> list[np.ndarray]:

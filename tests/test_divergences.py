@@ -11,10 +11,11 @@ from symdist.boxes import (QuantumBox, golden_box, random_box, random_density,
                            tensor_box)
 from symdist.channels import apply_cds
 from symdist.exceptions import NotPsdError
+from symdist.sweep import SweepSpec, _boxes_at
 
 from conftest import dense_box
-from oracles import (distill_approx_program, p_err_sdp, pgm, random_cds, random_cptp,
-                     scaled_trace_distance_sdp, smooth_thompson_witness)
+from oracles import (distill_approx_program, p_err_sdp, pgm, q_min_bisection, random_cds,
+                     random_cptp, scaled_trace_distance_sdp, smooth_thompson_witness)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -91,15 +92,110 @@ def test_q_min_symmetry(rng):
             dv.q_min(r1, r0).value, abs=1e-7)
 
 
+def _pure(v):
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
 def test_q_min_minimizer_is_feasible(rng):
-    r0, r1 = random_density(2, rng), random_density(2, rng)
-    res = dv.q_min(r0, r1)
-    w = np.linalg.eigvalsh(res.minimizer)
-    assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12
-    assert np.trace(res.minimizer @ (r0 + r1)).real == pytest.approx(1.0, abs=1e-12)
-    assert 2 * np.trace(res.minimizer @ r0).real == pytest.approx(res.value, abs=1e-12)
-    again = dv.q_min(r0, r1)  # deterministic: bit-equal on a rerun
-    assert again.value == res.value and np.array_equal(again.minimizer, res.minimizer)
+    """On a qubit pair, b^(x)5 in block form, a pair of pure states in d = 3
+    (sigma of rank 2) and a power of pure qubit states (every block of the
+    quotient but the symmetric one is 0)."""
+    qubit = random_density(2, rng), random_density(2, rng)
+    t = tensor_box(random_box(2, rng), 5)
+    pure = tensor_box(QuantumBox(0.5, _pure([1, 0]), _pure([1, 1j])), 4)
+    pairs = [qubit, (t.rho0, t.rho1),
+             (_pure(rng.normal(size=3) + 1j * rng.normal(size=3)),
+              _pure(rng.normal(size=3) + 1j * rng.normal(size=3))),
+             (pure.rho0, pure.rho1)]
+    for r0, r1 in pairs:
+        res = dv.q_min(r0, r1)
+        blocks = linalg.BlockOp.of(res.minimizer).blocks
+        for block in blocks:
+            w = np.linalg.eigvalsh(block)
+            assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12
+        assert linalg.inner(res.minimizer, r0 + r1) == pytest.approx(1.0, abs=1e-12)
+        assert 2 * linalg.inner(res.minimizer, r0) == pytest.approx(res.value, abs=1e-12)
+        again = dv.q_min(r0, r1)  # deterministic: bit-equal on a rerun
+        assert again.value == res.value
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(linalg.BlockOp.of(again.minimizer).blocks, blocks))
+
+
+def _figure_pairs():
+    """The state pairs of the figure 1-3 grids (41 steps): figures 1 and 3
+    share the gad-gamma grid, figure 2 is the gad-phi grid."""
+    specs = [SweepSpec(family="gad-gamma", N=0.1, q=1 / 3),
+             SweepSpec(family="gad-phi", gamma=0.25, N=0.1, q=1 / 3)]
+    return [(b.rho0, b.rho1) for spec in specs for x in spec.grid()
+            for b, _ in [_boxes_at(spec, float(x))]]
+
+
+def _random_pairs():
+    """Unit-trace pairs of random boxes in d = 2..4, real and complex, and the
+    prior-weighted pairs (p rho0, (1-p) rho1) at skewed and even priors."""
+    rng = np.random.default_rng(11)
+    boxes = [random_box(d, rng, real=real, p=p) for d in (2, 3, 4)
+             for real in (True, False) for p in (0.05, 0.5, 0.93)]
+    return [(b.rho0, b.rho1) for b in boxes] + [b.weighted() for b in boxes]
+
+
+def _edge_pairs():
+    """Rank-deficient sigma, equal states, orthogonal states (pure ones put
+    breakpoints at exactly 0 and 1) and commuting diagonal pairs."""
+    rng = np.random.default_rng(12)
+    pairs = []
+    for d in (2, 3, 4):
+        rho = random_density(d, rng)
+        pairs += [(rho, rho),
+                  (_pure(rng.normal(size=d) + 1j * rng.normal(size=d)),
+                   _pure(rng.normal(size=d) + 1j * rng.normal(size=d))),
+                  (_pure(rng.normal(size=d)), random_density(d, rng)),
+                  (np.diag(rng.dirichlet(np.ones(d))), np.diag(rng.dirichlet(np.ones(d)))),
+                  (np.diag([1.0] + [0.0] * (d - 1)), np.diag([0.0] + [1.0 / (d - 1)] * (d - 1)))]
+    pairs.append((np.diag([0.7, 0.3, 0.0]), np.diag([0.0, 0.4, 0.6])))
+    return pairs
+
+
+def _tensor_pairs():
+    b = random_box(2, np.random.default_rng(7))
+    return [(t.rho0, t.rho1) for t in (tensor_box(b, n) for n in range(1, 10))]
+
+
+@pytest.mark.parametrize("pairs", [_figure_pairs, _random_pairs, _edge_pairs, _tensor_pairs])
+def test_q_min_matches_bisection_oracle(pairs):
+    """The breakpoint-and-Newton search against plain bisection on mu: the
+    same value to 1e-12 on the figure grids, random boxes, the degenerate
+    pairs and the block-form powers b^(x)1..9."""
+    for r0, r1 in pairs():
+        assert dv.q_min(r0, r1).value == pytest.approx(q_min_bisection(r0, r1).value,
+                                                       abs=1e-12)
+
+
+def test_q_min_decomposes_far_less_than_bisection(decompositions):
+    """Rounds of ``eigh`` per call (one per block, sigma's included), read off
+    the largest block, against 50 for bisection: measured 4.1 on average and
+    6 at most on the figure 1-3 grids, 3-10 (5.0 on average) on the
+    unit-trace random pairs, 4 on b and 8-12 on b^(x)2..9.  The bounds leave
+    room for rounding on other machines; a fall back to bisection fails
+    them."""
+    rounds = []
+    for n, (r0, r1) in enumerate(_tensor_pairs(), 1):
+        before = decompositions["eigh", n + 1]
+        dv.q_min(r0, r1)
+        rounds.append(decompositions["eigh", n + 1] - before)
+    assert rounds[0] <= 6 and max(rounds) <= 16
+    for r0, r1 in _figure_pairs():
+        before = decompositions["eigh", 2]
+        dv.q_min(r0, r1)
+        assert decompositions["eigh", 2] - before <= 8
+    for r0, r1 in _random_pairs()[:18]:
+        before = decompositions["eigh", len(r0)]
+        dv.q_min(r0, r1)
+        assert decompositions["eigh", len(r0)] - before <= 16
+    before = decompositions["eigh", 10]
+    q_min_bisection(*_tensor_pairs()[-1])
+    assert decompositions["eigh", 10] - before == 50
 
 
 def test_q_min_matches_distill_program(rng):
