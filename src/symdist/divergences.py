@@ -269,7 +269,6 @@ def _d_max(rho: BlockOp, sigma: linalg.Spectrum) -> float:
         outside += float(np.vdot(kernel, r @ kernel).real)
     if outside > TOLS.support:
         return INF
-    sigma.least(linalg.PSD_SLACK)
     for r, (w, v) in zip(rho.blocks, sigma.eigs):
         pos = w > cut
         if pos.any():
@@ -290,8 +289,8 @@ def d_max(rho, sigma) -> float:
     """
     rho, sigma = BlockOp.of(rho, sigma)
     r, s = linalg.spectrum(rho, vectors=False), linalg.spectrum(sigma)
-    for x in (r, s):
-        x.least(TOLS.density, what="d_max argument")
+    for x, name in ((r, "rho"), (s, "sigma")):
+        x.least(linalg.PSD_SLACK, what=f"d_max argument {name}")
     return _d_max(r.op, s)
 
 
@@ -302,8 +301,8 @@ def thompson(rho0, rho1) -> float:
     and two ``eigvalsh`` of rank-sized matrices.
     """
     s0, s1 = (linalg.spectrum(x) for x in BlockOp.of(rho0, rho1))
-    for x in (s0, s1):
-        x.least(TOLS.density, what="d_max argument")
+    for x, name in ((s0, "rho0"), (s1, "rho1")):
+        x.least(linalg.PSD_SLACK, what=f"thompson argument {name}")
     return max(_d_max(s0.op, s1), _d_max(s1.op, s0))
 
 

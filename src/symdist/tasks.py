@@ -5,9 +5,10 @@ SD-bits (base-2), a channel witness where the protocol is constructive,
 and solver diagnostics.  Regimes: ``"cptpA"`` restricts to channels on the
 quantum register (prior fixed), ``"cds"`` allows classical label flips.
 Approximate distillation is solver-free in both regimes.  Its program, the
-conversion-error program with its scale as a variable (fixed here in closed
-form) and the conversion program into an orthogonal-pair golden unit with
-its dual are cross-check oracles in ``tests/oracles.py``.
+conversion-error and dilution phase-I programs with their scale as a
+variable (fixed here in closed form) and the conversion program into an
+orthogonal-pair golden unit with its dual are cross-check oracles in
+``tests/oracles.py``.
 
 Exact tasks run block by block on the quotient box of a qubit tensor
 power (``tensor_box``), witnesses included, and so do the programs: each
@@ -292,23 +293,28 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
     """The phase-I program of approximate dilution at golden unit
     M = (1 + 1/t)/2, minimizing its signed infeasibility lambda.
 
-    Every inequality is relaxed by a common shift lambda = lam0 - 1 whose
-    minimum is the (signed) infeasibility; this keeps a strict interior on
-    both sides of the feasibility boundary, including at eps = 0 where the
-    error-ball constraints would otherwise pin variables to zero.  Every
-    matrix variable is block diagonal, one per block of ``_program_blocks(b)``
-    (the block-phase argument of ``min_conversion_error``, on the states
-    only), and only the trace rows couple blocks.  The branch operators
-    r0, r1 enter with weights (1, 1) under CDS, where their traces sum to
-    s, and (p, 1 - p) under CPTP_A, where each has trace s.  The two M rows
-    of block k are divided by 2M - 1 = 1/t, so their coefficients stay
-    O(1), and t enters them only as the coefficient of r0 and of r1 of
-    that block: the data are affine in t (``_phase1_family``)."""
+    The approximant's branches are r_i = s tau_i at the closed-form scale
+    s = 1/(2 p_err(b)) (``min_conversion_error``'s s*, for b), weighted by
+    (a0, a1) = (1, 1) under CDS, where Tr r0 + Tr r1 = s, and (p, 1 - p)
+    under CPTP_A, where each has trace s.  With B_i - C_i = s w_i - a_i r_i
+    and D - E = a0 r0 - a1 r1, the one eps row divided by s reads
+    sum_i ||w_i - a_i tau_i||_1 + eps ||a0 tau0 - a1 tau1||_1 <= eps, that
+    is scaled_trace_distance(b, tau) <= eps over tau's p_err.  Any s > 0
+    gives that set at lambda = 0; s = 1 makes lambda's slope near the root
+    about 2 p_err(b) times flatter, too flat for the sign test at large M.
+    The M rows
+    r1 >= t r0 and r0 >= t r1 of each block are divided by 2M - 1 = 1/t,
+    so t enters only as a coefficient of r0 and r1: the data are affine in
+    t (``_phase1_family``).  The shift lambda = lam0 - 1 relaxes every
+    inequality, keeping an interior on both sides of the boundary, even at
+    eps = 0.  Matrix variables are one per block of ``_program_blocks(b)``
+    (``min_conversion_error``'s block-phase argument, on the states only);
+    only the trace rows couple blocks."""
     blocks, _ = _program_blocks(b)
     a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
+    s = 1.0 / (2.0 * p_err(b))
     m = Model()
     lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
-    s_extra = m.scalar("s0")       # s = 1 + s0
     names = ("b0", "b1", "c0", "c1", "dv", "ev", "r0", "r1")
     xs = [{n: m.psd_var(f"{n}_{k}", len(w0)) for n in names}
           for k, (w0, _) in enumerate(blocks)]
@@ -317,14 +323,14 @@ def _phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
         m.ge(x["r1"] - t * x["r0"] + times(lam0, eye), eye)
         m.ge(x["r0"] - t * x["r1"] + times(lam0, eye), eye)
     for x, (w0, w1) in zip(xs, blocks):
-        m.eq(x["b0"] - x["c0"] - times(s_extra, w0) + a0 * x["r0"], w0)
-        m.eq(x["b1"] - x["c1"] - times(s_extra, w1) + a1 * x["r1"], w1)
+        m.eq(x["b0"] - x["c0"] + a0 * x["r0"], s * w0)
+        m.eq(x["b1"] - x["c1"] + a1 * x["r1"], s * w1)
         m.eq(x["dv"] - x["ev"] - a0 * x["r0"] + a1 * x["r1"], 0.0 * np.eye(len(w0)))
     tr = {n: sum(trace(x[n]) for x in xs) for n in names}
     for row in ([tr["r0"] + tr["r1"]] if regime == CDS else [tr["r0"], tr["r1"]]):
-        m.eq(row - s_extra, 1.0)
-    m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] - lam0, eps - 1.0)
-    m.le(tr["dv"] + tr["ev"] - s_extra - lam0, -1.0)
+        m.eq(row, s)
+    m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] + eps * (tr["dv"] + tr["ev"]) - lam0,
+         s * eps - 1.0)
     m.minimize(lam0)
     return m
 
@@ -356,8 +362,7 @@ def _accepted(res: sdp.SdpSolution) -> bool:
         res.residuals[k] <= 1e-6 for k in ("rel_primal", "rel_dual", "rel_gap"))
 
 
-def _phase1_shift(family: tuple, t: float, stats: dict,
-                  solved: list | None = None) -> tuple[float, float]:
+def _phase1_shift(family: tuple, t: float, stats: dict, solved: list) -> tuple[float, float]:
     """Signed infeasibility lambda of the phase-I program P0 + t D of a
     ``_phase1_family``, and its slope from the same solve, nan without a
     finite point; the solve is counted in ``stats``.  The program is
@@ -367,12 +372,12 @@ def _phase1_shift(family: tuple, t: float, stats: dict,
     Optimization, 5.6), d lambda / dt = -sum_j y[rows_j] . <D_j, X_j> at the
     solver's y and X, in compiled space, where a complex program is embedded.
 
-    ``solved``, when given, lists the earlier solves of the same family,
-    oldest first, and each solve made here is appended to it.  The solve
-    then starts warm from the newest ``optimal`` one, never from one taken
-    on its residuals (``sdp.solve``'s ``start``), and cold when there is
-    none.  A warm solve that ``_accepted`` refuses is solved again cold;
-    both solves are counted, and the retry in ``stats["retried"]``."""
+    ``solved`` lists the earlier solves of the same family, oldest first,
+    and each solve made here is appended to it.  The solve starts warm from
+    the newest ``optimal`` one, never from one taken on its residuals
+    (``sdp.solve``'s ``start``), and cold when there is none.  A warm solve
+    that ``_accepted`` refuses is solved again cold; both solves are
+    counted, and the retry in ``stats["retried"]``."""
     p0, deltas = family
     constraints = list(p0.constraints)
     for j, rows, stack in deltas:
@@ -380,8 +385,7 @@ def _phase1_shift(family: tuple, t: float, stats: dict,
             mats, rhs = constraints[i]
             constraints[i] = ({**mats, j: mats[j] + t * d}, rhs)
     prob = sdp.SdpProblem(p0.blocks, p0.objective, constraints)
-    start = next((r for r in reversed(solved or []) if r.status is sdp.SdpStatus.OPTIMAL),
-                 None)
+    start = next((r for r in reversed(solved) if r.status is sdp.SdpStatus.OPTIMAL), None)
     res = sdp.solve(prob, _PHASE1_OPTIONS, start=start)
     stats["solves"] += 1
     if start is not None and not _accepted(res):
@@ -389,8 +393,7 @@ def _phase1_shift(family: tuple, t: float, stats: dict,
         stats["retried"] = stats.get("retried", 0) + 1
         res = sdp.solve(prob, _PHASE1_OPTIONS)
         stats["solves"] += 1
-    if solved is not None:
-        solved.append(res)
+    solved.append(res)
     if res.status is not sdp.SdpStatus.OPTIMAL:
         # the sign test near the root needs lambda to about slope * xtol
         # (about 3e-10 on the dilution reproducer), which is why
@@ -407,6 +410,11 @@ def _phase1_shift(family: tuple, t: float, stats: dict,
 
 def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     """Smallest golden unit diluting to the eps-ball of the box.
+
+    The ball holds the images tau with scaled_trace_distance(b, tau) <= eps,
+    over tau's p_err (``_phase1_model``), where ``min_conversion_error``
+    divides by its target's: a golden unit M0 costs log2(M0 (1 - eps)),
+    saving -log2(1 - eps) bits where the conversion order saves log2(1 + eps).
 
     For fixed M the program is linear and its phase-I shift lambda rises
     with t = 1/(2M - 1).  A safeguarded Newton iteration closes a bracket
@@ -426,15 +434,13 @@ def cost_approx(b: QuantumBox, eps: float, regime: str) -> TaskResult:
     P0 + t D.  No witness is returned, so no frame is mapped back; the
     bracket end comes from b itself.
 
-    Each solve after the first starts warm from the newest ``optimal``
-    solve of the call (``_phase1_shift``): the programs differ only in t.
-    The start blends that solution with share 0.99 (``sdp._WARM_SHARE``)
-    into the cold start eta I; a solve accepted only on its residuals is
-    never a start, and a warm solve that fails the acceptance test is
-    solved again cold.  Nothing is kept past the call, so its value does not
-    depend on earlier calls.  Diagnostics count the solves, their summed
-    ``iterations``, by status the non-optimal ones accepted for their
-    residuals, and the warm solves ``retried`` cold."""
+    Each solve after the first starts warm (``_phase1_shift``) from the
+    newest ``optimal`` solve of the call, blended with share 0.99
+    (``sdp._WARM_SHARE``) into the cold start eta I; a warm solve that
+    fails the acceptance test is solved again cold.  Nothing is kept past
+    the call, so its value does not depend on earlier calls.  Diagnostics
+    count the solves, their summed ``iterations``, by status the non-optimal
+    ones accepted for their residuals, and the warm solves ``retried``."""
     _check_regime(regime)
     if not 0.0 <= eps < INF:
         raise ParameterRangeError(f"eps must be finite and nonnegative, got {eps}")

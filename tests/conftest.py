@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symdist import linalg, model, sdp
-from symdist.boxes import QuantumBox, random_box, random_density
+from symdist.boxes import QuantumBox, random_box, random_density, real_frame, tensor_box
 from symdist.channels import gad_channel
 
 
@@ -145,5 +145,26 @@ def figure4_boxes(phi: float) -> tuple[QuantumBox, QuantumBox]:
     return source, target
 
 
+def perturbations(b: QuantumBox, n: int, k_max: int = 5) -> dict[str, QuantumBox]:
+    """The rounding-perturbation set of the quotient of b^(x)n, b a qubit
+    box, keyed by name: the prior scaled by 1 + k 2^-52 for k = 0..k_max
+    ("prior 0" is b^(x)n itself), the off-diagonal entries of both states
+    scaled by 1 + k 2^-52 for k = 1..k_max, and for n >= 2 the blocks of
+    the real-framed quotient in reverse order.  The states keep their
+    trace: a whole state scaled and renormalised by ``QuantumBox`` comes
+    back bit for bit on ``random_box(2, default_rng(7))``."""
+    ulp = 2.0 ** -52
+    out = {f"prior {k}": tensor_box(QuantumBox(b.p * (1 + k * ulp), b.rho0, b.rho1), n)
+           for k in range(k_max + 1)}
+    for k in range(1, k_max + 1):
+        scale = np.where(np.eye(2, dtype=bool), 1.0, 1.0 + k * ulp)
+        out[f"states {k}"] = tensor_box(QuantumBox(b.p, b.rho0 * scale, b.rho1 * scale), n)
+    if n >= 2:
+        framed, _ = real_frame(tensor_box(b, n))
+        out["reversed"] = QuantumBox(b.p, *(linalg.BlockOp(x.blocks[::-1], n)
+                                            for x in (framed.rho0, framed.rho1)))
+    return out
+
+
 __all__ = ["random_hermitian", "random_density", "random_box", "box_distance",
-           "dense_box", "dilution_reproducer", "figure4_boxes"]
+           "dense_box", "dilution_reproducer", "figure4_boxes", "perturbations"]

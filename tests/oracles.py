@@ -14,6 +14,11 @@ search; the tests solve the programs here with ``symdist.sdp`` and compare.
 - ``distill_approx_program``: one-shot approximate distillation in both
   regimes (``tasks.distill_approx``; ``divergences.q_min`` at eps = 0 under
   CPTP_A).
+- ``scaled_phase1_model``: the phase-I program of approximate dilution
+  with its scale s a variable, which ``tasks._phase1_model`` fixes at
+  s = 1/(2 p_err(b)); the same feasible set at lambda = 0, and the
+  programs on which the solver's tiny-step and failed-factorisation exits
+  are reproduced.
 - ``q_min_bisection``: ``divergences.q_min`` by plain bisection on the
   slope of its dual, one eigendecomposition per block and step, about 50
   steps; the reference for the breakpoint-and-Newton search.
@@ -65,7 +70,8 @@ from symdist.divergences import (QMinResult, _nonneg, _support_if_orthogonal, p_
                                  thompson)
 from symdist.exceptions import ParameterRangeError
 from symdist.model import Expr, Model, Var, inner, times, trace
-from symdist.tasks import CDS, CPTPA, TaskResult, _check_regime, _free_map_outputs
+from symdist.tasks import (CDS, CPTPA, TaskResult, _check_regime, _free_map_outputs,
+                           _program_blocks)
 
 INF = math.inf
 
@@ -406,6 +412,40 @@ def distill_approx_program(b: QuantumBox, eps: float, regime: str) -> TaskResult
     if r_star <= TOLS.infinite_perr:
         return TaskResult(INF, None, {"r": r_star})
     return TaskResult(-math.log2(r_star), None, {"r": r_star, "gap": res.gap})
+
+
+def scaled_phase1_model(b: QuantumBox, eps: float, regime: str, t: float) -> Model:
+    """``tasks._phase1_model`` with its scale a variable, s = 1 + s0 >= 1.
+    Two eps rows: Tr(B0 + B1 + C0 + C1) <= eps + lambda, B_i - C_i =
+    s w_i - a_i r_i, and Tr(D + E) <= s - 1 + lambda, which at lambda = 0
+    reads s >= 1/(2 p_err(tau)) for tau_i = r_i/s.  At lambda = 0 some s
+    satisfies both exactly when sum_i ||w_i - a_i tau_i||_1 <= 2 eps
+    p_err(tau), the eps row of the library's program divided by its s, so
+    both programs have the same feasible set there; away from it lambda
+    differs."""
+    blocks, _ = _program_blocks(b)
+    a0, a1 = (1.0, 1.0) if regime == CDS else (b.p, 1 - b.p)
+    m = Model()
+    lam0 = m.scalar("lam0")        # lambda = lam0 - 1 >= -1
+    s_extra = m.scalar("s0")       # s = 1 + s0
+    names = ("b0", "b1", "c0", "c1", "dv", "ev", "r0", "r1")
+    xs = [{n: m.psd_var(f"{n}_{k}", len(w0)) for n in names}
+          for k, (w0, _) in enumerate(blocks)]
+    for x in xs:
+        eye = np.eye(x["r0"].dim)
+        m.ge(x["r1"] - t * x["r0"] + times(lam0, eye), eye)
+        m.ge(x["r0"] - t * x["r1"] + times(lam0, eye), eye)
+    for x, (w0, w1) in zip(xs, blocks):
+        m.eq(x["b0"] - x["c0"] - times(s_extra, w0) + a0 * x["r0"], w0)
+        m.eq(x["b1"] - x["c1"] - times(s_extra, w1) + a1 * x["r1"], w1)
+        m.eq(x["dv"] - x["ev"] - a0 * x["r0"] + a1 * x["r1"], 0.0 * np.eye(len(w0)))
+    tr = {n: sum(trace(x[n]) for x in xs) for n in names}
+    for row in ([tr["r0"] + tr["r1"]] if regime == CDS else [tr["r0"], tr["r1"]]):
+        m.eq(row - s_extra, 1.0)
+    m.le(tr["b0"] + tr["b1"] + tr["c0"] + tr["c1"] - lam0, eps - 1.0)
+    m.le(tr["dv"] + tr["ev"] - s_extra - lam0, -1.0)
+    m.minimize(lam0)
+    return m
 
 
 def q_min_bisection(rho0, rho1):

@@ -15,7 +15,7 @@ from symdist.channels import CdsMap, apply_cds, apply_cptp
 from symdist.exceptions import DimensionMismatchError
 from symdist.tasks import CDS, CPTPA
 
-from conftest import dense_box
+from conftest import dense_box, perturbations
 from oracles import (apply_kraus, dense_witness_chois, lift, one_block, p_err_sdp,
                      schur_channels)
 
@@ -409,6 +409,37 @@ def test_cost_approx_phase1_solves_end_optimal(n, regime):
     diag = tasks.cost_approx(t, 0.05, regime).diagnostics
     assert {k: v for k, v in diag.items() if k not in ("M", "solves", "iterations")} == \
         {"ill_conditioned": 0, "retried": 0}
+
+
+@pytest.mark.parametrize("regime,k", [(CPTPA, 4), (CDS, 2)])
+def test_cost_approx_returns_on_a_one_ulp_prior_of_the_sixth_power(regime, k):
+    """b^(x)6 with its prior scaled by 1 + k 2^-52: with the phase-I scale
+    a variable, these two calls raised SolverError (a solve ended
+    ill_conditioned and failed the acceptance test).  Both return, and
+    agree with the unperturbed call to _M_TOL in M."""
+    boxes = perturbations(random_box(2, np.random.default_rng(7)), 6)
+    got, want = (tasks.cost_approx(boxes[f"prior {j}"], 0.05, regime).diagnostics["M"]
+                 for j in (k, 0))
+    assert got == pytest.approx(want, abs=tasks._M_TOL)
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_program_backed_tasks_are_stable_under_rounding(regime):
+    """The rounding-stability gate: every call over the perturbation set of
+    b^(x)n (``conftest.perturbations``: the prior and the states'
+    off-diagonal entries scaled by 1 + k 2^-52, k <= 5, and the quotient's
+    blocks reversed) returns.
+    cost_approx on n = 2..4 agrees to _M_TOL in M, and
+    min_conversion_error from b^(x)3 into c^(x)3 to 1e-8."""
+    b = random_box(2, np.random.default_rng(7))
+    for n in (2, 3, 4):
+        big_m = [tasks.cost_approx(box, 0.05, regime).diagnostics["M"]
+                 for box in perturbations(b, n).values()]
+        assert max(big_m) - min(big_m) <= tasks._M_TOL
+    target = tensor_box(random_box(2, np.random.default_rng(8)), 3)
+    errors = [tasks.min_conversion_error(box, target, regime).value
+              for box in perturbations(b, 3).values()]
+    assert max(errors) - min(errors) <= 1e-8
 
 
 def test_nine_to_nine_conversion_compiles_to_blocks(monkeypatch):

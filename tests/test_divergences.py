@@ -230,11 +230,21 @@ def test_d_max_examples(rng):
         assert dv.d_max(rho, sigma) == pytest.approx(math.log2(lam), abs=1e-9)
 
 
-def test_d_max_rejects_sigma_below_psd_slack():
-    rho = np.diag([0.5, 0.5])
-    with pytest.raises(NotPsdError):
-        dv.d_max(rho, np.diag([1.0, -5e-10]))
-    assert dv.d_max(np.diag([1.0, 0.0]), np.diag([1.0, -5e-11])) == pytest.approx(0.0)
+@pytest.mark.parametrize("f, names", [(dv.d_max, ("rho", "sigma")),
+                                      (dv.thompson, ("rho0", "rho1"))],
+                         ids=["d_max", "thompson"])
+def test_psd_arguments_checked_once_at_psd_slack(f, names):
+    """Each argument of d_max (and of thompson) may dip to -PSD_SLACK, and
+    one below it raises NotPsdError naming that argument."""
+    bad, fine = np.diag([1.0, -5e-10]), np.diag([1.0, -5e-11])
+    rho = np.diag([1.0, 0.0])
+    for i, name in enumerate(names):
+        args = [rho, rho]
+        args[i] = bad
+        with pytest.raises(NotPsdError, match=f"argument {name} "):
+            f(*args)
+        args[i] = fine
+        assert f(*args) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

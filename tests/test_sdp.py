@@ -12,7 +12,7 @@ from symdist.model import (Model, channel_output, hermitian_basis, inner,
 from symdist.sdp import SdpStatus
 
 from conftest import figure4_boxes, random_hermitian
-from oracles import kron_left, kron_right, nt_second_order
+from oracles import kron_left, kron_right, nt_second_order, scaled_phase1_model
 
 
 def test_trace_normalized_psd():
@@ -517,12 +517,16 @@ def test_corrector_iteration_counts(monkeypatch, point, iterations):
 def test_a_stalled_solve_ends_ill_conditioned(monkeypatch):
     """At eps = 0 the last phase-I solve of cost_approx sits on the
     feasibility boundary, where rounding keeps its residuals above the
-    tolerances.  In the call it starts warm and ends ill_conditioned at
+    tolerances.  On the phase-I program with its scale a variable
+    (``oracles.scaled_phase1_model``; the library's program, at a fixed
+    scale, ends this solve without the factorisation failing), in the call
+    it starts warm and ends ill_conditioned at
     iteration 14, on a Newton solve that is not finite.  Started cold, it
     ends ill_conditioned at iteration 18, when the Cholesky factorisation
     of an iterate fails, before its residuals stall and instead of
     wandering to max_iterations; run on, that solve took 168 iterations.
     This is the test of the failed-factorisation exit."""
+    monkeypatch.setattr(tasks, "_phase1_model", scaled_phase1_model)
     problems, results = _record_solves(monkeypatch)
     tasks.cost_approx(random_box(2, np.random.default_rng(3)), 0.0, tasks.CPTPA)
     assert [r.status for r in results] == [SdpStatus.OPTIMAL] * 2 + [
@@ -574,7 +578,7 @@ def test_packed_blocks_solve_as_unpacked(monkeypatch, program):
     (``_PACK_MAX`` = 0), each program reaches the same status, value, dual
     objective and primal blocks, and the figure-4 program the same y.  The
     phase-I program's dual optimum is not unique: scaling its b by
-    1 + 2^-50 moves the unpacked y by 2e-5, so there the packed y is checked
+    1 + 2^-50 moves the unpacked y by 1.3e-5, so there the packed y is checked
     to be a dual optimum instead: C - A*(y) is PSD to the solver's
     tolerance, and b.y is the unpacked dual objective."""
     if program == "phase-I":

@@ -1,4 +1,3 @@
-import functools
 import math
 import warnings
 from collections import Counter
@@ -17,7 +16,7 @@ from symdist.tasks import CDS, CPTPA
 
 from conftest import box_distance, dense_box, dilution_reproducer, figure4_boxes
 from oracles import (conversion_error_program, conversion_error_to_infinite,
-                     distill_approx_program)
+                     distill_approx_program, scaled_phase1_model)
 
 
 def _apply_witness(witness, box):
@@ -472,7 +471,8 @@ def test_cost_approx_counts_solves():
     """The solver is deterministic, so the counts of a fixed call repeat
     exactly; an accepted ill_conditioned solve is counted, not silent, and
     so are the iterations of every solve and the warm solves retried cold.
-    Started cold, the same solves took 71 and 40 iterations."""
+    Started cold, the same solves took 65 and 31 iterations, and the
+    solve at eps = 0 that ends ill_conditioned warm ended optimal."""
     b = random_box(2, np.random.default_rng(3))
     diag = tasks.cost_approx(b, 0.05, CPTPA).diagnostics
     assert set(diag) == {"M", "solves", "ill_conditioned", "retried", "iterations"}
@@ -482,15 +482,19 @@ def test_cost_approx_counts_solves():
     assert type(diag["M"]) is float
     diag = tasks.cost_approx(b, 0.0, CPTPA).diagnostics
     assert (diag["solves"], diag["ill_conditioned"]) == (3, 1)
-    assert (diag["iterations"], diag["retried"]) == (35, 0)
+    assert (diag["iterations"], diag["retried"]) == (36, 0)
 
 
 def test_cost_approx_accepts_a_solve_ended_on_a_tiny_step(monkeypatch):
-    """At eps = 1 the reproducer is feasible at M = 1, and its one phase-I
-    solve ends ill_conditioned on a step below 1e-14 at iteration 14, where
-    rel_primal is 1.4e-9; without that exit it runs on to iteration 21 and
-    ends on the same best iterate.  Its residuals are below 1e-6, so the
-    solve is accepted and counted: cost 0 bits."""
+    """At eps = 1 the reproducer is feasible at M = 1.  On the phase-I
+    program with its scale a variable (``oracles.scaled_phase1_model``;
+    the library's program, at a fixed scale, ends this solve optimal in 10
+    iterations), its one phase-I solve ends ill_conditioned on a step below
+    1e-14 at iteration 14, where rel_primal is 1.4e-9; without that exit it
+    runs on to iteration 21 and ends on the same best iterate.  Its
+    residuals are below 1e-6, so the solve is accepted and counted: cost 0
+    bits.  This is the test of the tiny-step exit."""
+    monkeypatch.setattr(tasks, "_phase1_model", scaled_phase1_model)
     results = []
     solve = sdp.solve
 
@@ -526,11 +530,14 @@ def test_phase1_slope_is_the_derivative_of_the_shift(kind, regime):
                                         "complex": 6}[kind]
     exact = dv.xi_max(b.rho0, b.rho1) if regime == CPTPA else dv.xi_max_star(b)
     t = 0.5 * (1.0 + 1.0 / (2.0 ** (exact + 1.0) - 1.0))
-    for solved in (None, []):       # cold, then warm as in cost_approx
-        if solved is not None:
+    for warm in (False, True):       # cold, then warm as in cost_approx
+        solved = []
+        if warm:
             tasks._phase1_shift(family, 1.0, {"solves": 0}, solved)
         stats = {"solves": 0, "ill_conditioned": 0}
-        shift = functools.partial(tasks._phase1_shift, family, stats=stats, solved=solved)
+
+        def shift(t):
+            return tasks._phase1_shift(family, t, stats, solved if warm else [])
         _, slope = shift(t)
         h = 1e-4 * t
         central = (shift(t + h)[0] - shift(t - h)[0]) / (2.0 * h)
@@ -563,7 +570,7 @@ def test_phase1_shift_accepts_a_non_optimal_solve_on_its_residuals(monkeypatch,
     the slope is read from y; otherwise it is accepted, counted by status,
     and gives the shift and slope of its point."""
     family = tasks._phase1_family(random_box(2, np.random.default_rng(3)), 0.05, CPTPA)
-    want = tasks._phase1_shift(family, 0.5, {"solves": 0})
+    want = tasks._phase1_shift(family, 0.5, {"solves": 0}, [])
     solve = sdp.solve
 
     def ill_conditioned(*args, **kwargs):
@@ -576,9 +583,9 @@ def test_phase1_shift_accepts_a_non_optimal_solve_on_its_residuals(monkeypatch,
     stats = {"solves": 0, "ill_conditioned": 0}
     if max(residuals.values()) > 1e-6:
         with pytest.raises(SolverError, match="ill_conditioned"):
-            tasks._phase1_shift(family, 0.5, stats)
+            tasks._phase1_shift(family, 0.5, stats, [])
     else:
-        assert tasks._phase1_shift(family, 0.5, stats) == want
+        assert tasks._phase1_shift(family, 0.5, stats, []) == want
         assert stats == {"solves": 1, "ill_conditioned": 1}
 
 
@@ -669,7 +676,7 @@ def test_cost_approx_without_the_lo_solve(monkeypatch, regime, eps):
     want = tasks.cost_approx(b, eps, regime).value
     shift, ts = tasks._phase1_shift, []
 
-    def failing_lo(family, t, stats, solved=None):
+    def failing_lo(family, t, stats, solved):
         out = shift(family, t, stats, solved)
         ts.append(t)
         if len(ts) == 2:
@@ -711,7 +718,7 @@ def test_phase1_program_rescaled_equals_fresh_compile(monkeypatch, real, regime)
             with monkeypatch.context() as patch:
                 patch.setattr(sdp, "solve", capture)
                 with pytest.raises(Solved):
-                    tasks._phase1_shift(family, t, {"solves": 0})
+                    tasks._phase1_shift(family, t, {"solves": 0}, [])
             (got,) = solved
             want, want_const = tasks._phase1_model(box, 0.05, regime, t).compile()
             assert want_const == 0.0
@@ -756,6 +763,66 @@ def test_cost_approx_golden_small_eps():
     g = golden_box(4, 0.5)
     v = tasks.cost_approx(g, 0.05, CDS).value
     assert v <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+def test_dilution_ball_is_scaled_by_the_approximants_p_err(regime):
+    """The eps-ball of cost_approx divides the trace distance by the
+    approximant's p_err (scaled_trace_distance(b, tau)).  The identity
+    channel into golden_box(M0 (1 - eps)) lands in the ball of
+    golden_box(M0), so a golden unit costs log2(M0 (1 - eps)), not the
+    log2(M0 / (1 + eps)) of a ball scaled by the box's own p_err.  At the
+    end returned for a qubit box, the golden unit reaches the box only at
+    the conversion error 0.0526 > eps, which divides by the box's p_err."""
+    m0, eps = 64.0, 0.05
+    value = tasks.cost_approx(golden_box(m0, 0.5), eps, regime).value
+    assert value == pytest.approx(math.log2(m0 * (1.0 - eps)), abs=1e-6)
+    assert value < math.log2(m0 / (1.0 + eps)) - 3e-3
+    b = random_box(2, np.random.default_rng(3))
+    big_m = tasks.cost_approx(b, eps, CPTPA).diagnostics["M"]
+    error = tasks.min_conversion_error(golden_box(big_m, b.p), b, CPTPA).value
+    assert error == pytest.approx(0.0526302, abs=1e-6)
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+@pytest.mark.parametrize("m0", [1e3, 5e5, 5e7])
+def test_cost_approx_of_a_golden_unit_is_at_most_the_identity_bound(m0, regime):
+    """The identity channel into golden_box(M0 (1 - eps)) achieves the
+    ball of golden_box(M0) under the program's own scaled distance, so
+    cost_approx returns at most log2(M0 (1 - eps)) whenever it returns.  It
+    returns up to M0 = 5e5 (18.8575679 bits under cptpA and 18.8575680
+    under cds, against a bound of 18.8575680); at 5e7, where lambda's slope
+    in t is below the solver's accuracy, it raises SolverError.  With its
+    scale a variable, the program raised at 5e5 and returned log2 M0 at
+    5e7, 0.074 bits above the bound."""
+    eps = 0.05
+    try:
+        value = tasks.cost_approx(golden_box(m0, 0.5), eps, regime).value
+    except SolverError:
+        assert m0 > 5e5
+        return
+    assert value <= math.log2(m0 * (1.0 - eps)) + 1e-6
+
+
+@pytest.mark.parametrize("regime", [CPTPA, CDS])
+@pytest.mark.parametrize("kind", ["real qubit", "quotient", "complex"])
+def test_phase1_program_agrees_with_the_scaled_program_on_the_sign(kind, regime):
+    """The library's phase-I program, at the fixed scale 1/(2 p_err(b)),
+    and the program with its scale a variable (``oracles``) have the same
+    feasible set at lambda = 0.  Both decide the same side at 2 _M_TOL in M
+    on either side of the end cost_approx returns: feasible just inside,
+    infeasible just outside, where the root lies within _M_TOL of the
+    end."""
+    b = {"real qubit": real_frame(random_box(2, np.random.default_rng(3)))[0],
+         "quotient": tensor_box(random_box(2, np.random.default_rng(7)), 2),
+         "complex": random_box(3, np.random.default_rng(5))}[kind]
+    big_m = tasks.cost_approx(b, 0.05, regime).diagnostics["M"]
+    for side in (1.0, -1.0):
+        t = 1.0 / (2.0 * (big_m + side * 2.0 * tasks._M_TOL) - 1.0)
+        for program in (tasks._phase1_model, scaled_phase1_model):
+            res = sdp.solve(program(b, 0.05, regime, t).compile()[0], tasks._PHASE1_OPTIONS)
+            assert res.status is sdp.SdpStatus.OPTIMAL
+            assert -side * (res.value - 1.0) > 0.0
 
 
 def test_cost_approx_infinite_box():
